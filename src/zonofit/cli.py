@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cone import build_cone
+from .cone import build_cone, certificate
 from .descent import DescentConfig, optimize
 from .errors import (
     DegenerateInput,
@@ -274,6 +274,14 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+_VERDICTS = {
+    None: "not a local minimum",
+    "certified_local_min_coarse": "local minimum of the coarse distance",
+    "certified_local_min": "local minimum",
+    "heuristic": "no improving perturbation at first order (heuristic)",
+}
+
+
 def cmd_cone(args) -> int:
     poly = _load_polytope(args.polytope)
     z = _load_zonotope(args.zonotope)
@@ -291,18 +299,9 @@ def cmd_cone(args) -> int:
     value, pairs = fn(poly, z, args.tol_active)
     cone = build_cone(pairs)
     interior = cone_interior_point(cone.matrix)
-    if interior.interior:
-        certificate = None
-        verdict = "not a local minimum"
-    elif args.coarse:
-        certificate = "certified_local_min_coarse"
-        verdict = "local minimum of the coarse distance"
-    elif all(p.q_is_zonotope_vertex for p in pairs):
-        certificate = "certified_local_min"
-        verdict = "local minimum"
-    else:
-        certificate = "heuristic"
-        verdict = "no improving perturbation at first order (heuristic)"
+    cert = None
+    if not interior.interior:
+        cert = certificate(pairs, "coarse" if args.coarse else "exact")
     print(json.dumps({
         "locality": True,
         "distance": value,
@@ -311,8 +310,8 @@ def cmd_cone(args) -> int:
         "pairs": [_pair_payload(p) for p in pairs],
         "interior_nonempty": interior.interior,
         "interior_margin": interior.margin,
-        "certificate": certificate,
-        "verdict": verdict,
+        "certificate": cert,
+        "verdict": _VERDICTS[cert],
     }, indent=2))
     return EXIT_OK
 

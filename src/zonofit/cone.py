@@ -24,13 +24,14 @@ import numpy as np
 
 from . import solvers
 from .errors import EmptyTaus, InfeasibleRegion, NonImprovingRow, UnboundedRegion
-from .geom import Polytope, Zonotope
+from .geom import Polytope, Zonotope, _facets_brute_force
 from .subgrad import SubdifferentialSet
 
 __all__ = [
     "FeasibilityCone",
     "DirectionResult",
     "build_cone",
+    "certificate",
     "descent_direction",
     "tau_limits",
 ]
@@ -87,6 +88,19 @@ class DirectionResult:
     interior_margin: float = 0.0
 
 
+def certificate(pairs, objective: str) -> str:
+    """What an empty cone interior certifies for these achieving pairs.
+
+    Every coarse pair joins two vertices, so the coarse objective is always
+    certified; the exact one only when every q_i is a zonotope vertex.
+    """
+    if objective == "coarse":
+        return "certified_local_min_coarse"
+    if all(pair.q_is_zonotope_vertex for pair in pairs):
+        return "certified_local_min"
+    return "heuristic"
+
+
 def tau_limits(pairs, direction: np.ndarray):
     """Per-pair step-size limits along ``direction``.
 
@@ -113,38 +127,6 @@ def tau_limits(pairs, direction: np.ndarray):
     return tuple(taus)
 
 
-def _hull_facets_in_span(zpts: np.ndarray, tol: float = 1e-9):
-    """Outward facet inequalities of conv(zpts) inside its own span."""
-    import itertools
-
-    k, r = zpts.shape
-    scale = 1.0 + float(np.abs(zpts).max(initial=0.0))
-    normals, offsets = [], []
-    if r == 1:
-        return (np.array([[1.0], [-1.0]]),
-                np.array([float(zpts.max()), float(-zpts.min())]))
-    for rows in itertools.combinations(range(k), r):
-        pts = zpts[list(rows)]
-        diffs = pts[1:] - pts[0]
-        _, s, vt = np.linalg.svd(diffs)
-        if s.size < r - 1 or s[-1] <= 1e-10 * max(1.0, s[0]):
-            continue
-        eta = vt[-1]
-        c = float(eta @ pts[0])
-        margins = zpts @ eta - c
-        if margins.max() <= tol * scale:
-            pass
-        elif margins.min() >= -tol * scale:
-            eta, c = -eta, -c
-        else:
-            continue
-        if not any(np.linalg.norm(en - eta) < 1e-8 and abs(ec - c) < 1e-8 * scale
-                   for en, ec in zip(normals, offsets)):
-            normals.append(eta)
-            offsets.append(c)
-    return np.array(normals), np.array(offsets)
-
-
 def _chebyshev_direction(neg_gradients, A, margin, config):
     """Chebyshev center of conv(neg_gradients) cut by {A x >= margins}.
 
@@ -165,7 +147,7 @@ def _chebyshev_direction(neg_gradients, A, margin, config):
         return None
     B = vt[:rank].T  # span basis, columns orthonormal
     zpts = M @ B
-    hull_n, hull_c = _hull_facets_in_span(zpts)
+    hull_n, hull_c = _facets_brute_force(zpts, 1e-9)
     AB = A @ B
     c0 = A @ u0
     # Ball constraints: hull facets keep the ball in the hull; cone rows
@@ -201,13 +183,8 @@ def descent_direction(
     """
     interior = solvers.cone_interior_point(cone.matrix, config)
     if not interior.interior:
-        if objective == "coarse":
-            cert = "certified_local_min_coarse"
-        elif all(pair.q_is_zonotope_vertex for pair in cone.pairs):
-            cert = "certified_local_min"
-        else:
-            cert = "heuristic"
-        return DirectionResult(status="cone_empty_interior", certificate=cert,
+        return DirectionResult(status="cone_empty_interior",
+                               certificate=certificate(cone.pairs, objective),
                                interior_margin=interior.margin)
 
     if subdiff is None:

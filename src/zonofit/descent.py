@@ -17,6 +17,7 @@ configurable iteration.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -91,12 +92,15 @@ class DescentConfig:
             "tol_active": self.tol_active,
             "cone_margin": self.cone_margin,
             "cone_fallback": self.cone_fallback,
+            "solver": dataclasses.asdict(self.solver),
         }
 
     @staticmethod
     def from_json(data: dict) -> "DescentConfig":
-        return DescentConfig(**{k: v for k, v in data.items()
-                                if k in DescentConfig.__dataclass_fields__})
+        fields = {k: v for k, v in data.items() if k in DescentConfig.__dataclass_fields__}
+        if "solver" in fields:
+            fields["solver"] = solvers.SolverConfig(**fields["solver"])
+        return DescentConfig(**fields)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,20 @@ Conventions fixed here and used everywhere else:
 * A polytope is a vertex list (every listed vertex extreme) plus a derived
   irredundant facet description with unit outward normals.
 
-Vertex enumeration of a zonotope is brute force over bit-vectors with a
-separating-hyperplane feasibility LP deciding true vertexhood; faces of
+Zonotope faces are read off generator subsets: a (d-1)-subset S with a
+unit normal eta of its span gives the facets +-eta, and the vertices of
+the facet with outward normal eta are the anchor bits ``G @ eta > 0`` off
+S combined with every bit pattern on S. One pass over the subsets
+(``_facet_directions``) yields facets and vertices together. Outside
+general position that correspondence fails, and vertex enumeration falls
+back to a separating-hyperplane feasibility LP per bit-vector. Faces of
 either body are handed around as ``FaceDescriptor`` values carrying an
 orthonormal affine-hull description.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -42,6 +48,7 @@ __all__ = [
     "AffineHull",
     "FaceDescriptor",
     "canonicalize",
+    "degenerate_subsets",
     "is_general_position",
     "is_zonotope_vertex",
     "enumerate_vertices",
@@ -77,14 +84,15 @@ class Zonotope:
     """A zonotope: row i of ``generators`` is generator g_i.
 
     The represented set is {x @ generators + translation : x in [0,1]^n}.
-    Instances are immutable; the derived vertex list and facet description
-    are cached on first use.
+    Instances are immutable; the derived vertex list, facet directions and
+    facet description are cached on first use.
     """
 
     generators: np.ndarray
     translation: np.ndarray
     _vertices: list | None = field(default=None, init=False, repr=False, compare=False)
     _facets: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _directions: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.atleast_2d(np.asarray(self.generators, dtype=float))
@@ -133,20 +141,32 @@ def canonicalize(z: Zonotope) -> Zonotope:
     return Zonotope(G[order], z.translation)
 
 
-def is_general_position(z: Zonotope, tol: float = GENERAL_POSITION_TOL) -> bool:
-    """True iff every d of the n generators are linearly independent.
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as rows of a read-only index array, in
+    lexicographic order."""
+    rows = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+    rows.setflags(write=False)
+    return rows
 
-    Relative test: each d x d minor must exceed tol times the product of
-    the participating row norms.
+
+def degenerate_subsets(z: Zonotope, tol: float = GENERAL_POSITION_TOL) -> tuple:
+    """Index tuples of the d-subsets of generators that are linearly dependent.
+
+    Relative test: a d x d minor counts as vanishing when its magnitude is
+    at most tol times the product of the participating row norms.
     """
     G = z.generators
     n, d = G.shape
-    norms = np.linalg.norm(G, axis=1)
-    for rows in itertools.combinations(range(n), d):
-        bound = tol * float(np.prod(norms[list(rows)]))
-        if abs(np.linalg.det(G[list(rows)])) <= bound:
-            return False
-    return True
+    rows = _subsets(n, d)
+    bounds = tol * np.prod(np.linalg.norm(G, axis=1)[rows], axis=1)
+    bad = np.abs(np.linalg.det(G[rows])) <= bounds
+    return tuple(tuple(int(i) for i in r) for r in rows[bad])
+
+
+def is_general_position(z: Zonotope, tol: float = GENERAL_POSITION_TOL) -> bool:
+    """True iff every d of the n generators are linearly independent."""
+    return not degenerate_subsets(z, tol)
 
 
 def is_zonotope_vertex(z: Zonotope, bits, config=solvers.DEFAULT_CONFIG) -> bool:
@@ -177,56 +197,68 @@ def is_zonotope_vertex(z: Zonotope, bits, config=solvers.DEFAULT_CONFIG) -> bool
     return res.status == "optimal"
 
 
-def _enumerate_vertices_2d(z: Zonotope):
-    """Planar fast path: a bit-vector is a vertex iff the signed
-    generators fit in an open halfplane, i.e. their directions leave a
-    circular gap wider than pi. Equivalent to the separation LP, fully
-    vectorized over all 2^n sign patterns."""
+def _facet_directions(z: Zonotope):
+    """Facet directions of ``z`` from one batched SVD over generator subsets.
+
+    Returns (subsets, normals, general): the (d-1)-subsets whose generators
+    span a hyperplane, as rows of an index array; a unit normal eta of each
+    span (the facets are +-eta); and whether z is in general position.
+    Cached on the instance.
+    """
+    if z._directions is not None:
+        return z._directions
     G = z.generators
-    n = G.shape[0]
-    theta = np.arctan2(G[:, 1], G[:, 0])
-    patterns = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
-    ang = np.where(patterns > 0.5, theta, theta + np.pi)
-    ang = np.mod(ang, 2.0 * np.pi)
-    ang.sort(axis=1)
-    gaps = np.diff(ang, axis=1)
-    wrap = ang[:, 0] + 2.0 * np.pi - ang[:, -1]
-    max_gap = np.maximum(gaps.max(axis=1), wrap) if n > 1 else wrap
-    keep = max_gap > np.pi + 1e-12
-    out = []
-    for bits in patterns[keep]:
-        pt = z.cubical_vertex(bits)
-        bits.setflags(write=False)
-        pt.setflags(write=False)
-        out.append((bits, pt))
+    n, d = G.shape
+    subsets = _subsets(n, d - 1)
+    if d == 1:
+        normals = np.ones((1, 1))
+    else:
+        _, s, vt = np.linalg.svd(G[subsets])
+        spans = s[:, -1] > 1e-12 * np.maximum(1.0, s[:, 0])
+        subsets, normals = subsets[spans], vt[spans, -1]
+    out = (subsets, _readonly(normals), not degenerate_subsets(z))
+    object.__setattr__(z, "_directions", out)
     return out
 
 
 def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP, config=solvers.DEFAULT_CONFIG):
-    """All vertices of a general-position zonotope with their lifts.
+    """All vertices of a zonotope with their lifts, in lexicographic bit order.
 
-    Brute force over the 2^n bit-vectors in lexicographic order, keeping
-    the ones whose separating hyperplane exists: decided by the
-    feasibility LP in general, and by the equivalent (vectorized) open
-    halfplane criterion in the plane. Returns [(bits, point), ...];
-    cached on the instance.
+    In general position every vertex lies on a facet, so the vertex
+    bit-vectors are each facet's anchor bits combined with every pattern on
+    its spanning subset. Outside general position each of the 2^n
+    bit-vectors is tested with the separation LP (``is_zonotope_vertex``).
+    Returns [(bits, point), ...]; cached on the instance.
     """
     if z._vertices is not None:
         return z._vertices
     n = z.rank
     if n > cap:
         raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {cap}")
-    if z.dim == 2:
-        out = _enumerate_vertices_2d(z)
+    subsets, normals, general = _facet_directions(z)
+    if general:
+        # Bit-vectors as integer codes, first generator most significant,
+        # so ascending codes are lexicographic bit order. The facet +eta
+        # has anchor bits G @ eta > 0 off its subset and every pattern on
+        # it; the vertices of the facet -eta are their complements.
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        along = normals @ z.generators.T
+        along[np.arange(subsets.shape[0])[:, None], subsets] = 0.0
+        k = subsets.shape[1]
+        patterns = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        codes = ((along > 0.0) @ weights)[:, None] + weights[subsets] @ patterns.T
+        codes = np.unique(np.concatenate([codes, (1 << n) - 1 - codes], axis=None))
+        candidates = (codes[:, None] & weights) > 0
     else:
-        out = []
-        for comb in itertools.product((0, 1), repeat=n):
-            bits = np.array(comb, dtype=float)
-            if is_zonotope_vertex(z, bits, config):
-                pt = z.cubical_vertex(bits)
-                bits.setflags(write=False)
-                pt.setflags(write=False)
-                out.append((bits, pt))
+        candidates = [bits for bits in itertools.product((0.0, 1.0), repeat=n)
+                      if is_zonotope_vertex(z, bits, config)]
+    out = []
+    for comb in candidates:
+        bits = np.array(comb, dtype=float)
+        pt = z.cubical_vertex(bits)
+        bits.setflags(write=False)
+        pt.setflags(write=False)
+        out.append((bits, pt))
     object.__setattr__(z, "_vertices", out)
     return out
 
@@ -242,21 +274,13 @@ def zonotope_facets(z: Zonotope):
     if z._facets is not None:
         return z._facets
     G = z.generators
-    n, d = G.shape
-    normals, offsets = [], []
     mu = z.translation
-    for rows in itertools.combinations(range(n), d - 1):
-        sub = G[list(rows)]
-        # Unit normal spanning the nullspace of the (d-1) x d submatrix.
-        _, s, vt = np.linalg.svd(sub) if sub.size else (None, np.zeros(0), np.eye(d))
-        eta = vt[-1]
-        if sub.size and s.size == d - 1 and s[-1] <= 1e-12 * max(1.0, s[0]):
-            continue  # degenerate subset; not a facet direction
+    normals, offsets = [], []
+    for eta in _facet_directions(z)[1]:
         for sign in (1.0, -1.0):
             nrm = sign * eta
-            off = float(nrm @ mu + np.maximum(G @ nrm, 0.0).sum())
             normals.append(nrm)
-            offsets.append(off)
+            offsets.append(float(nrm @ mu + np.maximum(G @ nrm, 0.0).sum()))
     pair = (_readonly(np.array(normals)), _readonly(np.array(offsets)))
     object.__setattr__(z, "_facets", pair)
     return pair
@@ -330,6 +354,13 @@ class Polytope:
     def from_points(points, tol: float = 1e-9) -> "Polytope":
         P = np.atleast_2d(np.asarray(points, dtype=float))
         scale = 1.0 + float(np.abs(P).max())
+        # Merge near-duplicates (keeping the first) so that a repeated
+        # extreme point is not hidden in the hull of its own copy.
+        distinct = []
+        for i in range(P.shape[0]):
+            if all(np.linalg.norm(P[i] - P[j]) > tol * scale for j in distinct):
+                distinct.append(i)
+        P = P[distinct]
         keep = []
         for i in range(P.shape[0]):
             others = np.delete(P, i, axis=0)
@@ -340,20 +371,20 @@ class Polytope:
 
 
 def _facets_brute_force(V: np.ndarray, tol: float):
-    """Facets by brute force over d-subsets with supporting-plane checks."""
+    """Facets of conv(V), full-dimensional in R^d, by brute force over
+    d-subsets with supporting-plane checks. In R^1 the facets are (+1, -1).
+    """
     k, d = V.shape
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.array([float(V.max()), float(-V.min())])
     scale = 1.0 + float(np.abs(V).max())
     normals, offsets = [], []
     for rows in itertools.combinations(range(k), d):
         pts = V[list(rows)]
-        diffs = pts[1:] - pts[0]
-        if d == 1:
-            eta = np.array([1.0])
-        else:
-            _, s, vt = np.linalg.svd(diffs)
-            if s.size < d - 1 or s[-1] <= 1e-10 * max(1.0, s[0]):
-                continue  # affinely dependent subset
-            eta = vt[-1]
+        _, s, vt = np.linalg.svd(pts[1:] - pts[0])
+        if s.size < d - 1 or s[-1] <= 1e-10 * max(1.0, s[0]):
+            continue  # affinely dependent subset
+        eta = vt[-1]
         c = float(eta @ pts[0])
         margins = V @ eta - c
         hi, lo = margins.max(), margins.min()
@@ -477,9 +508,7 @@ def zonotope_face_from_lift(z: Zonotope, lift: LiftPoint) -> FaceDescriptor:
     """Face of ``z`` whose relative interior contains the lift's image."""
     free = lift.free_indices
     d = z.dim
-    bits = np.round(lift.values).astype(float)
-    for i in free:
-        bits[i] = 0.0
+    bits = lift.anchor_bits()
     if len(free) >= d:
         return FaceDescriptor(side="zonotope", affine_hull=None,
                               anchor_bits=bits, free_indices=free)
@@ -566,21 +595,14 @@ def is_pushforward_proper(source: Zonotope, target: Zonotope,
         if not on_boundary(target.map_point(bits)):
             return False
     G = source.generators
-    n, d = G.shape
+    subsets, etas, _ = _facet_directions(source)
     ticks = np.linspace(0.0, 1.0, samples_per_facet + 2)[1:-1]
-    for rows in itertools.combinations(range(n), d - 1):
-        sub = G[list(rows)]
-        _, s, vt = np.linalg.svd(sub) if sub.size else (None, np.zeros(0), np.eye(d))
-        eta = vt[-1]
+    for rows, eta in zip(subsets, etas):
         for sign in (1.0, -1.0):
-            nrm = sign * eta
-            anchor = (G @ nrm > 0.0).astype(float)
-            for i in rows:
-                anchor[i] = 0.0
-            for combo in itertools.product(ticks, repeat=len(rows)):
+            anchor = (G @ (sign * eta) > 0.0).astype(float)
+            for combo in itertools.product(ticks, repeat=rows.size):
                 x = anchor.copy()
-                for i, t in zip(rows, combo):
-                    x[i] = t
+                x[rows] = combo
                 if not on_boundary(target.map_point(x)):
                     return False
     return True

@@ -26,8 +26,8 @@ from .geom import (
     LiftPoint,
     Polytope,
     Zonotope,
+    degenerate_subsets,
     enumerate_vertices,
-    is_general_position,
     lift_values_to_lift,
     minimal_face,
     zonotope_as_polytope,
@@ -44,6 +44,7 @@ __all__ = [
     "check_locality",
     "dist_point_to_affine",
     "local_terms",
+    "p_vertex_term",
 ]
 
 ACTIVE_PAIR_TOL = 1e-7
@@ -336,20 +337,11 @@ def check_locality(poly: Polytope, z: Zonotope,
     only evaluated when 1) holds (the zonotope's face structure is not
     trustworthy otherwise).
     """
-    import itertools
-
-    G = z.generators
-    n, d = G.shape
-    norms = np.linalg.norm(G, axis=1)
-    degenerate = []
-    for rows in itertools.combinations(range(n), d):
-        bound = 1e-10 * float(np.prod(norms[list(rows)]))
-        if abs(np.linalg.det(G[list(rows)])) <= bound:
-            degenerate.append(rows)
+    degenerate = degenerate_subsets(z)
     if degenerate:
         return LocalityReport(
             general_position=False,
-            degenerate_subsets=tuple(degenerate),
+            degenerate_subsets=degenerate,
             unstable_p_vertices=(),
             unstable_z_vertices=(),
         )
@@ -421,6 +413,25 @@ class SmoothTerm:
         return float(np.linalg.norm(r - D @ coef))
 
 
+def p_vertex_term(z: Zonotope, vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
+    """Term tracking polytope vertex ``p`` against the zonotope face of ``lift``.
+
+    For a facet (d-1 free generators) ``orientation`` records the side of
+    the facet p lies on, which fixes the sign of the signed-minor normal
+    in the term's gradient.
+    """
+    from .subgrad import facet_normal_minor_vector
+
+    anchor = lift.anchor_bits()
+    free = lift.free_indices
+    orientation = 0.0
+    if len(free) == z.dim - 1:
+        m = facet_normal_minor_vector(z.generators, free)
+        orientation = 1.0 if float(m @ (p - z.map_point(anchor))) >= 0.0 else -1.0
+    return SmoothTerm(side="p_vertex", vertex_index=vertex_index, point=p,
+                      anchor_bits=anchor, free_indices=free, orientation=orientation)
+
+
 def local_terms(poly: Polytope, z0: Zonotope,
                 config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
                 require_locality: bool = True):
@@ -434,33 +445,13 @@ def local_terms(poly: Polytope, z0: Zonotope,
     degenerate configurations, where the decomposition may only hold at
     the base point itself).
     """
-    from .subgrad import facet_normal_minor_vector
-
     if require_locality and not check_locality(poly, z0, config=config).ok:
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
     terms = []
-    d = z0.dim
     for i, v in enumerate(poly.vertices):
         bp = solvers.box_least_squares(z0.generators, z0.translation, v, config)
-        lift = lift_values_to_lift(bp.coefficients)
-        anchor = lift.anchor_bits()
-        free = lift.free_indices
-        orientation = 0.0
-        if len(free) == d - 1:
-            m = facet_normal_minor_vector(z0.generators, free)
-            base = z0.map_point(anchor)
-            orientation = 1.0 if float(m @ (v - base)) >= 0.0 else -1.0
-        terms.append(
-            SmoothTerm(
-                side="p_vertex",
-                vertex_index=i,
-                point=v,
-                anchor_bits=anchor,
-                free_indices=free,
-                orientation=orientation,
-            )
-        )
+        terms.append(p_vertex_term(z0, i, v, lift_values_to_lift(bp.coefficients)))
     for j, (bits, pt) in enumerate(enumerate_vertices(z0)):
         hp = solvers.project_to_hull(poly.vertices, pt, config)
         face = minimal_face(poly, hp.point)

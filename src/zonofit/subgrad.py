@@ -14,7 +14,6 @@ distance. A central finite-difference oracle is provided for validation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .hausdorff import (
     check_locality,
     coarse_hausdorff_distance,
     hausdorff_distance,
+    p_vertex_term,
 )
 
 __all__ = [
@@ -229,21 +229,7 @@ def grad_delta_p(term: SmoothTerm, z: Zonotope) -> np.ndarray:
 def term_from_pair(poly: Polytope, z: Zonotope, pair: AchievingPair) -> SmoothTerm:
     """Smooth term tracking the given achieving pair near ``z``."""
     if pair.side == "p_vertex":
-        anchor = pair.lift.anchor_bits()
-        free = pair.lift.free_indices
-        orientation = 0.0
-        if len(free) == z.dim - 1:
-            m = facet_normal_minor_vector(z.generators, free)
-            base = z.map_point(anchor)
-            orientation = 1.0 if float(m @ (pair.p - base)) >= 0.0 else -1.0
-        return SmoothTerm(
-            side="p_vertex",
-            vertex_index=pair.vertex_index,
-            point=pair.p,
-            anchor_bits=anchor,
-            free_indices=free,
-            orientation=orientation,
-        )
+        return p_vertex_term(z, pair.vertex_index, pair.p, pair.lift)
     return SmoothTerm(
         side="z_vertex",
         vertex_index=pair.vertex_index,

@@ -1,5 +1,7 @@
 """Descent-loop tests: step rules, perturbation, termination, monotonicity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -188,10 +190,14 @@ class TestOptimize:
         assert checked >= 5
 
     def test_config_json_round_trip(self):
+        from zonofit.solvers import SolverConfig
+
         cfg = DescentConfig(rank=4, max_steps=77, threshold=1e-6,
                             step_rule="hybrid", hybrid_switch=9, rng_seed=5,
-                            objective="coarse")
-        back = DescentConfig.from_json(cfg.to_json())
+                            objective="coarse",
+                            solver=SolverConfig(feasibility_tol=1e-7, kkt_tol=1e-8,
+                                                iteration_factor=20))
+        back = DescentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert back == cfg
 
     def test_trace_csv_columns(self, rng):

@@ -18,6 +18,7 @@ from zonofit.geom import (
     Polytope,
     Zonotope,
     canonicalize,
+    degenerate_subsets,
     enumerate_vertices,
     face_affine_hull,
     is_general_position,
@@ -111,6 +112,16 @@ class TestGeneralPosition:
         z = Zonotope(HEX_GENERATORS, np.zeros(2))
         assert is_general_position(z)
 
+    def test_degenerate_subsets_match_determinant_loop(self, rng):
+        G = rng.normal(size=(6, 3))
+        G[4] = 2.0 * G[1]
+        z = Zonotope(G, np.zeros(3))
+        norms = np.linalg.norm(G, axis=1)
+        loop = tuple(rows for rows in itertools.combinations(range(6), 3)
+                     if abs(np.linalg.det(G[list(rows)])) <= 1e-10 * np.prod(norms[list(rows)]))
+        assert degenerate_subsets(z) == loop
+        assert loop == ((0, 1, 4), (1, 2, 4), (1, 3, 4), (1, 4, 5))
+
 
 class TestVertexhood:
     def test_square_corner(self):
@@ -163,16 +174,40 @@ class TestEnumerateVertices:
         for bits, _ in enumerate_vertices(z):
             assert is_zonotope_vertex(z, bits)
 
-    def test_planar_fast_path_agrees_with_lp(self, rng):
-        # The vectorized halfplane criterion must match the separation LP
-        # on every bit pattern.
-        for _ in range(10):
-            n = int(rng.integers(3, 6))
-            z = random_zonotope(rng, n, 2)
-            kept = {tuple(int(round(b)) for b in bits)
-                    for bits, _ in enumerate_vertices(z)}
-            for comb in itertools.product((0, 1), repeat=n):
-                assert (comb in kept) == is_zonotope_vertex(z, np.array(comb, float))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_facet_enumeration_agrees_with_lp(self, rng, d):
+        # The vertices read off the facets must match the separation LP on
+        # every bit pattern, in lexicographic order.
+        for _ in range(6):
+            n = int(rng.integers(d + 1, d + 4))
+            z = random_zonotope(rng, n, d)
+            got = [tuple(int(b) for b in bits) for bits, _ in enumerate_vertices(z)]
+            oracle = [comb for comb in itertools.product((0, 1), repeat=n)
+                      if is_zonotope_vertex(z, np.array(comb, float))]
+            assert got == oracle
+
+    def test_lp_fallback_outside_general_position(self):
+        # Two parallel generators: the facet correspondence fails, and the
+        # per-pattern separation LP decides every bit-vector.
+        G = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        z = Zonotope(G, np.zeros(3))
+        assert not is_general_position(z)
+        got = [tuple(int(b) for b in bits) for bits, _ in enumerate_vertices(z)]
+        oracle = [comb for comb in itertools.product((0, 1), repeat=5)
+                  if is_zonotope_vertex(z, np.array(comb, float))]
+        assert got == oracle
+        assert all(comb[0] == comb[1] for comb in got)
+
+    def test_general_position_enumeration_solves_no_lp(self, rng, monkeypatch):
+        from zonofit import solvers
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_lp called during enumeration")
+
+        monkeypatch.setattr(solvers, "solve_lp", no_lp)
+        for n, d in [(5, 2), (6, 3), (7, 4)]:
+            assert enumerate_vertices(random_zonotope(rng, n, d))
 
     def test_non_vertices_strictly_inside_hull(self, rng):
         z = random_zonotope(rng, 4, 2)
@@ -282,6 +317,14 @@ class TestPolytope:
     def test_from_points_filters(self):
         poly = Polytope.from_points([[0, 0], [1, 0], [0, 1], [0.25, 0.25]])
         assert poly.vertices.shape[0] == 3
+
+    def test_from_points_repeated_extreme_point(self):
+        poly = Polytope.from_points([[0, 0], [0, 0], [1, 0], [0, 1]])
+        assert poly.vertices.tolist() == [[0, 0], [1, 0], [0, 1]]
+
+    def test_from_points_near_duplicate_keeps_first(self):
+        poly = Polytope.from_points([[0, 0], [1e-12, 0], [1, 0], [0, 1], [1, 1]])
+        assert poly.vertices.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateInput):
