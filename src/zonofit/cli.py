@@ -39,7 +39,6 @@ from .errors import (
 from .geom import (
     Polytope,
     Zonotope,
-    canonicalize,
     is_general_position,
     polytope_from_json,
     zonotope_from_json,

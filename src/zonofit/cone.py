@@ -24,7 +24,7 @@ import numpy as np
 
 from . import solvers
 from .errors import EmptyTaus, InfeasibleRegion, NonImprovingRow, UnboundedRegion
-from .geom import Polytope, Zonotope, _facets_brute_force
+from .geom import Polytope, Zonotope, _facets_brute_force, _readonly
 from .subgrad import SubdifferentialSet
 
 __all__ = [
@@ -53,9 +53,7 @@ class FeasibilityCone:
     pairs: tuple
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _readonly(np.atleast_2d(self.matrix)))
 
 
 def build_cone(pairs) -> FeasibilityCone:
@@ -168,7 +166,6 @@ def descent_direction(
     cone: FeasibilityCone,
     objective: str = "exact",
     margin: float = DIRECTION_MARGIN,
-    cone_fallback: bool = False,
     config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
 ) -> DirectionResult:
     """Search for a strictly improving perturbation direction.
@@ -176,10 +173,8 @@ def descent_direction(
     First tests the cone interior; an empty interior short-circuits to a
     certificate (no gradients needed). Otherwise intersects the negated
     active-gradient hull with the cone and returns the Chebyshev center,
-    verified to strictly improve every pair. ``cone_fallback`` enables the
-    optional rescue direction (Chebyshev of the margin-tightened cone on
-    the unit box) when the hull intersection is empty; default off: an
-    empty feasible set is read as a local minimum.
+    verified to strictly improve every pair. An empty intersection is read
+    as a local minimum.
     """
     interior = solvers.cone_interior_point(cone.matrix, config)
     if not interior.interior:
@@ -191,15 +186,6 @@ def descent_direction(
         raise ValueError("gradients are required once the cone has interior")
     direction = _chebyshev_direction([-np.asarray(g) for g in subdiff.gradients],
                                      cone.matrix, margin, config)
-    if direction is None and cone_fallback:
-        m, D = cone.matrix.shape
-        row_norms = np.linalg.norm(cone.matrix, axis=1)
-        normals = np.vstack([-cone.matrix, np.eye(D), -np.eye(D)])
-        offsets = np.concatenate([-margin * row_norms, np.ones(2 * D)])
-        try:
-            direction, _ = solvers.chebyshev_center(normals, offsets, config)
-        except (InfeasibleRegion, UnboundedRegion):
-            direction = None
     if direction is None:
         return DirectionResult(status="feasible_empty",
                                interior_margin=interior.margin)

@@ -67,7 +67,6 @@ class DescentConfig:
     max_perturb_tries: int = 50
     tol_active: float = 1e-7
     cone_margin: float = 1e-8
-    cone_fallback: bool = False
     solver: solvers.SolverConfig = field(default_factory=solvers.SolverConfig)
 
     def __post_init__(self):
@@ -91,12 +90,15 @@ class DescentConfig:
             "max_perturb_tries": self.max_perturb_tries,
             "tol_active": self.tol_active,
             "cone_margin": self.cone_margin,
-            "cone_fallback": self.cone_fallback,
             "solver": dataclasses.asdict(self.solver),
         }
 
     @staticmethod
     def from_json(data: dict) -> "DescentConfig":
+        # Older manifests carry the removed rescue-direction switch; only
+        # its off value replays the run they describe.
+        if data.get("cone_fallback", False):
+            raise ValueError("cone_fallback is no longer supported")
         fields = {k: v for k, v in data.items() if k in DescentConfig.__dataclass_fields__}
         if "solver" in fields:
             fields["solver"] = solvers.SolverConfig(**fields["solver"])
@@ -284,8 +286,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
             )
             result = descent_direction(
                 poly, z, subdiff, cone,
-                objective=cfg.objective, margin=cfg.cone_margin,
-                cone_fallback=cfg.cone_fallback, config=cfg.solver,
+                objective=cfg.objective, margin=cfg.cone_margin, config=cfg.solver,
             )
             if result.status != "descent":
                 record(0.0, "-", result.status)

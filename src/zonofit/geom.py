@@ -85,7 +85,8 @@ class Zonotope:
 
     The represented set is {x @ generators + translation : x in [0,1]^n}.
     Instances are immutable; the derived vertex list, facet directions and
-    facet description are cached on first use.
+    facet description are cached on first use, and so are the vertex sweeps
+    against the last polytope measured (see ``hausdorff._projections``).
     """
 
     generators: np.ndarray
@@ -93,6 +94,7 @@ class Zonotope:
     _vertices: list | None = field(default=None, init=False, repr=False, compare=False)
     _facets: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _directions: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _projections: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.atleast_2d(np.asarray(self.generators, dtype=float))
@@ -200,10 +202,10 @@ def is_zonotope_vertex(z: Zonotope, bits, config=solvers.DEFAULT_CONFIG) -> bool
 def _facet_directions(z: Zonotope):
     """Facet directions of ``z`` from one batched SVD over generator subsets.
 
-    Returns (subsets, normals, general): the (d-1)-subsets whose generators
-    span a hyperplane, as rows of an index array; a unit normal eta of each
-    span (the facets are +-eta); and whether z is in general position.
-    Cached on the instance.
+    Returns (subsets, normals, degenerate): the (d-1)-subsets whose
+    generators span a hyperplane, as rows of an index array; a unit normal
+    eta of each span (the facets are +-eta); and ``degenerate_subsets(z)``,
+    empty iff z is in general position. Cached on the instance.
     """
     if z._directions is not None:
         return z._directions
@@ -216,7 +218,7 @@ def _facet_directions(z: Zonotope):
         _, s, vt = np.linalg.svd(G[subsets])
         spans = s[:, -1] > 1e-12 * np.maximum(1.0, s[:, 0])
         subsets, normals = subsets[spans], vt[spans, -1]
-    out = (subsets, _readonly(normals), not degenerate_subsets(z))
+    out = (subsets, _readonly(normals), degenerate_subsets(z))
     object.__setattr__(z, "_directions", out)
     return out
 
@@ -235,8 +237,8 @@ def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP, config=solvers.D
     n = z.rank
     if n > cap:
         raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {cap}")
-    subsets, normals, general = _facet_directions(z)
-    if general:
+    subsets, normals, degenerate = _facet_directions(z)
+    if not degenerate:
         # Bit-vectors as integer codes, first generator most significant,
         # so ascending codes are lexicographic bit order. The facet +eta
         # has anchor bits G @ eta > 0 off its subset and every pattern on
@@ -328,6 +330,8 @@ class Polytope:
     def from_vertices(vertices, facets=None, tol: float = 1e-9) -> "Polytope":
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         k, d = V.shape
+        if not np.all(np.isfinite(V)):
+            raise DegenerateInput("polytope vertices must be finite")
         if k < d + 1 or np.linalg.matrix_rank(V - V[0], tol=1e-10) < d:
             raise DegenerateInput("polytope must be full-dimensional")
         scale = 1.0 + float(np.abs(V).max())
@@ -341,6 +345,9 @@ class Polytope:
             normals = np.atleast_2d(np.asarray([f[:-1] for f in facets], dtype=float))
             offsets = np.asarray([f[-1] for f in facets], dtype=float)
             norms = np.linalg.norm(normals, axis=1)
+            if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(norms))
+                    and np.all(norms > 0.0)):
+                raise DegenerateInput("facet normals must be finite and nonzero")
             normals = normals / norms[:, None]
             offsets = offsets / norms
         else:
@@ -353,6 +360,8 @@ class Polytope:
     @staticmethod
     def from_points(points, tol: float = 1e-9) -> "Polytope":
         P = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(P)):
+            raise DegenerateInput("points must be finite")
         scale = 1.0 + float(np.abs(P).max())
         # Merge near-duplicates (keeping the first) so that a repeated
         # extreme point is not hidden in the hull of its own copy.
@@ -360,6 +369,8 @@ class Polytope:
         for i in range(P.shape[0]):
             if all(np.linalg.norm(P[i] - P[j]) > tol * scale for j in distinct):
                 distinct.append(i)
+        if len(distinct) < P.shape[1] + 1:
+            raise DegenerateInput("need at least d + 1 distinct points")
         P = P[distinct]
         keep = []
         for i in range(P.shape[0]):

@@ -1,10 +1,12 @@
 """Hausdorff distance between a polytope and a zonotope, with structure.
 
 The distance is exact: both directed sup-distances are achieved at
-vertices, so two vertex sweeps with exact projections suffice. Each
-near-maximal pair is returned with the data the optimization layer needs:
-the cube lift of the zonotope-side point and the minimal face the
-projection lands on.
+vertices, so two vertex sweeps with exact projections suffice. They run
+once per (polytope, zonotope) pair, cached on the zonotope by a single
+attribute write (so concurrent calls stay safe), and the distance, the
+locality check and the local terms all read them. Each near-maximal pair
+is returned with the data the optimization layer needs: the cube lift of
+the zonotope-side point and the minimal face the projection lands on.
 
 Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
@@ -14,19 +16,20 @@ valid in a neighborhood of a locality-satisfying zonotope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import solvers
-from .errors import LocalityViolation
+from .errors import DimensionMismatch, LocalityViolation
 from .geom import (
     AffineHull,
     FaceDescriptor,
     LiftPoint,
     Polytope,
     Zonotope,
-    degenerate_subsets,
+    _facet_directions,
+    _readonly,
     enumerate_vertices,
     lift_values_to_lift,
     minimal_face,
@@ -72,12 +75,8 @@ class AchievingPair:
     distance: float
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", _readonly(self.p))
+        object.__setattr__(self, "q", _readonly(self.q))
 
     @property
     def q_is_zonotope_vertex(self) -> bool:
@@ -118,8 +117,53 @@ def dist_point_to_affine(u, hull: AffineHull) -> float:
     return float(np.linalg.norm(s))
 
 
-def _pair_band(dists, value, tol_active):
-    return [i for i, dist in enumerate(dists) if dist >= value * (1.0 - tol_active)]
+def _require_same_dim(poly: Polytope, z: Zonotope):
+    if poly.dim != z.dim:
+        raise DimensionMismatch(f"polytope is {poly.dim}-D, zonotope is {z.dim}-D")
+
+
+def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig):
+    """The pair's two vertex sweeps, computed once and cached on ``z``.
+
+    Returns (p_proj, z_proj): the box least-squares projection of each
+    polytope vertex onto z, and the min-norm projection onto poly of each
+    zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
+    last (poly, config) measured; it is reused only for the same polytope
+    object and an equal config.
+    """
+    cached = z._projections
+    if cached is not None and cached[0] is poly and cached[1] == config:
+        return cached[2], cached[3]
+    p_proj = tuple(
+        solvers.box_least_squares(z.generators, z.translation, v, config)
+        for v in poly.vertices
+    )
+    z_proj = tuple(
+        solvers.project_to_hull(poly.vertices, pt, config)
+        for _, pt in enumerate_vertices(z)
+    )
+    object.__setattr__(z, "_projections", (poly, config, p_proj, z_proj))
+    return p_proj, z_proj
+
+
+def _banded_pairs(poly: Polytope, z: Zonotope, rows, tol_active: float):
+    """(value, pairs) from one row per vertex of either body.
+
+    A row is (side, vertex_index, p, q, lift values of q, distance). A pair
+    is reported when its distance is within ``tol_active * value`` of the
+    maximum, in row order. Its face is the zonotope face of the lift for
+    p_vertex rows and the minimal polytope face of p for z_vertex rows.
+    """
+    value = max(row[-1] for row in rows)
+    pairs = []
+    for side, index, p, q, values, distance in rows:
+        if distance >= value * (1.0 - tol_active):
+            lift = lift_values_to_lift(values)
+            face = (zonotope_face_from_lift(z, lift) if side == "p_vertex"
+                    else minimal_face(poly, p))
+            pairs.append(AchievingPair(p=p, q=q, side=side, vertex_index=index,
+                                       lift=lift, face=face, distance=distance))
+    return value, pairs
 
 
 def hausdorff_distance(
@@ -130,54 +174,18 @@ def hausdorff_distance(
 ):
     """Exact Hausdorff distance and its achieving pairs.
 
-    Sweeps the polytope vertices against the zonotope (box-constrained
-    least squares) and the zonotope vertices against the polytope
-    (min-norm point). Returns (value, pairs); a pair is reported when its
-    distance is within ``tol_active * value`` of the maximum, deduplicated
-    by construction (one candidate per vertex, lowest index first).
+    Reads the pair's two vertex sweeps (``_projections``). Returns
+    (value, pairs); a pair is reported when its distance is within
+    ``tol_active * value`` of the maximum, deduplicated by construction
+    (one candidate per vertex, lowest index first).
     """
-    p_proj = [
-        solvers.box_least_squares(z.generators, z.translation, v, config)
-        for v in poly.vertices
-    ]
-    zverts = enumerate_vertices(z)
-    z_proj = [solvers.project_to_hull(poly.vertices, pt, config) for _, pt in zverts]
-
-    dists = [bp.distance for bp in p_proj] + [hp.distance for hp in z_proj]
-    value = max(dists)
-    k = len(p_proj)
-    pairs = []
-    for i in _pair_band(dists, value, tol_active):
-        if i < k:
-            bp = p_proj[i]
-            lift = lift_values_to_lift(bp.coefficients)
-            pairs.append(
-                AchievingPair(
-                    p=poly.vertices[i],
-                    q=bp.point,
-                    side="p_vertex",
-                    vertex_index=i,
-                    lift=lift,
-                    face=zonotope_face_from_lift(z, lift),
-                    distance=bp.distance,
-                )
-            )
-        else:
-            j = i - k
-            bits, pt = zverts[j]
-            hp = z_proj[j]
-            pairs.append(
-                AchievingPair(
-                    p=hp.point,
-                    q=pt,
-                    side="z_vertex",
-                    vertex_index=j,
-                    lift=LiftPoint(values=bits, free_indices=()),
-                    face=minimal_face(poly, hp.point),
-                    distance=hp.distance,
-                )
-            )
-    return value, pairs
+    _require_same_dim(poly, z)
+    p_proj, z_proj = _projections(poly, z, config)
+    rows = [("p_vertex", i, v, bp.point, bp.coefficients, bp.distance)
+            for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
+    rows += [("z_vertex", j, hp.point, pt, bits, hp.distance)
+             for j, ((bits, pt), hp) in enumerate(zip(enumerate_vertices(z), z_proj))]
+    return _banded_pairs(poly, z, rows, tol_active)
 
 
 def coarse_hausdorff_distance(
@@ -192,51 +200,18 @@ def coarse_hausdorff_distance(
     vertex, so every pair carries an exact 0/1 lift; nearest neighbours
     break ties by lowest index.
     """
+    _require_same_dim(poly, z)
     zverts = enumerate_vertices(z)
     zpts = np.array([pt for _, pt in zverts])
     V = poly.vertices
-    diff = V[:, None, :] - zpts[None, :, :]
-    dmat = np.linalg.norm(diff, axis=2)
-
+    dmat = np.linalg.norm(V[:, None, :] - zpts[None, :, :], axis=2)
     p_near = dmat.argmin(axis=1)
-    p_dist = dmat.min(axis=1)
     z_near = dmat.argmin(axis=0)
-    z_dist = dmat.min(axis=0)
-    dists = list(p_dist) + list(z_dist)
-    value = float(max(dists))
-    k = V.shape[0]
-    pairs = []
-    for i in _pair_band(dists, value, tol_active):
-        if i < k:
-            j = int(p_near[i])
-            bits, pt = zverts[j]
-            pairs.append(
-                AchievingPair(
-                    p=V[i],
-                    q=pt,
-                    side="p_vertex",
-                    vertex_index=i,
-                    lift=LiftPoint(values=bits, free_indices=()),
-                    face=zonotope_face_from_lift(z, LiftPoint(values=bits, free_indices=())),
-                    distance=float(p_dist[i]),
-                )
-            )
-        else:
-            j = i - k
-            bits, pt = zverts[j]
-            pi = int(z_near[j])
-            pairs.append(
-                AchievingPair(
-                    p=V[pi],
-                    q=pt,
-                    side="z_vertex",
-                    vertex_index=j,
-                    lift=LiftPoint(values=bits, free_indices=()),
-                    face=minimal_face(poly, V[pi]),
-                    distance=float(z_dist[j]),
-                )
-            )
-    return value, pairs
+    rows = [("p_vertex", i, V[i], zverts[j][1], zverts[j][0], float(dmat[i, j]))
+            for i, j in enumerate(p_near)]
+    rows += [("z_vertex", j, V[i], pt, bits, float(dmat[i, j]))
+             for j, (i, (bits, pt)) in enumerate(zip(z_near, zverts))]
+    return _banded_pairs(poly, z, rows, tol_active)
 
 
 # Laxer feasibility for the small equality-constrained stability LPs;
@@ -297,6 +272,14 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL,
     in the relative interior of the normal cone at the projection.
     """
     x = np.asarray(x, dtype=float)
+    return _is_stable(x, poly, tol_strict,
+                      lambda: solvers.project_to_hull(poly.vertices, x, config).point)
+
+
+def _is_stable(x: np.ndarray, poly: Polytope, tol_strict: float, projection) -> bool:
+    """``is_hausdorff_stable`` with the projection of x onto poly supplied
+    by the zero-argument callable ``projection``, called only when x lies
+    outside."""
     scale = poly.scale()
     margin = poly.interior_margin(x)
     if margin > tol_strict * scale:
@@ -304,8 +287,7 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL,
     if margin > -tol_strict * scale:
         return False  # essentially on the boundary
 
-    proj = solvers.project_to_hull(poly.vertices, x, config)
-    q = proj.point
+    q = projection()
     u = x - q
     nu = np.linalg.norm(u)
     if nu <= tol_strict * scale:
@@ -335,32 +317,32 @@ def check_locality(poly: Polytope, z: Zonotope,
     1) the zonotope is in general position; 2) every polytope vertex is
     Hausdorff stable relative to the zonotope and vice versa. Stability is
     only evaluated when 1) holds (the zonotope's face structure is not
-    trustworthy otherwise).
+    trustworthy otherwise). The zonotope-vertex side reads the projections
+    of the pair's vertex sweep (``_projections``).
     """
-    degenerate = degenerate_subsets(z)
+    _require_same_dim(poly, z)
+    degenerate = _facet_directions(z)[2]
     if degenerate:
-        return LocalityReport(
-            general_position=False,
-            degenerate_subsets=degenerate,
-            unstable_p_vertices=(),
-            unstable_z_vertices=(),
-        )
-
+        return LocalityReport(general_position=False, degenerate_subsets=degenerate,
+                              unstable_p_vertices=(), unstable_z_vertices=())
+    # The polytope-vertex side projects onto the zonotope's vertex list
+    # rather than reusing the sweep's box least-squares point. The two
+    # points agree to roundoff, but that roundoff can flip a borderline
+    # verdict: polytope vertex 4 of the golden d2-n4-coarse run lies 2.2e-7
+    # outside the zonotope, its two projections are 2.8e-16 apart, and the
+    # swap changed that trace.
     zpoly = zonotope_as_polytope(z)
     bad_p = tuple(
         i for i, v in enumerate(poly.vertices)
         if not is_hausdorff_stable(v, zpoly, tol_strict, config)
     )
+    _, z_proj = _projections(poly, z, config)
     bad_z = tuple(
-        j for j, (_, pt) in enumerate(enumerate_vertices(z))
-        if not is_hausdorff_stable(pt, poly, tol_strict, config)
+        j for j, ((_, pt), hp) in enumerate(zip(enumerate_vertices(z), z_proj))
+        if not _is_stable(pt, poly, tol_strict, lambda: hp.point)
     )
-    return LocalityReport(
-        general_position=True,
-        degenerate_subsets=(),
-        unstable_p_vertices=bad_p,
-        unstable_z_vertices=bad_z,
-    )
+    return LocalityReport(general_position=True, degenerate_subsets=(),
+                          unstable_p_vertices=bad_p, unstable_z_vertices=bad_z)
 
 
 @dataclass(frozen=True)
@@ -387,9 +369,7 @@ class SmoothTerm:
         for name in ("bits", "point", "anchor_bits"):
             v = getattr(self, name)
             if v is not None:
-                arr = np.asarray(v, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _readonly(v))
 
     @property
     def codim(self) -> int:
@@ -448,19 +428,10 @@ def local_terms(poly: Polytope, z0: Zonotope,
     if require_locality and not check_locality(poly, z0, config=config).ok:
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
-    terms = []
-    for i, v in enumerate(poly.vertices):
-        bp = solvers.box_least_squares(z0.generators, z0.translation, v, config)
-        terms.append(p_vertex_term(z0, i, v, lift_values_to_lift(bp.coefficients)))
-    for j, (bits, pt) in enumerate(enumerate_vertices(z0)):
-        hp = solvers.project_to_hull(poly.vertices, pt, config)
-        face = minimal_face(poly, hp.point)
-        terms.append(
-            SmoothTerm(
-                side="z_vertex",
-                vertex_index=j,
-                bits=bits,
-                hull=face.affine_hull,
-            )
-        )
+    p_proj, z_proj = _projections(poly, z0, config)
+    terms = [p_vertex_term(z0, i, v, lift_values_to_lift(bp.coefficients))
+             for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
+    terms += [SmoothTerm(side="z_vertex", vertex_index=j, bits=bits,
+                         hull=minimal_face(poly, hp.point).affine_hull)
+              for j, ((bits, _), hp) in enumerate(zip(enumerate_vertices(z0), z_proj))]
     return terms

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetryTooLarge, DegenerateInput, DimensionNot2
-from .geom import Polytope, Zonotope, canonicalize, is_general_position
+from .geom import Polytope, Zonotope, _readonly, canonicalize, is_general_position
 
 __all__ = [
     "SymmetricPolygon",
@@ -41,12 +41,8 @@ class SymmetricPolygon:
     center: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        c = np.asarray(self.center, dtype=float)
-        v.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "vertices", _readonly(np.atleast_2d(self.vertices)))
+        object.__setattr__(self, "center", _readonly(self.center))
 
 
 def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -107,7 +107,7 @@ class TestOptimizeCommand:
 
         assert math_cols("t1.csv") == math_cols("t2.csv")
 
-    def test_manifest_replay_reproduces_trace(self, tmp_path, capsys, rng):
+    def test_manifest_replay_reproduces_trace(self, tmp_path, capsys, rng, monkeypatch):
         z_target = random_zonotope(rng, 4, 2)
         poly = write_json(tmp_path / "p.json",
                           polytope_to_json(zonotope_as_polytope(z_target)))
@@ -115,6 +115,8 @@ class TestOptimizeCommand:
                      "--seed", "3", "--rule", "random", "--warmstart", "random",
                      "--trace", str(tmp_path / "a.csv")]) == 0
         capsys.readouterr()
+        # The manifest's seed wins over the environment on replay.
+        monkeypatch.setenv("ZONOFIT_SEED", "42")
         assert main(["optimize", poly, "--rank", "3",
                      "--warmstart", "random",
                      "--config", str(tmp_path / "a.csv.manifest.json"),

@@ -190,27 +190,6 @@ class TestDescentDirection:
             v2, _ = hausdorff_distance(poly, z2)
             assert v2 >= value - 1e-10
 
-    def test_cone_fallback_rescues_empty_hull_intersection(self):
-        # Same mismatched instance as above, but with the optional rescue
-        # direction enabled: the margin-tightened cone on the unit box is
-        # nonempty, so a strictly improving direction comes back.
-        z = Zonotope(np.eye(2), np.zeros(2))
-        poly = Polytope.from_vertices([[2.0, 0.2], [3.0, 0.0], [3.0, 1.0]])
-        pair = AchievingPair(
-            p=np.array([2.0, 0.2]), q=np.array([1.0, 0.2]), side="p_vertex",
-            vertex_index=0,
-            lift=LiftPoint(values=np.array([1.0, 0.2]), free_indices=(1,)),
-            face=FaceDescriptor(side="zonotope", affine_hull=None,
-                                anchor_bits=np.array([1.0, 0.0]), free_indices=(1,)),
-            distance=1.0,
-        )
-        cone = build_cone([pair])
-        sub = SubdifferentialSet(gradients=(cone.matrix[0],), pairs=(pair,),
-                                 objective="exact")
-        res = descent_direction(poly, z, sub, cone, cone_fallback=True)
-        assert res.status == "descent"
-        assert (cone.matrix @ res.direction).min() > 0.0
-
     def test_coarse_certificate(self):
         z = Zonotope(np.eye(2), np.zeros(2))
         poly = Polytope.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])

@@ -200,6 +200,14 @@ class TestOptimize:
         back = DescentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert back == cfg
 
+    def test_config_json_cone_fallback_only_off(self):
+        # Manifests written before the rescue direction was removed carry
+        # "cone_fallback": false; they load, and a true value cannot replay.
+        old = {**DescentConfig(rank=3).to_json(), "cone_fallback": False}
+        assert DescentConfig.from_json(old) == DescentConfig(rank=3)
+        with pytest.raises(ValueError):
+            DescentConfig.from_json({**old, "cone_fallback": True})
+
     def test_trace_csv_columns(self, rng):
         poly, z0 = random_local_instance(rng, d=2, n=3)
         cfg = DescentConfig(rank=3, max_steps=3, threshold=1e-12)

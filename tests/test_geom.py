@@ -34,6 +34,7 @@ from zonofit.geom import (
     zonotope_from_json,
     zonotope_to_json,
 )
+from zonofit.hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
 
 # Worked hexagon example: generators as rows, translation 0.
 HEX_GENERATORS = np.array([[1.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
@@ -338,6 +339,32 @@ class TestPolytope:
         sq = unit_square_polytope()
         assert sq.contains([0.5, 0.5])
         assert not sq.contains([1.5, 0.5])
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+SQUARE_FACETS = [[0.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
+CUBE_ZONOTOPE = Zonotope(np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Polytope.from_vertices([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]]), DegenerateInput),
+    (lambda: Polytope.from_points([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]), DegenerateInput),
+    (lambda: Polytope.from_points([[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]]), DegenerateInput),
+    (lambda: Polytope.from_points([[0.5, 0.5]]), DegenerateInput),
+    (lambda: Polytope.from_points([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]), DegenerateInput),
+    (lambda: Polytope.from_vertices(SQUARE, facets=[[np.nan, -1.0, 0.0]] + SQUARE_FACETS[1:]),
+     DegenerateInput),
+    (lambda: Polytope.from_vertices(SQUARE, facets=[[0.0, 0.0, 0.0]] + SQUARE_FACETS[1:]),
+     DegenerateInput),
+    (lambda: hausdorff_distance(Polytope.from_vertices(SQUARE), CUBE_ZONOTOPE), DimensionMismatch),
+    (lambda: coarse_hausdorff_distance(Polytope.from_vertices(SQUARE), CUBE_ZONOTOPE),
+     DimensionMismatch),
+    (lambda: check_locality(Polytope.from_vertices(SQUARE), CUBE_ZONOTOPE), DimensionMismatch),
+], ids=["nan-vertex", "nan-point", "inf-point", "single-point", "too-few-distinct",
+        "nan-facet", "zero-normal", "distance-dims", "coarse-dims", "locality-dims"])
+def test_bad_input_raises_typed_error(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestMinimalFace:

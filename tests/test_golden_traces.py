@@ -1,4 +1,8 @@
-"""Golden descent traces: ``DescentTrace.math_columns()`` of four short fits.
+"""Golden descent traces: ``DescentTrace.math_columns()`` of seven short fits.
+
+The runs are 15 steps each: the conservative rule at d in {2, 3} with the
+exact and the coarse objective, and the random, aggressive and hybrid rules
+at d = 2 with the exact objective.
 
 ``golden_traces.json`` holds each run's inputs, its config and the
 expected columns (every trace column except wall time). A change that

@@ -13,6 +13,7 @@ from conftest import (
     rigid_motion,
     rotated_square_configuration,
 )
+from zonofit import geom, hausdorff, solvers
 from zonofit.errors import LocalityViolation
 from zonofit.geom import (
     AffineHull,
@@ -260,3 +261,87 @@ class TestLocalTerms:
             true_value, _ = hausdorff_distance(poly, z2)
             term_value = max(t.value(z2) for t in terms)
             assert term_value == pytest.approx(true_value, abs=1e-8)
+
+
+def pair_key(pair):
+    face = pair.face
+    hull = face.affine_hull
+    return (pair.side, pair.vertex_index, pair.p.tolist(), pair.q.tolist(),
+            pair.lift.values.tolist(), pair.lift.free_indices, pair.distance,
+            face.side, face.free_indices, face.vertex_indices,
+            None if face.anchor_bits is None else face.anchor_bits.tolist(),
+            None if hull is None else (hull.normals.tolist(), hull.offsets.tolist()))
+
+
+def term_key(term):
+    hull = term.hull
+    return (term.side, term.vertex_index, term.free_indices, term.orientation,
+            *(None if a is None else a.tolist()
+              for a in (term.bits, term.point, term.anchor_bits)),
+            None if hull is None else (hull.normals.tolist(), hull.offsets.tolist()))
+
+
+def distance_key(poly, z, **kwargs):
+    value, pairs = hausdorff_distance(poly, z, **kwargs)
+    return value, [pair_key(p) for p in pairs]
+
+
+class TestProjectionCache:
+    def test_warm_cache_matches_fresh_zonotope(self, rng):
+        for _ in range(5):
+            poly, z = random_local_instance(rng, d=2, n=4)
+            hausdorff_distance(poly, z)  # warm the cache
+            fresh = lambda: Zonotope(z.generators, z.translation)  # noqa: E731
+            assert distance_key(poly, z) == distance_key(poly, fresh())
+            assert check_locality(poly, z) == check_locality(poly, fresh())
+            assert ([term_key(t) for t in local_terms(poly, z)]
+                    == [term_key(t) for t in local_terms(poly, fresh())])
+
+    def test_other_polytope_or_config_recomputes(self, rng, monkeypatch):
+        poly_a, z = random_local_instance(rng, d=2, n=4)
+        z = Zonotope(z.generators, z.translation)
+        poly_b = random_polytope(rng, 2)
+        lax = solvers.SolverConfig(feasibility_tol=1e-7)
+        calls = []
+        box_ls = solvers.box_least_squares
+        monkeypatch.setattr(solvers, "box_least_squares",
+                            lambda *a: calls.append(a[-1]) or box_ls(*a))
+        sequence = [(poly_a, solvers.DEFAULT_CONFIG), (poly_b, solvers.DEFAULT_CONFIG),
+                    (poly_a, solvers.DEFAULT_CONFIG), (poly_a, lax),
+                    (poly_b, lax), (poly_a, solvers.DEFAULT_CONFIG)]
+        for poly, config in sequence:
+            before = len(calls)
+            warm = distance_key(poly, z, config=config)
+            assert calls[before:] == [config] * poly.vertices.shape[0]
+            assert warm == distance_key(poly, Zonotope(z.generators, z.translation),
+                                        config=config)
+        # An equal config and the same polytope object reuse the sweep.
+        before = len(calls)
+        hausdorff_distance(poly_a, z, config=solvers.SolverConfig())
+        assert len(calls) == before
+
+    def test_locality_and_terms_reuse_the_sweep(self, rng, monkeypatch):
+        poly, z = random_local_instance(rng, d=2, n=4)
+        hausdorff_distance(poly, z)
+        targets = []
+        hull = solvers.project_to_hull
+        monkeypatch.setattr(solvers, "project_to_hull",
+                            lambda pts, *a: targets.append(pts) or hull(pts, *a))
+        monkeypatch.setattr(solvers, "box_least_squares", None)
+        check_locality(poly, z)
+        # The polytope-vertex side still projects onto the zonotope.
+        assert targets and not any(pts is poly.vertices for pts in targets)
+        monkeypatch.setattr(solvers, "project_to_hull", None)
+        local_terms(poly, z, require_locality=False)
+
+    def test_one_general_position_test_per_zonotope(self, rng, monkeypatch):
+        poly, z = random_local_instance(rng, d=2, n=4)
+        z = Zonotope(z.generators, z.translation)
+        calls = []
+        test = geom.degenerate_subsets
+        for module in (geom, hausdorff):  # wherever a reference may be held
+            monkeypatch.setattr(module, "degenerate_subsets",
+                                lambda *a: calls.append(1) or test(*a), raising=False)
+        hausdorff_distance(poly, z)
+        check_locality(poly, z)
+        assert len(calls) == 1
