@@ -9,7 +9,10 @@ or a certificate (empty cone interior / empty feasible set).
 
 Step rules: "conservative" takes half the smallest limit and is made
 strictly monotone by halving the step until the distance actually drops
-(the pure half-min step only guarantees decrease of the active terms);
+(the pure half-min step only guarantees decrease of the active terms).
+The distance is a max over one row per vertex of either body, so a probe
+is rejected at its first row that reaches the current value, rows largest
+at the current zonotope first; only an accepted probe is measured in full.
 "aggressive" takes half the largest limit, "random" half a uniformly
 chosen one, and "hybrid" switches from aggressive to conservative at a
 configurable iteration.
@@ -33,7 +36,13 @@ from .errors import (
     SolverRetryFailed,
 )
 from .geom import Polytope, Zonotope, canonicalize
-from .hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
+from .hausdorff import (
+    _probe_order,
+    _projections,
+    check_locality,
+    coarse_hausdorff_distance,
+    hausdorff_distance,
+)
 from .subgrad import SubdifferentialSet, gradients_for_pairs, params_to_zonotope, zonotope_to_params
 
 __all__ = [
@@ -109,8 +118,9 @@ class DescentConfig:
 class TraceRecord:
     """One iteration: distances at the point stepped from, the step taken,
     and the direction-search status. ``perturb_tries`` counts locality
-    perturbations applied before the distances were measured (not a CSV
-    column)."""
+    perturbations applied before the distances were measured, ``probes``
+    the candidate zonotopes the conservative backtracking measured,
+    rejected and accepted (neither is a CSV column)."""
 
     iteration: int
     d_exact: float
@@ -121,6 +131,7 @@ class TraceRecord:
     cone_status: str
     ms: float
     perturb_tries: int = 0
+    probes: int = 0
 
 
 @dataclass
@@ -217,6 +228,18 @@ def _distances(poly, z, cfg):
     return d_exact, d_coarse, d_exact, pairs_exact
 
 
+def _reaches(poly, z, d, order, cfg) -> bool:
+    """Whether the objective at ``z`` is at least ``d``, measured lazily.
+
+    The exact sweep stops at its first row that reaches d (rows in
+    ``order`` first) and caches nothing then; the coarse objective is read
+    off the vertex sets alone, without a sweep.
+    """
+    if cfg.objective == "coarse":
+        return coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)[0] >= d
+    return _projections(poly, z, cfg.solver, bound=d, order=order) is None
+
+
 def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
     """Run the descent loop; returns (zonotope, trace).
 
@@ -249,7 +272,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 carried = None
             else:
                 d_exact, d_coarse, d, pairs = _distances(poly, z, cfg)
-            tries = 0
+            tries = probes = 0
 
             def record(step, rule, status):
                 trace.records.append(TraceRecord(
@@ -257,7 +280,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                     step_size=step, rule=rule, active_pairs=len(pairs),
                     cone_status=status,
                     ms=(time.perf_counter() - t0) * 1e3,
-                    perturb_tries=tries,
+                    perturb_tries=tries, probes=probes,
                 ))
 
             if d <= cfg.threshold:
@@ -302,18 +325,21 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 # half-min step only shrinks the active terms, so halve
                 # until the full distance drops. The starting fraction
                 # adapts to the last productive step to keep probes cheap.
+                # Only an accepted probe is measured in full; for the
+                # exact objective that reads the sweep the probe filled.
                 h_rule = h
                 h = h_rule * shrink
-                ok = False
+                order = _probe_order(poly, z, cfg.solver)
+                cand = None
                 for _ in range(_MAX_HALVINGS):
                     z_next = canonicalize(params_to_zonotope(
                         params + h * result.direction, z.rank, z.dim))
-                    cand = _distances(poly, z_next, cfg)
-                    if cand[2] < d:
-                        ok = True
+                    probes += 1
+                    if not _reaches(poly, z_next, d, order, cfg):
+                        cand = _distances(poly, z_next, cfg)
                         break
                     h *= 0.5
-                if not ok:
+                if cand is None:
                     record(0.0, effective, "stalled")
                     trace.termination = "stalled"
                     return z, trace

@@ -329,18 +329,22 @@ class Polytope:
     @staticmethod
     def from_vertices(vertices, facets=None, tol: float = 1e-9) -> "Polytope":
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
-        k, d = V.shape
         if not np.all(np.isfinite(V)):
             raise DegenerateInput("polytope vertices must be finite")
-        if k < d + 1 or np.linalg.matrix_rank(V - V[0], tol=1e-10) < d:
-            raise DegenerateInput("polytope must be full-dimensional")
+        _require_full_dimensional(V)
         scale = 1.0 + float(np.abs(V).max())
         # Every listed vertex must be extreme.
-        for i in range(k):
+        for i in range(V.shape[0]):
             others = np.delete(V, i, axis=0)
             proj = solvers.project_to_hull(others, V[i])
             if proj.distance <= tol * scale:
                 raise DegenerateInput(f"vertex {i} is not extreme")
+        return Polytope._from_extreme(V, facets, tol)
+
+    @staticmethod
+    def _from_extreme(V: np.ndarray, facets, tol: float) -> "Polytope":
+        """``from_vertices`` for vertices already known to be extreme."""
+        scale = 1.0 + float(np.abs(V).max())
         if facets is not None:
             normals = np.atleast_2d(np.asarray([f[:-1] for f in facets], dtype=float))
             offsets = np.asarray([f[-1] for f in facets], dtype=float)
@@ -378,7 +382,14 @@ class Polytope:
             proj = solvers.project_to_hull(others, P[i])
             if proj.distance > tol * scale:
                 keep.append(i)
-        return Polytope.from_vertices(P[keep])
+        _require_full_dimensional(P[keep])
+        return Polytope._from_extreme(P[keep], None, tol)
+
+
+def _require_full_dimensional(V: np.ndarray):
+    k, d = V.shape
+    if k < d + 1 or np.linalg.matrix_rank(V - V[0], tol=1e-10) < d:
+        raise DegenerateInput("polytope must be full-dimensional")
 
 
 def _facets_brute_force(V: np.ndarray, tol: float):

@@ -4,9 +4,11 @@ The distance is exact: both directed sup-distances are achieved at
 vertices, so two vertex sweeps with exact projections suffice. They run
 once per (polytope, zonotope) pair, cached on the zonotope by a single
 attribute write (so concurrent calls stay safe), and the distance, the
-locality check and the local terms all read them. Each near-maximal pair
-is returned with the data the optimization layer needs: the cube lift of
-the zonotope-side point and the minimal face the projection lands on.
+locality check and the local terms all read them. A sweep given a bound
+(a backtracking probe) stops at its first row that reaches it and caches
+nothing. Each near-maximal pair is returned with the data the optimization
+layer needs: the cube lift of the zonotope-side point and the minimal face
+the projection lands on.
 
 Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
@@ -16,6 +18,7 @@ valid in a neighborhood of a locality-satisfying zonotope.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +125,8 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
         raise DimensionMismatch(f"polytope is {poly.dim}-D, zonotope is {z.dim}-D")
 
 
-def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig):
+def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
+                 bound: float = np.inf, order=()):
     """The pair's two vertex sweeps, computed once and cached on ``z``.
 
     Returns (p_proj, z_proj): the box least-squares projection of each
@@ -130,20 +134,46 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig):
     zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
     last (poly, config) measured; it is reused only for the same polytope
     object and an equal config.
+
+    Returns None as soon as a row's distance reaches ``bound``; nothing is
+    cached then. The rows ("p", i) / ("z", j) listed in ``order`` are
+    measured first (those z lacks are skipped), the rest follow in sweep
+    order. The order only decides how soon a bound is met, never the result.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly and cached[1] == config:
-        return cached[2], cached[3]
-    p_proj = tuple(
-        solvers.box_least_squares(z.generators, z.translation, v, config)
-        for v in poly.vertices
-    )
-    z_proj = tuple(
-        solvers.project_to_hull(poly.vertices, pt, config)
-        for _, pt in enumerate_vertices(z)
-    )
+        p_proj, z_proj = cached[2], cached[3]
+        if any(r.distance >= bound for r in p_proj + z_proj):
+            return None
+        return p_proj, z_proj
+    zverts = enumerate_vertices(z)
+    sweeps = {"p": [None] * len(poly.vertices), "z": [None] * len(zverts)}
+    rows = itertools.chain(order, (("p", i) for i in range(len(poly.vertices))),
+                           (("z", j) for j in range(len(zverts))))
+    for side, k in rows:
+        sweep = sweeps[side]
+        if k >= len(sweep) or sweep[k] is not None:
+            continue
+        sweep[k] = (
+            solvers.box_least_squares(z.generators, z.translation, poly.vertices[k], config)
+            if side == "p" else solvers.project_to_hull(poly.vertices, zverts[k][1], config))
+        if sweep[k].distance >= bound:
+            return None
+    p_proj, z_proj = tuple(sweeps["p"]), tuple(sweeps["z"])
     object.__setattr__(z, "_projections", (poly, config, p_proj, z_proj))
     return p_proj, z_proj
+
+
+def _probe_order(poly: Polytope, z: Zonotope, config: solvers.SolverConfig):
+    """The pair's sweep rows ("p", i) / ("z", j), largest distance first.
+
+    A backtracking probe that fails mostly fails at the rows that were
+    already largest, so measuring them first rejects it after few rows.
+    """
+    p_proj, z_proj = _projections(poly, z, config)
+    rows = [("p", i) for i in range(len(p_proj))] + [("z", j) for j in range(len(z_proj))]
+    distances = np.array([r.distance for r in p_proj + z_proj])
+    return [rows[k] for k in np.argsort(-distances, kind="stable")]
 
 
 def _banded_pairs(poly: Polytope, z: Zonotope, rows, tol_active: float):

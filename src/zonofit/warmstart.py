@@ -53,12 +53,12 @@ def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     merge = tol * (1.0 + float(np.abs(pts).max(initial=0.0)))
+    near = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= merge
     kept = []
-    for p in pts:
-        if any(np.linalg.norm(p - q) <= merge for q in kept):
-            continue
-        kept.append(p)
-    pts = np.array(kept)
+    for i in range(pts.shape[0]):
+        if not near[i, kept].any():
+            kept.append(i)
+    pts = pts[kept]
     if pts.shape[0] < 3:
         return pts
     # np.unique sorts lexicographically already.

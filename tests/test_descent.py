@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_local_instance, random_polytope, random_zonotope
+from zonofit import descent, solvers
 from zonofit.errors import EmptyTaus, PerturbationBudgetExceeded
 from zonofit.descent import (
     DescentConfig,
@@ -14,7 +15,7 @@ from zonofit.descent import (
     perturb_until_local,
 )
 from zonofit.geom import Polytope, Zonotope, enumerate_vertices
-from zonofit.hausdorff import check_locality, hausdorff_distance
+from zonofit.hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
 from zonofit.warmstart import warmstart_zonotope
 
 
@@ -216,3 +217,33 @@ class TestOptimize:
         assert lines[0] == "iter,d_exact,d_coarse,step,rule,active_pairs,cone_status,ms"
         assert len(lines) == len(trace.records) + 1
         assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+
+class TestProbes:
+    def test_probes_count_candidate_zonotopes(self, rng, monkeypatch):
+        built = []
+        build = descent.params_to_zonotope
+        monkeypatch.setattr(descent, "params_to_zonotope",
+                            lambda *a: built.append(1) or build(*a))
+        poly, z0 = random_local_instance(rng, d=2, n=4)
+        cfg = DescentConfig(rank=4, max_steps=20, threshold=1e-12, rng_seed=3)
+        _, trace = optimize(poly, z0, cfg)
+        assert sum(r.probes for r in trace.records) == len(built) > 0
+        assert all(r.probes >= 1 for r in trace.records if r.cone_status == "descent")
+
+    def test_coarse_probe_rejected_without_sweep(self, rng, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a rejected coarse probe ran a projection")
+
+        cfg = DescentConfig(rank=4, objective="coarse")
+        for _ in range(3):
+            poly = random_polytope(rng, 2)
+            z = random_zonotope(rng, 4, 2)
+            d_coarse, _ = coarse_hausdorff_distance(poly, z)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "box_least_squares", no_sweep)
+                m.setattr(solvers, "project_to_hull", no_sweep)
+                assert descent._reaches(poly, z, d_coarse, (), cfg)
+                assert descent._reaches(poly, z, 0.5 * d_coarse, (), cfg)
+            assert z._projections is None
+            assert not descent._reaches(poly, z, 2.0 * d_coarse, (), cfg)

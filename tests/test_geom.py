@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import hull_vertices_oracle, random_zonotope
+from zonofit import solvers
 from zonofit.errors import (
     CodimZeroFace,
     DegenerateInput,
@@ -326,6 +327,21 @@ class TestPolytope:
     def test_from_points_near_duplicate_keeps_first(self):
         poly = Polytope.from_points([[0, 0], [1e-12, 0], [1, 0], [0, 1], [1, 1]])
         assert poly.vertices.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+
+    def test_from_points_projects_each_point_once(self, rng, monkeypatch):
+        while True:
+            points = rng.normal(size=(8, 2))
+            if len(hull_vertices_oracle(points)) == 5:
+                break
+        calls = []
+        project = solvers.project_to_hull
+        monkeypatch.setattr(solvers, "project_to_hull",
+                            lambda *a, **k: calls.append(1) or project(*a, **k))
+        poly = Polytope.from_points(points)
+        assert len(calls) == 8
+        again = Polytope.from_vertices(poly.vertices)
+        for name in ("vertices", "facet_normals", "facet_offsets"):
+            assert np.array_equal(getattr(poly, name), getattr(again, name))
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateInput):

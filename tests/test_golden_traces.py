@@ -14,10 +14,12 @@ stored inputs with ``PYTHONPATH=src python tests/test_golden_traces.py``.
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
+from zonofit import descent, solvers
 from zonofit.descent import DescentConfig, optimize
-from zonofit.geom import Polytope, Zonotope
+from zonofit.geom import Polytope, Zonotope, enumerate_vertices
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_traces.json")
 CASES = json.loads(FIXTURE.read_text())
@@ -33,6 +35,33 @@ def run_case(case):
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_math_columns_match_golden(case):
     assert run_case(case) == case["expected"]
+
+
+def test_probes_are_rejected_early(monkeypatch):
+    """The conservative exact runs reject backtracking probes part-way
+    through the sweep, and still match their golden columns."""
+    solved = []
+    for name in ("box_least_squares", "project_to_hull"):
+        solve = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name,
+                            lambda *a, solve=solve, **k: solved.append(1) or solve(*a, **k))
+    rejected = []  # (rows measured, rows of the pair) per rejected probe
+    bounded = descent._projections
+
+    def spy(poly, z, config, bound=np.inf, order=()):
+        before = len(solved)
+        out = bounded(poly, z, config, bound, order)
+        if out is None:
+            rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
+            rejected.append((len(solved) - before, rows))
+        return out
+
+    monkeypatch.setattr(descent, "_projections", spy)
+    for case in CASES:
+        if case["config"]["step_rule"] == "conservative" and case["config"]["objective"] == "exact":
+            assert run_case(case) == case["expected"]
+    measured, rows = np.sum(rejected, axis=0)
+    assert len(rejected) > 0 and measured < rows / 2
 
 
 if __name__ == "__main__":

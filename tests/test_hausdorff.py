@@ -345,3 +345,52 @@ class TestProjectionCache:
         hausdorff_distance(poly, z)
         check_locality(poly, z)
         assert len(calls) == 1
+
+
+def sweep_key(sweep):
+    """Every number of a (p_proj, z_proj) sweep, comparable with ==."""
+    return [[(r.point.tolist(), r.distance, r.kkt_residual,
+              (r.coefficients if hasattr(r, "coefficients") else r.weights).tolist())
+             for r in side] for side in sweep]
+
+
+class TestBoundedSweep:
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 4)])
+    def test_bound_rejects_iff_distance_reaches_it(self, rng, d, n):
+        config = solvers.DEFAULT_CONFIG
+        for _ in range(4):
+            poly = random_polytope(rng, d)
+            z = random_zonotope(rng, n, d)
+            fresh = lambda: Zonotope(z.generators, z.translation)  # noqa: E731
+            value, _ = hausdorff_distance(poly, fresh())
+            full = sweep_key(hausdorff._projections(poly, fresh(), config))
+            rows = ([("p", i) for i in range(poly.vertices.shape[0])]
+                    + [("z", j) for j in range(len(enumerate_vertices(z)))])
+            # A shuffled order, and a row the zonotope does not have.
+            order = [rows[k] for k in rng.permutation(len(rows))][:len(rows) // 2]
+            order.insert(1, ("z", len(rows)))
+            for bound in (0.5 * value, value, np.nextafter(value, np.inf), 2.0 * value):
+                for rows_first in ((), order):
+                    zb = fresh()
+                    out = hausdorff._projections(poly, zb, config, bound=bound,
+                                                 order=rows_first)
+                    assert (out is None) == (value >= bound)
+                    if out is None:
+                        assert zb._projections is None
+                    else:
+                        assert sweep_key(out) == full
+                        assert sweep_key(zb._projections[2:]) == full
+            # A cached sweep still answers to the bound.
+            zc = fresh()
+            hausdorff._projections(poly, zc, config)
+            assert hausdorff._projections(poly, zc, config, bound=value) is None
+            assert sweep_key(hausdorff._projections(poly, zc, config, bound=2 * value)) == full
+
+    def test_probe_order_is_largest_distance_first(self, rng):
+        poly, z = random_local_instance(rng, d=2, n=4)
+        p_proj, z_proj = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
+        distance = {("p", i): r.distance for i, r in enumerate(p_proj)}
+        distance.update({("z", j): r.distance for j, r in enumerate(z_proj)})
+        order = hausdorff._probe_order(poly, z, solvers.DEFAULT_CONFIG)
+        assert sorted(order) == sorted(distance)
+        assert [distance[row] for row in order] == sorted(distance.values(), reverse=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from conftest import random_polytope, random_zonotope
 from zonofit.errors import AsymmetryTooLarge, DimensionNot2
@@ -56,6 +57,23 @@ class TestEnvelope2D:
         poly = random_polytope(rng, 3)
         with pytest.raises(DimensionNot2):
             envelope_2d(poly, np.zeros(3))
+
+
+class TestConvexHull2D:
+    def test_vertex_set_matches_qhull(self, rng):
+        # Integer grid points carry exact duplicates and exactly collinear
+        # points; each near-duplicate sorts after its original (larger x),
+        # so the original is the copy kept.
+        for _ in range(20):
+            base = rng.integers(0, 6, size=(15, 2)).astype(float)
+            if np.linalg.matrix_rank(base - base[0]) < 2:
+                continue
+            near = base[rng.integers(0, 15, size=6)]
+            near += np.column_stack([rng.uniform(1e-12, 1e-11, 6),
+                                     rng.uniform(-1e-11, 1e-11, 6)])
+            points = rng.permutation(np.vstack([base, base[:4], near]))
+            got = {tuple(v) for v in convex_hull_2d(points)}
+            assert got == {tuple(base[i]) for i in ConvexHull(base).vertices}
 
 
 class TestChooseCenter2D:
