@@ -251,7 +251,9 @@ def cmd_optimize(args) -> int:
         "final_d_exact": trace.final_exact,
         "final_d_coarse": trace.final_coarse,
         "iterations": len(trace.records) - 1,
-        "solver_retries": trace.solver_retries,
+        "stats": {"perturb_tries": sum(r.perturb_tries for r in trace.records),
+                  "probes": sum(r.probes for r in trace.records),
+                  "solver_retries": trace.solver_retries},
         "wall_time_s": wall,
     }
     payload = {"zonotope": zonotope_to_json(z), "manifest": manifest}

@@ -49,33 +49,37 @@ def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Hull vertex cycle (ccw) by monotone chain; collinear points dropped.
 
     Near-duplicate inputs (e.g. a reflected vertex landing on an original
-    one up to roundoff) are merged within ``tol`` times the data scale.
+    one up to roundoff) are merged within ``tol`` times the data scale,
+    keeping the first in lexicographic order.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     merge = tol * (1.0 + float(np.abs(pts).max(initial=0.0)))
-    near = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= merge
-    kept = []
-    for i in range(pts.shape[0]):
-        if not near[i, kept].any():
-            kept.append(i)
-    pts = pts[kept]
+    # Exact duplicates (distance 0) merge like near ones.
+    near = np.tril(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= merge, -1)
+    if near.any():
+        kept = []
+        for i in range(pts.shape[0]):
+            if not near[i, kept].any():
+                kept.append(i)
+        pts = pts[kept]
     if pts.shape[0] < 3:
         return pts
-    # np.unique sorts lexicographically already.
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    # Monotone chain on Python floats: the lower hull, then the upper hull
+    # back, whose pops stop short of the lower one.
+    xy = pts.tolist()
+    hull = []
+    for indices in (range(pts.shape[0]), range(pts.shape[0] - 2, -1, -1)):
+        floor = max(2, len(hull) + 1)
+        for i in indices:
+            bx, by = xy[i]
+            while len(hull) >= floor:
+                (ox, oy), (ax, ay) = xy[hull[-2]], xy[hull[-1]]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                    break
+                hull.pop()
+            hull.append(i)
+    return pts[hull[:-1]]
 
 
 def polygon_area(cycle: np.ndarray) -> float:

@@ -8,9 +8,11 @@ import pytest
 
 from conftest import random_zonotope
 from zonofit.cli import main
+from zonofit.descent import DescentConfig, optimize
 from zonofit.geom import (
     Zonotope,
     canonicalize,
+    polytope_from_json,
     polytope_to_json,
     zonotope_from_json,
     zonotope_to_json,
@@ -128,6 +130,25 @@ class TestOptimizeCommand:
             return [",".join(r.split(",")[:-1]) for r in rows]
 
         assert math_cols("a.csv") == math_cols("b.csv")
+
+    def test_manifest_stats_are_run_totals(self, tmp_path, capsys, rng):
+        poly_obj = zonotope_as_polytope(random_zonotope(rng, 4, 2))
+        poly = write_json(tmp_path / "p.json", polytope_to_json(poly_obj))
+        z0 = random_zonotope(rng, 3, 2)
+        start = write_json(tmp_path / "z0.json", zonotope_to_json(z0))
+        assert main(["optimize", poly, "--rank", "3", "--steps", "8", "--seed", "5",
+                     "--warmstart", start, "--trace", str(tmp_path / "a.csv")]) == 0
+        stats = json.loads(capsys.readouterr().out)["manifest"]["stats"]
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["stats"] == stats
+        _, trace = optimize(polytope_from_json(json.loads((tmp_path / "p.json").read_text())),
+                            z0, DescentConfig.from_json(manifest["config"]))
+        assert stats == {
+            "perturb_tries": sum(r.perturb_tries for r in trace.records),
+            "probes": sum(r.probes for r in trace.records),
+            "solver_retries": trace.solver_retries,
+        }
+        assert stats["probes"] >= len(trace.records) - 1 > 0
 
     def test_zonotope_json_roundtrip_fixed_point(self, tmp_path, capsys, rng):
         z = canonicalize(random_zonotope(rng, 3, 2))

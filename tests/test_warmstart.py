@@ -75,6 +75,22 @@ class TestConvexHull2D:
             got = {tuple(v) for v in convex_hull_2d(points)}
             assert got == {tuple(base[i]) for i in ConvexHull(base).vertices}
 
+    def test_reflected_envelope_cycle_is_ccw(self, rng):
+        # A triangle reflected through (1, 0.5) spans a rectangle; the edge
+        # midpoints (1, 0) and (1, 1) are collinear and dropped.
+        V = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+        hull = convex_hull_2d(np.vstack([V, 2.0 * np.array([1.0, 0.5]) - V]))
+        assert hull.tolist() == [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+        for _ in range(10):
+            poly = random_polytope(rng, 2)
+            cycle = envelope_2d(poly, rng.normal(scale=0.1, size=2)).vertices
+            # Starts at the lexicographically smallest vertex and turns
+            # strictly left at every vertex.
+            assert tuple(cycle[0]) == min(map(tuple, cycle))
+            a, b = np.roll(cycle, -1, axis=0) - cycle, np.roll(cycle, -2, axis=0) - cycle
+            assert np.all(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0.0)
+            assert len(cycle) == len(ConvexHull(cycle).vertices)
+
 
 class TestChooseCenter2D:
     def test_symmetric_polytope_recovers_center(self, rng):
