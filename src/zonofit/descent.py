@@ -87,20 +87,7 @@ class DescentConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "max_steps": self.max_steps,
-            "threshold": self.threshold,
-            "step_rule": self.step_rule,
-            "hybrid_switch": self.hybrid_switch,
-            "rng_seed": self.rng_seed,
-            "perturb_scale": self.perturb_scale,
-            "objective": self.objective,
-            "max_perturb_tries": self.max_perturb_tries,
-            "tol_active": self.tol_active,
-            "cone_margin": self.cone_margin,
-            "solver": dataclasses.asdict(self.solver),
-        }
+        return dataclasses.asdict(self)  # fields in order, the solver as a dict
 
     @staticmethod
     def from_json(data: dict) -> "DescentConfig":
@@ -211,16 +198,22 @@ def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng,
     for tries in range(max_tries + 1):
         if check_locality(poly, current, config=config).ok:
             return current, tries
-        amp = sigma * max(current.scale(), 1e-12)
-        G = current.generators + rng.uniform(-amp, amp, size=current.generators.shape)
-        mu = current.translation + rng.uniform(-amp, amp, size=current.dim)
-        current = Zonotope(G, mu)
+        current = _perturbed(current, sigma, rng)
     raise PerturbationBudgetExceeded(
         f"locality not restored within {max_tries} perturbations"
     )
 
 
-def _distances(poly, z, cfg):
+def _perturbed(z: Zonotope, sigma: float, rng) -> Zonotope:
+    """z with each entry moved uniformly by up to sigma x its scale."""
+    amp = sigma * max(z.scale(), 1e-12)
+    return Zonotope(z.generators + rng.uniform(-amp, amp, size=z.generators.shape),
+                    z.translation + rng.uniform(-amp, amp, size=z.dim))
+
+
+def _distances(poly, z, cfg, hints=None):
+    """(d_exact, d_coarse, objective, pairs) at z, stepped to from ``hints``."""
+    _projections(poly, z, cfg.solver, hints=hints)  # cached for the distance below
     d_exact, pairs_exact = hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)
     d_coarse, pairs_coarse = coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)
     if cfg.objective == "coarse":
@@ -228,16 +221,17 @@ def _distances(poly, z, cfg):
     return d_exact, d_coarse, d_exact, pairs_exact
 
 
-def _reaches(poly, z, d, order, cfg) -> bool:
+def _reaches(poly, z, d, order, cfg, hints=None) -> bool:
     """Whether the objective at ``z`` is at least ``d``, measured lazily.
 
     The exact sweep stops at its first row that reaches d (rows in
-    ``order`` first) and caches nothing then; the coarse objective is read
-    off the vertex sets alone, without a sweep.
+    ``order`` first, faces of ``hints`` tried first) and caches nothing
+    then; the coarse objective is read off the vertex sets alone, without
+    a sweep.
     """
     if cfg.objective == "coarse":
         return coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)[0] >= d
-    return _projections(poly, z, cfg.solver, bound=d, order=order) is None
+    return _projections(poly, z, cfg.solver, bound=d, order=order, hints=hints) is None
 
 
 def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
@@ -259,6 +253,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
     iteration = 0
     retried = False
     carried = None  # evaluation reused from the accepted backtracking probe
+    stepped_from = None  # zonotope of the last unchecked step, for face hints
     shrink = 1.0  # adaptive starting fraction for conservative backtracking
 
     while True:
@@ -271,7 +266,8 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 d_exact, d_coarse, d, pairs = carried
                 carried = None
             else:
-                d_exact, d_coarse, d, pairs = _distances(poly, z, cfg)
+                d_exact, d_coarse, d, pairs = _distances(poly, z, cfg, stepped_from)
+            stepped_from = None
             tries = probes = 0
 
             def record(step, rule, status):
@@ -335,8 +331,8 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                     z_next = canonicalize(params_to_zonotope(
                         params + h * result.direction, z.rank, z.dim))
                     probes += 1
-                    if not _reaches(poly, z_next, d, order, cfg):
-                        cand = _distances(poly, z_next, cfg)
+                    if not _reaches(poly, z_next, d, order, cfg, z):
+                        cand = _distances(poly, z_next, cfg, z)
                         break
                     h *= 0.5
                 if cand is None:
@@ -349,6 +345,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 z = z_next
             else:
                 record(h, effective, "descent")
+                stepped_from = z
                 z = canonicalize(params_to_zonotope(
                     params + h * result.direction, z.rank, z.dim))
             iteration += 1
@@ -361,8 +358,4 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
             trace.solver_retries += 1
             retried = True
             carried = None
-            amp = cfg.perturb_scale * max(z.scale(), 1e-12)
-            z = Zonotope(
-                z.generators + rng.uniform(-amp, amp, size=z.generators.shape),
-                z.translation + rng.uniform(-amp, amp, size=z.dim),
-            )
+            z = _perturbed(z, cfg.perturb_scale, rng)

@@ -6,15 +6,18 @@ once per (polytope, zonotope) pair, cached on the zonotope by a single
 attribute write (so concurrent calls stay safe), and the distance, the
 locality check and the local terms all read them. A sweep given a bound
 (a backtracking probe) stops at its first row that reaches it and caches
-nothing. Each near-maximal pair is returned with the data the optimization
-layer needs: the cube lift of the zonotope-side point and the minimal face
-the projection lands on.
+nothing. A sweep given hints (the zonotope a step started from) solves each
+row on the face it had there, and calls a solver only where the solver's
+own optimality test rejects that face. Each near-maximal pair is returned
+with the data the optimization layer needs: the cube lift of the
+zonotope-side point and the minimal face the projection lands on.
 
 Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
 calculus, and the decomposition of the distance into smooth terms that is
 valid in a neighborhood of a locality-satisfying zonotope. The locality
-check reads stability off the sweeps' rows and projects nothing itself.
+check reads stability off the sweeps' rows, a polytope face coefficient
+off the projection's weights, and projects nothing itself.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
 
 
 def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
-                 bound: float = np.inf, order=()):
+                 bound: float = np.inf, order=(), hints: Zonotope | None = None):
     """The pair's two vertex sweeps, computed once and cached on ``z``.
 
     Returns (p_proj, z_proj): the box least-squares projection of each
@@ -141,6 +144,11 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     cached then. The rows ("p", i) / ("z", j) listed in ``order`` are
     measured first (those z lacks are skipped), the rest follow in sweep
     order. The order only decides how soon a bound is met, never the result.
+
+    ``hints``, a zonotope measured against poly (the one a step started
+    from), lends each row its row's face there: polytope rows by index,
+    zonotope rows by cube-lift bits. A face that passes the solver's own
+    optimality test gives the exact projection; the solver runs for the rest.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly and cached[1] == config:
@@ -149,6 +157,12 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
             return None
         return p_proj, z_proj
     zverts = enumerate_vertices(z)
+    hinted = {}  # row key -> the row measured at ``hints``
+    if hints is not None:
+        p_rows, z_rows = _projections(poly, hints, config)
+        hinted = {("p", i): row for i, row in enumerate(p_rows)}
+        hinted.update((("z", bits.tobytes()), row)
+                      for (bits, _), row in zip(enumerate_vertices(hints), z_rows))
     sweeps = {"p": [None] * len(poly.vertices), "z": [None] * len(zverts)}
     rows = itertools.chain(order, (("p", i) for i in range(len(poly.vertices))),
                            (("z", j) for j in range(len(zverts))))
@@ -156,9 +170,14 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
         sweep = sweeps[side]
         if k >= len(sweep) or sweep[k] is not None:
             continue
-        sweep[k] = (
-            solvers.box_least_squares(z.generators, z.translation, poly.vertices[k], config)
-            if side == "p" else solvers.project_to_hull(poly.vertices, zverts[k][1], config))
+        if side == "p":
+            key, args = ("p", k), (z.generators, z.translation, poly.vertices[k], config)
+            on_face, solve = solvers._box_solve, solvers.box_least_squares
+        else:
+            key, args = ("z", zverts[k][0].tobytes()), (poly.vertices, zverts[k][1], config)
+            on_face, solve = solvers._hull_solve, solvers.project_to_hull
+        hint = hinted.get(key)
+        sweep[k] = (hint and on_face(*args, hint)) or solve(*args)
         if sweep[k].distance >= bound:
             return None
     p_proj, z_proj = tuple(sweeps["p"]), tuple(sweeps["z"])
@@ -289,13 +308,15 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL,
     face lies strictly behind q along the offset.
     """
     x = np.asarray(x, dtype=float)
-    return _hull_stable(x, solvers.project_to_hull(poly.vertices, x, config).point,
-                        poly, tol_strict)
+    return _hull_stable(x, solvers.project_to_hull(poly.vertices, x, config), poly, tol_strict)
 
 
-def _hull_stable(x: np.ndarray, q: np.ndarray, poly: Polytope, tol_strict: float) -> bool:
-    """``is_hausdorff_stable`` for x whose projection onto poly is q."""
-    scale = poly.scale()
+def _hull_stable(x: np.ndarray, row: solvers.HullProjection, poly: Polytope,
+                 tol_strict: float) -> bool:
+    """``is_hausdorff_stable`` for x whose projection onto poly is ``row``.
+    The face coefficient is the least weight when the weights' support is
+    the face's vertex set (a simplex); only otherwise is it solved for."""
+    q, scale = row.point, poly.scale()
     margin = poly.interior_margin(x)
     if margin > -tol_strict * scale:
         return margin > tol_strict * scale  # inside is stable, the boundary is not
@@ -307,7 +328,9 @@ def _hull_stable(x: np.ndarray, q: np.ndarray, poly: Polytope, tol_strict: float
     if face.codim == 0:
         return False  # projection claims interior: inconsistent, not stable
     vidx = list(face.vertex_indices)
-    t_face = _max_min_coefficient(poly.vertices[vidx].T, q)
+    t_face = (float(row.weights[vidx].min())
+              if tuple(np.flatnonzero(row.weights)) == face.vertex_indices
+              else _max_min_coefficient(poly.vertices[vidx].T, q))
     if t_face is None or t_face <= tol_strict:
         return False
     behind = (np.delete(poly.vertices, vidx, axis=0) - q) @ (u / nu)
@@ -349,8 +372,9 @@ def check_locality(poly: Polytope, z: Zonotope,
     Hausdorff stable relative to the zonotope and vice versa. Stability is
     only evaluated when 1) holds (the zonotope's face structure is not
     trustworthy otherwise). Both sides read the rows of the pair's vertex
-    sweep (``_projections``) and solve nothing more, except an LP for a
-    polytope face whose vertices are affinely dependent.
+    sweep (``_projections``) and solve nothing more, except where a zonotope
+    vertex's projection weights do not span its polytope face (a non-simplex
+    face): an lstsq, or an LP if the face's vertices are affinely dependent.
     """
     _require_same_dim(poly, z)
     degenerate = _facet_directions(z)[2]
@@ -363,7 +387,7 @@ def check_locality(poly: Polytope, z: Zonotope,
     bad_p = tuple(i for i, (v, row) in enumerate(zip(poly.vertices, p_proj))
                   if not _lift_stable(v, row, z, tol_strict, scale))
     bad_z = tuple(j for j, ((_, pt), row) in enumerate(zip(zverts, z_proj))
-                  if not _hull_stable(pt, row.point, poly, tol_strict))
+                  if not _hull_stable(pt, row, poly, tol_strict))
     return LocalityReport(general_position=True, degenerate_subsets=(),
                           unstable_p_vertices=bad_p, unstable_z_vertices=bad_z)
 

@@ -9,6 +9,10 @@ Four problem shapes, all solved in dense numpy at desk scale:
   (``project_to_hull``),
 * Chebyshev-center and cone-interior LPs built on ``solve_lp``.
 
+The two projections take a ``hint``, the projection of a nearby target:
+their final solve on the hint's face, kept only if their own optimality
+test proves it exact, else the cold loop from scratch.
+
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
 produce identical outputs. That property is what makes descent traces
@@ -329,6 +333,7 @@ def box_least_squares(
     translation: np.ndarray,
     target: np.ndarray,
     config: SolverConfig = DEFAULT_CONFIG,
+    hint: BoxProjection | None = None,
 ) -> BoxProjection:
     """Minimize |x @ generators + translation - target| over x in [0,1]^n.
 
@@ -337,21 +342,51 @@ def box_least_squares(
     scale: the negative gradient is <= 0 at lower-bounded coordinates,
     >= 0 at upper-bounded ones and ~ 0 at free ones. Coordinates at a bound
     are returned exactly 0.0 or 1.0, which downstream face detection relies
-    on.
+    on. ``hint``, the projection of a nearby target, is tried first
+    (``_box_solve``); a hint that fails its check changes nothing.
     """
+    return ((hint is not None and _box_solve(generators, translation, target, config, hint))
+            or _box_solve(generators, translation, target, config))
+
+
+def _box_solve(generators, translation, target, config, hint=None) -> BoxProjection | None:
+    """``box_least_squares`` by the active-set loop, or else the loop's final
+    solve on the face of ``hint`` (its free set F, coefficients strictly in
+    (0, 1), the rest at its bits): kept if strictly inside (0, 1) and the
+    loop's stopping test passes, which proves it optimal; otherwise None."""
     G = np.asarray(generators, dtype=float)
     y = np.asarray(target, dtype=float) - np.asarray(translation, dtype=float)
+    tol = config.kkt_tol * (1.0 + float(np.abs(G).max(initial=0.0)) * (1.0 + np.linalg.norm(y)))
+    if hint is None:
+        x = _box_active_set(G, y, tol, config)
+    else:
+        x = np.array(hint.coefficients, dtype=float)
+        if x.shape != (G.shape[0],):
+            return None
+        free = (x > 0.0) & (x < 1.0)
+        x[free] = np.linalg.lstsq(G[free].T, y - x[~free] @ G[~free], rcond=None)[0]
+        w = G @ (y - x @ G)
+        if not (np.all((x[free] > 1e-12) & (x[free] < 1.0 - 1e-12))
+                and np.all(np.where(x == 0.0, w, -w)[~free] <= tol + 1e-15)):
+            return None
+    point = x @ G + np.asarray(translation, dtype=float)
+    kkt = 0.0  # free coordinates are those strictly inside (0, 1)
+    for xi, wi in zip(x.tolist(), (G @ (y - x @ G)).tolist()):
+        kkt = max(kkt, wi if xi == 0.0 else -wi if xi == 1.0 else abs(wi))
+    return BoxProjection(coefficients=x, point=point, kkt_residual=kkt,
+                         distance=float(np.linalg.norm(np.asarray(target, float) - point)))
+
+
+def _box_active_set(G, y, tol, config) -> np.ndarray:
+    """The active-set loop of ``box_least_squares``; returns x."""
     n = G.shape[0]
     x = np.zeros(n)
     status = np.full(n, -1, dtype=int)  # -1 lower, 0 free, +1 upper
-    scale = 1.0 + float(np.abs(G).max(initial=0.0)) * (1.0 + np.linalg.norm(y))
-    tol = config.kkt_tol * scale
     cap = max(100, config.iteration_factor * 6 * (n + 1))
     blocked = -1  # variable pinned back with zero progress last cycle
 
     for _ in range(cap):
-        r = y - x @ G
-        w = G @ r  # negative gradient
+        w = G @ (y - x @ G)  # negative gradient
         worst, worst_v = -1, tol
         for i in range(n):
             if i == blocked:
@@ -364,7 +399,7 @@ def box_least_squares(
             if v > worst_v + 1e-15:
                 worst, worst_v = i, v
         if worst < 0:
-            break
+            return x
         status[worst] = 0
         blocked = -1
 
@@ -408,26 +443,7 @@ def box_least_squares(
                 blocked = worst  # avoid freeing the same variable right away
             if not pinned_any:
                 break
-    else:
-        raise IterationLimit("box least squares did not converge")
-
-    point = x @ G + np.asarray(translation, dtype=float)
-    r = y - x @ G
-    w = G @ r
-    kkt = 0.0
-    for i in range(n):
-        if status[i] == -1:
-            kkt = max(kkt, w[i])
-        elif status[i] == 1:
-            kkt = max(kkt, -w[i])
-        else:
-            kkt = max(kkt, abs(w[i]))
-    return BoxProjection(
-        coefficients=x,
-        point=point,
-        distance=float(np.linalg.norm(np.asarray(target, float) - point)),
-        kkt_residual=float(kkt),
-    )
+    raise IterationLimit("box least squares did not converge")
 
 
 @dataclass(frozen=True)
@@ -438,55 +454,83 @@ class HullProjection:
     point: np.ndarray
     distance: float
     kkt_residual: float
+    corral: tuple  # the points of positive weight, in Wolfe's final order
 
 
 def project_to_hull(
     points: np.ndarray,
     target: np.ndarray,
     config: SolverConfig = DEFAULT_CONFIG,
+    hint: HullProjection | None = None,
 ) -> HullProjection:
     """Min-norm point of conv(points) - target, via Wolfe's algorithm.
 
     Maintains a corral of affinely independent points; major iterations add
     the most violating point (lowest index on ties), minor iterations
     restore convex weights. Finite termination up to tolerances.
+    ``hint``, a nearby target's projection onto the same points, is tried
+    first (``_hull_solve``); a hint that fails its check changes nothing.
     """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    t = np.asarray(target, dtype=float)
-    S = P - t
-    k = S.shape[0]
-    norms2 = np.einsum("ij,ij->i", S, S)
-    scale = 1.0 + float(norms2.max(initial=0.0))
-    eps = config.kkt_tol * scale
+    return ((hint is not None and _hull_solve(points, target, config, hint))
+            or _hull_solve(points, target, config))
 
+
+def _hull_solve(points, target, config, hint=None) -> HullProjection | None:
+    """``project_to_hull`` by Wolfe's loop, or else the affine min-norm
+    solve on the corral of ``hint`` in its order: kept if every weight is
+    positive and Wolfe's stopping test passes, which proves it optimal;
+    otherwise None."""
+    t = np.asarray(target, dtype=float)
+    S = np.atleast_2d(np.asarray(points, dtype=float)) - t
+    norms2 = np.einsum("ij,ij->i", S, S)
+    eps = config.kkt_tol * (1.0 + float(norms2.max(initial=0.0)))
+    if hint is None:
+        corral, lam, x = _wolfe(S, norms2, eps, config)
+    else:
+        corral = list(hint.corral)
+        if not corral or max(corral) >= S.shape[0]:
+            return None
+        lam = _affine_min_norm(S[corral])
+        x = lam @ S[corral]
+    dots = S @ x
+    if hint is not None and not (lam.min() > 1e-12 and dots.min() >= x @ x - eps):
+        return None
+    weights = np.zeros(S.shape[0])
+    weights[corral] = lam
+    return HullProjection(weights=weights, point=t + x, distance=float(np.linalg.norm(x)),
+                          kkt_residual=max(0.0, float(x @ x - dots.min())), corral=tuple(corral))
+
+
+def _affine_min_norm(C: np.ndarray) -> np.ndarray:
+    """Weights of the min-norm point of the affine hull of C's rows."""
+    mC = C.shape[0]
+    K = np.zeros((mC + 1, mC + 1))
+    K[:mC, :mC] = C @ C.T
+    K[:mC, mC] = 1.0
+    K[mC, :mC] = 1.0
+    rhs = np.zeros(mC + 1)
+    rhs[mC] = 1.0
+    alpha = np.linalg.lstsq(K, rhs, rcond=None)[0][:mC]
+    ssum = alpha.sum()
+    return alpha / ssum if abs(ssum) > 1e-12 else alpha
+
+
+def _wolfe(S, norms2, eps, config):
+    """Wolfe's loop on the rows of S; returns the final (corral, weights, point)."""
     corral = [int(np.argmin(norms2))]
     lam = np.array([1.0])
     x = S[corral[0]].copy()
-    cap = max(100, config.iteration_factor * 4 * (k + S.shape[1]))
+    cap = max(100, config.iteration_factor * 4 * (S.shape[0] + S.shape[1]))
 
     for _ in range(cap):
         dots = S @ x
         cand = int(np.argmin(dots))
-        if dots[cand] >= x @ x - eps:
-            break
-        if cand in corral:
-            break
+        if dots[cand] >= x @ x - eps or cand in corral:
+            return corral, lam, x
         corral.append(cand)
         lam = np.append(lam, 0.0)
         for _ in range(cap):
-            C = S[corral]
-            mC = len(corral)
-            K = np.zeros((mC + 1, mC + 1))
-            K[:mC, :mC] = C @ C.T
-            K[:mC, mC] = 1.0
-            K[mC, :mC] = 1.0
-            rhs = np.zeros(mC + 1)
-            rhs[mC] = 1.0
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            alpha = sol[:mC]
-            ssum = alpha.sum()
-            if abs(ssum) > 1e-12:
-                alpha = alpha / ssum
+            alpha = _affine_min_norm(S[corral])
             if alpha.min() > 1e-12:
                 lam = alpha
                 break
@@ -505,19 +549,7 @@ def project_to_hull(
                 lam = np.array([1.0])
                 break
         x = lam @ S[corral]
-    else:
-        raise IterationLimit("min-norm point did not converge")
-
-    weights = np.zeros(k)
-    weights[corral] = lam
-    dots = S @ x
-    kkt = max(0.0, float(x @ x - dots.min()))
-    return HullProjection(
-        weights=weights,
-        point=t + x,
-        distance=float(np.linalg.norm(x)),
-        kkt_residual=kkt,
-    )
+    raise IterationLimit("min-norm point did not converge")
 
 
 def chebyshev_center(

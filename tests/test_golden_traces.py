@@ -40,17 +40,28 @@ def test_math_columns_match_golden(case):
 def test_probes_are_rejected_early(monkeypatch):
     """The conservative exact runs reject backtracking probes part-way
     through the sweep, and still match their golden columns."""
-    solved = []
+    solved = []  # one entry per row measured: by a solver, or on a hinted face
     for name in ("box_least_squares", "project_to_hull"):
         solve = getattr(solvers, name)
         monkeypatch.setattr(solvers, name,
                             lambda *a, solve=solve, **k: solved.append(1) or solve(*a, **k))
+    for name in ("_box_solve", "_hull_solve"):
+        solve = getattr(solvers, name)
+
+        def on_face(*a, solve=solve):
+            out = solve(*a)
+            hinted = isinstance(a[-1], (solvers.BoxProjection, solvers.HullProjection))
+            if hinted and out is not None:  # a rejected face is solved cold next
+                solved.append(1)
+            return out
+
+        monkeypatch.setattr(solvers, name, on_face)
     rejected = []  # (rows measured, rows of the pair) per rejected probe
     bounded = descent._projections
 
-    def spy(poly, z, config, bound=np.inf, order=()):
+    def spy(poly, z, config, bound=np.inf, order=(), hints=None):
         before = len(solved)
-        out = bounded(poly, z, config, bound, order)
+        out = bounded(poly, z, config, bound, order, hints)
         if out is None:
             rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
             rejected.append((len(solved) - before, rows))

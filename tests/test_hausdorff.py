@@ -1,5 +1,7 @@
 """Distance-layer tests: exact/coarse Hausdorff, stability, local terms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,46 @@ class TestHausdorffDistance:
             in_poly = poly.contains(p, tol=1e-7)
             in_z = box_least_squares(z.generators, z.translation, p).distance <= 1e-6
             assert in_poly == in_z
+
+
+def flipped_and_permuted(z, rng):
+    """The same zonotope: generators permuted and some negated, g -> -g with
+    t -> t + g."""
+    flip = rng.random(z.rank) < 0.5
+    G = np.where(flip[:, None], -z.generators, z.generators)
+    return Zonotope(G[rng.permutation(z.rank)], z.translation + z.generators[flip].sum(axis=0))
+
+
+class TestDistanceProperties:
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+    def test_invariant_under_generator_permutation_and_sign_flip(self, seed, d):
+        rng = np.random.default_rng(seed)
+        poly, z = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+        value, _ = hausdorff_distance(poly, z)
+        again, _ = hausdorff_distance(poly, flipped_and_permuted(z, rng))
+        assert again == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           s=st.floats(0.1, 10.0))
+    def test_scales_with_uniform_scaling(self, seed, d, s):
+        rng = np.random.default_rng(seed)
+        poly, z = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+        value, _ = hausdorff_distance(poly, z)
+        scaled, _ = hausdorff_distance(Polytope.from_vertices(s * poly.vertices),
+                                       Zonotope(s * z.generators, s * z.translation))
+        assert scaled == pytest.approx(s * value, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           tol_active=st.sampled_from([1e-7, 1e-3, 0.1, 0.5]))
+    def test_reported_pairs_lie_in_the_active_band(self, seed, d, tol_active):
+        rng = np.random.default_rng(seed)
+        poly, z = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+        value, pairs = hausdorff_distance(poly, z, tol_active=tol_active)
+        assert pairs and max(pair.distance for pair in pairs) == value
+        assert all(pair.distance >= value * (1.0 - tol_active) for pair in pairs)
 
 
 class TestCoarseHausdorffDistance:
@@ -422,6 +464,31 @@ class TestProjectionCache:
         hausdorff_distance(poly, z)
         check_locality(poly, z)
         assert len(calls) == 1
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+    def test_hinted_sweep_matches_cold_sweep(self, seed, d):
+        # Rows solved on the faces of a nearby measured zonotope: box rows
+        # repeat the solver's final solve, hull rows may differ in corral
+        # order only.
+        rng = np.random.default_rng(seed)
+        poly, z = random_local_instance(rng, d=d)
+        config = solvers.DEFAULT_CONFIG
+        hausdorff._projections(poly, z, config)
+        near = perturbed(z, rng, 1e-6)
+        box = mock.patch.object(solvers, "box_least_squares", wraps=solvers.box_least_squares)
+        hull = mock.patch.object(solvers, "project_to_hull", wraps=solvers.project_to_hull)
+        with box as box_calls, hull as hull_calls:
+            hinted = hausdorff._projections(poly, near, config, hints=z)
+        cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation), config)
+        solved = box_calls.call_count + hull_calls.call_count
+        assert solved <= (len(cold[0]) + len(cold[1])) // 2  # most faces carry over
+        assert sweep_key(hinted[:1]) == sweep_key(cold[:1])
+        tol = 1e-15 * poly.scale()
+        for h, c in zip(hinted[1], cold[1]):
+            assert np.array_equal(np.flatnonzero(h.weights), np.flatnonzero(c.weights))
+            assert np.abs(h.point - c.point).max() <= tol
+            assert abs(h.distance - c.distance) <= tol
 
 
 def sweep_key(sweep):
