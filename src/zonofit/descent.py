@@ -299,7 +299,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
 
             cone = build_cone(pairs)
             subdiff = SubdifferentialSet(
-                gradients=gradients_for_pairs(poly, z, pairs, cfg.objective),
+                gradients=gradients_for_pairs(poly, z, pairs),
                 pairs=tuple(pairs),
                 objective=cfg.objective,
             )

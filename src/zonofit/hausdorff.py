@@ -410,7 +410,6 @@ class SmoothTerm:
     point: np.ndarray | None = None
     anchor_bits: np.ndarray | None = None
     free_indices: tuple | None = None
-    orientation: float = 0.0
 
     def __post_init__(self):
         for name in ("bits", "point", "anchor_bits"):
@@ -430,33 +429,28 @@ class SmoothTerm:
                 return 0.0
             u = z.map_point(self.bits)
             return dist_point_to_affine(u, self.hull)
-        base = z.map_point(self.anchor_bits)
-        r = self.point - base
-        free = list(self.free_indices)
-        if not free:
-            return float(np.linalg.norm(r))
-        D = z.generators[free].T
-        coef, *_ = np.linalg.lstsq(D, r, rcond=None)
-        return float(np.linalg.norm(r - D @ coef))
+        return float(np.linalg.norm(_face_residual(self, z)[0]))
 
 
-def p_vertex_term(z: Zonotope, vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
-    """Term tracking polytope vertex ``p`` against the zonotope face of ``lift``.
+def _face_residual(term: SmoothTerm, z: Zonotope):
+    """(w, y) for a p_vertex term at z: with r = p - v (v the anchor vertex)
+    and D the free generators as columns, y is the least-squares fit
+    D y ~ r and w = r - D y the offset of p from the face's affine hull."""
+    r = term.point - z.map_point(term.anchor_bits)
+    free = list(term.free_indices)
+    if not free:
+        return r, np.zeros(0)
+    D = z.generators[free].T
+    y, *_ = np.linalg.lstsq(D, r, rcond=None)
+    return r - D @ y, y
 
-    For a facet (d-1 free generators) ``orientation`` records the side of
-    the facet p lies on, which fixes the sign of the signed-minor normal
-    in the term's gradient.
-    """
-    from .subgrad import facet_normal_minor_vector
 
-    anchor = lift.anchor_bits()
-    free = lift.free_indices
-    orientation = 0.0
-    if len(free) == z.dim - 1:
-        m = facet_normal_minor_vector(z.generators, free)
-        orientation = 1.0 if float(m @ (p - z.map_point(anchor))) >= 0.0 else -1.0
+def p_vertex_term(vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
+    """Term tracking polytope vertex ``p`` against the zonotope face of
+    ``lift``: its anchor vertex (free coordinates at 0) and its free
+    generators."""
     return SmoothTerm(side="p_vertex", vertex_index=vertex_index, point=p,
-                      anchor_bits=anchor, free_indices=free, orientation=orientation)
+                      anchor_bits=lift.anchor_bits(), free_indices=lift.free_indices)
 
 
 def local_terms(poly: Polytope, z0: Zonotope,
@@ -476,7 +470,7 @@ def local_terms(poly: Polytope, z0: Zonotope,
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
     p_proj, z_proj = _projections(poly, z0, config)
-    terms = [p_vertex_term(z0, i, v, lift_values_to_lift(bp.coefficients))
+    terms = [p_vertex_term(i, v, lift_values_to_lift(bp.coefficients))
              for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
     terms += [SmoothTerm(side="z_vertex", vertex_index=j, bits=bits,
                          hull=minimal_face(poly, hp.point).affine_hull)

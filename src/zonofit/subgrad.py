@@ -4,12 +4,15 @@ Parameters of a rank-n zonotope in R^d are flattened into a single vector
 of length n*d + d: generator rows in row-major order, then the
 translation. All gradients returned here use that layout.
 
-For a zonotope-vertex term the moving point is affine in the parameters
-and the gradient is immediate. For a polytope-vertex term the moving
-object is the affine hull of a zonotope face: facets get the closed-form
-minor/cofactor gradient, and faces of higher codimension the equivalent
-chain rule through the orthogonal-projector form of the point-to-affine
-distance. A central finite-difference oracle is provided for validation.
+Each smooth term has one gradient formula, and the exact and the coarse
+objective share it (a coarse pair is a term at a vertex face). For a
+zonotope-vertex term the moving point is affine in the parameters and the
+gradient is immediate. For a polytope-vertex term the moving object is the
+affine hull of a zonotope face, and the gradient is the chain rule through
+the orthogonal-projector form of the point-to-affine distance, on every
+face. The paper's explicit facet normal from signed minors is kept as
+``facet_normal``, the reference the facet gradients are tested against. A
+central finite-difference oracle is provided for validation.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .geom import Polytope, Zonotope
 from .hausdorff import (
     AchievingPair,
     SmoothTerm,
+    _face_residual,
     check_locality,
     coarse_hausdorff_distance,
     hausdorff_distance,
@@ -111,36 +115,12 @@ def facet_normal(z: Zonotope, free_indices, orientation_ref) -> np.ndarray:
     return sigma * m / gamma
 
 
-def _minor_vector_jacobian(sub: np.ndarray) -> np.ndarray:
-    """d m_j' / d sub[r, j] for the signed minor vector of ``sub``.
-
-    Returns an array J with J[r, j, j'] = d m_{j'} / d sub[r, j], computed
-    by cofactor expansion of each deleted-column determinant.
-    """
-    f, d = sub.shape  # f = d - 1
-    J = np.zeros((f, d, d))
-    for jp in range(d):
-        reduced = np.delete(sub, jp, axis=1)  # f x (d-1)
-        sign_jp = (-1.0) ** jp
-        for r in range(f):
-            for j in range(d):
-                if j == jp:
-                    continue
-                c = j if j < jp else j - 1
-                minor2 = np.delete(np.delete(reduced, r, axis=0), c, axis=1)
-                det2 = 1.0 if minor2.size == 0 else float(np.linalg.det(minor2))
-                J[r, j, jp] = sign_jp * (-1.0) ** (r + c) * det2
-    return J
-
-
 def grad_delta_q(term: SmoothTerm, z: Zonotope) -> np.ndarray:
     """Gradient of a zonotope-vertex term in the flat parameter layout.
 
-    The moving point is u = bits @ G + mu; the face's affine hull in the
-    polytope is fixed. For a codim-1 hull the gradient entries are the
-    unit normal times the lift bits (and the bare normal for the
-    translation block); higher codimension goes through the chain rule on
-    the explicit point-to-affine formula.
+    The moving point is u = bits @ G + mu and the face's affine hull in the
+    polytope is fixed, so with w the unit offset of u from the hull the
+    gradient is bits (x) w for the generators and w for the translation.
     """
     if term.side != "z_vertex":
         raise ValueError("expected a z_vertex term")
@@ -159,69 +139,25 @@ def grad_delta_q(term: SmoothTerm, z: Zonotope) -> np.ndarray:
 def grad_delta_p(term: SmoothTerm, z: Zonotope) -> np.ndarray:
     """Gradient of a polytope-vertex term in the flat parameter layout.
 
-    Facet case (codim 1): differentiate delta = <eta(Q), p> - c(Q, mu)
-    where eta comes from the signed-minor formula; the normal's dependence
-    on the generators enters through cofactor derivatives of the minors.
-    The result does not depend on which face vertex anchors the affine
-    hull. Higher codimension: chain rule through the projector onto the
-    span of the free generators (the same smooth function, so the same
-    gradient).
+    delta(Z) = |w| with w = (I - P_span)(p - v), v the anchor vertex and
+    P_span the projector onto the span of the free generators (on a vertex
+    face, w = p - v). With y the coefficients of p - v on the free
+    generators and w^ = w / |w|, the chain rule through the projector gives
+    -(anchor bits + y on the free coordinates) (x) w^ for the generators
+    and -w^ for the translation, on faces of every codimension. The result
+    does not depend on which face vertex anchors the affine hull.
     """
     if term.side != "p_vertex":
         raise ValueError("expected a p_vertex term")
-    G = z.generators
-    n, d = G.shape
-    free = list(term.free_indices)
-    codim = d - len(free)
-    if codim < 1:
+    if term.codim < 1:
         raise DegenerateFace("projection is interior; no gradient")
-    anchor = term.anchor_bits
-    v = z.map_point(anchor)
-    p = term.point
-
-    if codim == 1:
-        sub = G[free]
-        m = facet_normal_minor_vector(G, free)
-        gamma = float(np.linalg.norm(m))
-        norms = np.linalg.norm(sub, axis=1)
-        if gamma <= 1e-12 * max(1.0, float(np.prod(norms))):
-            raise SingularSubmatrix("free generators are linearly dependent")
-        sigma = term.orientation
-        if sigma == 0.0:
-            sigma = 1.0 if float(m @ (p - v)) >= 0.0 else -1.0
-        eta = sigma * m / gamma
-        J = _minor_vector_jacobian(sub)  # (f, d, d)
-        grad_g = np.zeros((n, d))
-        r_vec = p - v
-        for rpos, i in enumerate(free):
-            for j in range(d):
-                dm = J[rpos, j]  # d m / d g_{ij}
-                dgamma = float(m @ dm) / gamma
-                deta = sigma * (dm / gamma - m * dgamma / gamma**2)
-                grad_g[i, j] = -eta[j] * anchor[i] + float(deta @ r_vec)
-        for i in range(n):
-            if i in term.free_indices:
-                continue
-            grad_g[i] = -eta * anchor[i]
-        return np.concatenate([grad_g.ravel(), -eta])
-
-    # Higher codimension: delta(Z) = |(I - P_span)(p - v)| with the span of
-    # the free generators; differentiate through the projector.
-    r_vec = p - v
-    if free:
-        D = G[free].T
-        y, *_ = np.linalg.lstsq(D, r_vec, rcond=None)
-        w = r_vec - D @ y
-    else:
-        y = np.zeros(0)
-        w = r_vec
+    w, y = _face_residual(term, z)
     delta = float(np.linalg.norm(w))
     if delta <= 1e-14:
         raise DegenerateFace("vertex lies on the face's affine hull")
     what = w / delta
-    cvec = anchor.astype(float).copy()
-    for pos, i in enumerate(free):
-        cvec[i] += y[pos]
+    cvec = term.anchor_bits.astype(float)
+    cvec[list(term.free_indices)] += y
     grad_g = -np.outer(cvec, what)
     return np.concatenate([grad_g.ravel(), -what])
 
@@ -229,7 +165,7 @@ def grad_delta_p(term: SmoothTerm, z: Zonotope) -> np.ndarray:
 def term_from_pair(poly: Polytope, z: Zonotope, pair: AchievingPair) -> SmoothTerm:
     """Smooth term tracking the given achieving pair near ``z``."""
     if pair.side == "p_vertex":
-        return p_vertex_term(z, pair.vertex_index, pair.p, pair.lift)
+        return p_vertex_term(pair.vertex_index, pair.p, pair.lift)
     return SmoothTerm(
         side="z_vertex",
         vertex_index=pair.vertex_index,
@@ -238,22 +174,14 @@ def term_from_pair(poly: Polytope, z: Zonotope, pair: AchievingPair) -> SmoothTe
     )
 
 
-def gradients_for_pairs(poly: Polytope, z: Zonotope, pairs, objective: str = "exact"):
+def gradients_for_pairs(poly: Polytope, z: Zonotope, pairs):
     """Per-pair gradients of the active terms (no locality re-check).
 
-    Exact objective: dispatch on pair side. Coarse objective: gradient of
-    the plain vertex-to-vertex distance |p_i - (e_i @ G + mu)|.
+    Serves both objectives: a coarse pair joins two vertices, so its term
+    is the same formula at a vertex face, -(bits (x) r^, r^) with
+    r^ = (p - q) / |p - q|.
     """
     grads = []
-    if objective == "coarse":
-        for pair in pairs:
-            r = pair.p - pair.q
-            dist = float(np.linalg.norm(r))
-            if dist <= 1e-14:
-                raise DegenerateFace("coincident vertex pair is not differentiable")
-            rhat = r / dist
-            grads.append(np.concatenate([-np.outer(pair.lift.values, rhat).ravel(), -rhat]))
-        return tuple(grads)
     for pair in pairs:
         term = term_from_pair(poly, z, pair)
         if pair.side == "p_vertex":
@@ -279,7 +207,7 @@ def clarke_subdifferential(
     if objective == "coarse":
         value, pairs = coarse_hausdorff_distance(poly, z, tol_active, config)
         return SubdifferentialSet(
-            gradients=gradients_for_pairs(poly, z, pairs, "coarse"),
+            gradients=gradients_for_pairs(poly, z, pairs),
             pairs=tuple(pairs),
             objective="coarse",
         )
@@ -287,7 +215,7 @@ def clarke_subdifferential(
         raise LocalityViolation("locality conditions fail; gradients undefined")
     value, pairs = hausdorff_distance(poly, z, tol_active, config)
     return SubdifferentialSet(
-        gradients=gradients_for_pairs(poly, z, pairs, "exact"),
+        gradients=gradients_for_pairs(poly, z, pairs),
         pairs=tuple(pairs),
         objective="exact",
     )

@@ -9,6 +9,11 @@ expected columns (every trace column except wall time). A change that
 alters any of them changes the numbers descent produces and must say why.
 After such an intended change, rewrite the expected columns from the
 stored inputs with ``PYTHONPATH=src python tests/test_golden_traces.py``.
+Before rewriting it prints, for each run that changed, what a change
+record needs: the first differing row, whether the iteration, rule,
+active_pairs and cone_status columns are identical, the largest relative
+difference in the d_exact, d_coarse and step columns, and the final
+d_exact before and after.
 """
 
 import json
@@ -75,7 +80,26 @@ def test_probes_are_rejected_early(monkeypatch):
     assert len(rejected) > 0 and measured < rows / 2
 
 
+def change_report(name, old, new):
+    """One line describing how the columns ``new`` differ from ``old``."""
+    first = next((k for k, (a, b) in enumerate(zip(old, new)) if a != b),
+                 min(len(old), len(new)))
+    same = (len(old) == len(new)
+            and all([a[k] for k in (0, 4, 5, 6)] == [b[k] for k in (0, 4, 5, 6)]
+                    for a, b in zip(old, new)))
+    rel = max((abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+               for a, b in zip(old, new) for x, y in
+               ((float(a[k]), float(b[k])) for k in (1, 2, 3))), default=0.0)
+    return (f"{name}: first differing row {first}; iteration/rule/active_pairs/"
+            f"cone_status {'identical' if same else 'CHANGED'}; max relative "
+            f"difference in d_exact/d_coarse/step {rel:.2g}; final d_exact "
+            f"{old[-1][1]} -> {new[-1][1]}")
+
+
 if __name__ == "__main__":
     for case in CASES:
-        case["expected"] = run_case(case)
+        new = run_case(case)
+        if new != case["expected"]:
+            print(change_report(case["name"], case["expected"], new))
+        case["expected"] = new
     FIXTURE.write_text(json.dumps(CASES, indent=1) + "\n")
