@@ -192,10 +192,13 @@ def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng,
     """Perturb the zonotope entrywise-uniformly until locality holds.
 
     Returns (zonotope, tries); unchanged input counts as zero tries. The
-    amplitude is ``sigma`` times the largest generator norm per try.
+    amplitude is ``sigma`` times the largest generator norm per try. Each
+    candidate is swept with the faces of ``z`` as hints.
     """
     current = z
     for tries in range(max_tries + 1):
+        if tries:
+            _projections(poly, current, config, hints=z)
         if check_locality(poly, current, config=config).ok:
             return current, tries
         current = _perturbed(current, sigma, rng)

@@ -6,9 +6,10 @@ once per (polytope, zonotope) pair, cached on the zonotope by a single
 attribute write (so concurrent calls stay safe), and the distance, the
 locality check and the local terms all read them. A sweep given a bound
 (a backtracking probe) stops at its first row that reaches it and caches
-nothing. A sweep given hints (the zonotope a step started from) solves each
-row on the face it had there, and calls a solver only where the solver's
-own optimality test rejects that face. Each near-maximal pair is returned
+nothing. A sweep given hints (the zonotope a step started from) first
+solves all rows on the faces they had there, as arrays through the
+solvers' face tails, and calls a solver only where the solver's own
+optimality test rejects that face. Each near-maximal pair is returned
 with the data the optimization layer needs: the cube lift of the
 zonotope-side point and the minimal face the projection lands on.
 
@@ -16,8 +17,8 @@ Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
 calculus, and the decomposition of the distance into smooth terms that is
 valid in a neighborhood of a locality-satisfying zonotope. The locality
-check reads stability off the sweeps' rows, a polytope face coefficient
-off the projection's weights, and projects nothing itself.
+check tests all of a sweep's rows at once, reads a polytope face
+coefficient off the projection's weights, and projects nothing itself.
 """
 
 from __future__ import annotations
@@ -140,15 +141,16 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     last (poly, config) measured; it is reused only for the same polytope
     object and an equal config.
 
+    ``hints``, a zonotope of the same rank measured against poly (the one a
+    step started from), lends each row its row's face there: polytope rows
+    by index, zonotope rows by cube-lift bits. All hinted rows are solved
+    first, one pass per side through the solvers' face tails; a face that
+    passes the solver's own optimality test gives the exact projection.
+
     Returns None as soon as a row's distance reaches ``bound``; nothing is
-    cached then. The rows ("p", i) / ("z", j) listed in ``order`` are
+    cached then. The other rows ("p", i) / ("z", j) listed in ``order`` are
     measured first (those z lacks are skipped), the rest follow in sweep
     order. The order only decides how soon a bound is met, never the result.
-
-    ``hints``, a zonotope measured against poly (the one a step started
-    from), lends each row its row's face there: polytope rows by index,
-    zonotope rows by cube-lift bits. A face that passes the solver's own
-    optimality test gives the exact projection; the solver runs for the rest.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly and cached[1] == config:
@@ -157,13 +159,19 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
             return None
         return p_proj, z_proj
     zverts = enumerate_vertices(z)
-    hinted = {}  # row key -> the row measured at ``hints``
-    if hints is not None:
-        p_rows, z_rows = _projections(poly, hints, config)
-        hinted = {("p", i): row for i, row in enumerate(p_rows)}
-        hinted.update((("z", bits.tobytes()), row)
-                      for (bits, _), row in zip(enumerate_vertices(hints), z_rows))
     sweeps = {"p": [None] * len(poly.vertices), "z": [None] * len(zverts)}
+    if hints is not None and hints.rank == z.rank:
+        p_rows, z_rows = _projections(poly, hints, config)
+        sweeps["p"] = solvers._box_rows(z.generators, z.translation, poly.vertices,
+                                        [row.coefficients for row in p_rows], config,
+                                        verify=True)
+        corral = {bits.tobytes(): row.corral
+                  for (bits, _), row in zip(enumerate_vertices(hints), z_rows)}
+        sweeps["z"] = solvers._hull_rows(poly.vertices, np.array([pt for _, pt in zverts]),
+                                         [corral.get(bits.tobytes(), ()) for bits, _ in zverts],
+                                         config)
+        if any(r is not None and r.distance >= bound for r in sweeps["p"] + sweeps["z"]):
+            return None
     rows = itertools.chain(order, (("p", i) for i in range(len(poly.vertices))),
                            (("z", j) for j in range(len(zverts))))
     for side, k in rows:
@@ -171,13 +179,10 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
         if k >= len(sweep) or sweep[k] is not None:
             continue
         if side == "p":
-            key, args = ("p", k), (z.generators, z.translation, poly.vertices[k], config)
-            on_face, solve = solvers._box_solve, solvers.box_least_squares
+            sweep[k] = solvers.box_least_squares(z.generators, z.translation,
+                                                 poly.vertices[k], config)
         else:
-            key, args = ("z", zverts[k][0].tobytes()), (poly.vertices, zverts[k][1], config)
-            on_face, solve = solvers._hull_solve, solvers.project_to_hull
-        hint = hinted.get(key)
-        sweep[k] = (hint and on_face(*args, hint)) or solve(*args)
+            sweep[k] = solvers.project_to_hull(poly.vertices, zverts[k][1], config)
         if sweep[k].distance >= bound:
             return None
     p_proj, z_proj = tuple(sweeps["p"]), tuple(sweeps["z"])
@@ -308,59 +313,62 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL,
     face lies strictly behind q along the offset.
     """
     x = np.asarray(x, dtype=float)
-    return _hull_stable(x, solvers.project_to_hull(poly.vertices, x, config), poly, tol_strict)
+    row = solvers.project_to_hull(poly.vertices, x, config)
+    return not _hull_unstable(x[None], [row], poly, tol_strict)[0]
 
 
-def _hull_stable(x: np.ndarray, row: solvers.HullProjection, poly: Polytope,
-                 tol_strict: float) -> bool:
-    """``is_hausdorff_stable`` for x whose projection onto poly is ``row``.
-    The face coefficient is the least weight when the weights' support is
-    the face's vertex set (a simplex); only otherwise is it solved for."""
-    q, scale = row.point, poly.scale()
-    margin = poly.interior_margin(x)
-    if margin > -tol_strict * scale:
-        return margin > tol_strict * scale  # inside is stable, the boundary is not
-    u = x - q
-    nu = np.linalg.norm(u)
-    if nu <= tol_strict * scale:
-        return False
-    face = minimal_face(poly, q)
-    if face.codim == 0:
-        return False  # projection claims interior: inconsistent, not stable
-    vidx = list(face.vertex_indices)
-    t_face = (float(row.weights[vidx].min())
-              if tuple(np.flatnonzero(row.weights)) == face.vertex_indices
-              else _max_min_coefficient(poly.vertices[vidx].T, q))
-    if t_face is None or t_face <= tol_strict:
-        return False
-    behind = (np.delete(poly.vertices, vidx, axis=0) - q) @ (u / nu)
-    return bool(np.all(behind < -tol_strict * scale))
+def _exterior(P, rows, normals, offsets, scale):
+    """Least facet slack of each point P, offset U = P - Q from its projection
+    Q (``rows``), |U|, Q, and the facets within the face tolerance of Q."""
+    Q = np.array([row.point for row in rows])
+    U = P - Q
+    margin = (offsets - np.einsum("fd,rd->rf", normals, P)).min(axis=1)
+    active = np.abs(np.einsum("fd,rd->rf", normals, Q) - offsets) <= FACE_ACTIVE_TOL * scale
+    return margin, U, np.sqrt(np.einsum("rd,rd->r", U, U)), Q, active
 
 
-def _lift_stable(v: np.ndarray, row: solvers.BoxProjection, z: Zonotope,
-                 tol_strict: float, scale: float) -> bool:
-    """Stability of polytope vertex v relative to z, read off its box
-    least-squares row. Outside z, the projection q is in the relative
-    interior of the face spanned by the free generators F (coefficients
-    strictly inside (0, 1)) iff |F| < d and every facet active at q spans F;
-    u = v - q is in the relative interior of that face's normal cone iff
-    sign(2 x_i - 1) <g_i, u> > 0 off F (strict complementarity)."""
-    normals, offsets = zonotope_facets(z)
-    margin = float((offsets - normals @ v).min())
-    if margin > -tol_strict * scale:
-        return margin > tol_strict * scale  # inside is stable, the boundary is not
-    x, u = row.coefficients, v - row.point
-    nu = np.linalg.norm(u)
-    free = (x > 0.0) & (x < 1.0)
-    if nu <= tol_strict * scale or free.sum() >= z.dim:
-        return False
+def _hull_unstable(X: np.ndarray, rows, poly: Polytope, tol_strict: float) -> np.ndarray:
+    """``not is_hausdorff_stable`` for each row of X, whose projections onto
+    poly are ``rows``, all at once. The minimal face of each projection q
+    is the set of vertices incident (facet-vertex incidence matrix, 10x the
+    face tolerance) to every facet within the face tolerance of q. Its
+    coefficient is the least weight when the weights' support is that
+    vertex set (a simplex face); only otherwise is it solved for."""
+    A, b, V, scale = poly.facet_normals, poly.facet_offsets, poly.vertices, poly.scale()
+    margin, U, nu, Q, active = _exterior(X, rows, A, b, scale)
+    W = np.array([row.weights for row in rows])
+    on_face = ~(active @ (np.abs(V @ A.T - b) > FACE_ACTIVE_TOL * scale * 10.0).T)
+    t_face = np.where(on_face, W, np.inf).min(axis=1)
+    outside = (margin <= -tol_strict * scale) & (nu > tol_strict * scale) & active.any(axis=1)
+    for k in np.flatnonzero(outside & (on_face != (W != 0.0)).any(axis=1)):
+        t = _max_min_coefficient(V[on_face[k]].T, Q[k])
+        t_face[k] = -np.inf if t is None else t
+    u = U / np.where(nu > 0.0, nu, 1.0)[:, None]
+    behind = np.einsum("rvd,rd->rv", V[None] - Q[:, None], u) < -tol_strict * scale
+    stable = outside & (t_face > tol_strict) & (on_face | behind).all(axis=1)
+    return ~np.where(margin > -tol_strict * scale, margin > tol_strict * scale, stable)
+
+
+def _lift_unstable(V: np.ndarray, rows, z: Zonotope, tol_strict: float,
+                   scale: float) -> np.ndarray:
+    """Which polytope vertices V, whose box least-squares rows onto z are
+    ``rows``, are not Hausdorff stable relative to z, all at once. Outside
+    z, the projection q is in the relative interior of the face spanned by
+    the free generators F (coefficients strictly inside (0, 1)) iff |F| < d
+    and every facet active at q spans F; u = v - q is in the relative
+    interior of that face's normal cone iff sign(2 x_i - 1) <g_i, u> > 0
+    off F (strict complementarity)."""
+    margin, U, nu, _, active = _exterior(V, rows, *zonotope_facets(z), scale)
+    X = np.array([row.coefficients for row in rows])
+    free = (X > 0.0) & (X < 1.0)
     # Facet rows come in +-pairs per spanning subset (``zonotope_facets``).
-    active = np.abs(normals @ row.point - offsets) <= FACE_ACTIVE_TOL * scale
-    spans = _facet_directions(z)[0][np.flatnonzero(active) // 2]
-    G = z.generators[~free]
-    signed = np.where(x[~free] > 0.5, 1.0, -1.0) * (G @ u) / np.linalg.norm(G, axis=1)
-    return bool((spans[:, :, None] == np.flatnonzero(free)).any(axis=1).all()
-                and np.all(signed > tol_strict * nu))
+    spans = np.repeat((_facet_directions(z)[0][:, :, None] == np.arange(z.rank)).any(1), 2, 0)
+    signed = (np.where(X > 0.5, 1.0, -1.0) * np.einsum("nd,rd->rn", z.generators, U)
+              / np.linalg.norm(z.generators, axis=1))
+    stable = ((nu > tol_strict * scale) & (free.sum(axis=1) < z.dim)
+              & ~((active @ ~spans) & free).any(axis=1)  # every active facet spans F
+              & (free | (signed > tol_strict * nu[:, None])).all(axis=1))
+    return ~np.where(margin > -tol_strict * scale, margin > tol_strict * scale, stable)
 
 
 def check_locality(poly: Polytope, z: Zonotope,
@@ -372,9 +380,11 @@ def check_locality(poly: Polytope, z: Zonotope,
     Hausdorff stable relative to the zonotope and vice versa. Stability is
     only evaluated when 1) holds (the zonotope's face structure is not
     trustworthy otherwise). Both sides read the rows of the pair's vertex
-    sweep (``_projections``) and solve nothing more, except where a zonotope
-    vertex's projection weights do not span its polytope face (a non-simplex
-    face): an lstsq, or an LP if the face's vertices are affinely dependent.
+    sweep (``_projections``) and test all rows of a side at once, polytope
+    faces coming from one facet-vertex incidence matrix. Nothing more is
+    solved, except where a zonotope vertex's projection weights do not span
+    its polytope face (a non-simplex face): an lstsq, or an LP if the
+    face's vertices are affinely dependent.
     """
     _require_same_dim(poly, z)
     degenerate = _facet_directions(z)[2]
@@ -382,14 +392,13 @@ def check_locality(poly: Polytope, z: Zonotope,
         return LocalityReport(general_position=False, degenerate_subsets=degenerate,
                               unstable_p_vertices=(), unstable_z_vertices=())
     p_proj, z_proj = _projections(poly, z, config)
-    zverts = enumerate_vertices(z)
-    scale = 1.0 + max(float(np.abs(pt).max()) for _, pt in zverts)
-    bad_p = tuple(i for i, (v, row) in enumerate(zip(poly.vertices, p_proj))
-                  if not _lift_stable(v, row, z, tol_strict, scale))
-    bad_z = tuple(j for j, ((_, pt), row) in enumerate(zip(zverts, z_proj))
-                  if not _hull_stable(pt, row, poly, tol_strict))
+    zpts = np.array([pt for _, pt in enumerate_vertices(z)])
+    scale = 1.0 + float(np.abs(zpts).max())
+    bad_p = _lift_unstable(poly.vertices, p_proj, z, tol_strict, scale)
+    bad_z = _hull_unstable(zpts, z_proj, poly, tol_strict)
     return LocalityReport(general_position=True, degenerate_subsets=(),
-                          unstable_p_vertices=bad_p, unstable_z_vertices=bad_z)
+                          unstable_p_vertices=tuple(np.flatnonzero(bad_p).tolist()),
+                          unstable_z_vertices=tuple(np.flatnonzero(bad_z).tolist()))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,13 @@ Four problem shapes, all solved in dense numpy at desk scale:
   (``project_to_hull``),
 * Chebyshev-center and cone-interior LPs built on ``solve_lp``.
 
-The two projections take a ``hint``, the projection of a nearby target:
-their final solve on the hint's face, kept only if their own optimality
-test proves it exact, else the cold loop from scratch.
+The two projections end in a face tail that takes many rows at once
+(``_box_rows``: free set and bits; ``_hull_rows``: Wolfe's corral). The
+cold loops end with the tail's own face solve and hand it their final face
+and solution; rows on a hinted face (a ``hint``, or a sweep's hints) are
+solved there, one solve per face shape, and kept where the solver's
+optimality test, vectorized, passes: they equal the solver's result bit
+for bit.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -21,6 +25,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -342,61 +347,74 @@ def box_least_squares(
     scale: the negative gradient is <= 0 at lower-bounded coordinates,
     >= 0 at upper-bounded ones and ~ 0 at free ones. Coordinates at a bound
     are returned exactly 0.0 or 1.0, which downstream face detection relies
-    on. ``hint``, the projection of a nearby target, is tried first
-    (``_box_solve``); a hint that fails its check changes nothing.
+    on. ``hint``, the projection of a nearby target, is tried first on the
+    face tail (``_box_rows``); a hint that fails its check changes nothing.
     """
-    return ((hint is not None and _box_solve(generators, translation, target, config, hint))
-            or _box_solve(generators, translation, target, config))
+    G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
+    T = np.asarray(target, dtype=float)[None]
+    return ((hint is not None and hint.coefficients.shape == (G.shape[0],)
+             and _box_rows(G, mu, T, hint.coefficients[None], config, verify=True)[0])
+            or _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, config)[None], config)[0])
 
 
-def _box_solve(generators, translation, target, config, hint=None) -> BoxProjection | None:
-    """``box_least_squares`` by the active-set loop, or else the loop's final
-    solve on the face of ``hint`` (its free set F, coefficients strictly in
-    (0, 1), the rest at its bits): kept if strictly inside (0, 1) and the
-    loop's stopping test passes, which proves it optimal; otherwise None."""
-    G = np.asarray(generators, dtype=float)
-    y = np.asarray(target, dtype=float) - np.asarray(translation, dtype=float)
-    tol = config.kkt_tol * (1.0 + float(np.abs(G).max(initial=0.0)) * (1.0 + np.linalg.norm(y)))
-    if hint is None:
-        x = _box_active_set(G, y, tol, config)
-    else:
-        x = np.array(hint.coefficients, dtype=float)
-        if x.shape != (G.shape[0],):
-            return None
-        free = (x > 0.0) & (x < 1.0)
-        x[free] = np.linalg.lstsq(G[free].T, y - x[~free] @ G[~free], rcond=None)[0]
-        w = G @ (y - x @ G)
-        if not (np.all((x[free] > 1e-12) & (x[free] < 1.0 - 1e-12))
-                and np.all(np.where(x == 0.0, w, -w)[~free] <= tol + 1e-15)):
-            return None
-    point = x @ G + np.asarray(translation, dtype=float)
-    kkt = 0.0  # free coordinates are those strictly inside (0, 1)
-    for xi, wi in zip(x.tolist(), (G @ (y - x @ G)).tolist()):
-        kkt = max(kkt, wi if xi == 0.0 else -wi if xi == 1.0 else abs(wi))
-    return BoxProjection(coefficients=x, point=point, kkt_residual=kkt,
-                         distance=float(np.linalg.norm(np.asarray(target, float) - point)))
+def _box_tol(G, Y, config) -> np.ndarray:
+    """The stopping tolerance of ``box_least_squares`` per row of Y."""
+    scale = 1.0 + np.sqrt(np.einsum("...d,...d->...", Y, Y))
+    return config.kkt_tol * (1.0 + float(np.abs(G).max(initial=0.0)) * scale)
 
 
-def _box_active_set(G, y, tol, config) -> np.ndarray:
+def _box_rows(G, mu, targets, faces, config, verify=False) -> list:
+    """The face tail of ``box_least_squares`` on many rows at once.
+    ``faces`` are the active-set loop's rows, already solved on their free
+    sets F (coefficients strictly inside (0, 1)) by ``_face_solve``, or with
+    ``verify`` other rows' faces, solved here by one ``_face_solve`` per
+    free set; a verified row is None unless it lies strictly inside (0, 1)
+    on F and passes the loop's stopping test, which proves it optimal."""
+    Y = targets - mu
+    X = np.array(faces, dtype=float)
+    free = (X > 0.0) & (X < 1.0)
+    if verify:
+        for f in {f.tobytes(): f for f in free if f.any()}.values():
+            rows = (free == f).all(axis=1)
+            X[np.ix_(rows, f)] = _face_solve(G, Y[rows], X[rows], f)
+    P = np.einsum("rn,nd->rd", X, G)
+    E = Y - P
+    W = np.einsum("nd,rd->rn", G, E)  # negative gradient
+    signed = np.where(X == 0.0, W, -W)
+    ok = [True] * len(X)
+    if verify:
+        bound_ok = signed <= _box_tol(G, Y, config)[:, None] + 1e-15
+        ok = np.where(free, (X > 1e-12) & (X < 1.0 - 1e-12), bound_ok).all(axis=1)
+    kkt = np.where(free, np.abs(W), signed).max(axis=1, initial=0.0).tolist()
+    points = P + mu
+    dist2 = np.einsum("rd,rd->r", E, E).tolist()
+    return [BoxProjection(coefficients=X[k], point=points[k], distance=math.sqrt(dist2[k]),
+                          kkt_residual=kkt[k]) if ok[k] else None for k in range(len(X))]
+
+
+def _face_solve(G, Y, X, f) -> np.ndarray:
+    """Least-squares coefficients on the free set f for each row of Y, the
+    others at their values in X: one lstsq, a right-hand side per row."""
+    if not f.any():
+        return np.zeros((len(Y), 0))
+    R = Y - np.einsum("rn,nd->rd", np.where(f, 0.0, X), G)
+    return np.linalg.lstsq(G[f].T, R.T, rcond=None)[0].T
+
+
+def _box_active_set(G, y, config) -> np.ndarray:
     """The active-set loop of ``box_least_squares``; returns x."""
-    n = G.shape[0]
+    n, tol = G.shape[0], float(_box_tol(G, y, config))
     x = np.zeros(n)
     status = np.full(n, -1, dtype=int)  # -1 lower, 0 free, +1 upper
     cap = max(100, config.iteration_factor * 6 * (n + 1))
     blocked = -1  # variable pinned back with zero progress last cycle
 
     for _ in range(cap):
-        w = G @ (y - x @ G)  # negative gradient
+        w = (G @ (y - x @ G)).tolist()  # negative gradient
         worst, worst_v = -1, tol
-        for i in range(n):
-            if i == blocked:
-                continue
-            v = 0.0
-            if status[i] == -1 and w[i] > tol:
-                v = w[i]
-            elif status[i] == 1 and w[i] < -tol:
-                v = -w[i]
-            if v > worst_v + 1e-15:
+        for i, (s, wi) in enumerate(zip(status.tolist(), w)):
+            v = wi if s == -1 and wi > tol else -wi if s == 1 and wi < -tol else 0.0
+            if i != blocked and v > worst_v + 1e-15:
                 worst, worst_v = i, v
         if worst < 0:
             return x
@@ -405,9 +423,7 @@ def _box_active_set(G, y, tol, config) -> np.ndarray:
 
         for _ in range(cap):
             free = np.flatnonzero(status == 0)
-            bound = status != 0
-            yy = y - x[bound] @ G[bound]
-            z, *_ = np.linalg.lstsq(G[free].T, yy, rcond=None)
+            z = _face_solve(G, y[None], x[None], status == 0)[0]
             lo_viol = z < -1e-12
             hi_viol = z > 1.0 + 1e-12
             if not lo_viol.any() and not hi_viol.any():
@@ -417,7 +433,9 @@ def _box_active_set(G, y, tol, config) -> np.ndarray:
                     i = free[k]
                     x[i] = round(x[i])
                     status[i] = -1 if x[i] == 0.0 else 1
-                break
+                if snap.any():
+                    continue  # solve again on the smaller free set
+                break  # x is the face solve on its free set, as the tail needs
             # Step from x toward z until the first bound is hit.
             alphas = np.ones(free.size)
             for k in range(free.size):
@@ -467,56 +485,75 @@ def project_to_hull(
 
     Maintains a corral of affinely independent points; major iterations add
     the most violating point (lowest index on ties), minor iterations
-    restore convex weights. Finite termination up to tolerances.
-    ``hint``, a nearby target's projection onto the same points, is tried
-    first (``_hull_solve``); a hint that fails its check changes nothing.
+    restore convex weights. Finite termination up to tolerances. ``hint``,
+    a nearby target's projection onto the same points, is tried first on
+    the face tail (``_hull_rows``); a hint that fails its check changes
+    nothing.
     """
-    return ((hint is not None and _hull_solve(points, target, config, hint))
-            or _hull_solve(points, target, config))
+    V = np.atleast_2d(np.asarray(points, dtype=float))
+    T = np.asarray(target, dtype=float)[None]
+    if hint is not None and max(hint.corral, default=V.shape[0]) < V.shape[0]:
+        row = _hull_rows(V, T, [hint.corral], config)[0]
+        if row is not None:
+            return row
+    corral, lam = _wolfe(V - T[0], config)
+    return _hull_rows(V, T, [corral], config, [lam])[0]
 
 
-def _hull_solve(points, target, config, hint=None) -> HullProjection | None:
-    """``project_to_hull`` by Wolfe's loop, or else the affine min-norm
-    solve on the corral of ``hint`` in its order: kept if every weight is
-    positive and Wolfe's stopping test passes, which proves it optimal;
-    otherwise None."""
-    t = np.asarray(target, dtype=float)
-    S = np.atleast_2d(np.asarray(points, dtype=float)) - t
-    norms2 = np.einsum("ij,ij->i", S, S)
-    eps = config.kkt_tol * (1.0 + float(norms2.max(initial=0.0)))
-    if hint is None:
-        corral, lam, x = _wolfe(S, norms2, eps, config)
-    else:
-        corral = list(hint.corral)
-        if not corral or max(corral) >= S.shape[0]:
-            return None
-        lam = _affine_min_norm(S[corral])
-        x = lam @ S[corral]
-    dots = S @ x
-    if hint is not None and not (lam.min() > 1e-12 and dots.min() >= x @ x - eps):
-        return None
-    weights = np.zeros(S.shape[0])
-    weights[corral] = lam
-    return HullProjection(weights=weights, point=t + x, distance=float(np.linalg.norm(x)),
-                          kkt_residual=max(0.0, float(x @ x - dots.min())), corral=tuple(corral))
+def _hull_rows(V, targets, corrals, config, weights=None) -> list:
+    """The face tail of ``project_to_hull`` on many rows at once. Row k's
+    weights on ``corrals[k]`` are ``weights[k]`` when given (Wolfe's, from
+    the same solve); otherwise they are the affine min-norm solve on it in
+    its order, one stacked solve per corral size, and the row is None
+    unless the corral is not empty, every weight is positive and Wolfe's
+    stopping test passes, which proves it optimal."""
+    S = V - targets[:, None]
+    W = np.zeros(S.shape[:2])
+    ok = [True] * len(W) if weights is not None else np.zeros(len(W), dtype=bool)
+    for m in set(map(len, corrals)) - {0}:
+        rows = [k for k, corral in enumerate(corrals) if len(corral) == m]
+        at = (np.array(rows)[:, None], np.array([corrals[k] for k in rows]))
+        if weights is None:
+            lam = _affine_min_norm(S[at])
+            ok[rows] = lam.min(axis=1) > 1e-12
+        else:
+            lam = np.array([weights[k] for k in rows])
+        W[at] = lam
+    X = np.einsum("rn,rnd->rd", W, S)
+    dots = np.einsum("rnd,rd->rn", S, X).min(axis=1)
+    xx = np.einsum("rd,rd->r", X, X)
+    if weights is None:
+        ok &= dots >= xx - config.kkt_tol * (1.0 + np.einsum("rnd,rnd->rn", S, S).max(axis=1))
+    points = targets + X
+    xx, dots = xx.tolist(), dots.tolist()
+    return [HullProjection(weights=W[k], point=points[k], distance=math.sqrt(xx[k]),
+                           kkt_residual=max(0.0, xx[k] - dots[k]), corral=tuple(corrals[k]))
+            if ok[k] else None for k in range(len(W))]
 
 
 def _affine_min_norm(C: np.ndarray) -> np.ndarray:
-    """Weights of the min-norm point of the affine hull of C's rows."""
-    mC = C.shape[0]
-    K = np.zeros((mC + 1, mC + 1))
-    K[:mC, :mC] = C @ C.T
-    K[:mC, mC] = 1.0
-    K[mC, :mC] = 1.0
-    rhs = np.zeros(mC + 1)
-    rhs[mC] = 1.0
-    alpha = np.linalg.lstsq(K, rhs, rcond=None)[0][:mC]
-    ssum = alpha.sum()
-    return alpha / ssum if abs(ssum) > 1e-12 else alpha
+    """Weights of the min-norm point of the affine hull of the rows of each
+    C[k] in a stack C of shape (r, m, d): one stacked solve of the bordered
+    Gram systems, which solves each matrix exactly as it would alone."""
+    r, m, _ = C.shape
+    K = np.ones((r, m + 1, m + 1))
+    K[:, :m, :m] = np.einsum("rid,rjd->rij", C, C)
+    K[:, m, m] = 0.0
+    e = np.zeros(m + 1)
+    e[m] = 1.0
+    try:
+        alpha = np.linalg.solve(K, e)[:, :m]
+    except np.linalg.LinAlgError:  # an exactly singular system: least squares
+        alpha = np.array([np.linalg.lstsq(k, e, rcond=None)[0][:m] for k in K])
+    ssum = alpha.sum(axis=1, keepdims=True)
+    return alpha / np.where(np.abs(ssum) > 1e-12, ssum, 1.0)
 
 
-def _wolfe(S, norms2, eps, config):
-    """Wolfe's loop on the rows of S; returns the final (corral, weights, point)."""
+def _wolfe(S, config):
+    """Wolfe's loop on the rows of S; returns its final corral, in order,
+    and the corral's weights (its last affine min-norm solve)."""
+    norms2 = np.einsum("ij,ij->i", S, S)
+    eps = config.kkt_tol * (1.0 + float(norms2.max(initial=0.0)))
     corral = [int(np.argmin(norms2))]
     lam = np.array([1.0])
     x = S[corral[0]].copy()
@@ -526,11 +563,11 @@ def _wolfe(S, norms2, eps, config):
         dots = S @ x
         cand = int(np.argmin(dots))
         if dots[cand] >= x @ x - eps or cand in corral:
-            return corral, lam, x
+            return corral, lam
         corral.append(cand)
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, (0.0,)))
         for _ in range(cap):
-            alpha = _affine_min_norm(S[corral])
+            alpha = _affine_min_norm(S[None, corral])[0]
             if alpha.min() > 1e-12:
                 lam = alpha
                 break

@@ -89,6 +89,24 @@ class TestPerturbUntilLocal:
                 successes += 1
         assert successes == 20
 
+    def test_candidates_are_swept_on_the_faces_of_the_start(self, monkeypatch):
+        # Only the borderline vertex may change its face; every other row of
+        # a candidate keeps the face it had at the measured start zonotope.
+        z = Zonotope(np.eye(2), np.zeros(2))
+        poly = Polytope.from_vertices([[1.0, 2.0], [3.0, 2.5], [2.0, 4.0]])
+        rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
+        cold = []
+        for name in ("box_least_squares", "project_to_hull"):
+            solve = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name,
+                                lambda *a, solve=solve: cold.append(1) or solve(*a))
+        for seed in range(10):
+            start = Zonotope(z.generators, z.translation)
+            hausdorff_distance(poly, start)
+            del cold[:]
+            _, tries = perturb_until_local(poly, start, 1e-6, np.random.default_rng(seed))
+            assert tries >= 1 and len(cold) < tries * rows / 2
+
 
 class TestOptimize:
     def test_identical_start_returns_immediately(self):

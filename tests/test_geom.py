@@ -1,9 +1,12 @@
 """Geometry-layer tests: zonotope/polytope types, vertices, lifts, faces."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hull_vertices_oracle, random_zonotope
 from zonofit import solvers
@@ -165,6 +168,16 @@ class TestEnumerateVertices:
             oracle_pts = {tuple(np.round(cubical[i], 8)) for i in oracle_idx}
             mine = {tuple(np.round(pt, 8)) for _, pt in verts}
             assert mine == oracle_pts
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+           extra=st.integers(0, 3))
+    def test_general_position_vertex_count(self, seed, d, extra):
+        n = d + extra
+        z = random_zonotope(np.random.default_rng(seed), n, d)
+        verts = enumerate_vertices(z)
+        assert len(verts) == 2 * sum(math.comb(n - 1, i) for i in range(d))
+        assert len({bits.tobytes() for bits, _ in verts}) == len(verts)
 
     def test_rank_cap(self, rng):
         z = random_zonotope(rng, 4, 2)

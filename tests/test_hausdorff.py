@@ -1,5 +1,6 @@
 """Distance-layer tests: exact/coarse Hausdorff, stability, local terms."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -20,15 +21,18 @@ from conftest import (
 from zonofit import geom, hausdorff, solvers
 from zonofit.errors import LocalityViolation
 from zonofit.geom import (
+    FACE_ACTIVE_TOL,
     AffineHull,
     Polytope,
     Zonotope,
+    _facet_directions,
     enumerate_vertices,
     minimal_face,
     zonotope_as_polytope,
     zonotope_facets,
 )
 from zonofit.hausdorff import (
+    _max_min_coefficient,
     check_locality,
     coarse_hausdorff_distance,
     dist_point_to_affine,
@@ -308,6 +312,106 @@ class TestLocalityRule:
         face = projection_faces(poly, z)[0][0]
         for _ in range(5):
             assert projection_faces(poly, perturbed(z, rng, 1e-7))[0][0] == face
+
+
+# The per-row stability rules that ``check_locality`` applies to all rows
+# at once, kept unchanged as its reference.
+def _hull_stable(x: np.ndarray, row: solvers.HullProjection, poly: Polytope,
+                 tol_strict: float) -> bool:
+    """``is_hausdorff_stable`` for x whose projection onto poly is ``row``.
+    The face coefficient is the least weight when the weights' support is
+    the face's vertex set (a simplex); only otherwise is it solved for."""
+    q, scale = row.point, poly.scale()
+    margin = poly.interior_margin(x)
+    if margin > -tol_strict * scale:
+        return margin > tol_strict * scale  # inside is stable, the boundary is not
+    u = x - q
+    nu = np.linalg.norm(u)
+    if nu <= tol_strict * scale:
+        return False
+    face = minimal_face(poly, q)
+    if face.codim == 0:
+        return False  # projection claims interior: inconsistent, not stable
+    vidx = list(face.vertex_indices)
+    t_face = (float(row.weights[vidx].min())
+              if tuple(np.flatnonzero(row.weights)) == face.vertex_indices
+              else _max_min_coefficient(poly.vertices[vidx].T, q))
+    if t_face is None or t_face <= tol_strict:
+        return False
+    behind = (np.delete(poly.vertices, vidx, axis=0) - q) @ (u / nu)
+    return bool(np.all(behind < -tol_strict * scale))
+
+
+def _lift_stable(v: np.ndarray, row: solvers.BoxProjection, z: Zonotope,
+                 tol_strict: float, scale: float) -> bool:
+    """Stability of polytope vertex v relative to z, read off its box
+    least-squares row. Outside z, the projection q is in the relative
+    interior of the face spanned by the free generators F (coefficients
+    strictly inside (0, 1)) iff |F| < d and every facet active at q spans F;
+    u = v - q is in the relative interior of that face's normal cone iff
+    sign(2 x_i - 1) <g_i, u> > 0 off F (strict complementarity)."""
+    normals, offsets = zonotope_facets(z)
+    margin = float((offsets - normals @ v).min())
+    if margin > -tol_strict * scale:
+        return margin > tol_strict * scale  # inside is stable, the boundary is not
+    x, u = row.coefficients, v - row.point
+    nu = np.linalg.norm(u)
+    free = (x > 0.0) & (x < 1.0)
+    if nu <= tol_strict * scale or free.sum() >= z.dim:
+        return False
+    # Facet rows come in +-pairs per spanning subset (``zonotope_facets``).
+    active = np.abs(normals @ row.point - offsets) <= FACE_ACTIVE_TOL * scale
+    spans = _facet_directions(z)[0][np.flatnonzero(active) // 2]
+    G = z.generators[~free]
+    signed = np.where(x[~free] > 0.5, 1.0, -1.0) * (G @ u) / np.linalg.norm(G, axis=1)
+    return bool((spans[:, :, None] == np.flatnonzero(free)).any(axis=1).all()
+                and np.all(signed > tol_strict * nu))
+
+
+def reference_locality(poly, z, tol_strict=hausdorff.STRICT_TOL):
+    """``check_locality`` by the per-row rules above."""
+    p_proj, z_proj = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
+    zverts = enumerate_vertices(z)
+    scale = 1.0 + max(float(np.abs(pt).max()) for _, pt in zverts)
+    bad_p = tuple(i for i, (v, row) in enumerate(zip(poly.vertices, p_proj))
+                  if not _lift_stable(v, row, z, tol_strict, scale))
+    bad_z = tuple(j for j, ((_, pt), row) in enumerate(zip(zverts, z_proj))
+                  if not _hull_stable(pt, row, poly, tol_strict))
+    return bad_p, bad_z
+
+
+def unstable_sets(report):
+    return report.unstable_p_vertices, report.unstable_z_vertices
+
+
+class TestArrayLocality:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           tol_strict=st.sampled_from([hausdorff.STRICT_TOL, 1e-3, 3e-2]))
+    def test_same_unstable_sets_as_the_per_row_rules(self, seed, d, tol_strict):
+        # Larger tolerances make more rows unstable, through most branches of
+        # the rules; copies moved by 1e-7 put vertices on their faces' borders.
+        rng = np.random.default_rng(seed)
+        poly, z = random_local_instance(rng, d=d)
+        for zk in [z] + [perturbed(z, rng, 1e-7) for _ in range(3)]:
+            report = check_locality(poly, zk, tol_strict=tol_strict)
+            assert unstable_sets(report) == reference_locality(poly, zk, tol_strict)
+
+    def test_non_simplex_faces_match_the_per_row_rules(self, rng, monkeypatch):
+        # Zonotope vertices outside a cube project into its square facets,
+        # where the projection weights need not span the face.
+        cube = Polytope.from_vertices(list(itertools.product([0.0, 1.0], repeat=3)))
+        solved = []
+        solve = hausdorff._max_min_coefficient
+        monkeypatch.setattr(hausdorff, "_max_min_coefficient",
+                            lambda *a: solved.append(1) or solve(*a))
+        for tol_strict in (hausdorff.STRICT_TOL, 1e-2):
+            for _ in range(10):
+                z = random_zonotope(rng, 5, 3, scale=0.7)
+                z = Zonotope(z.generators, 0.5 - 0.5 * z.generators.sum(axis=0))
+                report = check_locality(cube, z, tol_strict=tol_strict)
+                assert unstable_sets(report) == reference_locality(cube, z, tol_strict)
+        assert solved
 
 
 class TestDistPointToAffine:
