@@ -35,7 +35,7 @@ from .errors import (
     PerturbationBudgetExceeded,
     SolverRetryFailed,
 )
-from .geom import Polytope, Zonotope, canonicalize
+from .geom import Polytope, Zonotope, _facet_directions, canonicalize
 from .hausdorff import (
     _probe_order,
     _projections,
@@ -193,11 +193,11 @@ def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng,
 
     Returns (zonotope, tries); unchanged input counts as zero tries. The
     amplitude is ``sigma`` times the largest generator norm per try. Each
-    candidate is swept with the faces of ``z`` as hints.
+    candidate in general position is swept with the faces of ``z`` as hints.
     """
     current = z
     for tries in range(max_tries + 1):
-        if tries:
+        if tries and not _facet_directions(current)[2]:
             _projections(poly, current, config, hints=z)
         if check_locality(poly, current, config=config).ok:
             return current, tries

@@ -642,7 +642,8 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     margins = poly.facet_normals @ x - poly.facet_offsets
     if margins.max(initial=-np.inf) > tol * scale:
         raise PointOutsidePolytope("point violates a facet inequality")
-    active = np.flatnonzero(np.abs(margins) <= tol * scale)
+    mask = np.abs(margins) <= tol * scale
+    active = np.flatnonzero(mask)
     face_id = tuple(int(i) for i in active)
     cached = poly.face_index.get(face_id)
     if cached is not None:
@@ -652,8 +653,7 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
                               vertex_indices=tuple(range(poly.vertices.shape[0])))
         poly.face_index[face_id] = face
         return face
-    vmargins = poly.facet_normals[active] @ poly.vertices.T - poly.facet_offsets[active, None]
-    on_face = np.flatnonzero(np.all(np.abs(vmargins) <= tol * scale * 10.0, axis=0))
+    on_face = np.flatnonzero(_face_vertices(poly, mask[None], tol))
     raw = poly.facet_normals[active]
     q, r = np.linalg.qr(raw.T)
     rank = int((np.abs(np.diag(r)) > 1e-10).sum())
@@ -665,6 +665,12 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     if on_face.size:  # a query-point base would not be reusable
         poly.face_index[face_id] = face
     return face
+
+
+def _face_vertices(poly: Polytope, active, tol: float = FACE_ACTIVE_TOL) -> np.ndarray:
+    """Face vertices (rows x vertices): within 10 x tol x scale of all active facets."""
+    return ~(active @ (np.abs(poly.vertices @ poly.facet_normals.T - poly.facet_offsets)
+                       > tol * poly.scale() * 10.0).T)
 
 
 def zonotope_as_polytope(z: Zonotope) -> Polytope:

@@ -37,6 +37,7 @@ from .geom import (
     LiftPoint,
     Polytope,
     Zonotope,
+    _face_vertices,
     _facet_directions,
     _readonly,
     enumerate_vertices,
@@ -141,11 +142,11 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     last (poly, config) measured; it is reused only for the same polytope
     object and an equal config.
 
-    ``hints``, a zonotope of the same rank measured against poly (the one a
-    step started from), lends each row its row's face there: polytope rows
-    by index, zonotope rows by cube-lift bits. All hinted rows are solved
-    first, one pass per side through the solvers' face tails; a face that
-    passes the solver's own optimality test gives the exact projection.
+    ``hints``, a zonotope of the same rank whose sweep against poly is
+    cached (the one a step started from), lends each row its face there:
+    polytope rows by index, zonotope rows by cube-lift bits. These rows are
+    solved first, one pass per side through the solvers' face tails; a face
+    passing the solver's own optimality test gives the exact projection.
 
     Returns None as soon as a row's distance reaches ``bound``; nothing is
     cached then. The other rows ("p", i) / ("z", j) listed in ``order`` are
@@ -160,8 +161,9 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
         return p_proj, z_proj
     zverts = enumerate_vertices(z)
     sweeps = {"p": [None] * len(poly.vertices), "z": [None] * len(zverts)}
-    if hints is not None and hints.rank == z.rank:
-        p_rows, z_rows = _projections(poly, hints, config)
+    hinted = hints._projections if hints is not None and hints.rank == z.rank else None
+    if hinted is not None and hinted[0] is poly and hinted[1] == config:
+        p_rows, z_rows = hinted[2:]
         sweeps["p"] = solvers._box_rows(z.generators, z.translation, poly.vertices,
                                         [row.coefficients for row in p_rows], config,
                                         verify=True)
@@ -329,15 +331,12 @@ def _exterior(P, rows, normals, offsets, scale):
 
 def _hull_unstable(X: np.ndarray, rows, poly: Polytope, tol_strict: float) -> np.ndarray:
     """``not is_hausdorff_stable`` for each row of X, whose projections onto
-    poly are ``rows``, all at once. The minimal face of each projection q
-    is the set of vertices incident (facet-vertex incidence matrix, 10x the
-    face tolerance) to every facet within the face tolerance of q. Its
-    coefficient is the least weight when the weights' support is that
-    vertex set (a simplex face); only otherwise is it solved for."""
-    A, b, V, scale = poly.facet_normals, poly.facet_offsets, poly.vertices, poly.scale()
-    margin, U, nu, Q, active = _exterior(X, rows, A, b, scale)
+    poly are ``rows``, all at once. A face's coefficient is the least weight
+    when the weights' support is its vertex set; only otherwise is it solved."""
+    V, scale = poly.vertices, poly.scale()
+    margin, U, nu, Q, active = _exterior(X, rows, poly.facet_normals, poly.facet_offsets, scale)
     W = np.array([row.weights for row in rows])
-    on_face = ~(active @ (np.abs(V @ A.T - b) > FACE_ACTIVE_TOL * scale * 10.0).T)
+    on_face = _face_vertices(poly, active)
     t_face = np.where(on_face, W, np.inf).min(axis=1)
     outside = (margin <= -tol_strict * scale) & (nu > tol_strict * scale) & active.any(axis=1)
     for k in np.flatnonzero(outside & (on_face != (W != 0.0)).any(axis=1)):
@@ -379,12 +378,10 @@ def check_locality(poly: Polytope, z: Zonotope,
     1) the zonotope is in general position; 2) every polytope vertex is
     Hausdorff stable relative to the zonotope and vice versa. Stability is
     only evaluated when 1) holds (the zonotope's face structure is not
-    trustworthy otherwise). Both sides read the rows of the pair's vertex
-    sweep (``_projections``) and test all rows of a side at once, polytope
-    faces coming from one facet-vertex incidence matrix. Nothing more is
-    solved, except where a zonotope vertex's projection weights do not span
-    its polytope face (a non-simplex face): an lstsq, or an LP if the
-    face's vertices are affinely dependent.
+    trustworthy otherwise). Both sides test all rows of the pair's vertex
+    sweep (``_projections``) at once, polytope faces by one facet-vertex
+    incidence matrix, and solve nothing more, except where a zonotope
+    vertex's weights do not span its face: an lstsq, or an LP at worst.
     """
     _require_same_dim(poly, z)
     degenerate = _facet_directions(z)[2]

@@ -9,13 +9,10 @@ Four problem shapes, all solved in dense numpy at desk scale:
   (``project_to_hull``),
 * Chebyshev-center and cone-interior LPs built on ``solve_lp``.
 
-The two projections end in a face tail that takes many rows at once
-(``_box_rows``: free set and bits; ``_hull_rows``: Wolfe's corral). The
-cold loops end with the tail's own face solve and hand it their final face
-and solution; rows on a hinted face (a ``hint``, or a sweep's hints) are
-solved there, one solve per face shape, and kept where the solver's
-optimality test, vectorized, passes: they equal the solver's result bit
-for bit.
+The two projections end in a row-batched face tail (``_box_rows``: free
+set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
+their final face to. A hinted row is solved on its face there, one solve
+per face shape, and kept where the solver's optimality test passes.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -539,12 +536,12 @@ def _affine_min_norm(C: np.ndarray) -> np.ndarray:
     K = np.ones((r, m + 1, m + 1))
     K[:, :m, :m] = np.einsum("rid,rjd->rij", C, C)
     K[:, m, m] = 0.0
-    e = np.zeros(m + 1)
-    e[m] = 1.0
+    e = np.zeros((r, m + 1, 1))  # a column per matrix: NumPy 1 reads a 1-D b as a matrix
+    e[:, m] = 1.0
     try:
-        alpha = np.linalg.solve(K, e)[:, :m]
+        alpha = np.linalg.solve(K, e)[:, :m, 0]
     except np.linalg.LinAlgError:  # an exactly singular system: least squares
-        alpha = np.array([np.linalg.lstsq(k, e, rcond=None)[0][:m] for k in K])
+        alpha = np.array([np.linalg.lstsq(k, e[0, :, 0], rcond=None)[0][:m] for k in K])
     ssum = alpha.sum(axis=1, keepdims=True)
     return alpha / np.where(np.abs(ssum) > 1e-12, ssum, 1.0)
 
