@@ -26,6 +26,7 @@ from .hausdorff import (
     SmoothTerm,
     check_locality,
     coarse_hausdorff_distance,
+    evaluate,
     hausdorff_distance,
     local_terms,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "hausdorff_distance",
     "coarse_hausdorff_distance",
     "check_locality",
+    "evaluate",
     "local_terms",
     "clarke_subdifferential",
     "finite_difference_gradient",

@@ -12,8 +12,9 @@ Conventions fixed here and used everywhere else:
 Zonotope faces are read off generator subsets: a (d-1)-subset S with a
 unit normal eta of its span gives the facets +-eta, and the vertices of
 the facet with outward normal eta are the anchor bits ``G @ eta > 0`` off
-S combined with every bit pattern on S. One pass over the subsets
-(``_facet_directions``) yields facets and vertices together. Outside
+S combined with every bit pattern on S, and its faces those with every
+pattern {0, 1, free} on S. One pass over the subsets
+(``_facet_directions``) yields facets, faces and vertices together. Outside
 general position that correspondence fails, and vertex enumeration falls
 back to a separating-hyperplane feasibility LP per bit-vector. Faces of
 either body are handed around as ``FaceDescriptor`` values carrying an
@@ -223,44 +224,53 @@ def _facet_directions(z: Zonotope):
     return out
 
 
+def _bits(codes: np.ndarray, n: int) -> np.ndarray:
+    """The low n bits of integer codes as boolean rows, most significant first."""
+    return (codes[:, None] & (1 << np.arange(n - 1, -1, -1, dtype=np.int64))) > 0
+
+
+def _zonotope_faces(z: Zonotope) -> np.ndarray:
+    """Every boundary face of a general-position zonotope as an integer code
+    free set << n | anchor bits (``_bits``): each facet's anchor bits off its
+    subset with every pattern {0, 1, free} on it. Sorted and distinct: the
+    vertices (empty free set) come first, in lexicographic bit order."""
+    subsets, normals, _ = _facet_directions(z)
+    n, k = z.rank, subsets.shape[1]
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    along = normals @ z.generators.T
+    along[np.arange(subsets.shape[0])[:, None], subsets] = 0.0
+    # The facets +-eta have anchor bits where +-G @ eta > 0 off the subset
+    # (never 0 in general position); a pattern digit 1 on it sets a bit, 2
+    # frees it (bit n + i of the code).
+    patterns = np.arange(3 ** k) // 3 ** np.arange(k - 1, -1, -1)[:, None] % 3
+    on_subset = weights[subsets] @ np.where(patterns == 2, 1 << n, patterns)
+    codes = np.sort(np.concatenate([(along > 0.0) @ weights, (along < 0.0) @ weights])[:, None]
+                    + np.concatenate([on_subset, on_subset]), axis=None)
+    return codes[np.append(True, codes[1:] != codes[:-1])]
+
+
 def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP, config=solvers.DEFAULT_CONFIG):
     """All vertices of a zonotope with their lifts, in lexicographic bit order.
 
-    In general position every vertex lies on a facet, so the vertex
-    bit-vectors are each facet's anchor bits combined with every pattern on
-    its spanning subset. Outside general position each of the 2^n
-    bit-vectors is tested with the separation LP (``is_zonotope_vertex``).
-    Returns [(bits, point), ...]; cached on the instance.
+    In general position every vertex lies on a facet: the vertices are the
+    faces of ``_zonotope_faces`` with an empty free set. Outside general
+    position each of the 2^n bit-vectors is tested with the separation LP
+    (``is_zonotope_vertex``). Returns [(bits, point), ...]; cached on the
+    instance.
     """
     if z._vertices is not None:
         return z._vertices
     n = z.rank
     if n > cap:
         raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {cap}")
-    subsets, normals, degenerate = _facet_directions(z)
-    if not degenerate:
-        # Bit-vectors as integer codes, first generator most significant,
-        # so ascending codes are lexicographic bit order. The facet +eta
-        # has anchor bits G @ eta > 0 off its subset and every pattern on
-        # it; the vertices of the facet -eta are their complements.
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        along = normals @ z.generators.T
-        along[np.arange(subsets.shape[0])[:, None], subsets] = 0.0
-        k = subsets.shape[1]
-        patterns = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        codes = ((along > 0.0) @ weights)[:, None] + weights[subsets] @ patterns.T
-        codes = np.unique(np.concatenate([codes, (1 << n) - 1 - codes], axis=None))
-        candidates = (codes[:, None] & weights) > 0
+    if not _facet_directions(z)[2]:
+        codes = _zonotope_faces(z)
+        candidates = _bits(codes[codes < 1 << n], n)
     else:
         candidates = [bits for bits in itertools.product((0.0, 1.0), repeat=n)
                       if is_zonotope_vertex(z, bits, config)]
-    out = []
-    for comb in candidates:
-        bits = np.array(comb, dtype=float)
-        pt = z.cubical_vertex(bits)
-        bits.setflags(write=False)
-        pt.setflags(write=False)
-        out.append((bits, pt))
+    bits = _readonly(np.array(candidates, dtype=float).reshape(-1, n))
+    out = [(row, _readonly(row @ z.generators + z.translation)) for row in bits]
     object.__setattr__(z, "_vertices", out)
     return out
 
@@ -304,6 +314,7 @@ class Polytope:
     facet_normals: np.ndarray
     facet_offsets: np.ndarray
     face_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _faces: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _readonly(np.atleast_2d(self.vertices)))
@@ -671,6 +682,25 @@ def _face_vertices(poly: Polytope, active, tol: float = FACE_ACTIVE_TOL) -> np.n
     """Face vertices (rows x vertices): within 10 x tol x scale of all active facets."""
     return ~(active @ (np.abs(poly.vertices @ poly.facet_normals.T - poly.facet_offsets)
                        > tol * poly.scale() * 10.0).T)
+
+
+def _simplicial_faces(poly: Polytope) -> dict:
+    """Vertex index rows of the polytope's simplicial faces by size: every
+    vertex and subset of a facet with d vertices (``_face_vertices``), and
+    as size d + 1 the fan joining vertex 0 to each such facet off it, which
+    covers the polytope when those are all its facets off vertex 0. Cached
+    on the polytope by one attribute write."""
+    if poly._faces is not None:
+        return poly._faces
+    nv, d = poly.vertices.shape
+    incidence = _face_vertices(poly, np.eye(poly.facet_offsets.size, dtype=bool))
+    simplices = np.nonzero(incidence[incidence.sum(axis=1) == d])[1].reshape(-1, d)
+    faces = {m: np.unique(simplices[:, _subsets(d, m)].reshape(-1, m), axis=0)
+             for m in range(2, d + 1)}
+    fan = simplices[(simplices != 0).all(axis=1)]
+    faces.update({1: np.arange(nv)[:, None], d + 1: np.insert(fan, 0, 0, axis=1)})
+    object.__setattr__(poly, "_faces", faces)
+    return faces
 
 
 def zonotope_as_polytope(z: Zonotope) -> Polytope:

@@ -6,12 +6,13 @@ once per (polytope, zonotope) pair, cached on the zonotope by a single
 attribute write (so concurrent calls stay safe), and the distance, the
 locality check and the local terms all read them. A sweep given a bound
 (a backtracking probe) stops at its first row that reaches it and caches
-nothing. A sweep given hints (the zonotope a step started from) first
-solves all rows on the faces they had there, as arrays through the
-solvers' face tails, and calls a solver only where the solver's own
-optimality test rejects that face. Each near-maximal pair is returned
-with the data the optimization layer needs: the cube lift of the
-zonotope-side point and the minimal face the projection lands on.
+nothing. A sweep solves every row first on a face, as arrays through the
+solvers' face tails: the face the row had on the hints (the zonotope a
+step started from), or else the face it projects onto in the other body's
+face list. Only rows whose face fails the solver's own optimality test go
+to the solvers' cold loops. Each near-maximal pair is returned with the
+data the optimization layer needs: the cube lift of the zonotope-side
+point and the minimal face the projection lands on.
 
 Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
@@ -37,9 +38,12 @@ from .geom import (
     LiftPoint,
     Polytope,
     Zonotope,
+    _bits,
     _face_vertices,
     _facet_directions,
     _readonly,
+    _simplicial_faces,
+    _zonotope_faces,
     enumerate_vertices,
     lift_values_to_lift,
     minimal_face,
@@ -55,6 +59,7 @@ __all__ = [
     "coarse_hausdorff_distance",
     "is_hausdorff_stable",
     "check_locality",
+    "evaluate",
     "dist_point_to_affine",
     "local_terms",
     "p_vertex_term",
@@ -142,11 +147,15 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     last (poly, config) measured; it is reused only for the same polytope
     object and an equal config.
 
-    ``hints``, a zonotope of the same rank whose sweep against poly is
-    cached (the one a step started from), lends each row its face there:
-    polytope rows by index, zonotope rows by cube-lift bits. These rows are
-    solved first, one pass per side through the solvers' face tails; a face
-    passing the solver's own optimality test gives the exact projection.
+    Each row is first solved on a face, one pass per side through the
+    solvers' face tails, and kept where the face passes the solver's own
+    optimality test, which proves it the exact projection. ``hints``, a
+    zonotope of the same rank whose sweep against poly is cached (the one
+    a step started from), lends each row its face there: polytope rows by
+    index, zonotope rows by cube-lift bits. Without usable hints each row
+    of a general-position z takes the face it projects onto
+    (``_zonotope_face_rows``, ``_polytope_face_rows``). The rest go to the
+    solvers' cold loops.
 
     Returns None as soon as a row's distance reaches ``bound``; nothing is
     cached then. The other rows ("p", i) / ("z", j) listed in ``order`` are
@@ -159,37 +168,86 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
         if any(r.distance >= bound for r in p_proj + z_proj):
             return None
         return p_proj, z_proj
-    zverts = enumerate_vertices(z)
-    sweeps = {"p": [None] * len(poly.vertices), "z": [None] * len(zverts)}
+    V, zverts = poly.vertices, enumerate_vertices(z)
+    zpts = np.array([pt for _, pt in zverts])
+    sweeps, faces = {"p": [None] * len(V), "z": [None] * len(zverts)}, None
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     if hinted is not None and hinted[0] is poly and hinted[1] == config:
-        p_rows, z_rows = hinted[2:]
-        sweeps["p"] = solvers._box_rows(z.generators, z.translation, poly.vertices,
-                                        [row.coefficients for row in p_rows], config,
-                                        verify=True)
         corral = {bits.tobytes(): row.corral
-                  for (bits, _), row in zip(enumerate_vertices(hints), z_rows)}
-        sweeps["z"] = solvers._hull_rows(poly.vertices, np.array([pt for _, pt in zverts]),
-                                         [corral.get(bits.tobytes(), ()) for bits, _ in zverts],
-                                         config)
+                  for (bits, _), row in zip(enumerate_vertices(hints), hinted[3])}
+        faces = ([row.coefficients for row in hinted[2]],
+                 [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
+    elif not _facet_directions(z)[2]:  # no hints: the faces the rows project onto
+        faces = _zonotope_face_rows(z, V), _polytope_face_rows(poly, zpts)
+    if faces is not None:
+        sweeps["p"] = solvers._box_rows(z.generators, z.translation, V, faces[0], config,
+                                        verify=True)
+        sweeps["z"] = solvers._hull_rows(V, zpts, faces[1], config)
         if any(r is not None and r.distance >= bound for r in sweeps["p"] + sweeps["z"]):
             return None
-    rows = itertools.chain(order, (("p", i) for i in range(len(poly.vertices))),
+    rows = itertools.chain(order, (("p", i) for i in range(len(V))),
                            (("z", j) for j in range(len(zverts))))
     for side, k in rows:
         sweep = sweeps[side]
         if k >= len(sweep) or sweep[k] is not None:
             continue
         if side == "p":
-            sweep[k] = solvers.box_least_squares(z.generators, z.translation,
-                                                 poly.vertices[k], config)
+            sweep[k] = solvers.box_least_squares(z.generators, z.translation, V[k], config)
         else:
-            sweep[k] = solvers.project_to_hull(poly.vertices, zverts[k][1], config)
+            sweep[k] = solvers.project_to_hull(V, zpts[k], config)
         if sweep[k].distance >= bound:
             return None
     p_proj, z_proj = tuple(sweeps["p"]), tuple(sweeps["z"])
     object.__setattr__(z, "_projections", (poly, config, p_proj, z_proj))
     return p_proj, z_proj
+
+
+def _nearest_faces(dist: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndarray:
+    """Per column of ``dist`` (faces x rows, inf where the row's affine
+    projection is not strictly inside the face), the nearest face; faces
+    within 1e-12 x scale tie, and a tie goes to the larger face."""
+    tied = dist <= dist.min(axis=0) + 1e-12 * scale
+    largest = np.where(tied, sizes[:, None], -1).max(axis=0)
+    return np.where(tied & (sizes[:, None] == largest), dist, np.inf).argmin(axis=0)
+
+
+def _zonotope_face_rows(z: Zonotope, targets: np.ndarray) -> np.ndarray:
+    """The face of z (``_zonotope_faces``) each target projects onto, as a
+    ``solvers._box_rows`` row: anchor bits, 0.5 on the free set. One stacked
+    normal-equation solve per free-set size."""
+    codes = _zonotope_faces(z)
+    anchors, free = _bits(codes, z.rank), _bits(codes >> z.rank, z.rank)
+    G, Y = z.generators, targets - z.translation
+    sizes = free.sum(axis=1)
+    dist = np.empty((len(sizes), len(Y)))
+    for m in np.unique(sizes):
+        at = sizes == m
+        D = G[np.nonzero(free[at])[1].reshape(at.sum(), m)]  # (faces, m, d)
+        R = Y - (anchors[at] @ G)[:, None]
+        c = D @ R.transpose(0, 2, 1)
+        c = np.linalg.solve(D @ D.transpose(0, 2, 1), c) if m else c
+        E = R - np.einsum("fmr,fmd->frd", c, D)
+        inside = ((c > 1e-12) & (c < 1.0 - 1e-12)).all(axis=1)
+        dist[at] = np.where(inside, np.sqrt(np.einsum("frd,frd->fr", E, E)), np.inf)
+    pick = _nearest_faces(dist, sizes, 1.0 + float(np.abs(Y).max()))
+    return anchors[pick] + 0.5 * free[pick]
+
+
+def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:
+    """The simplicial face of poly (``_simplicial_faces``) each target
+    projects onto, as a ``solvers._hull_rows`` corral (vertex order). One
+    stacked affine min-norm solve per face size."""
+    groups = [f for f in _simplicial_faces(poly).values() if len(f)]
+    dist = []
+    for f in groups:
+        S = (poly.vertices[f][:, None] - targets[:, None]).reshape(-1, *f.shape[1:], poly.dim)
+        W = solvers._affine_min_norm(S)
+        X = np.einsum("km,kmd->kd", W, S)
+        dist.append(np.where((W > 1e-12).all(axis=1), np.sqrt(np.einsum("kd,kd->k", X, X)),
+                             np.inf).reshape(len(f), -1))
+    sizes = np.concatenate([np.full(len(f), f.shape[1]) for f in groups])
+    rows = [tuple(row) for f in groups for row in f.tolist()]
+    return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]
 
 
 def _probe_order(poly: Polytope, z: Zonotope, config: solvers.SolverConfig):
@@ -396,6 +454,15 @@ def check_locality(poly: Polytope, z: Zonotope,
     return LocalityReport(general_position=True, degenerate_subsets=(),
                           unstable_p_vertices=tuple(np.flatnonzero(bad_p).tolist()),
                           unstable_z_vertices=tuple(np.flatnonzero(bad_z).tolist()))
+
+
+def evaluate(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL,
+             tol_strict: float = STRICT_TOL, config: solvers.SolverConfig = solvers.DEFAULT_CONFIG):
+    """(value, pairs, coarse value, ``LocalityReport``): the distance, the
+    coarse distance and the locality check, read off the pair's one sweep."""
+    value, pairs = hausdorff_distance(poly, z, tol_active, config)
+    return (value, pairs, coarse_hausdorff_distance(poly, z, tol_active, config)[0],
+            check_locality(poly, z, tol_strict, config))
 
 
 @dataclass(frozen=True)

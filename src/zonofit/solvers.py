@@ -11,8 +11,9 @@ Four problem shapes, all solved in dense numpy at desk scale:
 
 The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
-their final face to. A hinted row is solved on its face there, one solve
-per face shape, and kept where the solver's optimality test passes.
+their final face to. A sweep's rows are first solved there on a hinted or
+selected face, one solve per face shape, and kept where the solver's
+optimality test passes; only the rest run the cold loops.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always

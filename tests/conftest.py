@@ -177,3 +177,21 @@ def rigid_motion(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def measured_rows(monkeypatch):
+    """(tail, config) for each sweep row measured while the test runs. A row
+    leaves the solvers through a face tail whether it was solved on a
+    hinted face, on a selected face or by a cold loop, and only a row that
+    the tail accepts is measured."""
+    from zonofit import solvers
+
+    rows = []
+    for name, at in (("_box_rows", 4), ("_hull_rows", 3)):
+        def spy(*args, tail=getattr(solvers, name), name=name, at=at, **kwargs):
+            out = tail(*args, **kwargs)
+            rows.extend((name, args[at]) for row in out if row is not None)
+            return out
+        monkeypatch.setattr(solvers, name, spy)
+    return rows

@@ -108,24 +108,20 @@ class TestPerturbUntilLocal:
             assert tries >= 1 and len(cold) < tries * rows / 2
 
 
-    def test_no_sweep_for_a_start_or_candidate_off_general_position(self, rng, monkeypatch):
+    def test_no_sweep_for_a_start_or_candidate_off_general_position(self, rng, measured_rows):
         # The start has no sweep to lend (check_locality stops at its
         # general-position test), so nothing sweeps it; candidates still
         # off general position are not swept at all.
         poly = random_polytope(rng, 2)
+        measured_rows.clear()  # the polytope's extreme-point tests
         G = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-        cold = []
-        for name in ("box_least_squares", "project_to_hull"):
-            solve = getattr(solvers, name)
-            monkeypatch.setattr(solvers, name,
-                                lambda *a, solve=solve: cold.append(1) or solve(*a))
         start = Zonotope(G, np.zeros(2))
         with pytest.raises(PerturbationBudgetExceeded):
             perturb_until_local(poly, start, 1e-18, rng, max_tries=2)
-        assert not cold and start._projections is None
+        assert not measured_rows and start._projections is None
         out, tries = perturb_until_local(poly, start, 1e-6, rng)
         assert start._projections is None
-        assert len(cold) == tries * (poly.vertices.shape[0] + len(enumerate_vertices(out)))
+        assert len(measured_rows) == tries * (poly.vertices.shape[0] + len(enumerate_vertices(out)))
 
 
 class TestOptimize:

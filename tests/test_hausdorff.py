@@ -1,6 +1,8 @@
 """Distance-layer tests: exact/coarse Hausdorff, stability, local terms."""
 
 import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from conftest import (
     rigid_motion,
     rotated_square_configuration,
 )
+import zonofit
 from zonofit import geom, hausdorff, solvers
 from zonofit.errors import LocalityViolation
 from zonofit.geom import (
@@ -391,9 +394,16 @@ class TestArrayLocality:
     def test_same_unstable_sets_as_the_per_row_rules(self, seed, d, tol_strict):
         # Larger tolerances make more rows unstable, through most branches of
         # the rules; copies moved by 1e-7 put vertices on their faces' borders.
+        # Copies shifted along a free generator put a polytope vertex's
+        # projection within 1e-7 of a lower face, where only the condition
+        # that every active facet spans the free set finds it unstable.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
-        for zk in [z] + [perturbed(z, rng, 1e-7) for _ in range(3)]:
+        p_rows = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)[0]
+        near = [shifted_to_lower_face(z, row, k, rng.uniform(1e-9, 5e-8))
+                for row in p_rows if row.distance > 0.0
+                for k in np.flatnonzero((row.coefficients > 0.0) & (row.coefficients < 1.0))]
+        for zk in [z] + [perturbed(z, rng, 1e-7) for _ in range(3)] + near[:3]:
             report = check_locality(poly, zk, tol_strict=tol_strict)
             assert unstable_sets(report) == reference_locality(poly, zk, tol_strict)
 
@@ -524,28 +534,40 @@ class TestProjectionCache:
             assert ([term_key(t) for t in local_terms(poly, z)]
                     == [term_key(t) for t in local_terms(poly, fresh())])
 
-    def test_other_polytope_or_config_recomputes(self, rng, monkeypatch):
+    def test_other_polytope_or_config_recomputes(self, rng, measured_rows):
         poly_a, z = random_local_instance(rng, d=2, n=4)
         z = Zonotope(z.generators, z.translation)
         poly_b = random_polytope(rng, 2)
         lax = solvers.SolverConfig(feasibility_tol=1e-7)
-        calls = []
-        box_ls = solvers.box_least_squares
-        monkeypatch.setattr(solvers, "box_least_squares",
-                            lambda *a: calls.append(a[-1]) or box_ls(*a))
         sequence = [(poly_a, solvers.DEFAULT_CONFIG), (poly_b, solvers.DEFAULT_CONFIG),
                     (poly_a, solvers.DEFAULT_CONFIG), (poly_a, lax),
                     (poly_b, lax), (poly_a, solvers.DEFAULT_CONFIG)]
         for poly, config in sequence:
-            before = len(calls)
+            before = len(measured_rows)
             warm = distance_key(poly, z, config=config)
-            assert calls[before:] == [config] * poly.vertices.shape[0]
+            # Every row of both sweeps is measured again, with this config.
+            assert sorted(measured_rows[before:], key=lambda row: row[0]) == (
+                [("_box_rows", config)] * poly.vertices.shape[0]
+                + [("_hull_rows", config)] * len(enumerate_vertices(z)))
             assert warm == distance_key(poly, Zonotope(z.generators, z.translation),
                                         config=config)
         # An equal config and the same polytope object reuse the sweep.
-        before = len(calls)
+        before = len(measured_rows)
         hausdorff_distance(poly_a, z, config=solvers.SolverConfig())
-        assert len(calls) == before
+        assert len(measured_rows) == before
+
+    def test_evaluate_is_the_separate_calls_on_one_sweep(self, rng, measured_rows):
+        for d in (2, 3):
+            poly, z = random_local_instance(rng, d=d)
+            fresh = lambda: Zonotope(z.generators, z.translation)  # noqa: E731
+            zk = fresh()
+            before = len(measured_rows)
+            value, pairs, coarse, report = zonofit.evaluate(poly, zk)
+            assert len(measured_rows) - before == (poly.vertices.shape[0]
+                                                   + len(enumerate_vertices(zk)))
+            assert (value, [pair_key(p) for p in pairs]) == distance_key(poly, fresh())
+            assert coarse == coarse_hausdorff_distance(poly, fresh())[0]
+            assert report == check_locality(poly, fresh())
 
     def test_locality_and_terms_reuse_the_sweep(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
@@ -596,6 +618,123 @@ class TestProjectionCache:
             assert np.array_equal(np.flatnonzero(h.weights), np.flatnonzero(c.weights))
             assert np.abs(h.point - c.point).max() <= tol
             assert abs(h.distance - c.distance) <= tol
+
+
+
+def shifted_to_lower_face(z, row, i, c):
+    """z translated along generator i, so that a target whose box
+    least-squares row onto z is ``row`` (i free) lands at coefficient c on
+    the same face: c > 0 small puts it that far from the sub-face x_i = 0,
+    c < 0 just outside the face."""
+    return Zonotope(z.generators, z.translation + (row.coefficients[i] - c) * z.generators[i])
+
+
+def selection_instance(rng, d, kind):
+    """(polytope, zonotope, near-tie row) for the face-selection tests. The
+    near-tie row ("p", i, k) / ("z", j, k) of the "_tie" kinds projects 1e-9
+    inside its face from the sub-face without its generator / vertex k; the
+    "_off" kinds put the row's projection onto the face 1e-9 outside it."""
+    poly, z = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+    if kind == "inside":  # the zonotope well inside the polytope, or around it
+        G = random_zonotope(rng, d + 2, d, scale=0.2 if rng.random() < 0.5 else 5.0).generators
+        z = Zonotope(G, poly.vertices.mean(axis=0) - 0.5 * G.sum(axis=0))
+    elif kind == "cube":  # square facets from d = 3 on: no selected face fits them
+        poly = Polytope.from_vertices(list(itertools.product([0.0, 1.0], repeat=d)))
+        z = random_zonotope(rng, d + 2, d, scale=0.5)
+        z = Zonotope(z.generators, z.translation + 0.5 - z.center)
+    elif kind == "degenerate":  # no face list: every row is measured cold
+        G = z.generators.copy()
+        G[1] = 2.0 * G[0]
+        z = Zonotope(G, z.translation)
+    elif kind[2:] in ("tie", "off"):  # 1e-9 inside the face, or just outside it
+        side, c = "pz".index(kind[0]), 1e-9 if kind.endswith("tie") else -1e-9
+        rows = [(j, r) for j, r in enumerate(cold_sweep(poly, z)[side]) if r.distance > 1e-6]
+        faces = [(j, r, k) for j, r in rows for k in np.flatnonzero(
+            (r.coefficients > 0.0) & (r.coefficients < 1.0) if side == 0 else r.weights)
+            if side == 0 or np.count_nonzero(r.weights) > 1]
+        if faces:
+            j, r, k = faces[rng.integers(len(faces))]
+            if side == 0:
+                z = shifted_to_lower_face(z, r, k, c)
+            else:  # move the projection along its face, weight c on vertex k
+                w = r.weights[k]
+                rest = (r.point - w * poly.vertices[k]) / (1.0 - w)
+                z = Zonotope(z.generators, z.translation + (c - w) * (poly.vertices[k] - rest))
+            return poly, z, (kind[0], j, k) if c > 0.0 else None
+    return poly, z, None
+
+
+def cold_sweep(poly, z):
+    """Both sweeps of the pair by the solvers' cold loops, row by row."""
+    return ([solvers.box_least_squares(z.generators, z.translation, v) for v in poly.vertices],
+            [solvers.project_to_hull(poly.vertices, pt) for _, pt in enumerate_vertices(z)])
+
+
+class TestFaceSelection:
+    @pytest.mark.parametrize("kind", ["random", "inside", "cube", "degenerate",
+                                      "p_tie", "p_off", "z_tie", "z_off"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unhinted_sweep_matches_the_cold_loops(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        poly, z, tie = selection_instance(rng, d, kind)
+        p_rows, z_rows = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
+        p_cold, z_cold = cold_sweep(poly, z)
+        tol = 1e-15 * poly.scale()
+        for i, (row, cold) in enumerate(zip(p_rows, p_cold)):
+            if tie is not None and tie[:2] == ("p", i):
+                # The cold loop may stop on the sub-face, whose stopping test
+                # passes too; the selected row is on the face itself.
+                assert 0.0 < row.coefficients[tie[2]] < 1.0
+                assert abs(row.distance - cold.distance) <= tol
+            else:
+                assert sweep_key([[row]]) == sweep_key([[cold]])
+        for j, ((_, pt), row, cold) in enumerate(zip(enumerate_vertices(z), z_rows, z_cold)):
+            assert abs(row.distance - cold.distance) <= tol
+            if tie is not None and tie[:2] == ("z", j):
+                assert row.weights[tie[2]] > 0.0
+                assert set(np.flatnonzero(row.weights)) >= set(np.flatnonzero(cold.weights))
+            elif poly.interior_margin(pt) <= 0.0:  # inside P any simplex around pt will do
+                assert np.array_equal(np.flatnonzero(row.weights), np.flatnonzero(cold.weights))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_general_position_sweep_calls_no_cold_loop(self, rng, monkeypatch, d):
+        # The zonotope sits inside the polytope: its vertices project into
+        # the fan, the polytope's vertices onto its boundary faces.
+        def refuse(*args):
+            raise AssertionError("cold loop called")
+
+        for _ in range(5):
+            poly = random_polytope(rng, d)
+            G = random_zonotope(rng, d + 2, d, scale=0.1).generators
+            z = Zonotope(G, poly.vertices.mean(axis=0) - 0.5 * G.sum(axis=0))
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_box_active_set", refuse)
+                patch.setattr(solvers, "_wolfe", refuse)
+                assert hausdorff_distance(poly, z)[0] > 0.0
+
+class TestConcurrentCalls:
+    def test_threads_on_shared_objects_match_a_serial_call(self, rng):
+        # Four threads start together on one polytope and one zonotope, none
+        # of whose caches (vertices, facets, sweep, polytope faces) is built.
+        for d in (2, 3):
+            poly, z = random_local_instance(rng, d=d)
+
+            def fresh():
+                return (Polytope(poly.vertices, poly.facet_normals, poly.facet_offsets),
+                        Zonotope(z.generators, z.translation))
+
+            serial = (distance_key(*fresh()), check_locality(*fresh()))
+            shared = fresh()
+            start = threading.Barrier(4)
+
+            def call(_):
+                start.wait()
+                return distance_key(*shared), check_locality(*shared)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(call, range(4))) == [serial] * 4
 
 
 def sweep_key(sweep):
