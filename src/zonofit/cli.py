@@ -10,8 +10,9 @@ Subcommands:
 * ``warmstart`` - emit the initial-guess zonotope for a polytope
 * ``bench``     - warmstart-vs-random experiment over a grid of dims/ranks
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 solver
-failure, 4 perturbation budget exceeded, 5 locality violation (cone).
+Exit codes: 0 success, 1 usage error, 2 input error (unreadable, malformed
+or mismatched input), 3 solver failure, 4 perturbation budget exceeded,
+5 locality violation (cone).
 The environment variable ZONOFIT_SEED overrides any --seed argument.
 """
 
@@ -30,9 +31,11 @@ from .cone import build_cone, certificate
 from .descent import DescentConfig, optimize
 from .errors import (
     DegenerateInput,
+    DimensionMismatch,
     IterationLimit,
     LPNumericalFailure,
     PerturbationBudgetExceeded,
+    RankCapExceeded,
     SolverRetryFailed,
     ZonofitError,
 )
@@ -50,7 +53,7 @@ from .warmstart import warmstart_zonotope
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
+EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_PERTURB = 4
 EXIT_LOCALITY = 5
@@ -454,7 +457,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INPUT
+    except (DimensionMismatch, DegenerateInput, RankCapExceeded) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except PerturbationBudgetExceeded as exc:
         print(f"perturbation budget exceeded: {exc}", file=sys.stderr)
         return EXIT_PERTURB

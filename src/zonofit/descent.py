@@ -36,13 +36,7 @@ from .errors import (
     SolverRetryFailed,
 )
 from .geom import Polytope, Zonotope, _facet_directions, canonicalize
-from .hausdorff import (
-    _probe_order,
-    _projections,
-    check_locality,
-    coarse_hausdorff_distance,
-    hausdorff_distance,
-)
+from .hausdorff import _projections, check_locality, coarse_hausdorff_distance, hausdorff_distance
 from .subgrad import SubdifferentialSet, gradients_for_pairs, params_to_zonotope, zonotope_to_params
 
 __all__ = [
@@ -224,17 +218,17 @@ def _distances(poly, z, cfg, hints=None):
     return d_exact, d_coarse, d_exact, pairs_exact
 
 
-def _reaches(poly, z, d, order, cfg, hints=None) -> bool:
+def _reaches(poly, z, d, cfg, hints=None) -> bool:
     """Whether the objective at ``z`` is at least ``d``, measured lazily.
 
-    The exact sweep stops at its first row that reaches d (rows in
-    ``order`` first, faces of ``hints`` tried first) and caches nothing
-    then; the coarse objective is read off the vertex sets alone, without
-    a sweep.
+    The exact sweep tries the faces of ``hints`` first, measures the other
+    rows largest at ``hints`` first, stops at its first row that reaches d
+    and caches nothing then; the coarse objective is read off the vertex
+    sets alone, without a sweep.
     """
     if cfg.objective == "coarse":
         return coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)[0] >= d
-    return _projections(poly, z, cfg.solver, bound=d, order=order, hints=hints) is None
+    return _projections(poly, z, cfg.solver, bound=d, hints=hints) is None
 
 
 def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
@@ -255,23 +249,21 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
     trace = DescentTrace(records=[])
     iteration = 0
     retried = False
-    carried = None  # evaluation reused from the accepted backtracking probe
-    stepped_from = None  # zonotope of the last unchecked step, for face hints
+    stepped_from = None  # zonotope of the last step, for face hints
+    tries = 0  # locality perturbations applied to z since its last step
     shrink = 1.0  # adaptive starting fraction for conservative backtracking
 
     while True:
-        t0 = time.perf_counter()
+        if not tries:
+            t0 = time.perf_counter()
         try:
             # Threshold and iteration cap are judged at the current
             # zonotope; the locality perturbation only gates the
-            # subgradient machinery below.
-            if carried is not None:
-                d_exact, d_coarse, d, pairs = carried
-                carried = None
-            else:
-                d_exact, d_coarse, d, pairs = _distances(poly, z, cfg, stepped_from)
+            # subgradient machinery below. A perturbed zonotope comes
+            # back here to be measured.
+            d_exact, d_coarse, d, pairs = _distances(poly, z, cfg, stepped_from)
             stepped_from = None
-            tries = probes = 0
+            probes = 0
 
             def record(step, rule, status):
                 trace.records.append(TraceRecord(
@@ -282,23 +274,15 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                     perturb_tries=tries, probes=probes,
                 ))
 
-            if d <= cfg.threshold:
+            if d <= cfg.threshold or iteration >= cfg.max_steps:
                 record(0.0, "-", "none")
-                trace.termination = "threshold"
+                trace.termination = "threshold" if d <= cfg.threshold else "max_steps"
                 return z, trace
-            if iteration >= cfg.max_steps:
-                record(0.0, "-", "none")
-                trace.termination = "max_steps"
-                return z, trace
-
-            z, tries = perturb_until_local(poly, z, cfg.perturb_scale, rng,
-                                           cfg.max_perturb_tries, cfg.solver)
-            if tries:
-                d_exact, d_coarse, d, pairs = _distances(poly, z, cfg)
-                if d <= cfg.threshold:
-                    record(0.0, "-", "none")
-                    trace.termination = "threshold"
-                    return z, trace
+            if not tries:
+                z, tries = perturb_until_local(poly, z, cfg.perturb_scale, rng,
+                                               cfg.max_perturb_tries, cfg.solver)
+                if tries:
+                    continue
 
             cone = build_cone(pairs)
             subdiff = SubdifferentialSet(
@@ -319,40 +303,38 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
             h, effective = choose_step(cfg.step_rule, result.taus, rng,
                                        iteration, switch_at)
             params = zonotope_to_params(z)
+
+            def step(h):
+                return canonicalize(params_to_zonotope(params + h * result.direction,
+                                                       z.rank, z.dim))
+
             if effective == "conservative":
                 # Enforce the rule's strict-decrease guarantee: the raw
                 # half-min step only shrinks the active terms, so halve
                 # until the full distance drops. The starting fraction
                 # adapts to the last productive step to keep probes cheap.
-                # Only an accepted probe is measured in full; for the
-                # exact objective that reads the sweep the probe filled.
+                # For the exact objective the accepted probe's sweep is
+                # cached, and the top of the loop reads it.
                 h_rule = h
                 h = h_rule * shrink
-                order = _probe_order(poly, z, cfg.solver)
-                cand = None
                 for _ in range(_MAX_HALVINGS):
-                    z_next = canonicalize(params_to_zonotope(
-                        params + h * result.direction, z.rank, z.dim))
+                    z_next = step(h)
                     probes += 1
-                    if not _reaches(poly, z_next, d, order, cfg, z):
-                        cand = _distances(poly, z_next, cfg, z)
+                    if not _reaches(poly, z_next, d, cfg, z):
                         break
                     h *= 0.5
-                if cand is None:
+                else:
                     record(0.0, effective, "stalled")
                     trace.termination = "stalled"
                     return z, trace
                 shrink = min(1.0, 2.0 * h / h_rule)
-                carried = cand
-                record(h, effective, "descent")
-                z = z_next
             else:
-                record(h, effective, "descent")
-                stepped_from = z
-                z = canonicalize(params_to_zonotope(
-                    params + h * result.direction, z.rank, z.dim))
+                z_next = step(h)
+            record(h, effective, "descent")
+            stepped_from, z = z, z_next
             iteration += 1
             retried = False
+            tries = 0
         except (IterationLimit, LPNumericalFailure) as exc:
             if retried:
                 raise SolverRetryFailed(
@@ -360,5 +342,5 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 ) from exc
             trace.solver_retries += 1
             retried = True
-            carried = None
+            tries = 0
             z = _perturbed(z, cfg.perturb_scale, rng)

@@ -454,10 +454,6 @@ class LiftPoint:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
 
-    @property
-    def rank(self) -> int:
-        return self.values.size
-
     def anchor_bits(self) -> np.ndarray:
         """Bit-vector with free coordinates dropped to 0 (a face anchor)."""
         bits = np.round(self.values).astype(float)

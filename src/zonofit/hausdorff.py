@@ -24,7 +24,6 @@ coefficient off the projection's weights, and projects nothing itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +137,7 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
 
 
 def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
-                 bound: float = np.inf, order=(), hints: Zonotope | None = None):
+                 bound: float = np.inf, hints: Zonotope | None = None):
     """The pair's two vertex sweeps, computed once and cached on ``z``.
 
     Returns (p_proj, z_proj): the box least-squares projection of each
@@ -158,9 +157,11 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     solvers' cold loops.
 
     Returns None as soon as a row's distance reaches ``bound``; nothing is
-    cached then. The other rows ("p", i) / ("z", j) listed in ``order`` are
-    measured first (those z lacks are skipped), the rest follow in sweep
-    order. The order only decides how soon a bound is met, never the result.
+    cached then. The hints also order the cold rows: largest distance of the
+    same row (polytope row i, zonotope row j) in the hints' sweep first,
+    since a backtracking probe mostly fails where its start was farthest;
+    rows the hints lack follow in sweep order. The order only decides how
+    soon a bound is met, never the result.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly and cached[1] == config:
@@ -171,12 +172,15 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     V, zverts = poly.vertices, enumerate_vertices(z)
     zpts = np.array([pt for _, pt in zverts])
     sweeps, faces = {"p": [None] * len(V), "z": [None] * len(zverts)}, None
+    rows = [("p", i) for i in range(len(V))] + [("z", j) for j in range(len(zverts))]
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     if hinted is not None and hinted[0] is poly and hinted[1] == config:
         corral = {bits.tobytes(): row.corral
                   for (bits, _), row in zip(enumerate_vertices(hints), hinted[3])}
         faces = ([row.coefficients for row in hinted[2]],
                  [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
+        ranked = [r.distance for r in hinted[2] + hinted[3]] + [-np.inf] * len(zverts)
+        rows = [rows[k] for k in np.argsort(-np.array(ranked[:len(rows)]), kind="stable")]
     elif not _facet_directions(z)[2]:  # no hints: the faces the rows project onto
         faces = _zonotope_face_rows(z, V), _polytope_face_rows(poly, zpts)
     if faces is not None:
@@ -185,11 +189,9 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
         sweeps["z"] = solvers._hull_rows(V, zpts, faces[1], config)
         if any(r is not None and r.distance >= bound for r in sweeps["p"] + sweeps["z"]):
             return None
-    rows = itertools.chain(order, (("p", i) for i in range(len(V))),
-                           (("z", j) for j in range(len(zverts))))
     for side, k in rows:
         sweep = sweeps[side]
-        if k >= len(sweep) or sweep[k] is not None:
+        if sweep[k] is not None:
             continue
         if side == "p":
             sweep[k] = solvers.box_least_squares(z.generators, z.translation, V[k], config)
@@ -248,18 +250,6 @@ def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:
     sizes = np.concatenate([np.full(len(f), f.shape[1]) for f in groups])
     rows = [tuple(row) for f in groups for row in f.tolist()]
     return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]
-
-
-def _probe_order(poly: Polytope, z: Zonotope, config: solvers.SolverConfig):
-    """The pair's sweep rows ("p", i) / ("z", j), largest distance first.
-
-    A backtracking probe that fails mostly fails at the rows that were
-    already largest, so measuring them first rejects it after few rows.
-    """
-    p_proj, z_proj = _projections(poly, z, config)
-    rows = [("p", i) for i in range(len(p_proj))] + [("z", j) for j in range(len(z_proj))]
-    distances = np.array([r.distance for r in p_proj + z_proj])
-    return [rows[k] for k in np.argsort(-distances, kind="stable")]
 
 
 def _banded_pairs(poly: Polytope, z: Zonotope, rows, tol_active: float):

@@ -11,9 +11,9 @@ Four problem shapes, all solved in dense numpy at desk scale:
 
 The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
-their final face to. A sweep's rows are first solved there on a hinted or
-selected face, one solve per face shape, and kept where the solver's
-optimality test passes; only the rest run the cold loops.
+their final face to. The Hausdorff sweeps solve their rows there first,
+on faces they choose, one solve per face shape, and keep those where the
+solver's optimality test passes; only the rest run the cold loops.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -203,7 +203,6 @@ def solve_lp(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) -> LPResu
 
     obj_sign = -1.0 if lp.maximize else 1.0
     c_std = obj_sign * (lp.objective @ S)
-    const = float(lp.objective @ base)
 
     # Normalize rhs >= 0, then add slack/surplus/artificial columns.
     flip = np.ones(m)
@@ -336,7 +335,6 @@ def box_least_squares(
     translation: np.ndarray,
     target: np.ndarray,
     config: SolverConfig = DEFAULT_CONFIG,
-    hint: BoxProjection | None = None,
 ) -> BoxProjection:
     """Minimize |x @ generators + translation - target| over x in [0,1]^n.
 
@@ -345,14 +343,11 @@ def box_least_squares(
     scale: the negative gradient is <= 0 at lower-bounded coordinates,
     >= 0 at upper-bounded ones and ~ 0 at free ones. Coordinates at a bound
     are returned exactly 0.0 or 1.0, which downstream face detection relies
-    on. ``hint``, the projection of a nearby target, is tried first on the
-    face tail (``_box_rows``); a hint that fails its check changes nothing.
+    on.
     """
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
     T = np.asarray(target, dtype=float)[None]
-    return ((hint is not None and hint.coefficients.shape == (G.shape[0],)
-             and _box_rows(G, mu, T, hint.coefficients[None], config, verify=True)[0])
-            or _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, config)[None], config)[0])
+    return _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, config)[None], config)[0]
 
 
 def _box_tol(G, Y, config) -> np.ndarray:
@@ -477,23 +472,15 @@ def project_to_hull(
     points: np.ndarray,
     target: np.ndarray,
     config: SolverConfig = DEFAULT_CONFIG,
-    hint: HullProjection | None = None,
 ) -> HullProjection:
     """Min-norm point of conv(points) - target, via Wolfe's algorithm.
 
     Maintains a corral of affinely independent points; major iterations add
     the most violating point (lowest index on ties), minor iterations
-    restore convex weights. Finite termination up to tolerances. ``hint``,
-    a nearby target's projection onto the same points, is tried first on
-    the face tail (``_hull_rows``); a hint that fails its check changes
-    nothing.
+    restore convex weights. Finite termination up to tolerances.
     """
     V = np.atleast_2d(np.asarray(points, dtype=float))
     T = np.asarray(target, dtype=float)[None]
-    if hint is not None and max(hint.corral, default=V.shape[0]) < V.shape[0]:
-        row = _hull_rows(V, T, [hint.corral], config)[0]
-        if row is not None:
-            return row
     corral, lam = _wolfe(V - T[0], config)
     return _hull_rows(V, T, [corral], config, [lam])[0]
 

@@ -204,20 +204,15 @@ def clarke_subdifferential(
     The exact objective requires the locality conditions; the coarse
     objective only needs the pairs themselves.
     """
-    if objective == "coarse":
-        value, pairs = coarse_hausdorff_distance(poly, z, tol_active, config)
-        return SubdifferentialSet(
-            gradients=gradients_for_pairs(poly, z, pairs),
-            pairs=tuple(pairs),
-            objective="coarse",
-        )
-    if not check_locality(poly, z, config=config).ok:
+    coarse = objective == "coarse"
+    if not coarse and not check_locality(poly, z, config=config).ok:
         raise LocalityViolation("locality conditions fail; gradients undefined")
-    value, pairs = hausdorff_distance(poly, z, tol_active, config)
+    distance = coarse_hausdorff_distance if coarse else hausdorff_distance
+    _, pairs = distance(poly, z, tol_active, config)
     return SubdifferentialSet(
         gradients=gradients_for_pairs(poly, z, pairs),
         pairs=tuple(pairs),
-        objective="exact",
+        objective="coarse" if coarse else "exact",
     )
 
 

@@ -68,6 +68,15 @@ class TestDistanceCommand:
         coarse = json.loads(capsys.readouterr().out)["value"]
         assert coarse >= exact - 1e-9
 
+    def test_dimension_mismatch_exit_2(self, square_files, tmp_path, capsys):
+        poly, _ = square_files
+        zono = write_json(tmp_path / "z3.json", {
+            "generators": np.eye(3).tolist(), "translation": [0.0, 0.0, 0.0],
+        })
+        assert main(["distance", poly, zono]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -177,6 +186,12 @@ class TestOptimizeCommand:
         z_obj = zonotope_from_json(out["zonotope"])
         _, pairs = hausdorff_distance(p_obj, z_obj)
         assert len(pair_groups) == len(pairs)
+
+    def test_rank_below_dimension_exit_2(self, square_files, capsys):
+        poly, _ = square_files
+        assert main(["optimize", poly, "--rank", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
 
 
 class TestConeCommand:

@@ -277,7 +277,7 @@ class TestProbes:
             with monkeypatch.context() as m:
                 m.setattr(solvers, "box_least_squares", no_sweep)
                 m.setattr(solvers, "project_to_hull", no_sweep)
-                assert descent._reaches(poly, z, d_coarse, (), cfg)
-                assert descent._reaches(poly, z, 0.5 * d_coarse, (), cfg)
+                assert descent._reaches(poly, z, d_coarse, cfg)
+                assert descent._reaches(poly, z, 0.5 * d_coarse, cfg)
             assert z._projections is None
-            assert not descent._reaches(poly, z, 2.0 * d_coarse, (), cfg)
+            assert not descent._reaches(poly, z, 2.0 * d_coarse, cfg)

@@ -55,9 +55,9 @@ def test_probes_are_rejected_early(monkeypatch):
     rejected = []  # (cold solves, rows of the pair) per rejected probe
     bounded = descent._projections
 
-    def spy(poly, z, config, bound=np.inf, order=(), hints=None):
+    def spy(poly, z, config, bound=np.inf, hints=None):
         before = len(cold)
-        out = bounded(poly, z, config, bound, order, hints)
+        out = bounded(poly, z, config, bound, hints)
         if out is None:
             rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
             rejected.append((len(cold) - before, rows))

@@ -1,5 +1,6 @@
 """Distance-layer tests: exact/coarse Hausdorff, stability, local terms."""
 
+import dataclasses
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -752,18 +753,16 @@ class TestBoundedSweep:
             poly = random_polytope(rng, d)
             z = random_zonotope(rng, n, d)
             fresh = lambda: Zonotope(z.generators, z.translation)  # noqa: E731
-            value, _ = hausdorff_distance(poly, fresh())
-            full = sweep_key(hausdorff._projections(poly, fresh(), config))
-            rows = ([("p", i) for i in range(poly.vertices.shape[0])]
-                    + [("z", j) for j in range(len(enumerate_vertices(z)))])
-            # A shuffled order, and a row the zonotope does not have.
-            order = [rows[k] for k in rng.permutation(len(rows))][:len(rows) // 2]
-            order.insert(1, ("z", len(rows)))
-            for bound in (0.5 * value, value, np.nextafter(value, np.inf), 2.0 * value):
-                for rows_first in ((), order):
+            # No hints; hints near z, whose faces mostly carry over; and
+            # unrelated hints, whose distances order the rows that go cold.
+            for hints in (None, perturbed(z, rng, 1e-6), random_zonotope(rng, n, d)):
+                if hints is not None:
+                    hausdorff._projections(poly, hints, config)
+                full = sweep_key(hausdorff._projections(poly, fresh(), config, hints=hints))
+                value = max(distance for side in full for _, distance, _, _ in side)
+                for bound in (0.5 * value, value, np.nextafter(value, np.inf), 2.0 * value):
                     zb = fresh()
-                    out = hausdorff._projections(poly, zb, config, bound=bound,
-                                                 order=rows_first)
+                    out = hausdorff._projections(poly, zb, config, bound=bound, hints=hints)
                     assert (out is None) == (value >= bound)
                     if out is None:
                         assert zb._projections is None
@@ -771,16 +770,50 @@ class TestBoundedSweep:
                         assert sweep_key(out) == full
                         assert sweep_key(zb._projections[2:]) == full
             # A cached sweep still answers to the bound.
+            value, _ = hausdorff_distance(poly, fresh())
+            full = sweep_key(hausdorff._projections(poly, fresh(), config))
             zc = fresh()
             hausdorff._projections(poly, zc, config)
             assert hausdorff._projections(poly, zc, config, bound=value) is None
             assert sweep_key(hausdorff._projections(poly, zc, config, bound=2 * value)) == full
 
-    def test_probe_order_is_largest_distance_first(self, rng):
-        poly, z = random_local_instance(rng, d=2, n=4)
-        p_proj, z_proj = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
-        distance = {("p", i): r.distance for i, r in enumerate(p_proj)}
-        distance.update({("z", j): r.distance for j, r in enumerate(z_proj)})
-        order = hausdorff._probe_order(poly, z, solvers.DEFAULT_CONFIG)
-        assert sorted(order) == sorted(distance)
-        assert [distance[row] for row in order] == sorted(distance.values(), reverse=True)
+    def test_cold_rows_are_measured_largest_hinted_distance_first(self, rng, monkeypatch):
+        # The hints are z's own sweep with the faces of some rows broken
+        # (all generators free for a polytope row outside z, an empty corral
+        # for a zonotope row): exactly those rows go cold.
+        config = solvers.DEFAULT_CONFIG
+        for _ in range(5):
+            poly, z = random_local_instance(rng, d=2, n=4)
+            p_proj, z_proj = hausdorff._projections(poly, z, config)
+            distance = {("p", i): r.distance for i, r in enumerate(p_proj)}
+            distance.update({("z", j): r.distance for j, r in enumerate(z_proj)})
+            value = max(distance.values())
+            rows = [row for row in distance if distance[row] > 1e-6]
+            broken = {max(distance, key=distance.get)}
+            broken.update(rows[k] for k in rng.permutation(len(rows))[:len(rows) // 2])
+            assert len(broken) >= 3 and list(distance.values()).count(value) == 1
+            object.__setattr__(z, "_projections", (poly, config, tuple(
+                dataclasses.replace(r, coefficients=np.full(4, 0.5)) if ("p", i) in broken
+                else r for i, r in enumerate(p_proj)), tuple(
+                dataclasses.replace(r, corral=()) if ("z", j) in broken
+                else r for j, r in enumerate(z_proj))))
+            zpts = np.array([pt for _, pt in enumerate_vertices(z)])
+            cold = []
+            with monkeypatch.context() as patch:
+                for name, side, points in (("box_least_squares", "p", poly.vertices),
+                                           ("project_to_hull", "z", zpts)):
+                    def spy(*args, solve=getattr(solvers, name), side=side, points=points):
+                        target = args[2] if side == "p" else args[1]
+                        cold.append((side, int(np.flatnonzero((points == target).all(1))[0])))
+                        return solve(*args)
+                    patch.setattr(solvers, name, spy)
+                out = hausdorff._projections(poly, Zonotope(z.generators, z.translation),
+                                             config, bound=2.0 * value, hints=z)
+                assert out is not None and sorted(cold) == sorted(broken)
+                assert ([distance[row] for row in cold]
+                        == sorted((distance[row] for row in broken), reverse=True))
+                # The row that reaches the pair's value is measured first.
+                cold.clear()
+                assert hausdorff._projections(poly, Zonotope(z.generators, z.translation),
+                                              config, bound=value, hints=z) is None
+                assert [distance[row] for row in cold] == [value]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import box_ls_oracle, hull_projection_oracle, lp_oracle, random_zonotope
-from zonofit import solvers
 from zonofit.errors import InfeasibleRegion, UnboundedRegion
 from zonofit.solvers import (
     LinearProgram,
@@ -233,55 +232,11 @@ class TestProjectToHull:
                 assert res.distance <= fine + 1e-12
                 assert res.distance == pytest.approx(fine, abs=1e-4)
 
-
-def box_key(res):
-    return (res.coefficients.tolist(), res.point.tolist(), res.distance, res.kkt_residual)
-
-
-def hull_key(res):
-    return (res.weights.tolist(), res.point.tolist(), res.distance, res.kkt_residual,
-            res.corral)
-
-
-def refuse(*args, **kwargs):
-    raise AssertionError("the cold loop ran")
-
-
-class TestHints:
-    """A hint is the projection of a nearby target: one solve on its face,
-    kept only when the solver's own optimality test proves it exact."""
-
-    def problems(self, rng, count=20):
-        for _ in range(count):
-            n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-            yield (rng.uniform(-1.0, 1.0, size=(n, d)), rng.uniform(-0.5, 0.5, size=d),
-                   rng.uniform(-3.0, 3.0, size=d))
-
-    def test_unrelated_hint_returns_the_cold_result(self, rng):
-        problems = list(self.problems(rng))
-        for (G, mu, p), (G2, mu2, p2) in zip(problems, problems[1:]):
-            box_hint = box_least_squares(G2, mu2, p2)
-            assert (box_key(box_least_squares(G, mu, p, hint=box_hint))
-                    == box_key(box_least_squares(G, mu, p)))
-            hull_hint = project_to_hull(G2, p2)
-            assert (hull_key(project_to_hull(G, p, hint=hull_hint))
-                    == hull_key(project_to_hull(G, p)))
-
-    def test_same_target_hint_skips_the_cold_loop(self, rng, monkeypatch):
-        problems = list(self.problems(rng))
-        boxes = [box_least_squares(G, mu, p) for G, mu, p in problems]
-        hulls = [project_to_hull(G, p) for G, _, p in problems]
-        monkeypatch.setattr(solvers, "_box_active_set", refuse)
-        monkeypatch.setattr(solvers, "_wolfe", refuse)
-        for (G, mu, p), box, hull in zip(problems, boxes, hulls):
-            assert box_key(box_least_squares(G, mu, p, hint=box)) == box_key(box)
-            assert hull_key(project_to_hull(G, p, hint=hull)) == hull_key(hull)
-        with pytest.raises(AssertionError, match="cold loop"):
-            project_to_hull(*problems[0][::2])
-
     def test_corral_is_the_support_of_the_weights(self, rng):
-        for G, _, p in self.problems(rng, 40):
-            res = project_to_hull(G, p)
+        for _ in range(40):
+            n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            res = project_to_hull(rng.uniform(-1.0, 1.0, size=(n, d)),
+                                  rng.uniform(-3.0, 3.0, size=d))
             assert sorted(res.corral) == np.flatnonzero(res.weights).tolist()
 
 
