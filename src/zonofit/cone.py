@@ -9,11 +9,15 @@ point in its interior strictly decreases the distance for small steps,
 and an empty interior certifies a local minimum when every q_i is a
 vertex (always true for the coarse objective).
 
-The chosen descent direction is the Chebyshev center of the negated
-active-gradient hull restricted to the cone: active-term gradients are
-ascent directions, so the hull is negated before intersecting. The
-Chebyshev LP runs inside the hull's affine span, where the hull is
-full-dimensional and the inscribed radius is meaningful.
+The same row divided by |p_i - q_i| is the negated gradient of pair i's
+active smooth term at the zonotope, -(e_i (x) r^_i, r^_i) with
+r^_i = (p_i - q_i) / |p_i - q_i|, so the gradients are read off the cone
+matrix (``FeasibilityCone.negated_gradients``). The chosen descent
+direction is the Chebyshev center of the hull of those rows restricted to
+the cone: active-term gradients are ascent directions, so the hull is
+negated before intersecting. The Chebyshev LP runs inside the hull's
+affine span, where the hull is full-dimensional and the inscribed radius
+is meaningful.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .errors import EmptyTaus, InfeasibleRegion, NonImprovingRow, UnboundedRegion
-from .geom import Polytope, Zonotope, _facets_brute_force, _readonly
-from .subgrad import SubdifferentialSet
+from .errors import DegenerateFace, EmptyTaus, InfeasibleRegion, NonImprovingRow, UnboundedRegion
+from .geom import _facets_brute_force, _readonly
 
 __all__ = [
     "FeasibilityCone",
@@ -54,6 +57,15 @@ class FeasibilityCone:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(np.atleast_2d(self.matrix)))
+
+    def negated_gradients(self) -> np.ndarray:
+        """Row i over |p_i - q_i|: the negated gradient of pair i's active
+        term. Raises DegenerateFace for a pair with p = q, whose term has
+        no gradient there."""
+        r = np.linalg.norm(self.matrix[:, -self.pairs[0].p.size:], axis=1)
+        if np.any(r <= 1e-14):
+            raise DegenerateFace("achieving pair has p = q; no gradient")
+        return self.matrix / r[:, None]
 
 
 def build_cone(pairs) -> FeasibilityCone:
@@ -99,30 +111,25 @@ def certificate(pairs, objective: str) -> str:
     return "heuristic"
 
 
-def tau_limits(pairs, direction: np.ndarray):
+def tau_limits(cone: FeasibilityCone, direction: np.ndarray):
     """Per-pair step-size limits along ``direction``.
 
     tau_i = 2 <delta_i, p_i - q_i> / |delta_i|^2 with
-    delta_i = dQ^T e_i + dmu; any step below tau_i strictly shrinks pair
-    i's distance, and tau_i/2 is the minimizer along the ray. Requires the
+    delta_i = dQ^T e_i + dmu; the numerators are the cone rows applied to
+    the direction. Any step below tau_i strictly shrinks pair i's
+    distance, and tau_i/2 is the minimizer along the ray. Requires the
     direction to improve every pair (NonImprovingRow otherwise).
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not cone.pairs:
         raise EmptyTaus("no achieving pairs")
-    d = pairs[0].p.size
-    n = pairs[0].lift.values.size
     direction = np.asarray(direction, dtype=float)
-    dQ = direction[: n * d].reshape(n, d)
-    dmu = direction[n * d :]
-    taus = []
-    for pair in pairs:
-        delta = pair.lift.values @ dQ + dmu
-        num = float(delta @ (pair.p - pair.q))
-        if num <= 0.0:
-            raise NonImprovingRow("direction does not improve every pair")
-        taus.append(2.0 * num / float(delta @ delta))
-    return tuple(taus)
+    d = cone.pairs[0].p.size
+    E = np.array([pair.lift.values for pair in cone.pairs])
+    delta = E @ direction[:-d].reshape(E.shape[1], d) + direction[-d:]
+    num = cone.matrix @ direction
+    if np.any(num <= 0.0):
+        raise NonImprovingRow("direction does not improve every pair")
+    return tuple((2.0 * num / (delta * delta).sum(axis=1)).tolist())
 
 
 def _chebyshev_direction(neg_gradients, A, margin, config):
@@ -160,9 +167,6 @@ def _chebyshev_direction(neg_gradients, A, margin, config):
 
 
 def descent_direction(
-    poly: Polytope,
-    z: Zonotope,
-    subdiff: SubdifferentialSet | None,
     cone: FeasibilityCone,
     objective: str = "exact",
     margin: float = DIRECTION_MARGIN,
@@ -171,10 +175,10 @@ def descent_direction(
     """Search for a strictly improving perturbation direction.
 
     First tests the cone interior; an empty interior short-circuits to a
-    certificate (no gradients needed). Otherwise intersects the negated
-    active-gradient hull with the cone and returns the Chebyshev center,
-    verified to strictly improve every pair. An empty intersection is read
-    as a local minimum.
+    certificate. Otherwise intersects the negated active-gradient hull
+    (the cone's rows over |p_i - q_i|) with the cone and returns the
+    Chebyshev center, verified to strictly improve every pair. An empty
+    intersection is read as a local minimum.
     """
     interior = solvers.cone_interior_point(cone.matrix, config)
     if not interior.interior:
@@ -182,10 +186,7 @@ def descent_direction(
                                certificate=certificate(cone.pairs, objective),
                                interior_margin=interior.margin)
 
-    if subdiff is None:
-        raise ValueError("gradients are required once the cone has interior")
-    direction = _chebyshev_direction([-np.asarray(g) for g in subdiff.gradients],
-                                     cone.matrix, margin, config)
+    direction = _chebyshev_direction(cone.negated_gradients(), cone.matrix, margin, config)
     if direction is None:
         return DirectionResult(status="feasible_empty",
                                interior_margin=interior.margin)
@@ -195,6 +196,6 @@ def descent_direction(
     if np.any(values <= 0.5 * margin * row_norms * (1.0 + np.linalg.norm(direction))):
         return DirectionResult(status="feasible_empty",
                                interior_margin=interior.margin)
-    taus = tau_limits(cone.pairs, direction)
+    taus = tau_limits(cone, direction)
     return DirectionResult(status="descent", direction=direction, taus=taus,
                            certificate=None, interior_margin=interior.margin)

@@ -3,9 +3,10 @@
 Each iteration: restore the locality conditions by small random
 perturbation if needed, evaluate the distance and its achieving pairs,
 build the feasibility cone, pick the Chebyshev direction of the negated
-active-gradient hull inside the cone, and step by a fraction of the
-per-pair limits. Terminates on the distance threshold, the iteration cap,
-or a certificate (empty cone interior / empty feasible set).
+active-gradient hull (read off the cone's rows) inside the cone, and step
+by a fraction of the per-pair limits. Terminates on the distance
+threshold, the iteration cap, or a certificate (empty cone interior /
+empty feasible set).
 
 Step rules: "conservative" takes half the smallest limit and is made
 strictly monotone by halving the step until the distance actually drops
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .geom import Polytope, Zonotope, _facet_directions, canonicalize
 from .hausdorff import _projections, check_locality, coarse_hausdorff_distance, hausdorff_distance
-from .subgrad import SubdifferentialSet, gradients_for_pairs, params_to_zonotope, zonotope_to_params
+from .subgrad import params_to_zonotope, zonotope_to_params
 
 __all__ = [
     "DescentConfig",
@@ -284,16 +285,8 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 if tries:
                     continue
 
-            cone = build_cone(pairs)
-            subdiff = SubdifferentialSet(
-                gradients=gradients_for_pairs(poly, z, pairs),
-                pairs=tuple(pairs),
-                objective=cfg.objective,
-            )
-            result = descent_direction(
-                poly, z, subdiff, cone,
-                objective=cfg.objective, margin=cfg.cone_margin, config=cfg.solver,
-            )
+            result = descent_direction(build_cone(pairs), objective=cfg.objective,
+                                       margin=cfg.cone_margin, config=cfg.solver)
             if result.status != "descent":
                 record(0.0, "-", result.status)
                 trace.termination = "certificate_or_feasible_empty"

@@ -16,9 +16,10 @@ S combined with every bit pattern on S, and its faces those with every
 pattern {0, 1, free} on S. One pass over the subsets
 (``_facet_directions``) yields facets, faces and vertices together. Outside
 general position that correspondence fails, and vertex enumeration falls
-back to a separating-hyperplane feasibility LP per bit-vector. Faces of
-either body are handed around as ``FaceDescriptor`` values carrying an
-orthonormal affine-hull description.
+back to a separating-hyperplane feasibility LP per bit-vector. A zonotope
+face is named by a cube lift's anchor bits and free generators
+(``LiftPoint``); polytope faces are handed around as ``FaceDescriptor``
+values carrying an orthonormal affine-hull description.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "is_pushforward_proper",
     "minimal_face",
     "face_affine_hull",
-    "zonotope_face_from_lift",
     "polytope_from_json",
     "polytope_to_json",
     "zonotope_from_json",
@@ -491,22 +491,14 @@ class AffineHull:
 
 @dataclass(frozen=True)
 class FaceDescriptor:
-    """A face of either body.
-
-    Zonotope faces carry an anchor bit-vector plus the free generator
-    indices; polytope faces carry the vertex subset. ``affine_hull`` is
-    None exactly when the face is the whole body (codim 0).
+    """A face of the polytope (``minimal_face``): its vertex subset and
+    its affine hull, which is None exactly when the face is the whole body
+    (codim 0).
     """
 
-    side: str  # "zonotope" | "polytope"
+    side: str  # "polytope"
     affine_hull: AffineHull | None
-    anchor_bits: np.ndarray | None = None
-    free_indices: tuple | None = None
     vertex_indices: tuple | None = None
-
-    def __post_init__(self):
-        if self.anchor_bits is not None:
-            object.__setattr__(self, "anchor_bits", _readonly(self.anchor_bits))
 
     @property
     def codim(self) -> int:
@@ -522,30 +514,6 @@ def face_affine_hull(face: FaceDescriptor) -> AffineHull:
     if face.affine_hull is None:
         raise CodimZeroFace("face is the whole body")
     return face.affine_hull
-
-
-def _orthonormal_complement(directions: np.ndarray, d: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the orthogonal complement of the span."""
-    if directions.size == 0:
-        return np.eye(d)
-    _, s, vt = np.linalg.svd(directions)
-    r = int((s > 1e-10 * max(1.0, s[0])).sum())
-    return vt[r:]
-
-
-def zonotope_face_from_lift(z: Zonotope, lift: LiftPoint) -> FaceDescriptor:
-    """Face of ``z`` whose relative interior contains the lift's image."""
-    free = lift.free_indices
-    d = z.dim
-    bits = lift.anchor_bits()
-    if len(free) >= d:
-        return FaceDescriptor(side="zonotope", affine_hull=None,
-                              anchor_bits=bits, free_indices=free)
-    base = z.map_point(bits)
-    normals = _orthonormal_complement(z.generators[list(free)], d)
-    hull = AffineHull(base=base, normals=normals, offsets=normals @ base)
-    return FaceDescriptor(side="zonotope", affine_hull=hull,
-                          anchor_bits=bits, free_indices=free)
 
 
 def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL,

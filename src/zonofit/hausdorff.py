@@ -11,8 +11,8 @@ solvers' face tails: the face the row had on the hints (the zonotope a
 step started from), or else the face it projects onto in the other body's
 face list. Only rows whose face fails the solver's own optimality test go
 to the solvers' cold loops. Each near-maximal pair is returned with the
-data the optimization layer needs: the cube lift of the zonotope-side
-point and the minimal face the projection lands on.
+data the optimization layer needs: its two endpoints and the cube lift of
+the zonotope-side point.
 
 Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
@@ -33,7 +33,6 @@ from .errors import DimensionMismatch, LocalityViolation
 from .geom import (
     FACE_ACTIVE_TOL,
     AffineHull,
-    FaceDescriptor,
     LiftPoint,
     Polytope,
     Zonotope,
@@ -46,7 +45,6 @@ from .geom import (
     enumerate_vertices,
     lift_values_to_lift,
     minimal_face,
-    zonotope_face_from_lift,
     zonotope_facets,
 )
 
@@ -75,9 +73,9 @@ class AchievingPair:
     ``side`` records which sweep produced it: "p_vertex" means p is a
     vertex of the polytope and q its projection onto the zonotope,
     "z_vertex" means q is a zonotope vertex and p its projection onto the
-    polytope. ``lift`` is always the cube lift of q; ``face`` is the
-    minimal face the non-vertex endpoint lies in (a zonotope face for
-    p_vertex pairs, a polytope face for z_vertex pairs).
+    polytope. ``lift`` is always the cube lift of q; its free indices
+    span the minimal zonotope face q lies in. The pair's cone row and its
+    active-term gradient are read off p, q and the lift alone.
     """
 
     p: np.ndarray
@@ -85,7 +83,6 @@ class AchievingPair:
     side: str
     vertex_index: int
     lift: LiftPoint
-    face: FaceDescriptor
     distance: float
 
     def __post_init__(self):
@@ -252,23 +249,18 @@ def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:
     return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]
 
 
-def _banded_pairs(poly: Polytope, z: Zonotope, rows, tol_active: float):
+def _banded_pairs(rows, tol_active: float):
     """(value, pairs) from one row per vertex of either body.
 
     A row is (side, vertex_index, p, q, lift values of q, distance). A pair
     is reported when its distance is within ``tol_active * value`` of the
-    maximum, in row order. Its face is the zonotope face of the lift for
-    p_vertex rows and the minimal polytope face of p for z_vertex rows.
+    maximum, in row order.
     """
     value = max(row[-1] for row in rows)
-    pairs = []
-    for side, index, p, q, values, distance in rows:
-        if distance >= value * (1.0 - tol_active):
-            lift = lift_values_to_lift(values)
-            face = (zonotope_face_from_lift(z, lift) if side == "p_vertex"
-                    else minimal_face(poly, p))
-            pairs.append(AchievingPair(p=p, q=q, side=side, vertex_index=index,
-                                       lift=lift, face=face, distance=distance))
+    pairs = [AchievingPair(p=p, q=q, side=side, vertex_index=index,
+                           lift=lift_values_to_lift(values), distance=distance)
+             for side, index, p, q, values, distance in rows
+             if distance >= value * (1.0 - tol_active)]
     return value, pairs
 
 
@@ -291,7 +283,7 @@ def hausdorff_distance(
             for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
     rows += [("z_vertex", j, hp.point, pt, bits, hp.distance)
              for j, ((bits, pt), hp) in enumerate(zip(enumerate_vertices(z), z_proj))]
-    return _banded_pairs(poly, z, rows, tol_active)
+    return _banded_pairs(rows, tol_active)
 
 
 def coarse_hausdorff_distance(
@@ -317,7 +309,7 @@ def coarse_hausdorff_distance(
             for i, j in enumerate(p_near)]
     rows += [("z_vertex", j, V[i], pt, bits, float(dmat[i, j]))
              for j, (i, (bits, pt)) in enumerate(zip(z_near, zverts))]
-    return _banded_pairs(poly, z, rows, tol_active)
+    return _banded_pairs(rows, tol_active)
 
 
 # Laxer feasibility for the small equality-constrained stability LP; its

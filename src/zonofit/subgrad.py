@@ -4,15 +4,19 @@ Parameters of a rank-n zonotope in R^d are flattened into a single vector
 of length n*d + d: generator rows in row-major order, then the
 translation. All gradients returned here use that layout.
 
-Each smooth term has one gradient formula, and the exact and the coarse
-objective share it (a coarse pair is a term at a vertex face). For a
-zonotope-vertex term the moving point is affine in the parameters and the
-gradient is immediate. For a polytope-vertex term the moving object is the
-affine hull of a zonotope face, and the gradient is the chain rule through
-the orthogonal-projector form of the point-to-affine distance, on every
-face. The paper's explicit facet normal from signed minors is kept as
-``facet_normal``, the reference the facet gradients are tested against. A
-central finite-difference oracle is provided for validation.
+At the zonotope where a pair achieves the distance, every active term's
+gradient is -(e (x) r^, r^), with e the cube lift of q and
+r^ = (p - q) / |p - q|: the pair's cone row over -|p - q|. The descent and
+``clarke_subdifferential`` read it off the cone matrix
+(``gradients_for_pairs``). The term formulae here hold at any zonotope
+near the base one. For a zonotope-vertex term the moving point is affine
+in the parameters and the gradient is immediate. For a polytope-vertex
+term the moving object is the affine hull of a zonotope face, and the
+gradient is the chain rule through the orthogonal-projector form of the
+point-to-affine distance, on every face. The paper's explicit facet normal
+from signed minors is kept as ``facet_normal``, the reference the facet
+gradients are tested against. A central finite-difference oracle is
+provided for validation.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
+from .cone import build_cone
 from .errors import DegenerateFace, LocalityViolation, SingularSubmatrix
-from .geom import Polytope, Zonotope
+from .geom import Polytope, Zonotope, minimal_face
 from .hausdorff import (
     AchievingPair,
     SmoothTerm,
@@ -170,25 +175,18 @@ def term_from_pair(poly: Polytope, z: Zonotope, pair: AchievingPair) -> SmoothTe
         side="z_vertex",
         vertex_index=pair.vertex_index,
         bits=pair.lift.values,
-        hull=pair.face.affine_hull,
+        hull=minimal_face(poly, pair.p).affine_hull,
     )
 
 
-def gradients_for_pairs(poly: Polytope, z: Zonotope, pairs):
+def gradients_for_pairs(pairs):
     """Per-pair gradients of the active terms (no locality re-check).
 
-    Serves both objectives: a coarse pair joins two vertices, so its term
-    is the same formula at a vertex face, -(bits (x) r^, r^) with
-    r^ = (p - q) / |p - q|.
+    Serves both objectives: each is its pair's cone row over -|p - q|,
+    -(bits (x) r^, r^) with r^ = (p - q) / |p - q|. Raises DegenerateFace
+    for a pair with p = q.
     """
-    grads = []
-    for pair in pairs:
-        term = term_from_pair(poly, z, pair)
-        if pair.side == "p_vertex":
-            grads.append(grad_delta_p(term, z))
-        else:
-            grads.append(grad_delta_q(term, z))
-    return tuple(grads)
+    return tuple(-build_cone(pairs).negated_gradients())
 
 
 def clarke_subdifferential(
@@ -210,7 +208,7 @@ def clarke_subdifferential(
     distance = coarse_hausdorff_distance if coarse else hausdorff_distance
     _, pairs = distance(poly, z, tol_active, config)
     return SubdifferentialSet(
-        gradients=gradients_for_pairs(poly, z, pairs),
+        gradients=gradients_for_pairs(pairs),
         pairs=tuple(pairs),
         objective="coarse" if coarse else "exact",
     )

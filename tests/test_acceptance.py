@@ -292,7 +292,7 @@ def test_criterion_8_certificate_soundness():
         poly = zonotope_as_polytope(z)
         value, pairs = coarse_hausdorff_distance(poly, z)
         cone = build_cone(pairs)
-        res = descent_direction(poly, z, None, cone, objective="coarse")
+        res = descent_direction(cone, objective="coarse")
         if res.status == "cone_empty_interior" and res.certificate == "certified_local_min_coarse":
             certified += 1
         params = zonotope_to_params(z)

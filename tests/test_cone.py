@@ -7,10 +7,9 @@ import pytest
 from conftest import random_local_instance, rotated_square_configuration
 from zonofit.errors import NonImprovingRow
 from zonofit.cone import build_cone, descent_direction, tau_limits
-from zonofit.geom import FaceDescriptor, LiftPoint, Polytope, Zonotope
+from zonofit.geom import LiftPoint, Polytope, Zonotope
 from zonofit.hausdorff import AchievingPair, coarse_hausdorff_distance, hausdorff_distance
 from zonofit.subgrad import (
-    SubdifferentialSet,
     clarke_subdifferential,
     params_to_zonotope,
     zonotope_to_params,
@@ -74,7 +73,6 @@ class TestBuildCone:
         pair = AchievingPair(
             p=np.array([0.0, 1.0]), q=np.array([0.0, 0.0]), side="z_vertex",
             vertex_index=0, lift=LiftPoint(values=np.zeros(2), free_indices=()),
-            face=FaceDescriptor(side="polytope", affine_hull=None, vertex_indices=(0,)),
             distance=1.0,
         )
         cone = build_cone([pair])
@@ -129,7 +127,7 @@ class TestWorkedExample:
         poly, z = worked_example_in_published_order()
         sub = clarke_subdifferential(poly, z)
         cone = build_cone(sub.pairs)
-        res = descent_direction(poly, z, sub, cone)
+        res = descent_direction(cone)
         assert res.status == "descent"
         assert res.certificate is None
         assert (cone.matrix @ res.direction).min() > 0.0
@@ -144,30 +142,26 @@ class TestDescentDirection:
             if len(sub.gradients) != 1:
                 continue
             cone = build_cone(sub.pairs)
-            res = descent_direction(poly, z, sub, cone)
+            res = descent_direction(cone)
             assert res.status == "descent"
             assert np.allclose(res.direction, -np.asarray(sub.gradients[0]), atol=1e-12)
 
     def test_opposing_cone_gives_feasible_empty(self):
-        # Hand-built mismatch: a single-row cone whose improving halfspace
-        # excludes the negated gradient.
-        z = Zonotope(np.eye(2), np.zeros(2))
-        poly = Polytope.from_vertices([[2.0, 0.2], [3.0, 0.0], [3.0, 1.0]])
-        pair = AchievingPair(
-            p=np.array([2.0, 0.2]), q=np.array([1.0, 0.2]), side="p_vertex",
-            vertex_index=0,
-            lift=LiftPoint(values=np.array([1.0, 0.2]), free_indices=(1,)),
-            face=FaceDescriptor(side="zonotope", affine_hull=None,
-                                anchor_bits=np.array([1.0, 0.0]), free_indices=(1,)),
-            distance=1.0,
-        )
-        cone = build_cone([pair])
-        # The cone row itself is an ascent functional for the pair, so
-        # presenting it as the "gradient" makes the negated hull point away
-        # from the cone: the feasible set must come back empty.
-        fake_grad = cone.matrix[0]
-        sub = SubdifferentialSet(gradients=(fake_grad,), pairs=(pair,), objective="exact")
-        res = descent_direction(poly, z, sub, cone)
+        # Two z_vertex pairs at the origin vertex pulling the translation
+        # almost oppositely: the cone {x1 > 0, -x1 + 1e-5 x2 > 0} has
+        # interior, but the negated gradients (1, 0) and ~(-1, 1e-5) span
+        # a hull with |x2| <= 1e-5, which never clears both margins.
+        pairs = [
+            AchievingPair(
+                p=np.asarray(p, float), q=np.zeros(2), side="z_vertex",
+                vertex_index=j, lift=LiftPoint(values=np.zeros(2), free_indices=()),
+                distance=float(np.linalg.norm(p)),
+            )
+            for j, p in enumerate([[1.0, 0.0], [-1.0, 1e-5]])
+        ]
+        cone = build_cone(pairs)
+        res = descent_direction(cone)
+        assert res.interior_margin > 1e-8
         assert res.status == "feasible_empty"
 
     def test_certified_local_min_for_identical_bodies(self):
@@ -177,7 +171,7 @@ class TestDescentDirection:
         poly = Polytope.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])
         value, pairs = hausdorff_distance(poly, z)
         cone = build_cone(pairs)
-        res = descent_direction(poly, z, None, cone)
+        res = descent_direction(cone)
         assert res.status == "cone_empty_interior"
         assert res.certificate == "certified_local_min"
         # Soundness probe: 200 random small perturbations never decrease
@@ -195,7 +189,7 @@ class TestDescentDirection:
         poly = Polytope.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])
         _, pairs = coarse_hausdorff_distance(poly, z)
         cone = build_cone(pairs)
-        res = descent_direction(poly, z, None, cone, objective="coarse")
+        res = descent_direction(cone, objective="coarse")
         assert res.status == "cone_empty_interior"
         assert res.certificate == "certified_local_min_coarse"
 
@@ -213,7 +207,7 @@ class TestDescentDirection:
                 continue
             sub = clarke_subdifferential(poly, z)
             cone = build_cone(sub.pairs)
-            res = descent_direction(poly, z, sub, cone)
+            res = descent_direction(cone)
             if res.status != "descent":
                 continue
             h = 0.5 * min(res.taus)
@@ -235,7 +229,7 @@ class TestDescentDirection:
         value, _ = hausdorff_distance(poly, z)
         sub = clarke_subdifferential(poly, z)
         cone = build_cone(sub.pairs)
-        res = descent_direction(poly, z, sub, cone)
+        res = descent_direction(cone)
         if res.status != "descent":
             pytest.skip("no descent direction on this draw")
         t = 0.9 * min(res.taus)
@@ -248,13 +242,10 @@ class TestDescentDirection:
 
 class TestTauLimits:
     def _pair(self, p, q, lift_values):
-        from zonofit.geom import FaceDescriptor
-
         return AchievingPair(
             p=np.asarray(p, float), q=np.asarray(q, float), side="z_vertex",
             vertex_index=0,
             lift=LiftPoint(values=np.asarray(lift_values, float), free_indices=()),
-            face=FaceDescriptor(side="polytope", affine_hull=None, vertex_indices=(0,)),
             distance=float(np.linalg.norm(np.asarray(p) - np.asarray(q))),
         )
 
@@ -263,7 +254,7 @@ class TestTauLimits:
         # half-tau step maps q exactly onto p.
         pair = self._pair([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         direction = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # dmu = (0,1)
-        taus = tau_limits([pair], direction)
+        taus = tau_limits(build_cone([pair]), direction)
         assert taus[0] == pytest.approx(2.0)
         moved = pair.q + 0.5 * taus[0] * np.array([0.0, 1.0])
         assert np.allclose(moved, pair.p)
@@ -272,18 +263,18 @@ class TestTauLimits:
         c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
         pair = self._pair([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         direction = np.array([0.0, 0.0, 0.0, 0.0, s, c])  # unit delta at 60 deg
-        taus = tau_limits([pair], direction)
+        taus = tau_limits(build_cone([pair]), direction)
         assert taus[0] == pytest.approx(2.0 * np.cos(np.pi / 3), abs=1e-12)
 
     def test_scaling_invariance_of_step(self):
         pair = self._pair([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         d1 = np.array([0.0, 0.0, 0.0, 0.0, 0.3, 0.7])
-        taus1 = tau_limits([pair], d1)
-        taus3 = tau_limits([pair], 3.0 * d1)
+        taus1 = tau_limits(build_cone([pair]), d1)
+        taus3 = tau_limits(build_cone([pair]), 3.0 * d1)
         assert taus3[0] == pytest.approx(taus1[0] / 3.0)
 
     def test_non_improving_raises(self):
         pair = self._pair([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         direction = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
         with pytest.raises(NonImprovingRow):
-            tau_limits([pair], direction)
+            tau_limits(build_cone([pair]), direction)

@@ -212,7 +212,7 @@ class TestOptimize:
             poly, z = random_local_instance(rng, d=2, n=4)
             sub = clarke_subdifferential(poly, z)
             cone = build_cone(sub.pairs)
-            res = descent_direction(poly, z, sub, cone)
+            res = descent_direction(cone)
             if res.status != "descent":
                 continue
             h = 0.5 * max(res.taus)

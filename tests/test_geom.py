@@ -34,7 +34,6 @@ from zonofit.geom import (
     polytope_to_json,
     pushforward,
     zonotope_as_polytope,
-    zonotope_face_from_lift,
     zonotope_from_json,
     zonotope_to_json,
 )
@@ -424,26 +423,6 @@ class TestMinimalFace:
         sq = unit_square_polytope()
         with pytest.raises(PointOutsidePolytope):
             minimal_face(sq, [2.0, 0.0])
-
-
-class TestZonotopeFaceFromLift:
-    def test_facet_normal_matches_minor_direction(self, rng):
-        # For a facet with free generators, the hull normal must be
-        # orthogonal to every free generator.
-        z = random_zonotope(rng, 4, 3)
-        verts = enumerate_vertices(z)
-        bits, pt = verts[0]
-        lift = lift_boundary_point(z, pt)
-        face = zonotope_face_from_lift(z, lift)
-        assert face.codim == 3  # a vertex of a 3-D zonotope
-
-    def test_edge_face_of_square(self):
-        z = unit_square_zonotope()
-        lift = lift_boundary_point(z, [0.0, 0.5])
-        face = zonotope_face_from_lift(z, lift)
-        assert face.codim == 1
-        hull = face_affine_hull(face)
-        assert abs(hull.normals[0] @ z.generators[1]) <= 1e-10
 
 
 class TestZonotopeAsPolytope:

@@ -71,6 +71,21 @@ def test_probes_are_rejected_early(monkeypatch):
     assert len(rejected) > 0 and solved < rows / 30
 
 
+def test_descent_reads_gradients_off_the_cone(monkeypatch):
+    """The descent takes its active-term gradients from the cone rows: no
+    run calls the term formulae or builds a polytope face for a pair."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("descent computed a term gradient or a face")
+
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "zonofit"]
+    for module in modules:
+        for name in ("grad_delta_p", "grad_delta_q", "term_from_pair", "minimal_face"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for case in CASES:
+        assert run_case(case) == case["expected"]
+
+
 def change_report(name, old, new):
     """One line describing how the columns ``new`` differ from ``old``."""
     first = next((k for k, (a, b) in enumerate(zip(old, new)) if a != b),

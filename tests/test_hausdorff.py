@@ -83,7 +83,7 @@ class TestHausdorffDistance:
         assert value == pytest.approx(expected, abs=1e-9)
         assert len(pairs) == 4
         assert all(pair.side == "p_vertex" for pair in pairs)
-        assert all(pair.face.codim == 1 for pair in pairs)
+        assert all(len(pair.lift.free_indices) == z.dim - 1 for pair in pairs)
 
     def test_matches_boundary_sampling_oracle(self, rng):
         for _ in range(5):
@@ -502,13 +502,8 @@ class TestLocalTerms:
 
 
 def pair_key(pair):
-    face = pair.face
-    hull = face.affine_hull
     return (pair.side, pair.vertex_index, pair.p.tolist(), pair.q.tolist(),
-            pair.lift.values.tolist(), pair.lift.free_indices, pair.distance,
-            face.side, face.free_indices, face.vertex_indices,
-            None if face.anchor_bits is None else face.anchor_bits.tolist(),
-            None if hull is None else (hull.normals.tolist(), hull.offsets.tolist()))
+            pair.lift.values.tolist(), pair.lift.free_indices, pair.distance)
 
 
 def term_key(term):

@@ -234,26 +234,30 @@ class TestClarkeSubdifferential:
             assert relerr(np.asarray(g), fd) <= 1e-5
 
     def test_gradient_is_negated_scaled_cone_row(self, rng):
-        # Every active-term gradient is -row/|p-q| for its cone row: the
-        # analytic formulas and the cone construction must be consistent.
-        from zonofit.cone import build_cone
-
-        poly, z = random_local_instance(rng, d=2, n=4)
-        sub = clarke_subdifferential(poly, z)
-        cone = build_cone(sub.pairs)
-        for g, row, pair in zip(sub.gradients, cone.matrix, sub.pairs):
-            assert relerr(np.asarray(g), -row / pair.distance) <= 1e-8
-
-    def test_coarse_gradients(self, rng):
+        # The descent reads every active-term gradient off its cone row,
+        # -(e (x) r^, r^) with r^ = (p - q) / |p - q|; the paper's term
+        # formulae at the base zonotope must give the same vectors, for
+        # both objectives (a coarse pair is a term at a vertex face).
         for d in (2, 3):
-            poly, z = random_local_instance(rng, d=d, n=d + 1)
-            sub = clarke_subdifferential(poly, z, objective="coarse")
-            assert sub.objective == "coarse"
-            for g, pair in zip(sub.gradients, sub.pairs):
-                r = pair.p - pair.q
-                rhat = r / np.linalg.norm(r)
-                expected = np.concatenate([-np.outer(pair.lift.values, rhat).ravel(), -rhat])
-                assert relerr(np.asarray(g), expected) <= 1e-12
+            for objective in ("exact", "coarse"):
+                poly, z = random_local_instance(rng, d=d, n=d + 1)
+                sub = clarke_subdifferential(poly, z, objective=objective)
+                assert sub.objective == objective
+                for g, pair in zip(sub.gradients, sub.pairs):
+                    term = term_from_pair(poly, z, pair)
+                    grad = grad_delta_p if pair.side == "p_vertex" else grad_delta_q
+                    assert relerr(np.asarray(g), grad(term, z)) <= 1e-12
+                    r = pair.p - pair.q
+                    rhat = r / np.linalg.norm(r)
+                    expected = np.concatenate([-np.outer(pair.lift.values, rhat).ravel(), -rhat])
+                    assert relerr(np.asarray(g), expected) <= 1e-12
+
+    def test_coincident_pair_raises(self):
+        # Identical bodies: every coarse pair has p = q, where no term has
+        # a gradient; the typed error comes back, not NaN.
+        square = Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateFace):
+            clarke_subdifferential(square, Zonotope(np.eye(2), np.zeros(2)), objective="coarse")
 
 
 class TestFiniteDifferenceOracle:
