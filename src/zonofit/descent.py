@@ -8,12 +8,14 @@ by a fraction of the per-pair limits. Terminates on the distance
 threshold, the iteration cap, or a certificate (empty cone interior /
 empty feasible set).
 
-Step rules: "conservative" takes half the smallest limit and is made
-strictly monotone by halving the step until the distance actually drops
-(the pure half-min step only guarantees decrease of the active terms).
-The distance is a max over one row per vertex of either body, so a probe
-is rejected at its first row that reaches the current value, rows largest
-at the current zonotope first; only an accepted probe is measured in full.
+Step rules: "conservative" takes half the smallest limit, which only
+guarantees decrease of the active terms. The distance is a max over one
+row per vertex of either body; held on its face, each row of the current
+sweep is at most |u - h delta| away at step h, so for the exact objective
+the step starts below every row's root of that bound at the current value.
+Halving until a probe beats the current value by more than round-off stays
+the guarantee (a vertex new at the probe has no row). A probe is rejected
+at its first row that reaches it; only an accepted probe is measured in full.
 "aggressive" takes half the largest limit, "random" half a uniformly
 chosen one, and "hybrid" switches from aggressive to conservative at a
 configurable iteration.
@@ -36,7 +38,7 @@ from .errors import (
     PerturbationBudgetExceeded,
     SolverRetryFailed,
 )
-from .geom import Polytope, Zonotope, _facet_directions, canonicalize
+from .geom import Polytope, Zonotope, _facet_directions, canonicalize, enumerate_vertices
 from .hausdorff import _projections, check_locality, coarse_hausdorff_distance, hausdorff_distance
 from .subgrad import params_to_zonotope, zonotope_to_params
 
@@ -54,6 +56,9 @@ TRACE_CSV_COLUMNS = ("iter", "d_exact", "d_coarse", "step", "rule",
 
 # Backtracking budget for the monotone conservative rule.
 _MAX_HALVINGS = 60
+# A probe decreases the distance only when it beats it by this many machine
+# epsilons, relative: above the round-off moves of a re-derived trace (6e-15).
+_DECREASE_EPS = 64
 
 
 @dataclass(frozen=True)
@@ -220,16 +225,38 @@ def _distances(poly, z, cfg, hints=None):
 
 
 def _reaches(poly, z, d, cfg, hints=None) -> bool:
-    """Whether the objective at ``z`` is at least ``d``, measured lazily.
+    """Whether the objective at ``z`` reaches d (1 - _DECREASE_EPS eps), lazily.
 
     The exact sweep tries the faces of ``hints`` first, measures the other
     rows largest at ``hints`` first, stops at its first row that reaches d
     and caches nothing then; the coarse objective is read off the vertex
     sets alone, without a sweep.
     """
+    d = d * (1.0 - _DECREASE_EPS * np.finfo(float).eps)
     if cfg.objective == "coarse":
         return coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)[0] >= d
     return _projections(poly, z, cfg.solver, bound=d, hints=hints) is None
+
+
+def _row_motion(poly, z, direction, config):
+    """(U, delta, distances) per row of z's cached sweep, polytope rows first:
+    u is the row's polytope point minus its zonotope point, delta that
+    zonotope point's motion along ``direction`` on a fixed cube lift. At
+    step h the row is at most |u - h delta| away."""
+    p_proj, z_proj = _projections(poly, z, config)
+    X, Q = zip(*[(r.coefficients, r.point) for r in p_proj], *enumerate_vertices(z))
+    delta = np.array(X) @ direction[:-z.dim].reshape(z.rank, z.dim) + direction[-z.dim:]
+    P = np.vstack([poly.vertices, [r.point for r in z_proj]])
+    return P - np.array(Q), delta, np.array([r.distance for r in p_proj + z_proj])
+
+
+def _row_caps(U, delta, d):
+    """Per row, the positive root h of |u - h delta| = d >= |u|: inf where
+    delta = 0, and the pair limit of ``cone.tau_limits`` at d = |u|."""
+    a, b, c = (delta * delta).sum(1), (U * delta).sum(1), d * d - (U * U).sum(1)
+    s = np.sqrt(b * b + a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b > 0.0, (b + s) / a, c / (s - b))
 
 
 def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
@@ -302,14 +329,17 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                                                        z.rank, z.dim))
 
             if effective == "conservative":
-                # Enforce the rule's strict-decrease guarantee: the raw
-                # half-min step only shrinks the active terms, so halve
-                # until the full distance drops. The starting fraction
-                # adapts to the last productive step to keep probes cheap.
-                # For the exact objective the accepted probe's sweep is
-                # cached, and the top of the loop reads it.
+                # For the exact objective start below the cap of every row
+                # outside the active band (the pairs' limits cap the rest);
+                # the accepted probe's sweep is cached for the top of the
+                # loop. Halving until the distance drops is the guarantee,
+                # from a fraction that adapts to the last productive step.
                 h_rule = h
                 h = h_rule * shrink
+                if cfg.objective == "exact":
+                    U, delta, dist = _row_motion(poly, z, result.direction, cfg.solver)
+                    out = dist < d * (1.0 - cfg.tol_active)
+                    h = min(h, 0.99 * _row_caps(U[out], delta[out], d).min(initial=np.inf))
                 for _ in range(_MAX_HALVINGS):
                     z_next = step(h)
                     probes += 1

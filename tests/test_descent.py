@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_local_instance, random_polytope, random_zonotope
 from zonofit import descent, solvers
+from zonofit.cone import build_cone, descent_direction
 from zonofit.errors import EmptyTaus, PerturbationBudgetExceeded
 from zonofit.descent import (
     DescentConfig,
@@ -15,7 +18,13 @@ from zonofit.descent import (
     perturb_until_local,
 )
 from zonofit.geom import Polytope, Zonotope, enumerate_vertices
-from zonofit.hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
+from zonofit.hausdorff import (
+    ACTIVE_PAIR_TOL,
+    check_locality,
+    coarse_hausdorff_distance,
+    hausdorff_distance,
+)
+from zonofit.subgrad import params_to_zonotope, zonotope_to_params
 from zonofit.warmstart import warmstart_zonotope
 
 
@@ -281,3 +290,89 @@ class TestProbes:
                 assert descent._reaches(poly, z, 0.5 * d_coarse, cfg)
             assert z._projections is None
             assert not descent._reaches(poly, z, 2.0 * d_coarse, cfg)
+
+    def test_a_decrease_must_beat_roundoff(self, rng):
+        # A probe at d (1 - 1e-16), or one ulp below d, is rejected; one at
+        # d (1 - 1e-12) is accepted. Both objectives share the test.
+        for objective, measure in (("exact", hausdorff_distance),
+                                   ("coarse", coarse_hausdorff_distance)):
+            cfg = DescentConfig(rank=4, objective=objective)
+            for _ in range(3):
+                poly, z = random_polytope(rng, 2), random_zonotope(rng, 4, 2)
+                value, _ = measure(poly, z)
+                for d in (value / (1.0 - 1e-16), np.nextafter(value, np.inf)):
+                    assert descent._reaches(poly, Zonotope(z.generators, z.translation), d, cfg)
+                assert not descent._reaches(poly, Zonotope(z.generators, z.translation),
+                                            value / (1.0 - 1e-12), cfg)
+
+
+def _rows(poly, z, direction):
+    """(U, delta, d, out): z's sweep rows along ``direction`` (u and delta
+    of ``descent._row_motion``), the distance, and the rows outside the
+    active band, whose caps bound the step."""
+    d, _ = hausdorff_distance(poly, z)
+    U, delta, dist = descent._row_motion(poly, z, direction, solvers.DEFAULT_CONFIG)
+    return U, delta, d, dist < d * (1.0 - ACTIVE_PAIR_TOL)
+
+
+class TestStepCap:
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           t=st.floats(0.01, 0.99))
+    def test_row_stays_below_its_bound_up_to_its_cap(self, seed, d, t):
+        # Any direction: along it each row outside the band is at most
+        # |u - h delta| away for h in (0, h_r) (a zonotope row while its
+        # bits are still a vertex), and that bound reaches d at h_r.
+        rng = np.random.default_rng(seed)
+        poly, z = random_local_instance(rng, d=d)
+        direction = rng.normal(size=(z.rank + 1) * d) * z.scale()
+        U, delta, value, out = _rows(poly, z, direction)
+        U, delta = U[out], delta[out]
+        caps = descent._row_caps(U, delta, value)
+        finite = np.isfinite(caps)
+        assert finite.any()
+        at_cap = np.linalg.norm(U[finite] - caps[finite, None] * delta[finite], axis=1)
+        np.testing.assert_allclose(at_cap, value, rtol=1e-12)
+        scale = 1.0 + float(np.abs(poly.vertices).max())
+        for r in np.flatnonzero(finite):
+            h = t * caps[r]
+            zh = params_to_zonotope(zonotope_to_params(z) + h * direction, z.rank, d)
+            bound = float(np.linalg.norm(U[r] - h * delta[r]))
+            k = np.flatnonzero(out)[r]
+            if k < len(poly.vertices):
+                true = solvers.box_least_squares(zh.generators, zh.translation,
+                                                 poly.vertices[k]).distance
+            else:
+                bits = enumerate_vertices(z)[k - len(poly.vertices)][0]
+                moved = {b.tobytes(): pt for b, pt in enumerate_vertices(zh)}
+                if bits.tobytes() not in moved:
+                    continue
+                true = solvers.project_to_hull(poly.vertices, moved[bits.tobytes()]).distance
+            assert true <= bound + 1e-12 * scale
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+    def test_active_pair_root_at_its_own_distance_is_tau(self, seed, d):
+        rng = np.random.default_rng(seed)
+        poly, z = random_local_instance(rng, d=d)
+        _, pairs = hausdorff_distance(poly, z)
+        result = descent_direction(build_cone(pairs))
+        assume(result.status == "descent")
+        U, delta, _, out = _rows(poly, z, result.direction)
+        band = ~out
+        assert band.sum() == len(pairs)
+        roots = descent._row_caps(U[band], delta[band], np.linalg.norm(U[band], axis=1))
+        np.testing.assert_allclose(roots, result.taus, rtol=1e-12)
+
+    def test_one_probe_per_iteration(self):
+        # The conservative exact step starts below every row's cap, so
+        # backtracking is rare: at most 1.1 probes per descent iteration.
+        rng = np.random.default_rng(1201)
+        probes = iterations = 0
+        for d in (2, 3):
+            for k in range(6):
+                poly, z0 = random_local_instance(rng, d=d, n=4)
+                _, trace = optimize(poly, z0, DescentConfig(rank=4, max_steps=15, rng_seed=k))
+                probes += sum(r.probes for r in trace.records)
+                iterations += sum(r.cone_status == "descent" for r in trace.records)
+        assert iterations > 100 and probes <= 1.1 * iterations

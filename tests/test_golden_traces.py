@@ -1,8 +1,11 @@
-"""Golden descent traces: ``DescentTrace.math_columns()`` of seven short fits.
+"""Golden descent traces: ``DescentTrace.math_columns()`` of eight short fits.
 
 The runs are 15 steps each: the conservative rule at d in {2, 3} with the
 exact and the coarse objective, and the random, aggressive and hybrid rules
-at d = 2 with the exact objective.
+at d = 2 with the exact objective. ``d3-n5-beaten-cap`` is a conservative
+exact rank-5 fit of a 10-vertex polytope in 3-D from its box warmstart,
+with perturbations of 1e-4; one of its probes is stopped by a zonotope
+vertex that the zonotope it steps from did not have, so it backtracks.
 
 ``golden_traces.json`` holds each run's inputs, its config and the
 expected columns (every trace column except wall time). A change that
@@ -47,7 +50,9 @@ def test_math_columns_match_golden(case):
 def test_probes_are_rejected_early(monkeypatch):
     """The conservative exact runs reject backtracking probes on the faces
     of the zonotope they step from, with almost no cold solve, and still
-    match their golden columns."""
+    match their golden columns. The step is capped below every row of the
+    sweep it steps from, so only a vertex new at the probe can stop one:
+    ``d3-n5-beaten-cap`` has such a probe."""
     cold = []  # one entry per run of a cold loop
     for name in ("_box_active_set", "_wolfe"):
         loop = getattr(solvers, name)
