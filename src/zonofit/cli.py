@@ -194,11 +194,20 @@ def render_svg(poly: Polytope, z: Zonotope, pairs, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _distance(args, poly, z):
+    """(value, pairs) of the distance ``--coarse`` names; a ``--tol-active``
+    the distance rejects is a usage error."""
+    fn = coarse_hausdorff_distance if args.coarse else hausdorff_distance
+    try:
+        return fn(poly, z, args.tol_active)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def cmd_distance(args) -> int:
     poly = _load_polytope(args.polytope)
     z = _load_zonotope(args.zonotope)
-    fn = coarse_hausdorff_distance if args.coarse else hausdorff_distance
-    value, pairs = fn(poly, z, args.tol_active)
+    value, pairs = _distance(args, poly, z)
     print(json.dumps({
         "value": value,
         "coarse": bool(args.coarse),
@@ -208,20 +217,20 @@ def cmd_distance(args) -> int:
 
 
 def _config_from_args(args, rank) -> DescentConfig:
+    """The run's config, from ``--config`` or the flags; one that
+    ``DescentConfig`` rejects is a usage error."""
     if args.config:
         data = _load_json(args.config)
         if isinstance(data, dict) and "config" in data and isinstance(data["config"], dict):
             data = data["config"]
-        cfg = DescentConfig.from_json(data)
-        return cfg
-    return DescentConfig(
-        rank=rank,
-        max_steps=args.steps,
-        threshold=args.tol,
-        step_rule=args.rule,
-        rng_seed=_seed_from(args),
-        objective=args.objective,
-    )
+    else:
+        data = {"rank": rank, "max_steps": args.steps, "threshold": args.tol,
+                "step_rule": args.rule, "rng_seed": _seed_from(args),
+                "objective": args.objective}
+    try:
+        return DescentConfig.from_json(data)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise _UsageError(f"bad config: {exc}") from exc
 
 
 def cmd_optimize(args) -> int:
@@ -299,8 +308,7 @@ def cmd_cone(args) -> int:
             "unstable_zonotope_vertices": list(report.unstable_z_vertices),
         }, indent=2))
         return EXIT_LOCALITY
-    fn = coarse_hausdorff_distance if args.coarse else hausdorff_distance
-    value, pairs = fn(poly, z, args.tol_active)
+    value, pairs = _distance(args, poly, z)
     cone = build_cone(pairs)
     interior = cone_interior_point(cone.matrix)
     cert = None

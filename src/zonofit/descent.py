@@ -14,11 +14,10 @@ row per vertex of either body; held on its face, each row of the current
 sweep is at most |u - h delta| away at step h, so for the exact objective
 the step starts below every row's root of that bound at the current value.
 Halving until a probe beats the current value by more than round-off stays
-the guarantee (a vertex new at the probe has no row). A probe is rejected
-at its first row that reaches it; only an accepted probe is measured in full.
-"aggressive" takes half the largest limit, "random" half a uniformly
-chosen one, and "hybrid" switches from aggressive to conservative at a
-configurable iteration.
+the guarantee (a vertex new at the probe has no row). "aggressive" takes
+half the largest limit, "random" half a uniformly chosen one, and
+"hybrid" switches from aggressive to conservative at a configurable
+iteration.
 """
 
 from __future__ import annotations
@@ -79,8 +78,12 @@ class DescentConfig:
     solver: solvers.SolverConfig = field(default_factory=solvers.SolverConfig)
 
     def __post_init__(self):
-        if self.max_steps < 1 or self.threshold < 0.0 or self.perturb_scale <= 0.0:
-            raise ValueError("need max_steps >= 1, threshold >= 0, perturb_scale > 0")
+        # Written so that NaN fails every comparison.
+        if not (self.max_steps >= 1 and self.threshold >= 0.0
+                and 0.0 < self.perturb_scale < np.inf and 0.0 <= self.tol_active < 1.0
+                and self.cone_margin >= 0.0 and self.max_perturb_tries >= 0):
+            raise ValueError("need max_steps >= 1, threshold >= 0, finite perturb_scale > 0, "
+                             "0 <= tol_active < 1, cone_margin >= 0, max_perturb_tries >= 0")
         if self.step_rule not in ("conservative", "random", "aggressive", "hybrid"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.objective not in ("exact", "coarse"):
@@ -225,17 +228,16 @@ def _distances(poly, z, cfg, hints=None):
 
 
 def _reaches(poly, z, d, cfg, hints=None) -> bool:
-    """Whether the objective at ``z`` reaches d (1 - _DECREASE_EPS eps), lazily.
+    """Whether the objective at ``z`` reaches d (1 - _DECREASE_EPS eps).
 
-    The exact sweep tries the faces of ``hints`` first, measures the other
-    rows largest at ``hints`` first, stops at its first row that reaches d
-    and caches nothing then; the coarse objective is read off the vertex
-    sets alone, without a sweep.
+    The exact objective is read off z's sweep, solved on the faces of
+    ``hints``; the coarse objective off the vertex sets alone, without a
+    sweep.
     """
     d = d * (1.0 - _DECREASE_EPS * np.finfo(float).eps)
     if cfg.objective == "coarse":
         return coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)[0] >= d
-    return _projections(poly, z, cfg.solver, bound=d, hints=hints) is None
+    return max(r.distance for rows in _projections(poly, z, cfg.solver, hints) for r in rows) >= d
 
 
 def _row_motion(poly, z, direction, config):

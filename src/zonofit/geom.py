@@ -399,7 +399,8 @@ class Polytope:
 
 def _require_full_dimensional(V: np.ndarray):
     k, d = V.shape
-    if k < d + 1 or np.linalg.matrix_rank(V - V[0], tol=1e-10) < d:
+    scale = 1.0 + float(np.abs(V).max(initial=0.0))
+    if k < d + 1 or np.linalg.matrix_rank(V - V[0], tol=1e-10 * scale) < d:
         raise DegenerateInput("polytope must be full-dimensional")
 
 

@@ -4,15 +4,13 @@ The distance is exact: both directed sup-distances are achieved at
 vertices, so two vertex sweeps with exact projections suffice. They run
 once per (polytope, zonotope) pair, cached on the zonotope by a single
 attribute write (so concurrent calls stay safe), and the distance, the
-locality check and the local terms all read them. A sweep given a bound
-(a backtracking probe) stops at its first row that reaches it and caches
-nothing. A sweep solves every row first on a face, as arrays through the
-solvers' face tails: the face the row had on the hints (the zonotope a
-step started from), or else the face it projects onto in the other body's
-face list. Only rows whose face fails the solver's own optimality test go
-to the solvers' cold loops. Each near-maximal pair is returned with the
-data the optimization layer needs: its two endpoints and the cube lift of
-the zonotope-side point.
+locality check and the local terms all read them. A sweep solves every
+row first on a face, as arrays through the solvers' face tails: the face
+the row had on the hints (the zonotope a step started from), or else the
+face it projects onto in the other body's face list. Only rows whose face
+fails the solver's own optimality test go to the solvers' cold loops.
+Each near-maximal pair is returned with the data the optimization layer
+needs: its two endpoints and the cube lift of the zonotope-side point.
 
 Also here: the coarse (vertex-set) distance, Hausdorff stability of a
 point relative to a body, the locality check that gates the subgradient
@@ -134,7 +132,7 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
 
 
 def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
-                 bound: float = np.inf, hints: Zonotope | None = None):
+                 hints: Zonotope | None = None):
     """The pair's two vertex sweeps, computed once and cached on ``z``.
 
     Returns (p_proj, z_proj): the box least-squares projection of each
@@ -151,52 +149,29 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     index, zonotope rows by cube-lift bits. Without usable hints each row
     of a general-position z takes the face it projects onto
     (``_zonotope_face_rows``, ``_polytope_face_rows``). The rest go to the
-    solvers' cold loops.
-
-    Returns None as soon as a row's distance reaches ``bound``; nothing is
-    cached then. The hints also order the cold rows: largest distance of the
-    same row (polytope row i, zonotope row j) in the hints' sweep first,
-    since a backtracking probe mostly fails where its start was farthest;
-    rows the hints lack follow in sweep order. The order only decides how
-    soon a bound is met, never the result.
+    solvers' cold loops, in sweep order.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly and cached[1] == config:
-        p_proj, z_proj = cached[2], cached[3]
-        if any(r.distance >= bound for r in p_proj + z_proj):
-            return None
-        return p_proj, z_proj
+        return cached[2], cached[3]
     V, zverts = poly.vertices, enumerate_vertices(z)
     zpts = np.array([pt for _, pt in zverts])
-    sweeps, faces = {"p": [None] * len(V), "z": [None] * len(zverts)}, None
-    rows = [("p", i) for i in range(len(V))] + [("z", j) for j in range(len(zverts))]
+    p_proj, z_proj, faces = [None] * len(V), [None] * len(zverts), None
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     if hinted is not None and hinted[0] is poly and hinted[1] == config:
         corral = {bits.tobytes(): row.corral
                   for (bits, _), row in zip(enumerate_vertices(hints), hinted[3])}
         faces = ([row.coefficients for row in hinted[2]],
                  [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
-        ranked = [r.distance for r in hinted[2] + hinted[3]] + [-np.inf] * len(zverts)
-        rows = [rows[k] for k in np.argsort(-np.array(ranked[:len(rows)]), kind="stable")]
     elif not _facet_directions(z)[2]:  # no hints: the faces the rows project onto
         faces = _zonotope_face_rows(z, V), _polytope_face_rows(poly, zpts)
     if faces is not None:
-        sweeps["p"] = solvers._box_rows(z.generators, z.translation, V, faces[0], config,
-                                        verify=True)
-        sweeps["z"] = solvers._hull_rows(V, zpts, faces[1], config)
-        if any(r is not None and r.distance >= bound for r in sweeps["p"] + sweeps["z"]):
-            return None
-    for side, k in rows:
-        sweep = sweeps[side]
-        if sweep[k] is not None:
-            continue
-        if side == "p":
-            sweep[k] = solvers.box_least_squares(z.generators, z.translation, V[k], config)
-        else:
-            sweep[k] = solvers.project_to_hull(V, zpts[k], config)
-        if sweep[k].distance >= bound:
-            return None
-    p_proj, z_proj = tuple(sweeps["p"]), tuple(sweeps["z"])
+        p_proj = solvers._box_rows(z.generators, z.translation, V, faces[0], config, verify=True)
+        z_proj = solvers._hull_rows(V, zpts, faces[1], config)
+    p_proj = tuple(solvers.box_least_squares(z.generators, z.translation, v, config)
+                   if row is None else row for v, row in zip(V, p_proj))
+    z_proj = tuple(solvers.project_to_hull(V, pt, config) if row is None else row
+                   for pt, row in zip(zpts, z_proj))
     object.__setattr__(z, "_projections", (poly, config, p_proj, z_proj))
     return p_proj, z_proj
 
@@ -254,8 +229,10 @@ def _banded_pairs(rows, tol_active: float):
 
     A row is (side, vertex_index, p, q, lift values of q, distance). A pair
     is reported when its distance is within ``tol_active * value`` of the
-    maximum, in row order.
+    maximum, in row order. Raises ValueError unless 0 <= tol_active < 1.
     """
+    if not 0.0 <= tol_active < 1.0:
+        raise ValueError(f"need 0 <= tol_active < 1, got {tol_active}")
     value = max(row[-1] for row in rows)
     pairs = [AchievingPair(p=p, q=q, side=side, vertex_index=index,
                            lift=lift_values_to_lift(values), distance=distance)

@@ -287,3 +287,25 @@ class TestUsageErrors:
 
     def test_unknown_rule(self):
         assert main(["optimize", "nope.json", "--rank", "3", "--rule", "bogus"]) == 1
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--steps", "0"], None),
+        ([], {"rank": 4, "tol_active": -1.0, "max_steps": 5}),
+        ([], {"rank": 4, "tol_active": float("nan")}),
+        ([], {"rank": 4, "perturb_scale": float("inf")}),
+        ([], {"max_steps": 5}),
+        ([], [4, 5]),
+    ])
+    def test_rejected_config(self, square_files, tmp_path, capsys, flags, config):
+        poly, _ = square_files
+        if config is not None:
+            flags = flags + ["--config", write_json(tmp_path / "cfg.json", config)]
+        assert main(["optimize", poly, "--rank", "4", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad config:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "1", "nan"])
+    def test_rejected_tol_active(self, square_files, capsys, tol):
+        assert main(["distance", *square_files, f"--tol-active={tol}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1

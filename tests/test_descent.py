@@ -252,6 +252,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             DescentConfig.from_json({**old, "cone_fallback": True})
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_steps", 0), ("threshold", -1.0), ("threshold", np.nan),
+        ("perturb_scale", 0.0), ("perturb_scale", np.nan), ("perturb_scale", np.inf),
+        ("tol_active", -1.0), ("tol_active", 1.0), ("tol_active", np.nan),
+        ("cone_margin", -1e-8), ("cone_margin", np.nan), ("max_perturb_tries", -1)])
+    def test_config_rejects_bad_values(self, field, value):
+        # A negative or NaN tol_active bands no pair, which would certify a
+        # local minimum at the start; a NaN or infinite perturb_scale would
+        # fail only at the first perturbation.
+        with pytest.raises(ValueError):
+            DescentConfig(rank=4, **{field: value})
+
     def test_trace_csv_columns(self, rng):
         poly, z0 = random_local_instance(rng, d=2, n=3)
         cfg = DescentConfig(rank=3, max_steps=3, threshold=1e-12)

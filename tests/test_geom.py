@@ -395,6 +395,53 @@ def test_bad_input_raises_typed_error(build, error):
         build()
 
 
+class TestBadInputProperties:
+    """Non-finite, rank-deficient or flat input ends in a typed error,
+    never in a body."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           build=st.sampled_from([Polytope.from_points, Polytope.from_vertices]),
+           data=st.data())
+    def test_non_finite_polytope_entry(self, seed, d, bad, build, data):
+        points = np.random.default_rng(seed).normal(size=(2 * d + 4, d))
+        points.flat[data.draw(st.integers(0, points.size - 1))] = bad
+        with pytest.raises(DegenerateInput):
+            build(points)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_zonotope_entry(self, seed, d, bad, data):
+        rng = np.random.default_rng(seed)
+        entries = rng.normal(size=(d + 3) * d)  # d + 2 generators, then the translation
+        entries[data.draw(st.integers(0, entries.size - 1))] = bad
+        with pytest.raises(DegenerateInput):
+            Zonotope(entries[:-d].reshape(d + 2, d), entries[-d:])
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), data=st.data())
+    def test_rank_below_dimension(self, seed, d, data):
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(0, d - 1))
+        with pytest.raises(DegenerateInput):
+            Zonotope(rng.normal(size=(n, d)), rng.normal(size=d))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           extra=st.integers(0, 4), scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+           build=st.sampled_from([Polytope.from_points, Polytope.from_vertices]),
+           data=st.data())
+    def test_flat_point_set(self, seed, d, extra, scale, build, data):
+        # Collinear or coplanar points, d + 1 or more of them, at any scale.
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(1, d - 1))
+        span = rng.uniform(-1.0, 1.0, size=(d + 1 + extra, m)) @ rng.normal(size=(m, d))
+        with pytest.raises(DegenerateInput):
+            build(scale * (rng.uniform(-1.0, 1.0, size=d) + span))
+
+
 class TestMinimalFace:
     def test_bottom_edge(self):
         sq = unit_square_polytope()

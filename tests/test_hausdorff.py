@@ -153,6 +153,13 @@ class TestDistanceProperties:
         assert pairs and max(pair.distance for pair in pairs) == value
         assert all(pair.distance >= value * (1.0 - tol_active) for pair in pairs)
 
+    @pytest.mark.parametrize("tol_active", [-1.0, -1e-12, 1.0, np.nan])
+    @pytest.mark.parametrize("distance", [hausdorff_distance, coarse_hausdorff_distance])
+    def test_tol_active_outside_unit_interval_rejected(self, distance, tol_active):
+        # A negative or NaN band would report no pair at all.
+        with pytest.raises(ValueError):
+            distance(unit_square_polytope(), unit_square_zonotope(), tol_active=tol_active)
+
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
     def test_rigid_motion_invariance(self, seed, d):
@@ -593,27 +600,35 @@ class TestProjectionCache:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
     def test_hinted_sweep_matches_cold_sweep(self, seed, d):
-        # Rows solved on the faces of a nearby measured zonotope: box rows
-        # repeat the solver's final solve, hull rows may differ in corral
-        # order only.
+        # Rows solved on the faces of a measured zonotope: box rows repeat
+        # the solver's final solve, hull rows may differ in corral order
+        # only (inside P any simplex around the vertex will do). Hints near
+        # the swept zonotope lend most rows a face that passes; an unrelated
+        # zonotope's faces mostly fail, so most of its hinted sweep is cold.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
         config = solvers.DEFAULT_CONFIG
-        hausdorff._projections(poly, z, config)
         near = perturbed(z, rng, 1e-6)
-        box = mock.patch.object(solvers, "box_least_squares", wraps=solvers.box_least_squares)
-        hull = mock.patch.object(solvers, "project_to_hull", wraps=solvers.project_to_hull)
-        with box as box_calls, hull as hull_calls:
-            hinted = hausdorff._projections(poly, near, config, hints=z)
-        cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation), config)
-        solved = box_calls.call_count + hull_calls.call_count
-        assert solved <= (len(cold[0]) + len(cold[1])) // 2  # most faces carry over
-        assert sweep_key(hinted[:1]) == sweep_key(cold[:1])
-        tol = 1e-15 * poly.scale()
-        for h, c in zip(hinted[1], cold[1]):
-            assert np.array_equal(np.flatnonzero(h.weights), np.flatnonzero(c.weights))
-            assert np.abs(h.point - c.point).max() <= tol
-            assert abs(h.distance - c.distance) <= tol
+        for hints in (z, random_zonotope(rng, z.rank, d)):
+            hausdorff._projections(poly, hints, config)
+            box = mock.patch.object(solvers, "box_least_squares",
+                                    wraps=solvers.box_least_squares)
+            hull = mock.patch.object(solvers, "project_to_hull", wraps=solvers.project_to_hull)
+            with box as box_calls, hull as hull_calls:
+                hinted = hausdorff._projections(
+                    poly, Zonotope(near.generators, near.translation), config, hints=hints)
+            cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation),
+                                          config)
+            solved = box_calls.call_count + hull_calls.call_count
+            rows = len(cold[0]) + len(cold[1])
+            assert solved <= rows // 2 if hints is z else solved > rows // 2
+            assert sweep_key(hinted[:1]) == sweep_key(cold[:1])
+            tol = 1e-15 * poly.scale()
+            for (_, pt), h, c in zip(enumerate_vertices(near), hinted[1], cold[1]):
+                if hints is z or poly.interior_margin(pt) <= 0.0:  # inside P any simplex
+                    assert np.array_equal(np.flatnonzero(h.weights), np.flatnonzero(c.weights))
+                assert np.abs(h.point - c.point).max() <= tol
+                assert abs(h.distance - c.distance) <= tol
 
 
 
@@ -738,77 +753,3 @@ def sweep_key(sweep):
     return [[(r.point.tolist(), r.distance, r.kkt_residual,
               (r.coefficients if hasattr(r, "coefficients") else r.weights).tolist())
              for r in side] for side in sweep]
-
-
-class TestBoundedSweep:
-    @pytest.mark.parametrize("d, n", [(2, 4), (3, 4)])
-    def test_bound_rejects_iff_distance_reaches_it(self, rng, d, n):
-        config = solvers.DEFAULT_CONFIG
-        for _ in range(4):
-            poly = random_polytope(rng, d)
-            z = random_zonotope(rng, n, d)
-            fresh = lambda: Zonotope(z.generators, z.translation)  # noqa: E731
-            # No hints; hints near z, whose faces mostly carry over; and
-            # unrelated hints, whose distances order the rows that go cold.
-            for hints in (None, perturbed(z, rng, 1e-6), random_zonotope(rng, n, d)):
-                if hints is not None:
-                    hausdorff._projections(poly, hints, config)
-                full = sweep_key(hausdorff._projections(poly, fresh(), config, hints=hints))
-                value = max(distance for side in full for _, distance, _, _ in side)
-                for bound in (0.5 * value, value, np.nextafter(value, np.inf), 2.0 * value):
-                    zb = fresh()
-                    out = hausdorff._projections(poly, zb, config, bound=bound, hints=hints)
-                    assert (out is None) == (value >= bound)
-                    if out is None:
-                        assert zb._projections is None
-                    else:
-                        assert sweep_key(out) == full
-                        assert sweep_key(zb._projections[2:]) == full
-            # A cached sweep still answers to the bound.
-            value, _ = hausdorff_distance(poly, fresh())
-            full = sweep_key(hausdorff._projections(poly, fresh(), config))
-            zc = fresh()
-            hausdorff._projections(poly, zc, config)
-            assert hausdorff._projections(poly, zc, config, bound=value) is None
-            assert sweep_key(hausdorff._projections(poly, zc, config, bound=2 * value)) == full
-
-    def test_cold_rows_are_measured_largest_hinted_distance_first(self, rng, monkeypatch):
-        # The hints are z's own sweep with the faces of some rows broken
-        # (all generators free for a polytope row outside z, an empty corral
-        # for a zonotope row): exactly those rows go cold.
-        config = solvers.DEFAULT_CONFIG
-        for _ in range(5):
-            poly, z = random_local_instance(rng, d=2, n=4)
-            p_proj, z_proj = hausdorff._projections(poly, z, config)
-            distance = {("p", i): r.distance for i, r in enumerate(p_proj)}
-            distance.update({("z", j): r.distance for j, r in enumerate(z_proj)})
-            value = max(distance.values())
-            rows = [row for row in distance if distance[row] > 1e-6]
-            broken = {max(distance, key=distance.get)}
-            broken.update(rows[k] for k in rng.permutation(len(rows))[:len(rows) // 2])
-            assert len(broken) >= 3 and list(distance.values()).count(value) == 1
-            object.__setattr__(z, "_projections", (poly, config, tuple(
-                dataclasses.replace(r, coefficients=np.full(4, 0.5)) if ("p", i) in broken
-                else r for i, r in enumerate(p_proj)), tuple(
-                dataclasses.replace(r, corral=()) if ("z", j) in broken
-                else r for j, r in enumerate(z_proj))))
-            zpts = np.array([pt for _, pt in enumerate_vertices(z)])
-            cold = []
-            with monkeypatch.context() as patch:
-                for name, side, points in (("box_least_squares", "p", poly.vertices),
-                                           ("project_to_hull", "z", zpts)):
-                    def spy(*args, solve=getattr(solvers, name), side=side, points=points):
-                        target = args[2] if side == "p" else args[1]
-                        cold.append((side, int(np.flatnonzero((points == target).all(1))[0])))
-                        return solve(*args)
-                    patch.setattr(solvers, name, spy)
-                out = hausdorff._projections(poly, Zonotope(z.generators, z.translation),
-                                             config, bound=2.0 * value, hints=z)
-                assert out is not None and sorted(cold) == sorted(broken)
-                assert ([distance[row] for row in cold]
-                        == sorted((distance[row] for row in broken), reverse=True))
-                # The row that reaches the pair's value is measured first.
-                cold.clear()
-                assert hausdorff._projections(poly, Zonotope(z.generators, z.translation),
-                                              config, bound=value, hints=z) is None
-                assert [distance[row] for row in cold] == [value]
