@@ -84,7 +84,7 @@ def _load_polytope(path) -> Polytope:
     data = _load_json(path)
     try:
         return polytope_from_json(data)
-    except (KeyError, ValueError, DegenerateInput) as exc:
+    except (KeyError, TypeError, ValueError, DegenerateInput) as exc:
         raise _ParseError(f"{path}: {exc}") from exc
 
 
@@ -92,15 +92,18 @@ def _load_zonotope(path) -> Zonotope:
     data = _load_json(path)
     try:
         return zonotope_from_json(data)
-    except (KeyError, ValueError, DegenerateInput, ZonofitError) as exc:
+    except (KeyError, TypeError, ValueError, ZonofitError) as exc:
         raise _ParseError(f"{path}: {exc}") from exc
 
 
 def _seed_from(args) -> int:
     env = os.environ.get("ZONOFIT_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError as exc:
+        raise _UsageError(f"ZONOFIT_SEED is not an integer: {env!r}") from exc
 
 
 def _pair_payload(pair):

@@ -132,7 +132,7 @@ def tau_limits(cone: FeasibilityCone, direction: np.ndarray):
     return tuple((2.0 * num / (delta * delta).sum(axis=1)).tolist())
 
 
-def _chebyshev_direction(neg_gradients, A, margin, config):
+def _chebyshev_direction(neg_gradients, A):
     """Chebyshev center of conv(neg_gradients) cut by {A x >= margins}.
 
     Works inside the hull's affine span. Returns None when the cut is
@@ -141,7 +141,7 @@ def _chebyshev_direction(neg_gradients, A, margin, config):
     pts = np.array(neg_gradients)
     u0 = pts[0]
     row_norms = np.linalg.norm(A, axis=1)
-    req = margin * row_norms * (1.0 + np.linalg.norm(u0))
+    req = DIRECTION_MARGIN * row_norms * (1.0 + np.linalg.norm(u0))
     M = pts - u0
     _, s, vt = np.linalg.svd(M) if pts.shape[0] > 1 else (None, np.zeros(1), None)
     rank = int((s > 1e-10 * max(1.0, s.max(initial=0.0))).sum()) if pts.shape[0] > 1 else 0
@@ -160,18 +160,13 @@ def _chebyshev_direction(neg_gradients, A, margin, config):
     normals = np.vstack([hull_n, -AB])
     offsets = np.concatenate([hull_c, c0 - req])
     try:
-        center, radius = solvers.chebyshev_center(normals, offsets, config)
+        center, radius = solvers.chebyshev_center(normals, offsets)
     except (InfeasibleRegion, UnboundedRegion):
         return None
     return u0 + B @ center
 
 
-def descent_direction(
-    cone: FeasibilityCone,
-    objective: str = "exact",
-    margin: float = DIRECTION_MARGIN,
-    config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
-) -> DirectionResult:
+def descent_direction(cone: FeasibilityCone, objective: str = "exact") -> DirectionResult:
     """Search for a strictly improving perturbation direction.
 
     First tests the cone interior; an empty interior short-circuits to a
@@ -180,20 +175,20 @@ def descent_direction(
     Chebyshev center, verified to strictly improve every pair. An empty
     intersection is read as a local minimum.
     """
-    interior = solvers.cone_interior_point(cone.matrix, config)
+    interior = solvers.cone_interior_point(cone.matrix)
     if not interior.interior:
         return DirectionResult(status="cone_empty_interior",
                                certificate=certificate(cone.pairs, objective),
                                interior_margin=interior.margin)
 
-    direction = _chebyshev_direction(cone.negated_gradients(), cone.matrix, margin, config)
+    direction = _chebyshev_direction(cone.negated_gradients(), cone.matrix)
     if direction is None:
         return DirectionResult(status="feasible_empty",
                                interior_margin=interior.margin)
 
     values = cone.matrix @ direction
     row_norms = np.linalg.norm(cone.matrix, axis=1)
-    if np.any(values <= 0.5 * margin * row_norms * (1.0 + np.linalg.norm(direction))):
+    if np.any(values <= 0.5 * DIRECTION_MARGIN * row_norms * (1.0 + np.linalg.norm(direction))):
         return DirectionResult(status="feasible_empty",
                                interior_margin=interior.margin)
     taus = tau_limits(cone, direction)

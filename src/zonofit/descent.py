@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import solvers
-from .cone import build_cone, descent_direction
+from .cone import DIRECTION_MARGIN, build_cone, descent_direction
 from .errors import (
     EmptyTaus,
     IterationLimit,
@@ -58,6 +58,15 @@ _MAX_HALVINGS = 60
 # A probe decreases the distance only when it beats it by this many machine
 # epsilons, relative: above the round-off moves of a re-derived trace (6e-15).
 _DECREASE_EPS = 64
+# Fields of older manifests that are gone, each with the one value that
+# still replays the run it describes: the removed rescue-direction switch,
+# the cone margin and the solver tolerances, now constants.
+_RETIRED_FIELDS = {
+    "cone_fallback": False,
+    "cone_margin": DIRECTION_MARGIN,
+    "solver": {"feasibility_tol": solvers.FEASIBILITY_TOL, "kkt_tol": solvers.KKT_TOL,
+               "iteration_factor": solvers.ITERATION_FACTOR},
+}
 
 
 @dataclass(frozen=True)
@@ -74,33 +83,31 @@ class DescentConfig:
     objective: str = "exact"  # exact | coarse
     max_perturb_tries: int = 50
     tol_active: float = 1e-7
-    cone_margin: float = 1e-8
-    solver: solvers.SolverConfig = field(default_factory=solvers.SolverConfig)
 
     def __post_init__(self):
         # Written so that NaN fails every comparison.
         if not (self.max_steps >= 1 and self.threshold >= 0.0
                 and 0.0 < self.perturb_scale < np.inf and 0.0 <= self.tol_active < 1.0
-                and self.cone_margin >= 0.0 and self.max_perturb_tries >= 0):
+                and self.max_perturb_tries >= 0):
             raise ValueError("need max_steps >= 1, threshold >= 0, finite perturb_scale > 0, "
-                             "0 <= tol_active < 1, cone_margin >= 0, max_perturb_tries >= 0")
+                             "0 <= tol_active < 1, max_perturb_tries >= 0")
         if self.step_rule not in ("conservative", "random", "aggressive", "hybrid"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.objective not in ("exact", "coarse"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)  # fields in order, the solver as a dict
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_json(data: dict) -> "DescentConfig":
-        # Older manifests carry the removed rescue-direction switch; only
-        # its off value replays the run they describe.
-        if data.get("cone_fallback", False):
-            raise ValueError("cone_fallback is no longer supported")
+        for name, fixed in _RETIRED_FIELDS.items():
+            value = data.get(name, fixed)
+            if isinstance(fixed, dict) and isinstance(value, dict):
+                value = {**fixed, **value}  # a partial block keeps the rest
+            if value != fixed:
+                raise ValueError(f"{name} is no longer settable; only {fixed!r} replays")
         fields = {k: v for k, v in data.items() if k in DescentConfig.__dataclass_fields__}
-        if "solver" in fields:
-            fields["solver"] = solvers.SolverConfig(**fields["solver"])
         return DescentConfig(**fields)
 
 
@@ -189,9 +196,7 @@ def choose_step(rule: str, taus, rng, iteration: int = 0,
     raise ValueError(f"unknown step rule {rule!r}")
 
 
-def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng,
-                        max_tries: int = 50,
-                        config: solvers.SolverConfig = solvers.DEFAULT_CONFIG):
+def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng, max_tries: int = 50):
     """Perturb the zonotope entrywise-uniformly until locality holds.
 
     Returns (zonotope, tries); unchanged input counts as zero tries. The
@@ -201,8 +206,8 @@ def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng,
     current = z
     for tries in range(max_tries + 1):
         if tries and not _facet_directions(current)[2]:
-            _projections(poly, current, config, hints=z)
-        if check_locality(poly, current, config=config).ok:
+            _projections(poly, current, hints=z)
+        if check_locality(poly, current).ok:
             return current, tries
         current = _perturbed(current, sigma, rng)
     raise PerturbationBudgetExceeded(
@@ -219,9 +224,9 @@ def _perturbed(z: Zonotope, sigma: float, rng) -> Zonotope:
 
 def _distances(poly, z, cfg, hints=None):
     """(d_exact, d_coarse, objective, pairs) at z, stepped to from ``hints``."""
-    _projections(poly, z, cfg.solver, hints=hints)  # cached for the distance below
-    d_exact, pairs_exact = hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)
-    d_coarse, pairs_coarse = coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)
+    _projections(poly, z, hints=hints)  # cached for the distance below
+    d_exact, pairs_exact = hausdorff_distance(poly, z, cfg.tol_active)
+    d_coarse, pairs_coarse = coarse_hausdorff_distance(poly, z, cfg.tol_active)
     if cfg.objective == "coarse":
         return d_exact, d_coarse, d_coarse, pairs_coarse
     return d_exact, d_coarse, d_exact, pairs_exact
@@ -236,16 +241,16 @@ def _reaches(poly, z, d, cfg, hints=None) -> bool:
     """
     d = d * (1.0 - _DECREASE_EPS * np.finfo(float).eps)
     if cfg.objective == "coarse":
-        return coarse_hausdorff_distance(poly, z, cfg.tol_active, cfg.solver)[0] >= d
-    return max(r.distance for rows in _projections(poly, z, cfg.solver, hints) for r in rows) >= d
+        return coarse_hausdorff_distance(poly, z, cfg.tol_active)[0] >= d
+    return max(r.distance for rows in _projections(poly, z, hints) for r in rows) >= d
 
 
-def _row_motion(poly, z, direction, config):
+def _row_motion(poly, z, direction):
     """(U, delta, distances) per row of z's cached sweep, polytope rows first:
     u is the row's polytope point minus its zonotope point, delta that
     zonotope point's motion along ``direction`` on a fixed cube lift. At
     step h the row is at most |u - h delta| away."""
-    p_proj, z_proj = _projections(poly, z, config)
+    p_proj, z_proj = _projections(poly, z)
     X, Q = zip(*[(r.coefficients, r.point) for r in p_proj], *enumerate_vertices(z))
     delta = np.array(X) @ direction[:-z.dim].reshape(z.rank, z.dim) + direction[-z.dim:]
     P = np.vstack([poly.vertices, [r.point for r in z_proj]])
@@ -310,12 +315,11 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 return z, trace
             if not tries:
                 z, tries = perturb_until_local(poly, z, cfg.perturb_scale, rng,
-                                               cfg.max_perturb_tries, cfg.solver)
+                                               cfg.max_perturb_tries)
                 if tries:
                     continue
 
-            result = descent_direction(build_cone(pairs), objective=cfg.objective,
-                                       margin=cfg.cone_margin, config=cfg.solver)
+            result = descent_direction(build_cone(pairs), objective=cfg.objective)
             if result.status != "descent":
                 record(0.0, "-", result.status)
                 trace.termination = "certificate_or_feasible_empty"
@@ -339,7 +343,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 h_rule = h
                 h = h_rule * shrink
                 if cfg.objective == "exact":
-                    U, delta, dist = _row_motion(poly, z, result.direction, cfg.solver)
+                    U, delta, dist = _row_motion(poly, z, result.direction)
                     out = dist < d * (1.0 - cfg.tol_active)
                     h = min(h, 0.99 * _row_caps(U[out], delta[out], d).min(initial=np.inf))
                 for _ in range(_MAX_HALVINGS):

@@ -172,7 +172,7 @@ def is_general_position(z: Zonotope, tol: float = GENERAL_POSITION_TOL) -> bool:
     return not degenerate_subsets(z, tol)
 
 
-def is_zonotope_vertex(z: Zonotope, bits, config=solvers.DEFAULT_CONFIG) -> bool:
+def is_zonotope_vertex(z: Zonotope, bits) -> bool:
     """Decide whether the cubical vertex at ``bits`` is a true vertex.
 
     It is one iff some hyperplane through the origin strictly separates the
@@ -194,7 +194,7 @@ def is_zonotope_vertex(z: Zonotope, bits, config=solvers.DEFAULT_CONFIG) -> bool
         maximize=False,
     )
     try:
-        res = solvers.solve_lp(lp, config)
+        res = solvers.solve_lp(lp)
     except IterationLimit as exc:
         raise LPNumericalFailure(str(exc)) from exc
     return res.status == "optimal"
@@ -249,7 +249,7 @@ def _zonotope_faces(z: Zonotope) -> np.ndarray:
     return codes[np.append(True, codes[1:] != codes[:-1])]
 
 
-def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP, config=solvers.DEFAULT_CONFIG):
+def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP):
     """All vertices of a zonotope with their lifts, in lexicographic bit order.
 
     In general position every vertex lies on a facet: the vertices are the
@@ -268,7 +268,7 @@ def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP, config=solvers.D
         candidates = _bits(codes[codes < 1 << n], n)
     else:
         candidates = [bits for bits in itertools.product((0.0, 1.0), repeat=n)
-                      if is_zonotope_vertex(z, bits, config)]
+                      if is_zonotope_vertex(z, bits)]
     bits = _readonly(np.array(candidates, dtype=float).reshape(-1, n))
     out = [(row, _readonly(row @ z.generators + z.translation)) for row in bits]
     object.__setattr__(z, "_vertices", out)
@@ -497,7 +497,6 @@ class FaceDescriptor:
     (codim 0).
     """
 
-    side: str  # "polytope"
     affine_hull: AffineHull | None
     vertex_indices: tuple | None = None
 
@@ -517,8 +516,7 @@ def face_affine_hull(face: FaceDescriptor) -> AffineHull:
     return face.affine_hull
 
 
-def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL,
-                        config=solvers.DEFAULT_CONFIG) -> LiftPoint:
+def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL) -> LiftPoint:
     """Unique cube preimage of a boundary point of a stable zonotope.
 
     Box-constrained least squares recovers the preimage; uniqueness holds
@@ -534,7 +532,7 @@ def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL,
         raise NotOnBoundary("point is outside the zonotope")
     if margins.max() < -tol * scale:
         raise NotOnBoundary("point is strictly interior")
-    proj = solvers.box_least_squares(z.generators, z.translation, q, config)
+    proj = solvers.box_least_squares(z.generators, z.translation, q)
     if proj.distance > tol * scale:
         raise NotOnBoundary("no cube preimage within tolerance")
     lift = lift_values_to_lift(proj.coefficients)
@@ -625,7 +623,7 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     if cached is not None:
         return cached
     if active.size == 0:
-        face = FaceDescriptor(side="polytope", affine_hull=None,
+        face = FaceDescriptor(affine_hull=None,
                               vertex_indices=tuple(range(poly.vertices.shape[0])))
         poly.face_index[face_id] = face
         return face
@@ -636,8 +634,7 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     normals = q[:, :rank].T
     base = poly.vertices[on_face].mean(axis=0) if on_face.size else x
     hull = AffineHull(base=base, normals=normals, offsets=normals @ base)
-    face = FaceDescriptor(side="polytope", affine_hull=hull,
-                          vertex_indices=tuple(int(i) for i in on_face))
+    face = FaceDescriptor(affine_hull=hull, vertex_indices=tuple(int(i) for i in on_face))
     if on_face.size:  # a query-point base would not be reusable
         poly.face_index[face_id] = face
     return face
@@ -679,6 +676,8 @@ def zonotope_as_polytope(z: Zonotope) -> Polytope:
 
 def polytope_from_json(data: dict) -> Polytope:
     """Schema: {"vertices": [[...], ...], "facets": [[n..., c], ...]?}."""
+    if not isinstance(data, dict):
+        raise ValueError("a polytope must be a JSON object")
     verts = data["vertices"]
     facets = data.get("facets")
     return Polytope.from_vertices(verts, facets=facets)
@@ -693,6 +692,8 @@ def polytope_to_json(poly: Polytope) -> dict:
 
 def zonotope_from_json(data: dict) -> Zonotope:
     """Schema: {"generators": [[...], ...], "translation": [...]}."""
+    if not isinstance(data, dict):
+        raise ValueError("a zonotope must be a JSON object")
     return Zonotope(np.asarray(data["generators"], dtype=float),
                     np.asarray(data["translation"], dtype=float))
 

@@ -131,15 +131,13 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
         raise DimensionMismatch(f"polytope is {poly.dim}-D, zonotope is {z.dim}-D")
 
 
-def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
-                 hints: Zonotope | None = None):
+def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     """The pair's two vertex sweeps, computed once and cached on ``z``.
 
     Returns (p_proj, z_proj): the box least-squares projection of each
     polytope vertex onto z, and the min-norm projection onto poly of each
     zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
-    last (poly, config) measured; it is reused only for the same polytope
-    object and an equal config.
+    last polytope measured; it is reused only for the same polytope object.
 
     Each row is first solved on a face, one pass per side through the
     solvers' face tails, and kept where the face passes the solver's own
@@ -152,27 +150,27 @@ def _projections(poly: Polytope, z: Zonotope, config: solvers.SolverConfig,
     solvers' cold loops, in sweep order.
     """
     cached = z._projections
-    if cached is not None and cached[0] is poly and cached[1] == config:
-        return cached[2], cached[3]
+    if cached is not None and cached[0] is poly:
+        return cached[1], cached[2]
     V, zverts = poly.vertices, enumerate_vertices(z)
     zpts = np.array([pt for _, pt in zverts])
     p_proj, z_proj, faces = [None] * len(V), [None] * len(zverts), None
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
-    if hinted is not None and hinted[0] is poly and hinted[1] == config:
+    if hinted is not None and hinted[0] is poly:
         corral = {bits.tobytes(): row.corral
-                  for (bits, _), row in zip(enumerate_vertices(hints), hinted[3])}
-        faces = ([row.coefficients for row in hinted[2]],
+                  for (bits, _), row in zip(enumerate_vertices(hints), hinted[2])}
+        faces = ([row.coefficients for row in hinted[1]],
                  [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
     elif not _facet_directions(z)[2]:  # no hints: the faces the rows project onto
         faces = _zonotope_face_rows(z, V), _polytope_face_rows(poly, zpts)
     if faces is not None:
-        p_proj = solvers._box_rows(z.generators, z.translation, V, faces[0], config, verify=True)
-        z_proj = solvers._hull_rows(V, zpts, faces[1], config)
-    p_proj = tuple(solvers.box_least_squares(z.generators, z.translation, v, config)
+        p_proj = solvers._box_rows(z.generators, z.translation, V, faces[0], verify=True)
+        z_proj = solvers._hull_rows(V, zpts, faces[1])
+    p_proj = tuple(solvers.box_least_squares(z.generators, z.translation, v)
                    if row is None else row for v, row in zip(V, p_proj))
-    z_proj = tuple(solvers.project_to_hull(V, pt, config) if row is None else row
+    z_proj = tuple(solvers.project_to_hull(V, pt) if row is None else row
                    for pt, row in zip(zpts, z_proj))
-    object.__setattr__(z, "_projections", (poly, config, p_proj, z_proj))
+    object.__setattr__(z, "_projections", (poly, p_proj, z_proj))
     return p_proj, z_proj
 
 
@@ -241,12 +239,7 @@ def _banded_pairs(rows, tol_active: float):
     return value, pairs
 
 
-def hausdorff_distance(
-    poly: Polytope,
-    z: Zonotope,
-    tol_active: float = ACTIVE_PAIR_TOL,
-    config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
-):
+def hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL):
     """Exact Hausdorff distance and its achieving pairs.
 
     Reads the pair's two vertex sweeps (``_projections``). Returns
@@ -255,7 +248,7 @@ def hausdorff_distance(
     (one candidate per vertex, lowest index first).
     """
     _require_same_dim(poly, z)
-    p_proj, z_proj = _projections(poly, z, config)
+    p_proj, z_proj = _projections(poly, z)
     rows = [("p_vertex", i, v, bp.point, bp.coefficients, bp.distance)
             for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
     rows += [("z_vertex", j, hp.point, pt, bits, hp.distance)
@@ -263,12 +256,7 @@ def hausdorff_distance(
     return _banded_pairs(rows, tol_active)
 
 
-def coarse_hausdorff_distance(
-    poly: Polytope,
-    z: Zonotope,
-    tol_active: float = ACTIVE_PAIR_TOL,
-    config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
-):
+def coarse_hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL):
     """Hausdorff distance between the vertex sets only.
 
     An upper bound for the exact distance. Every pair endpoint is a
@@ -291,7 +279,7 @@ def coarse_hausdorff_distance(
 
 # Laxer feasibility for the small equality-constrained stability LP; its
 # right-hand side carries projection roundoff.
-_STABILITY_LP_CONFIG = solvers.SolverConfig(feasibility_tol=1e-7)
+_STABILITY_LP_TOL = 1e-7
 
 
 def _max_min_coefficient(points: np.ndarray, target: np.ndarray) -> float | None:
@@ -317,12 +305,11 @@ def _max_min_coefficient(points: np.ndarray, target: np.ndarray) -> float | None
         rhs=np.concatenate([b, np.zeros(m)]),
         maximize=True,
     )
-    res = solvers.solve_lp(lp, _STABILITY_LP_CONFIG)
+    res = solvers.solve_lp(lp, _STABILITY_LP_TOL)
     return float(res.x[-1]) if res.status == "optimal" else None
 
 
-def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL,
-                        config: solvers.SolverConfig = solvers.DEFAULT_CONFIG) -> bool:
+def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL) -> bool:
     """Whether projecting x onto the body is locally face-stable.
 
     Interior points are stable; boundary points are not. An exterior point
@@ -332,7 +319,7 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL,
     face lies strictly behind q along the offset.
     """
     x = np.asarray(x, dtype=float)
-    row = solvers.project_to_hull(poly.vertices, x, config)
+    row = solvers.project_to_hull(poly.vertices, x)
     return not _hull_unstable(x[None], [row], poly, tol_strict)[0]
 
 
@@ -387,9 +374,7 @@ def _lift_unstable(V: np.ndarray, rows, z: Zonotope, tol_strict: float,
     return ~np.where(margin > -tol_strict * scale, margin > tol_strict * scale, stable)
 
 
-def check_locality(poly: Polytope, z: Zonotope,
-                   tol_strict: float = STRICT_TOL,
-                   config: solvers.SolverConfig = solvers.DEFAULT_CONFIG) -> LocalityReport:
+def check_locality(poly: Polytope, z: Zonotope, tol_strict: float = STRICT_TOL) -> LocalityReport:
     """Check the two locality conditions for the pair (poly, z).
 
     1) the zonotope is in general position; 2) every polytope vertex is
@@ -405,7 +390,7 @@ def check_locality(poly: Polytope, z: Zonotope,
     if degenerate:
         return LocalityReport(general_position=False, degenerate_subsets=degenerate,
                               unstable_p_vertices=(), unstable_z_vertices=())
-    p_proj, z_proj = _projections(poly, z, config)
+    p_proj, z_proj = _projections(poly, z)
     zpts = np.array([pt for _, pt in enumerate_vertices(z)])
     scale = 1.0 + float(np.abs(zpts).max())
     bad_p = _lift_unstable(poly.vertices, p_proj, z, tol_strict, scale)
@@ -416,12 +401,12 @@ def check_locality(poly: Polytope, z: Zonotope,
 
 
 def evaluate(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL,
-             tol_strict: float = STRICT_TOL, config: solvers.SolverConfig = solvers.DEFAULT_CONFIG):
+             tol_strict: float = STRICT_TOL):
     """(value, pairs, coarse value, ``LocalityReport``): the distance, the
     coarse distance and the locality check, read off the pair's one sweep."""
-    value, pairs = hausdorff_distance(poly, z, tol_active, config)
-    return (value, pairs, coarse_hausdorff_distance(poly, z, tol_active, config)[0],
-            check_locality(poly, z, tol_strict, config))
+    value, pairs = hausdorff_distance(poly, z, tol_active)
+    return (value, pairs, coarse_hausdorff_distance(poly, z, tol_active)[0],
+            check_locality(poly, z, tol_strict))
 
 
 @dataclass(frozen=True)
@@ -485,9 +470,7 @@ def p_vertex_term(vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
                       anchor_bits=lift.anchor_bits(), free_indices=lift.free_indices)
 
 
-def local_terms(poly: Polytope, z0: Zonotope,
-                config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
-                require_locality: bool = True):
+def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
     """Smooth terms whose pointwise max equals the distance near ``z0``.
 
     One term per polytope vertex (its distance to the affine hull of the
@@ -498,10 +481,10 @@ def local_terms(poly: Polytope, z0: Zonotope,
     degenerate configurations, where the decomposition may only hold at
     the base point itself).
     """
-    if require_locality and not check_locality(poly, z0, config=config).ok:
+    if require_locality and not check_locality(poly, z0).ok:
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
-    p_proj, z_proj = _projections(poly, z0, config)
+    p_proj, z_proj = _projections(poly, z0)
     terms = [p_vertex_term(i, v, lift_values_to_lift(bp.coefficients))
              for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
     terms += [SmoothTerm(side="z_vertex", vertex_index=j, bits=bits,

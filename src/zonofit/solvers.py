@@ -9,6 +9,11 @@ Four problem shapes, all solved in dense numpy at desk scale:
   (``project_to_hull``),
 * Chebyshev-center and cone-interior LPs built on ``solve_lp``.
 
+The tolerances are module constants shared by every solver
+(``FEASIBILITY_TOL``, ``KKT_TOL``, ``ITERATION_FACTOR``); only
+``solve_lp`` takes its feasibility tolerance as a keyword, since the
+locality check's stability LP needs a laxer one.
+
 The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
 their final face to. The Hausdorff sweeps solve their rows there first,
@@ -32,8 +37,6 @@ import numpy as np
 from .errors import InfeasibleRegion, IterationLimit, UnboundedRegion
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "LinearProgram",
     "LPResult",
     "solve_lp",
@@ -47,21 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerance bundle shared by every solver.
-
-    feasibility_tol: accepted primal residual, relative to 1 + |b|_inf.
-    kkt_tol: accepted stationarity/complementarity residual.
-    iteration_factor: iteration cap multiplier on (variables + constraints).
-    """
-
-    feasibility_tol: float = 1e-9
-    kkt_tol: float = 1e-9
-    iteration_factor: int = 10
-
-
-DEFAULT_CONFIG = SolverConfig()
+# Accepted LP primal residual, relative to 1 + |b|_inf.
+FEASIBILITY_TOL = 1e-9
+# Accepted stationarity/complementarity residual of the projections.
+KKT_TOL = 1e-9
+# Iteration cap multiplier on (variables + constraints).
+ITERATION_FACTOR = 10
 
 # Pivot magnitude below which a tableau entry is treated as zero.
 _PIVOT_TOL = 1e-10
@@ -153,7 +147,7 @@ def _bland_simplex(T, basis, allowed, cap):
     raise IterationLimit("simplex iteration cap exceeded")
 
 
-def solve_lp(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) -> LPResult:
+def solve_lp(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LPResult:
     """Two-phase dense simplex with Bland's rule.
 
     On an optimal exit the primal residual satisfies
@@ -250,7 +244,7 @@ def solve_lp(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) -> LPResu
             basis.append(art_cols[ai])
             ai += 1
 
-    cap = max(200, config.iteration_factor * (N + m) * 4)
+    cap = max(200, ITERATION_FACTOR * (N + m) * 4)
     T = np.zeros((m + 1, N + 1))
     T[:m, :N] = full
     T[:m, -1] = b
@@ -271,11 +265,11 @@ def solve_lp(lp: LinearProgram, config: SolverConfig = DEFAULT_CONFIG) -> LPResu
         if status not in ("optimal", "unbounded"):
             raise IterationLimit("phase-1 simplex failed")
         scale = 1.0 + np.abs(b).max(initial=0.0)
-        if -T[-1, -1] > config.feasibility_tol * scale:
+        if -T[-1, -1] > feasibility_tol * scale:
             return LPResult(status="infeasible")
         # Drive basic artificials out where possible.
         for i in range(m):
-            if basis[i] in art_set and abs(T[i, -1]) <= config.feasibility_tol * scale:
+            if basis[i] in art_set and abs(T[i, -1]) <= feasibility_tol * scale:
                 for j in range(N):
                     if j not in art_set and abs(T[i, j]) > _PIVOT_TOL:
                         piv = T[i, j]
@@ -330,16 +324,12 @@ class BoxProjection:
     kkt_residual: float
 
 
-def box_least_squares(
-    generators: np.ndarray,
-    translation: np.ndarray,
-    target: np.ndarray,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> BoxProjection:
+def box_least_squares(generators: np.ndarray, translation: np.ndarray,
+                      target: np.ndarray) -> BoxProjection:
     """Minimize |x @ generators + translation - target| over x in [0,1]^n.
 
     Active-set method (bounded-variable least squares). At the solution the
-    KKT conditions hold within ``config.kkt_tol`` relative to the data
+    KKT conditions hold within ``KKT_TOL`` relative to the data
     scale: the negative gradient is <= 0 at lower-bounded coordinates,
     >= 0 at upper-bounded ones and ~ 0 at free ones. Coordinates at a bound
     are returned exactly 0.0 or 1.0, which downstream face detection relies
@@ -347,16 +337,16 @@ def box_least_squares(
     """
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
     T = np.asarray(target, dtype=float)[None]
-    return _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, config)[None], config)[0]
+    return _box_rows(G, mu, T, _box_active_set(G, T[0] - mu)[None])[0]
 
 
-def _box_tol(G, Y, config) -> np.ndarray:
+def _box_tol(G, Y) -> np.ndarray:
     """The stopping tolerance of ``box_least_squares`` per row of Y."""
     scale = 1.0 + np.sqrt(np.einsum("...d,...d->...", Y, Y))
-    return config.kkt_tol * (1.0 + float(np.abs(G).max(initial=0.0)) * scale)
+    return KKT_TOL * (1.0 + float(np.abs(G).max(initial=0.0)) * scale)
 
 
-def _box_rows(G, mu, targets, faces, config, verify=False) -> list:
+def _box_rows(G, mu, targets, faces, verify=False) -> list:
     """The face tail of ``box_least_squares`` on many rows at once.
     ``faces`` are the active-set loop's rows, already solved on their free
     sets F (coefficients strictly inside (0, 1)) by ``_face_solve``, or with
@@ -376,7 +366,7 @@ def _box_rows(G, mu, targets, faces, config, verify=False) -> list:
     signed = np.where(X == 0.0, W, -W)
     ok = [True] * len(X)
     if verify:
-        bound_ok = signed <= _box_tol(G, Y, config)[:, None] + 1e-15
+        bound_ok = signed <= _box_tol(G, Y)[:, None] + 1e-15
         ok = np.where(free, (X > 1e-12) & (X < 1.0 - 1e-12), bound_ok).all(axis=1)
     kkt = np.where(free, np.abs(W), signed).max(axis=1, initial=0.0).tolist()
     points = P + mu
@@ -394,12 +384,12 @@ def _face_solve(G, Y, X, f) -> np.ndarray:
     return np.linalg.lstsq(G[f].T, R.T, rcond=None)[0].T
 
 
-def _box_active_set(G, y, config) -> np.ndarray:
+def _box_active_set(G, y) -> np.ndarray:
     """The active-set loop of ``box_least_squares``; returns x."""
-    n, tol = G.shape[0], float(_box_tol(G, y, config))
+    n, tol = G.shape[0], float(_box_tol(G, y))
     x = np.zeros(n)
     status = np.full(n, -1, dtype=int)  # -1 lower, 0 free, +1 upper
-    cap = max(100, config.iteration_factor * 6 * (n + 1))
+    cap = max(100, ITERATION_FACTOR * 6 * (n + 1))
     blocked = -1  # variable pinned back with zero progress last cycle
 
     for _ in range(cap):
@@ -468,11 +458,7 @@ class HullProjection:
     corral: tuple  # the points of positive weight, in Wolfe's final order
 
 
-def project_to_hull(
-    points: np.ndarray,
-    target: np.ndarray,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> HullProjection:
+def project_to_hull(points: np.ndarray, target: np.ndarray) -> HullProjection:
     """Min-norm point of conv(points) - target, via Wolfe's algorithm.
 
     Maintains a corral of affinely independent points; major iterations add
@@ -481,11 +467,11 @@ def project_to_hull(
     """
     V = np.atleast_2d(np.asarray(points, dtype=float))
     T = np.asarray(target, dtype=float)[None]
-    corral, lam = _wolfe(V - T[0], config)
-    return _hull_rows(V, T, [corral], config, [lam])[0]
+    corral, lam = _wolfe(V - T[0])
+    return _hull_rows(V, T, [corral], [lam])[0]
 
 
-def _hull_rows(V, targets, corrals, config, weights=None) -> list:
+def _hull_rows(V, targets, corrals, weights=None) -> list:
     """The face tail of ``project_to_hull`` on many rows at once. Row k's
     weights on ``corrals[k]`` are ``weights[k]`` when given (Wolfe's, from
     the same solve); otherwise they are the affine min-norm solve on it in
@@ -508,7 +494,7 @@ def _hull_rows(V, targets, corrals, config, weights=None) -> list:
     dots = np.einsum("rnd,rd->rn", S, X).min(axis=1)
     xx = np.einsum("rd,rd->r", X, X)
     if weights is None:
-        ok &= dots >= xx - config.kkt_tol * (1.0 + np.einsum("rnd,rnd->rn", S, S).max(axis=1))
+        ok &= dots >= xx - KKT_TOL * (1.0 + np.einsum("rnd,rnd->rn", S, S).max(axis=1))
     points = targets + X
     xx, dots = xx.tolist(), dots.tolist()
     return [HullProjection(weights=W[k], point=points[k], distance=math.sqrt(xx[k]),
@@ -534,15 +520,15 @@ def _affine_min_norm(C: np.ndarray) -> np.ndarray:
     return alpha / np.where(np.abs(ssum) > 1e-12, ssum, 1.0)
 
 
-def _wolfe(S, config):
+def _wolfe(S):
     """Wolfe's loop on the rows of S; returns its final corral, in order,
     and the corral's weights (its last affine min-norm solve)."""
     norms2 = np.einsum("ij,ij->i", S, S)
-    eps = config.kkt_tol * (1.0 + float(norms2.max(initial=0.0)))
+    eps = KKT_TOL * (1.0 + float(norms2.max(initial=0.0)))
     corral = [int(np.argmin(norms2))]
     lam = np.array([1.0])
     x = S[corral[0]].copy()
-    cap = max(100, config.iteration_factor * 4 * (S.shape[0] + S.shape[1]))
+    cap = max(100, ITERATION_FACTOR * 4 * (S.shape[0] + S.shape[1]))
 
     for _ in range(cap):
         dots = S @ x
@@ -574,11 +560,7 @@ def _wolfe(S, config):
     raise IterationLimit("min-norm point did not converge")
 
 
-def chebyshev_center(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> tuple[np.ndarray, float]:
+def chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, float]:
     """Center and radius of the largest ball in {x : normals x <= offsets}.
 
     Solves  max r  s.t.  <a_i, x> + r |a_i| <= b_i.  Raises
@@ -599,13 +581,13 @@ def chebyshev_center(
         rhs=b,
         maximize=True,
     )
-    res = solve_lp(lp, config)
+    res = solve_lp(lp)
     if res.status == "unbounded":
         raise UnboundedRegion("no bounded inscribed ball")
     if res.status != "optimal":
         raise InfeasibleRegion("empty halfspace region")
     radius = float(res.x[-1])
-    if radius < -config.feasibility_tol * (1.0 + np.abs(b).max(initial=0.0)):
+    if radius < -FEASIBILITY_TOL * (1.0 + np.abs(b).max(initial=0.0)):
         raise InfeasibleRegion("empty halfspace region")
     return res.x[:d].copy(), radius
 
@@ -623,10 +605,7 @@ class ConeInteriorResult:
 CONE_INTERIOR_MARGIN = 1e-8
 
 
-def cone_interior_point(
-    A: np.ndarray,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> ConeInteriorResult:
+def cone_interior_point(A: np.ndarray) -> ConeInteriorResult:
     """Find a point with A x >= t * 1 on the unit box, maximizing t.
 
     Rows are normalized first so the reported margin is scale-free; zero
@@ -651,7 +630,7 @@ def cone_interior_point(
         upper=upper,
         maximize=True,
     )
-    res = solve_lp(lp, config)
+    res = solve_lp(lp)
     if res.status != "optimal":
         # Cannot happen for finite data; treat defensively as no interior.
         return ConeInteriorResult(interior=False, x=np.zeros(d), margin=0.0)

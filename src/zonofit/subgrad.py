@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solvers
 from .cone import build_cone
 from .errors import DegenerateFace, LocalityViolation, SingularSubmatrix
 from .geom import Polytope, Zonotope, minimal_face
@@ -189,13 +188,8 @@ def gradients_for_pairs(pairs):
     return tuple(-build_cone(pairs).negated_gradients())
 
 
-def clarke_subdifferential(
-    poly: Polytope,
-    z: Zonotope,
-    tol_active: float = 1e-7,
-    objective: str = "exact",
-    config: solvers.SolverConfig = solvers.DEFAULT_CONFIG,
-) -> SubdifferentialSet:
+def clarke_subdifferential(poly: Polytope, z: Zonotope, tol_active: float = 1e-7,
+                           objective: str = "exact") -> SubdifferentialSet:
     """Gradients of all active terms at ``z``; their hull is the
     generalized derivative of the chosen objective.
 
@@ -203,10 +197,10 @@ def clarke_subdifferential(
     objective only needs the pairs themselves.
     """
     coarse = objective == "coarse"
-    if not coarse and not check_locality(poly, z, config=config).ok:
+    if not coarse and not check_locality(poly, z).ok:
         raise LocalityViolation("locality conditions fail; gradients undefined")
     distance = coarse_hausdorff_distance if coarse else hausdorff_distance
-    _, pairs = distance(poly, z, tol_active, config)
+    _, pairs = distance(poly, z, tol_active)
     return SubdifferentialSet(
         gradients=gradients_for_pairs(pairs),
         pairs=tuple(pairs),

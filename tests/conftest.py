@@ -174,6 +174,16 @@ def rigid_motion(rng, d):
     return q, t
 
 
+# A config as manifests wrote it while the solver tolerances and the cone
+# margin were still settable, at their defaults (the only values that replay).
+OLD_MANIFEST_CONFIG = {
+    "rank": 3, "max_steps": 7, "threshold": 1e-09, "step_rule": "conservative",
+    "hybrid_switch": None, "rng_seed": 11, "perturb_scale": 1e-06, "objective": "exact",
+    "max_perturb_tries": 50, "tol_active": 1e-07, "cone_margin": 1e-08,
+    "solver": {"feasibility_tol": 1e-09, "kkt_tol": 1e-09, "iteration_factor": 10},
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
@@ -181,17 +191,17 @@ def rng():
 
 @pytest.fixture
 def measured_rows(monkeypatch):
-    """(tail, config) for each sweep row measured while the test runs. A row
+    """The tail's name for each sweep row measured while the test runs. A row
     leaves the solvers through a face tail whether it was solved on a
     hinted face, on a selected face or by a cold loop, and only a row that
     the tail accepts is measured."""
     from zonofit import solvers
 
     rows = []
-    for name, at in (("_box_rows", 4), ("_hull_rows", 3)):
-        def spy(*args, tail=getattr(solvers, name), name=name, at=at, **kwargs):
+    for name in ("_box_rows", "_hull_rows"):
+        def spy(*args, tail=getattr(solvers, name), name=name, **kwargs):
             out = tail(*args, **kwargs)
-            rows.extend((name, args[at]) for row in out if row is not None)
+            rows.extend(name for row in out if row is not None)
             return out
         monkeypatch.setattr(solvers, name, spy)
     return rows

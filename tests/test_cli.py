@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import random_zonotope
+from conftest import OLD_MANIFEST_CONFIG, random_zonotope
 from zonofit.cli import main
 from zonofit.descent import DescentConfig, optimize
 from zonofit.geom import (
@@ -82,6 +82,18 @@ class TestDistanceCommand:
         bad.write_text("{not json")
         poly = write_json(tmp_path / "p.json", {"vertices": [[0, 0], [1, 0], [0, 1]]})
         assert main(["distance", str(bad), str(bad)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        lambda poly, zono, bad: ["distance", bad, zono],
+        lambda poly, zono, bad: ["distance", poly, bad],
+        lambda poly, zono, bad: ["optimize", poly, "--rank", "2", "--warmstart", bad],
+    ], ids=["polytope", "zonotope", "warmstart"])
+    @pytest.mark.parametrize("top", [[1, 2], "text", None])
+    def test_json_not_an_object_exit_2(self, square_files, tmp_path, capsys, argv, top):
+        bad = write_json(tmp_path / "bad.json", top)
+        assert main(argv(*square_files, bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {bad}:") and err.count("\n") == 1
 
 
 class TestOptimizeCommand:
@@ -303,6 +315,25 @@ class TestUsageErrors:
         assert main(["optimize", poly, "--rank", "4", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: bad config:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("cone_margin", 1e-7), ("solver", {"feasibility_tol": 1e-7}),
+        ("solver", {"kkt_tol": 1e-8, "iteration_factor": 10})])
+    def test_retired_config_field(self, square_files, tmp_path, capsys, field, value):
+        # A manifest from a run with a solver tolerance or cone margin off
+        # its old default cannot be replayed: the values are constants now.
+        manifest = {"config": {**OLD_MANIFEST_CONFIG, "rank": 4, field: value}}
+        flags = ["--config", write_json(tmp_path / "m.json", manifest)]
+        assert main(["optimize", square_files[0], "--rank", "4", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: bad config: {field}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["optimize", "--steps", "2"], ["warmstart"]])
+    def test_non_integer_env_seed(self, square_files, capsys, monkeypatch, command):
+        monkeypatch.setenv("ZONOFIT_SEED", "abc")
+        assert main([command[0], square_files[0], "--rank", "2", *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ZONOFIT_SEED") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["-1", "1", "nan"])
     def test_rejected_tol_active(self, square_files, capsys, tol):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_instance, random_polytope, random_zonotope
+from conftest import OLD_MANIFEST_CONFIG, random_local_instance, random_polytope, random_zonotope
 from zonofit import descent, solvers
 from zonofit.cone import build_cone, descent_direction
 from zonofit.errors import EmptyTaus, PerturbationBudgetExceeded
@@ -234,13 +234,9 @@ class TestOptimize:
         assert checked >= 5
 
     def test_config_json_round_trip(self):
-        from zonofit.solvers import SolverConfig
-
         cfg = DescentConfig(rank=4, max_steps=77, threshold=1e-6,
                             step_rule="hybrid", hybrid_switch=9, rng_seed=5,
-                            objective="coarse",
-                            solver=SolverConfig(feasibility_tol=1e-7, kkt_tol=1e-8,
-                                                iteration_factor=20))
+                            objective="coarse")
         back = DescentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert back == cfg
 
@@ -252,11 +248,28 @@ class TestOptimize:
         with pytest.raises(ValueError):
             DescentConfig.from_json({**old, "cone_fallback": True})
 
+    def test_config_json_old_manifest_loads(self):
+        new = DescentConfig(rank=3, max_steps=7, rng_seed=11)
+        assert DescentConfig.from_json(OLD_MANIFEST_CONFIG) == new
+        # A partial solver block leaves the rest at the old defaults.
+        partial = {**OLD_MANIFEST_CONFIG, "solver": {"kkt_tol": 1e-9}}
+        assert DescentConfig.from_json(partial) == new
+
+    @pytest.mark.parametrize("field, value", [
+        ("cone_margin", 1e-7), ("cone_margin", 0.0), ("cone_margin", np.nan),
+        ("solver", {"feasibility_tol": 1e-7, "kkt_tol": 1e-9, "iteration_factor": 10}),
+        ("solver", {"iteration_factor": 20}), ("solver", {"pivot_tol": 1e-9}), ("solver", None)])
+    def test_config_json_retired_field_only_at_its_old_default(self, field, value):
+        # The tolerances and the margin are constants now, so a manifest
+        # with another value describes a run this code cannot replay.
+        with pytest.raises(ValueError, match=field):
+            DescentConfig.from_json({**OLD_MANIFEST_CONFIG, field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("max_steps", 0), ("threshold", -1.0), ("threshold", np.nan),
         ("perturb_scale", 0.0), ("perturb_scale", np.nan), ("perturb_scale", np.inf),
         ("tol_active", -1.0), ("tol_active", 1.0), ("tol_active", np.nan),
-        ("cone_margin", -1e-8), ("cone_margin", np.nan), ("max_perturb_tries", -1)])
+        ("max_perturb_tries", -1)])
     def test_config_rejects_bad_values(self, field, value):
         # A negative or NaN tol_active bands no pair, which would certify a
         # local minimum at the start; a NaN or infinite perturb_scale would
@@ -323,7 +336,7 @@ def _rows(poly, z, direction):
     of ``descent._row_motion``), the distance, and the rows outside the
     active band, whose caps bound the step."""
     d, _ = hausdorff_distance(poly, z)
-    U, delta, dist = descent._row_motion(poly, z, direction, solvers.DEFAULT_CONFIG)
+    U, delta, dist = descent._row_motion(poly, z, direction)
     return U, delta, d, dist < d * (1.0 - ACTIVE_PAIR_TOL)
 
 

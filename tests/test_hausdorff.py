@@ -256,7 +256,7 @@ class TestCheckLocality:
         # so it counts as projecting to the corner, on its cone's boundary.
         z = unit_square_zonotope()
         poly = Polytope.from_vertices([[1.0 - 1e-9, 2.0], [3.0, 2.5], [2.0, 4.0]])
-        row = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)[0][0]
+        row = hausdorff._projections(poly, z)[0][0]
         assert 0.0 < row.coefficients[0] < 1.0
         assert 0 in check_locality(poly, z).unstable_p_vertices
 
@@ -268,7 +268,7 @@ def projection_faces(poly, z):
     set and anchor for a polytope vertex, and the vertex set of the minimal
     polytope face for a zonotope vertex (keyed by its bits).
     """
-    p_proj, z_proj = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
+    p_proj, z_proj = hausdorff._projections(poly, z)
     normals, offsets = zonotope_facets(z)
     p_faces = []
     for v, row in zip(poly.vertices, p_proj):
@@ -317,7 +317,7 @@ class TestLocalityRule:
         # about 5e-10 for the projection and calls the vertex unstable.
         z = Zonotope([[1.0, 0.0], [1.0, -1e-6], [0.0, 1.0]], [0.0, 0.0])
         poly = Polytope.from_vertices([[1.94, -0.5], [1.5, 3.0], [-1.0, 2.0]])
-        row = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)[0][0]
+        row = hausdorff._projections(poly, z)[0][0]
         assert row.coefficients.tolist() == pytest.approx([0.94, 1.0, 0.0])
         assert check_locality(poly, z).ok
         face = projection_faces(poly, z)[0][0]
@@ -381,7 +381,7 @@ def _lift_stable(v: np.ndarray, row: solvers.BoxProjection, z: Zonotope,
 
 def reference_locality(poly, z, tol_strict=hausdorff.STRICT_TOL):
     """``check_locality`` by the per-row rules above."""
-    p_proj, z_proj = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
+    p_proj, z_proj = hausdorff._projections(poly, z)
     zverts = enumerate_vertices(z)
     scale = 1.0 + max(float(np.abs(pt).max()) for _, pt in zverts)
     bad_p = tuple(i for i, (v, row) in enumerate(zip(poly.vertices, p_proj))
@@ -407,7 +407,7 @@ class TestArrayLocality:
         # that every active facet spans the free set finds it unstable.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
-        p_rows = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)[0]
+        p_rows = hausdorff._projections(poly, z)[0]
         near = [shifted_to_lower_face(z, row, k, rng.uniform(1e-9, 5e-8))
                 for row in p_rows if row.distance > 0.0
                 for k in np.flatnonzero((row.coefficients > 0.0) & (row.coefficients < 1.0))]
@@ -537,26 +537,21 @@ class TestProjectionCache:
             assert ([term_key(t) for t in local_terms(poly, z)]
                     == [term_key(t) for t in local_terms(poly, fresh())])
 
-    def test_other_polytope_or_config_recomputes(self, rng, measured_rows):
+    def test_other_polytope_recomputes(self, rng, measured_rows):
         poly_a, z = random_local_instance(rng, d=2, n=4)
         z = Zonotope(z.generators, z.translation)
         poly_b = random_polytope(rng, 2)
-        lax = solvers.SolverConfig(feasibility_tol=1e-7)
-        sequence = [(poly_a, solvers.DEFAULT_CONFIG), (poly_b, solvers.DEFAULT_CONFIG),
-                    (poly_a, solvers.DEFAULT_CONFIG), (poly_a, lax),
-                    (poly_b, lax), (poly_a, solvers.DEFAULT_CONFIG)]
-        for poly, config in sequence:
+        for poly in (poly_a, poly_b, poly_a):
             before = len(measured_rows)
-            warm = distance_key(poly, z, config=config)
-            # Every row of both sweeps is measured again, with this config.
-            assert sorted(measured_rows[before:], key=lambda row: row[0]) == (
-                [("_box_rows", config)] * poly.vertices.shape[0]
-                + [("_hull_rows", config)] * len(enumerate_vertices(z)))
-            assert warm == distance_key(poly, Zonotope(z.generators, z.translation),
-                                        config=config)
-        # An equal config and the same polytope object reuse the sweep.
+            warm = distance_key(poly, z)
+            # Every row of both sweeps is measured again.
+            assert sorted(measured_rows[before:]) == (
+                ["_box_rows"] * poly.vertices.shape[0]
+                + ["_hull_rows"] * len(enumerate_vertices(z)))
+            assert warm == distance_key(poly, Zonotope(z.generators, z.translation))
+        # The same polytope object reuses the sweep.
         before = len(measured_rows)
-        hausdorff_distance(poly_a, z, config=solvers.SolverConfig())
+        hausdorff_distance(poly_a, z)
         assert len(measured_rows) == before
 
     def test_evaluate_is_the_separate_calls_on_one_sweep(self, rng, measured_rows):
@@ -607,18 +602,16 @@ class TestProjectionCache:
         # zonotope's faces mostly fail, so most of its hinted sweep is cold.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
-        config = solvers.DEFAULT_CONFIG
         near = perturbed(z, rng, 1e-6)
         for hints in (z, random_zonotope(rng, z.rank, d)):
-            hausdorff._projections(poly, hints, config)
+            hausdorff._projections(poly, hints)
             box = mock.patch.object(solvers, "box_least_squares",
                                     wraps=solvers.box_least_squares)
             hull = mock.patch.object(solvers, "project_to_hull", wraps=solvers.project_to_hull)
             with box as box_calls, hull as hull_calls:
                 hinted = hausdorff._projections(
-                    poly, Zonotope(near.generators, near.translation), config, hints=hints)
-            cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation),
-                                          config)
+                    poly, Zonotope(near.generators, near.translation), hints=hints)
+            cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation))
             solved = box_calls.call_count + hull_calls.call_count
             rows = len(cold[0]) + len(cold[1])
             assert solved <= rows // 2 if hints is z else solved > rows // 2
@@ -690,7 +683,7 @@ class TestFaceSelection:
     def test_unhinted_sweep_matches_the_cold_loops(self, seed, d, kind):
         rng = np.random.default_rng(seed)
         poly, z, tie = selection_instance(rng, d, kind)
-        p_rows, z_rows = hausdorff._projections(poly, z, solvers.DEFAULT_CONFIG)
+        p_rows, z_rows = hausdorff._projections(poly, z)
         p_cold, z_cold = cold_sweep(poly, z)
         tol = 1e-15 * poly.scale()
         for i, (row, cold) in enumerate(zip(p_rows, p_cold)):
