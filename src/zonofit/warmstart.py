@@ -50,7 +50,9 @@ def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
     Near-duplicate inputs (e.g. a reflected vertex landing on an original
     one up to roundoff) are merged within ``tol`` times the data scale,
-    keeping the first in lexicographic order.
+    keeping the first in lexicographic order. A turn o -> a -> b with b
+    within that distance of line oa drops a, as collinear, by one rule for
+    a point and its reflection.
     """
     pts = np.asarray(points, dtype=float)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -75,7 +77,8 @@ def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             bx, by = xy[i]
             while len(hull) >= floor:
                 (ox, oy), (ax, ay) = xy[hull[-2]], xy[hull[-1]]
-                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                cross = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                if cross > merge * ((ax - ox) ** 2 + (ay - oy) ** 2) ** 0.5:
                     break
                 hull.pop()
             hull.append(i)
@@ -100,26 +103,63 @@ def envelope_2d(poly: Polytope, center) -> SymmetricPolygon:
     return SymmetricPolygon(vertices=convex_hull_2d(pts), center=O)
 
 
+def _envelope_areas(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Area of conv(V u (2c - V)) for each row c of C.
+
+    About c the points are +-(V - c): sorted by angle they form a star
+    polygon, whose reflex points are dropped until none is left. Points
+    within the merge tolerance of c or of the point before them go first:
+    round-off decides the turn at a near-duplicate pair.
+    """
+    W = V[None, :, :] - C[:, None, :]
+    P = np.concatenate([W, -W], axis=1)
+    # Pseudo-angle: monotone in the angle and exact under scaling by 2^k.
+    x, y, radius = P[..., 0], P[..., 1], np.abs(P).sum(axis=2)
+    t = y / np.where(radius > 0.0, radius, 1.0)
+    order = np.argsort(np.where(x >= 0.0, t, 2.0 - t), axis=1, kind="stable")
+    P = np.take_along_axis(P, order[..., None], axis=1)
+    merge = 1e-9 * np.abs(W).max(axis=(1, 2))[:, None]
+    keep = np.linalg.norm(np.stack([P, P - np.roll(P, 1, axis=1)]), axis=3).min(axis=0) > merge
+    idx, rows = np.arange(P.shape[1]), np.arange(P.shape[0])[:, None]
+    while True:
+        # Kept points first, in angle order: a row's cycle is its first count.
+        P = np.take_along_axis(P, np.argsort(~keep, axis=1, kind="stable")[..., None], axis=1)
+        count = keep.sum(axis=1, keepdims=True)
+        keep = idx < count
+        Q = P[rows, (idx + 1) % count]
+        a, b = P - P[rows, (idx - 1) % count], Q - P
+        reflex = keep & (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0] < 0.0)
+        if not reflex.any():
+            return 0.5 * (keep * (P[..., 0] * Q[..., 1] - P[..., 1] * Q[..., 0])).sum(axis=1)
+        keep &= ~reflex
+
+
 def choose_center_2d(poly: Polytope, grid_depth: int = 3) -> np.ndarray:
     """Reflection point minimizing the envelope area over a refined grid.
 
     Starts from the vertex barycenter (always a candidate, so the result
-    is never worse) and refines a 9x9 grid ``grid_depth`` times.
+    is never worse) and refines a 9x9 grid ``grid_depth`` times. A level
+    walks its offsets from the best so far, scoring those left in one array
+    pass, and accepts an area below best (1 - 64 eps): round-off ties keep
+    the earlier center, and scaling by 2^k scales the result by 2^k.
     """
     if poly.dim != 2:
         raise DimensionNot2("center search needs a planar polytope")
     V = poly.vertices
     best = V.mean(axis=0)
-    best_area = polygon_area(envelope_2d(poly, best).vertices)
+    best_area = _envelope_areas(V, best[None])[0]
     width = 0.5 * float(np.ptp(V, axis=0).max())
     for _ in range(grid_depth):
         ticks = np.linspace(-width, width, 9)
-        for dx in ticks:
-            for dy in ticks:
-                cand = best + np.array([dx, dy])
-                area = polygon_area(envelope_2d(poly, cand).vertices)
-                if area < best_area - 1e-15:
-                    best, best_area = cand, area
+        offsets = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+        while offsets.shape[0]:
+            cands = best + offsets
+            areas = _envelope_areas(V, cands)
+            better = np.flatnonzero(areas < best_area * (1.0 - 64 * np.finfo(float).eps))
+            if not better.size:
+                break
+            i = better[0]
+            best, best_area, offsets = cands[i], areas[i], offsets[i + 1:]
         width /= 3.0
     return best
 

@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from conftest import random_polytope, random_zonotope
 from zonofit.errors import AsymmetryTooLarge, DimensionNot2
-from zonofit.geom import Polytope, Zonotope, enumerate_vertices, zonotope_as_polytope
+from zonofit.geom import (
+    Polytope,
+    Zonotope,
+    enumerate_vertices,
+    is_general_position,
+    zonotope_as_polytope,
+)
 from zonofit.hausdorff import hausdorff_distance
 from zonofit.warmstart import (
     SymmetricPolygon,
+    _envelope_areas,
     choose_center_2d,
     convex_hull_2d,
     envelope_2d,
@@ -25,6 +34,41 @@ HEX_GENERATORS = np.array([[1.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
 
 def triangle():
     return Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def lattice_polygon(rng):
+    """Hull of integer points: exact duplicates, collinear points and
+    centers that land reflections on vertices."""
+    while True:
+        points = rng.integers(-6, 7, size=(int(rng.integers(4, 12)), 2)).astype(float)
+        if np.linalg.matrix_rank(points - points[0]) == 2:
+            return Polytope.from_points(points)
+
+
+def polygon_mix(rng, count):
+    """Random, centrally symmetric and lattice polygons, ``count`` of each."""
+    for _ in range(count):
+        yield random_polytope(rng, 2)
+        yield zonotope_as_polytope(random_zonotope(rng, int(rng.integers(2, 6)), 2))
+        yield lattice_polygon(rng)
+
+
+def reference_center_2d(poly, grid_depth=3):
+    """``choose_center_2d`` as a per-candidate loop, one envelope each."""
+    V = poly.vertices
+    best = V.mean(axis=0)
+    best_area = polygon_area(envelope_2d(poly, best).vertices)
+    width = 0.5 * float(np.ptp(V, axis=0).max())
+    for _ in range(grid_depth):
+        ticks = np.linspace(-width, width, 9)
+        for dx in ticks:
+            for dy in ticks:
+                cand = best + np.array([dx, dy])
+                area = polygon_area(envelope_2d(poly, cand).vertices)
+                if area < best_area * (1.0 - 64 * np.finfo(float).eps):
+                    best, best_area = cand, area
+        width /= 3.0
+    return best
 
 
 class TestEnvelope2D:
@@ -57,6 +101,35 @@ class TestEnvelope2D:
         poly = random_polytope(rng, 3)
         with pytest.raises(DimensionNot2):
             envelope_2d(poly, np.zeros(3))
+
+    @pytest.mark.parametrize("points, center", [
+        # Round-off kept one point of an edge and dropped its reflection:
+        # an 11-vertex cycle.
+        ([[-4, -5], [4, -1], [2, 2], [1, 2], [-6, -4], [-1, 2], [1, -4], [3, 0]],
+         [-0.5277777777777778, -1.527777777777778]),
+        # Round-off kept a collinear middle point: two parallel generators.
+        ([[2, 1], [1, -6], [-1, -2], [2, -2], [1, 0], [-2, 0], [-3, -4], [1, 6], [1, 2]],
+         [-0.33333333333333337, -2.3333333333333335]),
+    ])
+    def test_near_collinear_turns_drop_a_point_and_its_reflection(self, points, center):
+        poly = Polytope.from_points(np.array(points, dtype=float))
+        env = envelope_2d(poly, center)
+        m = env.vertices.shape[0] // 2
+        assert env.vertices.shape[0] == 2 * m
+        assert np.allclose(2.0 * env.center - env.vertices[:m], env.vertices[m:], atol=1e-12)
+        z = symmetric_polygon_to_zonotope(env)
+        assert z.rank == m and is_general_position(z)
+        for n in (2, 4, 6):
+            assert is_general_position(warmstart_zonotope(poly, n))
+
+    def test_batched_area_is_the_hull_area(self, rng):
+        # Centers at vertices and edge midpoints land reflections on
+        # vertices, and put the center itself among the points.
+        for poly in polygon_mix(rng, 6):
+            V = poly.vertices
+            C = np.vstack([V.mean(axis=0), V, 0.5 * (V + np.roll(V, -1, axis=0))])
+            want = [polygon_area(envelope_2d(poly, c).vertices) for c in C]
+            assert _envelope_areas(V, C) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestConvexHull2D:
@@ -93,6 +166,19 @@ class TestConvexHull2D:
 
 
 class TestChooseCenter2D:
+    def test_same_walk_as_the_per_candidate_loop(self, rng):
+        for poly in polygon_mix(rng, 5):
+            assert np.array_equal(choose_center_2d(poly), reference_center_2d(poly))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-20, 20))
+    def test_scaling_by_a_power_of_two_scales_the_center(self, seed, k):
+        # from_vertices keeps the vertex order, which from_points may not.
+        V = random_polytope(np.random.default_rng(seed), 2).vertices
+        center = choose_center_2d(Polytope.from_vertices(V))
+        scaled = choose_center_2d(Polytope.from_vertices(V * 2.0**k))
+        assert np.array_equal(scaled, center * 2.0**k)
+
     def test_symmetric_polytope_recovers_center(self, rng):
         z = random_zonotope(rng, 3, 2)
         poly = zonotope_as_polytope(z)
