@@ -9,15 +9,16 @@ point in its interior strictly decreases the distance for small steps,
 and an empty interior certifies a local minimum when every q_i is a
 vertex (always true for the coarse objective).
 
-The same row divided by |p_i - q_i| is the negated gradient of pair i's
-active smooth term at the zonotope, -(e_i (x) r^_i, r^_i) with
+The same row divided by |p_i - q_i| is the negated gradient n_i of pair
+i's active smooth term at the zonotope, -(e_i (x) r^_i, r^_i) with
 r^_i = (p_i - q_i) / |p_i - q_i|, so the gradients are read off the cone
-matrix (``FeasibilityCone.negated_gradients``). The chosen descent
-direction is the Chebyshev center of the hull of those rows restricted to
-the cone: active-term gradients are ascent directions, so the hull is
-negated before intersecting. The Chebyshev LP runs inside the hull's
-affine span, where the hull is full-dimensional and the inscribed radius
-is meaningful.
+matrix (``FeasibilityCone.negated_gradients``). Positive row scaling
+leaves the open cone {x : A x > 0} unchanged, and by Gordan's
+alternative it is empty iff 0 lies in conv{n_i}. Otherwise the min-norm
+point u of that hull satisfies <n_i, u> >= |u|^2 > 0 for every i, so u
+itself improves every pair: one min-norm solve both decides the status
+and gives the direction (Kiwiel's min-norm descent element). A pair with
+p_i = q_i has a zero row, which puts 0 in the hull.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .errors import DegenerateFace, EmptyTaus, InfeasibleRegion, NonImprovingRow, UnboundedRegion
-from .geom import _facets_brute_force, _readonly
+from .errors import DegenerateFace, EmptyTaus, NonImprovingRow
+from .geom import _readonly
 
 __all__ = [
     "FeasibilityCone",
@@ -39,8 +40,8 @@ __all__ = [
     "tau_limits",
 ]
 
-# Relative margin used to encode the open cone interior in the H-rep of
-# the feasible set, and to post-verify strictness of a direction.
+# Relative margin a direction must clear on every cone row to count as
+# strictly improving.
 DIRECTION_MARGIN = 1e-8
 
 
@@ -82,13 +83,15 @@ def build_cone(pairs) -> FeasibilityCone:
 class DirectionResult:
     """Outcome of the direction search.
 
-    status: "descent" (direction + per-pair step limits), "feasible_empty"
-    (no gradient-hull point improves every pair; treated as a local
-    minimum), or "cone_empty_interior" (no perturbation improves every
-    pair at first order). ``certificate`` qualifies the latter:
-    "certified_local_min" when every achieving q_i is a zonotope vertex,
-    "certified_local_min_coarse" for the coarse objective, else
-    "heuristic".
+    status: "descent" (direction + per-pair step limits), "cone_empty_interior"
+    (0 is in the negated-gradient hull, so no perturbation improves every
+    pair at first order) or "feasible_empty" (the hull's min-norm point
+    clears the interior margin but not the strictness check on every row;
+    treated as a local minimum). ``certificate`` qualifies
+    "cone_empty_interior": "certified_local_min" when every achieving q_i
+    is a zonotope vertex, "certified_local_min_coarse" for the coarse
+    objective, else "heuristic". ``interior_margin`` is the min-norm
+    point's length over the longest negated gradient, 0.0 on a zero row.
     """
 
     status: str
@@ -132,65 +135,33 @@ def tau_limits(cone: FeasibilityCone, direction: np.ndarray):
     return tuple((2.0 * num / (delta * delta).sum(axis=1)).tolist())
 
 
-def _chebyshev_direction(neg_gradients, A):
-    """Chebyshev center of conv(neg_gradients) cut by {A x >= margins}.
-
-    Works inside the hull's affine span. Returns None when the cut is
-    empty.
-    """
-    pts = np.array(neg_gradients)
-    u0 = pts[0]
-    row_norms = np.linalg.norm(A, axis=1)
-    req = DIRECTION_MARGIN * row_norms * (1.0 + np.linalg.norm(u0))
-    M = pts - u0
-    _, s, vt = np.linalg.svd(M) if pts.shape[0] > 1 else (None, np.zeros(1), None)
-    rank = int((s > 1e-10 * max(1.0, s.max(initial=0.0))).sum()) if pts.shape[0] > 1 else 0
-    if rank == 0:
-        # Single candidate: it must sit strictly inside the cone.
-        if np.all(A @ u0 >= req - 1e-15):
-            return u0
-        return None
-    B = vt[:rank].T  # span basis, columns orthonormal
-    zpts = M @ B
-    hull_n, hull_c = _facets_brute_force(zpts, 1e-9)
-    AB = A @ B
-    c0 = A @ u0
-    # Ball constraints: hull facets keep the ball in the hull; cone rows
-    # (written as <=) keep it strictly feasible.
-    normals = np.vstack([hull_n, -AB])
-    offsets = np.concatenate([hull_c, c0 - req])
-    try:
-        center, radius = solvers.chebyshev_center(normals, offsets)
-    except (InfeasibleRegion, UnboundedRegion):
-        return None
-    return u0 + B @ center
-
-
 def descent_direction(cone: FeasibilityCone, objective: str = "exact") -> DirectionResult:
     """Search for a strictly improving perturbation direction.
 
-    First tests the cone interior; an empty interior short-circuits to a
-    certificate. Otherwise intersects the negated active-gradient hull
-    (the cone's rows over |p_i - q_i|) with the cone and returns the
-    Chebyshev center, verified to strictly improve every pair. An empty
-    intersection is read as a local minimum.
+    Projects 0 onto the hull of the negated active gradients (the cone's
+    rows over |p_i - q_i|). A zero row, or a min-norm point no longer than
+    ``solvers.CONE_INTERIOR_MARGIN`` times the longest gradient, is an
+    empty cone interior and short-circuits to a certificate. Otherwise the
+    min-norm point is the direction, verified to strictly improve every
+    pair; a row it fails is read as a local minimum.
     """
-    interior = solvers.cone_interior_point(cone.matrix)
-    if not interior.interior:
+    try:
+        N = cone.negated_gradients()
+    except DegenerateFace:
+        return DirectionResult(status="cone_empty_interior",
+                               certificate=certificate(cone.pairs, objective))
+    hull = solvers.project_to_hull(N, np.zeros(N.shape[1]))
+    direction = hull.point
+    margin = hull.distance / float(np.linalg.norm(N, axis=1).max())
+    if margin <= solvers.CONE_INTERIOR_MARGIN:
         return DirectionResult(status="cone_empty_interior",
                                certificate=certificate(cone.pairs, objective),
-                               interior_margin=interior.margin)
-
-    direction = _chebyshev_direction(cone.negated_gradients(), cone.matrix)
-    if direction is None:
-        return DirectionResult(status="feasible_empty",
-                               interior_margin=interior.margin)
+                               interior_margin=margin)
 
     values = cone.matrix @ direction
     row_norms = np.linalg.norm(cone.matrix, axis=1)
     if np.any(values <= 0.5 * DIRECTION_MARGIN * row_norms * (1.0 + np.linalg.norm(direction))):
-        return DirectionResult(status="feasible_empty",
-                               interior_margin=interior.margin)
+        return DirectionResult(status="feasible_empty", interior_margin=margin)
     taus = tau_limits(cone, direction)
     return DirectionResult(status="descent", direction=direction, taus=taus,
-                           certificate=None, interior_margin=interior.margin)
+                           certificate=None, interior_margin=margin)

@@ -2,8 +2,8 @@
 
 Each iteration: restore the locality conditions by small random
 perturbation if needed, evaluate the distance and its achieving pairs,
-build the feasibility cone, pick the Chebyshev direction of the negated
-active-gradient hull (read off the cone's rows) inside the cone, and step
+build the feasibility cone, take the min-norm point of the negated
+active-gradient hull (read off the cone's rows) as the direction, and step
 by a fraction of the per-pair limits. Terminates on the distance
 threshold, the iteration cap, or a certificate (empty cone interior /
 empty feasible set).

@@ -7,7 +7,9 @@ Four problem shapes, all solved in dense numpy at desk scale:
   (``box_least_squares``),
 * min-norm point over a convex hull for point-to-polytope projection
   (``project_to_hull``),
-* Chebyshev-center and cone-interior LPs built on ``solve_lp``.
+* cone-interior and Chebyshev-center LPs built on ``solve_lp``; descent
+  uses neither (``zonofit cone`` reads the first; the second serves only
+  its tests and the benchmark tracer).
 
 The tolerances are module constants shared by every solver
 (``FEASIBILITY_TOL``, ``KKT_TOL``, ``ITERATION_FACTOR``); only

@@ -86,8 +86,9 @@ def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def polygon_area(cycle: np.ndarray) -> float:
+    # Shoelace about the first vertex, so a small far polygon stays accurate.
     v = np.asarray(cycle, dtype=float)
-    x, y = v[:, 0], v[:, 1]
+    x, y = (v - v[0]).T
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 

@@ -4,10 +4,11 @@ directions, certificates, and step-size limits."""
 import numpy as np
 import pytest
 
-from conftest import random_local_instance, rotated_square_configuration
+from conftest import random_local_instance, random_zonotope, rotated_square_configuration
+from zonofit import solvers
 from zonofit.errors import NonImprovingRow
 from zonofit.cone import build_cone, descent_direction, tau_limits
-from zonofit.geom import LiftPoint, Polytope, Zonotope
+from zonofit.geom import LiftPoint, Polytope, Zonotope, zonotope_as_polytope
 from zonofit.hausdorff import AchievingPair, coarse_hausdorff_distance, hausdorff_distance
 from zonofit.subgrad import (
     clarke_subdifferential,
@@ -238,6 +239,64 @@ class TestDescentDirection:
         for pair in sub.pairs:
             term = term_from_pair(poly, z, pair)
             assert term.value(z2) < term.value(z) + 1e-12
+
+    def test_direction_search_solves_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the direction search solved an LP")
+
+        monkeypatch.setattr(solvers, "solve_lp", no_lp)
+        poly, z = worked_example_in_published_order()
+        worked = build_cone(clarke_subdifferential(poly, z).pairs)
+        assert descent_direction(worked).status == "descent"
+        opposing = [
+            AchievingPair(
+                p=np.asarray(p, float), q=np.zeros(2), side="z_vertex",
+                vertex_index=j, lift=LiftPoint(values=np.zeros(2), free_indices=()),
+                distance=float(np.linalg.norm(p)),
+            )
+            for j, p in enumerate([[1.0, 0.0], [-1.0, 1e-5]])
+        ]
+        assert descent_direction(build_cone(opposing)).status == "feasible_empty"
+        poly = Polytope.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])
+        _, pairs = hausdorff_distance(poly, Zonotope(np.eye(2), np.zeros(2)))
+        assert descent_direction(build_cone(pairs)).status == "cone_empty_interior"
+
+    def test_min_norm_rule_agrees_with_interior_lp(self):
+        # Gordan: the open cone is empty iff 0 is in the negated-gradient
+        # hull. Wide active bands make most cones multi-pair; exact fits
+        # (P a zonotope's own polytope) give the empty side. A pair at a
+        # round-off distance (|p - q| <= 1e-14) is a zero row; the LP
+        # rescales it to a unit row, so it is checked apart.
+        cases = []
+        for seed in range(40):
+            rng = np.random.default_rng(1600 + seed)
+            d = 2 + seed % 2
+            cases.append(random_local_instance(rng, d=d))
+            if seed % 5 == 0:
+                z = random_zonotope(rng, d + 1, d)
+                cases.append((zonotope_as_polytope(z), z))
+        empty = multi = 0
+        for poly, z in cases:
+            for distance, objective in ((hausdorff_distance, "exact"),
+                                        (coarse_hausdorff_distance, "coarse")):
+                _, pairs = distance(poly, z, tol_active=0.2)
+                cone = build_cone(pairs)
+                res = descent_direction(cone, objective=objective)
+                if min(np.linalg.norm(pair.p - pair.q) for pair in pairs) <= 1e-14:
+                    assert res.status == "cone_empty_interior"
+                else:
+                    interior = solvers.cone_interior_point(cone.matrix).interior
+                    assert (res.status == "cone_empty_interior") == (not interior)
+                empty += res.status == "cone_empty_interior"
+                multi += len(pairs) > 1
+                if res.status != "descent":
+                    continue
+                N = cone.negated_gradients()
+                p = res.direction
+                assert (cone.matrix @ p).min() > 0.0
+                bound = p @ p - solvers.KKT_TOL * (1.0 + (N * N).sum(axis=1).max())
+                assert (N @ p).min() >= bound
+        assert empty >= 16 and multi >= 60
 
 
 class TestTauLimits:

@@ -1,5 +1,7 @@
 """Warmstart tests: symmetric envelopes, center search, box fits."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,16 @@ class TestEnvelope2D:
             C = np.vstack([V.mean(axis=0), V, 0.5 * (V + np.roll(V, -1, axis=0))])
             want = [polygon_area(envelope_2d(poly, c).vertices) for c in C]
             assert _envelope_areas(V, C) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+    def test_small_polygon_far_from_origin_area(self):
+        # A 2e-3-wide hexagon centred at (2.6, 0.7), as an envelope at an
+        # edge midpoint can be: its exact area is the rational shoelace.
+        t = np.arange(6) * np.pi / 3
+        V = np.array([2.6, 0.7]) + 1e-3 * np.column_stack([np.cos(t), np.sin(t)])
+        F = [tuple(map(Fraction, v)) for v in V]
+        exact = abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(F, F[1:] + F[:1]))) / 2
+        assert abs(Fraction(polygon_area(V)) - exact) <= Fraction(1e-15) * exact
 
 
 class TestConvexHull2D:
