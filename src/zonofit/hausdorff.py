@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .errors import DimensionMismatch, LocalityViolation
+from .errors import DegenerateInput, DimensionMismatch, LocalityViolation
 from .geom import (
     FACE_ACTIVE_TOL,
     AffineHull,
@@ -147,7 +147,11 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     index, zonotope rows by cube-lift bits. Without usable hints each row
     of a general-position z takes the face it projects onto
     (``_zonotope_face_rows``, ``_polytope_face_rows``). The rest go to the
-    solvers' cold loops, in sweep order.
+    solvers' cold loops, in sweep order. A cold polytope row strictly
+    outside a general-position z (a facet of ``zonotope_facets`` fails)
+    starts the box loop at its nearest zonotope vertex, the first on ties,
+    which saves face solves and keeps the bits (``box_least_squares``). Other
+    rows start at 0: inside z the start would pick among many lifts.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
@@ -166,8 +170,14 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     if faces is not None:
         p_proj = solvers._box_rows(z.generators, z.translation, V, faces[0], verify=True)
         z_proj = solvers._hull_rows(V, zpts, faces[1])
-    p_proj = tuple(solvers.box_least_squares(z.generators, z.translation, v)
-                   if row is None else row for v, row in zip(V, p_proj))
+    starts = [None] * len(V)
+    if any(row is None for row in p_proj) and not _facet_directions(z)[2]:
+        normals, offsets = zonotope_facets(z)
+        outside = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1) > 0.0
+        nearest = np.square(V[:, None] - zpts).sum(axis=2).argmin(axis=1)
+        starts = [zverts[j][0] if out else None for out, j in zip(outside, nearest)]
+    p_proj = tuple(solvers.box_least_squares(z.generators, z.translation, v, start)
+                   if row is None else row for v, row, start in zip(V, p_proj, starts))
     z_proj = tuple(solvers.project_to_hull(V, pt) if row is None else row
                    for pt, row in zip(zpts, z_proj))
     object.__setattr__(z, "_projections", (poly, p_proj, z_proj))
@@ -319,6 +329,10 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL) -> bo
     face lies strictly behind q along the offset.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (poly.dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, polytope is {poly.dim}-D")
+    if not np.all(np.isfinite(x)):
+        raise DegenerateInput("point must be finite")
     row = solvers.project_to_hull(poly.vertices, x)
     return not _hull_unstable(x[None], [row], poly, tol_strict)[0]
 

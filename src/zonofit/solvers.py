@@ -327,7 +327,7 @@ class BoxProjection:
 
 
 def box_least_squares(generators: np.ndarray, translation: np.ndarray,
-                      target: np.ndarray) -> BoxProjection:
+                      target: np.ndarray, start=None) -> BoxProjection:
     """Minimize |x @ generators + translation - target| over x in [0,1]^n.
 
     Active-set method (bounded-variable least squares). At the solution the
@@ -336,10 +336,18 @@ def box_least_squares(generators: np.ndarray, translation: np.ndarray,
     >= 0 at upper-bounded ones and ~ 0 at free ones. Coordinates at a bound
     are returned exactly 0.0 or 1.0, which downstream face detection relies
     on.
+
+    The loop starts at x = 0, or at the cube vertex ``start`` (0/1 bits):
+    BVLS may start anywhere with every coordinate at a bound. A target
+    outside a general-position zonotope has one optimal face, which the
+    loop ends on with the same face solve from any start, so a start there
+    changes only the number of face solves, not the result's bits (unless
+    a second face passes the stopping test, as near-parallel generators
+    allow).
     """
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
     T = np.asarray(target, dtype=float)[None]
-    return _box_rows(G, mu, T, _box_active_set(G, T[0] - mu)[None])[0]
+    return _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, start)[None])[0]
 
 
 def _box_tol(G, Y) -> np.ndarray:
@@ -386,66 +394,57 @@ def _face_solve(G, Y, X, f) -> np.ndarray:
     return np.linalg.lstsq(G[f].T, R.T, rcond=None)[0].T
 
 
-def _box_active_set(G, y) -> np.ndarray:
-    """The active-set loop of ``box_least_squares``; returns x."""
+def _box_active_set(G, y, start=None) -> np.ndarray:
+    """The active-set loop of ``box_least_squares`` from ``start`` (0/1
+    bits, or 0 when None); returns x. Only the gradient and ``_face_solve``
+    use numpy: the per-coordinate bookkeeping is cheaper on Python floats,
+    with the same comparisons and order of operations, hence the same bits."""
     n, tol = G.shape[0], float(_box_tol(G, y))
-    x = np.zeros(n)
-    status = np.full(n, -1, dtype=int)  # -1 lower, 0 free, +1 upper
+    x = [0.0] * n if start is None else (np.asarray(start) > 0.5).astype(float).tolist()
+    status = [1 if xi else -1 for xi in x]  # -1 lower, 0 free, +1 upper
     cap = max(100, ITERATION_FACTOR * 6 * (n + 1))
     blocked = -1  # variable pinned back with zero progress last cycle
 
     for _ in range(cap):
-        w = (G @ (y - x @ G)).tolist()  # negative gradient
+        w = (G @ (y - np.array(x) @ G)).tolist()  # negative gradient
         worst, worst_v = -1, tol
-        for i, (s, wi) in enumerate(zip(status.tolist(), w)):
+        for i, (s, wi) in enumerate(zip(status, w)):
             v = wi if s == -1 and wi > tol else -wi if s == 1 and wi < -tol else 0.0
             if i != blocked and v > worst_v + 1e-15:
                 worst, worst_v = i, v
         if worst < 0:
-            return x
+            return np.array(x)
         status[worst] = 0
         blocked = -1
 
         for _ in range(cap):
-            free = np.flatnonzero(status == 0)
-            z = _face_solve(G, y[None], x[None], status == 0)[0]
-            lo_viol = z < -1e-12
-            hi_viol = z > 1.0 + 1e-12
-            if not lo_viol.any() and not hi_viol.any():
-                x[free] = np.clip(z, 0.0, 1.0)
-                snap = (x[free] <= 1e-12) | (x[free] >= 1.0 - 1e-12)
-                for k in np.flatnonzero(snap):
-                    i = free[k]
-                    x[i] = round(x[i])
-                    status[i] = -1 if x[i] == 0.0 else 1
-                if snap.any():
+            free = [i for i, s in enumerate(status) if s == 0]
+            z = _face_solve(G, y[None], np.array(x)[None], np.array(status) == 0)[0].tolist()
+            lo_viol = [zk < -1e-12 for zk in z]
+            hi_viol = [zk > 1.0 + 1e-12 for zk in z]
+            if not any(lo_viol) and not any(hi_viol):
+                snap = False
+                for i, zk in zip(free, z):
+                    x[i] = min(max(zk, 0.0), 1.0)
+                    if x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
+                        x[i] = 0.0 if x[i] <= 1e-12 else 1.0
+                        status[i] = -1 if x[i] == 0.0 else 1
+                        snap = True
+                if snap:
                     continue  # solve again on the smaller free set
                 break  # x is the face solve on its free set, as the tail needs
             # Step from x toward z until the first bound is hit.
-            alphas = np.ones(free.size)
-            for k in range(free.size):
-                if lo_viol[k]:
-                    alphas[k] = (0.0 - x[free[k]]) / (z[k] - x[free[k]])
-                elif hi_viol[k]:
-                    alphas[k] = (1.0 - x[free[k]]) / (z[k] - x[free[k]])
-            alpha = max(min(alphas.min(), 1.0), 0.0)
-            kstar = int(np.argmin(alphas))
-            x[free] += alpha * (z - x[free])
-            pinned_any = False
-            for k in range(free.size):
-                i = free[k]
+            alphas = [(0.0 - x[i]) / (zk - x[i]) if lo else (1.0 - x[i]) / (zk - x[i]) if hi
+                      else 1.0 for i, zk, lo, hi in zip(free, z, lo_viol, hi_viol)]
+            alpha = max(min(min(alphas), 1.0), 0.0)
+            kstar = alphas.index(min(alphas))  # a violating coordinate: its alpha is < 1
+            for k, (i, zk) in enumerate(zip(free, z)):
+                x[i] += alpha * (zk - x[i])
                 if k == kstar or x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
-                    if lo_viol[k] or x[i] <= 1e-12:
-                        x[i] = 0.0
-                        status[i] = -1
-                    else:
-                        x[i] = 1.0
-                        status[i] = 1
-                    pinned_any = True
-            if alpha == 0.0 and pinned_any and free[kstar] == worst:
+                    x[i] = 0.0 if lo_viol[k] or x[i] <= 1e-12 else 1.0
+                    status[i] = -1 if x[i] == 0.0 else 1
+            if alpha == 0.0 and free[kstar] == worst:
                 blocked = worst  # avoid freeing the same variable right away
-            if not pinned_any:
-                break
     raise IterationLimit("box least squares did not converge")
 
 

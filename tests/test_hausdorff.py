@@ -23,7 +23,7 @@ from conftest import (
 )
 import zonofit
 from zonofit import geom, hausdorff, solvers
-from zonofit.errors import LocalityViolation
+from zonofit.errors import DegenerateInput, DimensionMismatch, LocalityViolation
 from zonofit.geom import (
     FACE_ACTIVE_TOL,
     AffineHull,
@@ -226,6 +226,13 @@ class TestHausdorffStable:
     def test_diagonal_from_vertex_is_stable(self):
         sq = unit_square_polytope()
         assert is_hausdorff_stable([2.0, 2.0], sq)
+
+    def test_rejects_a_wrong_length_or_non_finite_point(self):
+        sq = unit_square_polytope()
+        with pytest.raises(DimensionMismatch):
+            is_hausdorff_stable([0.5, 2.0, 0.0], sq)
+        with pytest.raises(DegenerateInput):
+            is_hausdorff_stable([np.nan, 2.0], sq)
 
 
 class TestCheckLocality:
@@ -623,6 +630,38 @@ class TestProjectionCache:
                 assert np.abs(h.point - c.point).max() <= tol
                 assert abs(h.distance - c.distance) <= tol
 
+    def test_cold_rows_outside_start_at_their_nearest_vertex(self, rng, monkeypatch):
+        # Hints from an unrelated zonotope send most rows cold. A cold row
+        # strictly outside z starts at the bits of its nearest vertex of z;
+        # a row inside starts at 0, as does every row of a degenerate z.
+        calls, seen = [], set()
+        solve = solvers.box_least_squares
+        monkeypatch.setattr(solvers, "box_least_squares",
+                            lambda *a: calls.append(a) or solve(*a))
+        for d in (2, 3):
+            for _ in range(6):
+                poly, hints = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+                z = random_zonotope(rng, d + 2, d, scale=rng.choice([0.5, 1.5]))
+                hausdorff._projections(poly, hints)
+                del calls[:]
+                hausdorff._projections(poly, z, hints=hints)
+                normals, offsets = zonotope_facets(z)
+                zverts = enumerate_vertices(z)
+                for _, _, v, start in calls:
+                    if (normals @ v - offsets).max() > 0.0:
+                        near = np.argmin([np.linalg.norm(pt - v) for _, pt in zverts])
+                        assert np.array_equal(start, zverts[near][0])
+                        seen.add("outside")
+                    else:
+                        assert start is None
+                        seen.add("inside")
+        assert seen == {"outside", "inside"}
+        G = z.generators.copy()
+        G[1] = 2.0 * G[0]
+        del calls[:]
+        hausdorff._projections(poly, Zonotope(G, z.translation))
+        assert len(calls) == len(poly.vertices)
+        assert all(start is None for *_, start in calls)
 
 
 def shifted_to_lower_face(z, row, i, c):

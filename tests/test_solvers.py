@@ -180,6 +180,30 @@ class TestBoxLeastSquares:
             sampled = float(np.linalg.norm(samples - p, axis=1).min())
             assert res.distance == pytest.approx(sampled, abs=1e-4)
 
+    def test_a_warm_start_changes_no_bit(self, rng):
+        # Outside a general-position zonotope the optimal face is unique, so
+        # the loop ends on it with the same face solve from any cube vertex.
+        from zonofit.geom import enumerate_vertices, zonotope_facets
+
+        tried = 0
+        while tried < 200:
+            d = int(rng.choice([2, 3]))
+            z = random_zonotope(rng, int(rng.integers(d, d + 4)), d)
+            p = rng.uniform(-3.0, 3.0, size=d)
+            normals, offsets = zonotope_facets(z)
+            if not (normals @ p - offsets).max() > 0.0:
+                continue
+            tried += 1
+            cold = box_least_squares(z.generators, z.translation, p)
+            zverts = enumerate_vertices(z)
+            near = np.argmin([np.linalg.norm(pt - p) for _, pt in zverts])
+            for bits in (zverts[near][0], zverts[rng.integers(len(zverts))][0]):
+                warm = box_least_squares(z.generators, z.translation, p, bits)
+                assert np.array_equal(warm.coefficients, cold.coefficients)
+                assert np.array_equal(warm.point, cold.point)
+                assert warm.kkt_residual <= 1e-8 * (1.0 + np.abs(z.generators).max()
+                                                    * (1 + np.linalg.norm(p)))
+
 
 class TestProjectToHull:
     def test_triangle_corner_symmetry(self):
