@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cone import build_cone, certificate
+from .cone import build_cone, descent_direction
 from .descent import DescentConfig, optimize
 from .errors import (
     DegenerateInput,
@@ -48,7 +48,6 @@ from .geom import (
     zonotope_to_json,
 )
 from .hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
-from .solvers import cone_interior_point
 from .warmstart import warmstart_zonotope
 
 EXIT_OK = 0
@@ -290,11 +289,12 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-_VERDICTS = {
-    None: "not a local minimum",
+_VERDICTS = {  # by certificate, else by direction status
+    "descent": "not a local minimum",
     "certified_local_min_coarse": "local minimum of the coarse distance",
     "certified_local_min": "local minimum",
     "heuristic": "no improving perturbation at first order (heuristic)",
+    "feasible_empty": "no direction strictly improves every pair (treated as a local minimum)",
 }
 
 
@@ -313,20 +313,17 @@ def cmd_cone(args) -> int:
         return EXIT_LOCALITY
     value, pairs = _distance(args, poly, z)
     cone = build_cone(pairs)
-    interior = cone_interior_point(cone.matrix)
-    cert = None
-    if not interior.interior:
-        cert = certificate(pairs, "coarse" if args.coarse else "exact")
+    result = descent_direction(cone, "coarse" if args.coarse else "exact")
     print(json.dumps({
         "locality": True,
         "distance": value,
         "coarse": bool(args.coarse),
         "matrix": cone.matrix.tolist(),
         "pairs": [_pair_payload(p) for p in pairs],
-        "interior_nonempty": interior.interior,
-        "interior_margin": interior.margin,
-        "certificate": cert,
-        "verdict": _VERDICTS[cert],
+        "interior_nonempty": result.status == "descent",
+        "interior_margin": result.interior_margin,
+        "certificate": result.certificate,
+        "verdict": _VERDICTS[result.certificate or result.status],
     }, indent=2))
     return EXIT_OK
 

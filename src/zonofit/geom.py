@@ -185,16 +185,8 @@ def is_zonotope_vertex(z: Zonotope, bits) -> bool:
     if e.size != n:
         raise DimensionMismatch("bit-vector length must equal the rank")
     signs = np.where(e > 0.5, 1.0, -1.0)
-    lhs = signs[:, None] * G
-    lp = solvers.LinearProgram(
-        objective=np.zeros(d),
-        lhs=lhs,
-        senses=[">="] * n,
-        rhs=np.ones(n),
-        maximize=False,
-    )
     try:
-        res = solvers.solve_lp(lp)
+        res = solvers.solve_lp(np.zeros(d), signs[:, None] * G, np.ones(n))
     except IterationLimit as exc:
         raise LPNumericalFailure(str(exc)) from exc
     return res.status == "optimal"
@@ -305,15 +297,12 @@ class Polytope:
     ``facet_normals`` rows are unit outward normals; every vertex v
     satisfies normals @ v <= offsets + tol. Construct with
     ``Polytope.from_vertices`` (validates) or ``Polytope.from_points``
-    (filters non-extreme points first). Faces discovered by
-    ``minimal_face`` are memoized in ``face_index`` keyed by their active
-    facet set (the polytope is immutable, so entries stay valid).
+    (filters non-extreme points first).
     """
 
     vertices: np.ndarray
     facet_normals: np.ndarray
     facet_offsets: np.ndarray
-    face_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _faces: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -607,9 +596,8 @@ def is_pushforward_proper(source: Zonotope, target: Zonotope,
 def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescriptor:
     """Smallest face of the polytope whose affine hull contains ``x``.
 
-    Determined by the set of facets active at x, which also serves as the
-    face's id in the polytope's face index. With no active facet the whole
-    polytope is returned (codim 0).
+    Determined by the set of facets active at x. With no active facet the
+    whole polytope is returned (codim 0).
     """
     x = np.asarray(x, dtype=float)
     scale = poly.scale()
@@ -618,15 +606,9 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
         raise PointOutsidePolytope("point violates a facet inequality")
     mask = np.abs(margins) <= tol * scale
     active = np.flatnonzero(mask)
-    face_id = tuple(int(i) for i in active)
-    cached = poly.face_index.get(face_id)
-    if cached is not None:
-        return cached
     if active.size == 0:
-        face = FaceDescriptor(affine_hull=None,
+        return FaceDescriptor(affine_hull=None,
                               vertex_indices=tuple(range(poly.vertices.shape[0])))
-        poly.face_index[face_id] = face
-        return face
     on_face = np.flatnonzero(_face_vertices(poly, mask[None], tol))
     raw = poly.facet_normals[active]
     q, r = np.linalg.qr(raw.T)
@@ -634,10 +616,7 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     normals = q[:, :rank].T
     base = poly.vertices[on_face].mean(axis=0) if on_face.size else x
     hull = AffineHull(base=base, normals=normals, offsets=normals @ base)
-    face = FaceDescriptor(affine_hull=hull, vertex_indices=tuple(int(i) for i in on_face))
-    if on_face.size:  # a query-point base would not be reusable
-        poly.face_index[face_id] = face
-    return face
+    return FaceDescriptor(affine_hull=hull, vertex_indices=tuple(int(i) for i in on_face))
 
 
 def _face_vertices(poly: Polytope, active, tol: float = FACE_ACTIVE_TOL) -> np.ndarray:

@@ -307,15 +307,12 @@ def _max_min_coefficient(points: np.ndarray, target: np.ndarray) -> float | None
         if np.linalg.norm(A @ coef - b) > 1e-7 * (1.0 + np.linalg.norm(b)):
             return None
         return float(coef.min())
-    # Variables (w, t): maximize t subject to A w = b and w - t >= 0.
-    lp = solvers.LinearProgram(
-        objective=np.eye(m + 1)[-1],
-        lhs=np.block([[A, np.zeros((d + 1, 1))], [np.eye(m), -np.ones((m, 1))]]),
-        senses=["="] * (d + 1) + [">="] * m,
-        rhs=np.concatenate([b, np.zeros(m)]),
-        maximize=True,
-    )
-    res = solvers.solve_lp(lp, _STABILITY_LP_TOL)
+    # Variables (w, t): maximize t subject to A w = b (as A w >= b and
+    # -A w >= -b) and w - t >= 0.
+    Aw = np.hstack([A, np.zeros((d + 1, 1))])
+    lhs = np.vstack([Aw, -Aw, np.hstack([np.eye(m), -np.ones((m, 1))])])
+    rhs = np.concatenate([b, -b, np.zeros(m)])
+    res = solvers.solve_lp(np.eye(m + 1)[-1], lhs, rhs, _STABILITY_LP_TOL)
     return float(res.x[-1]) if res.status == "optimal" else None
 
 

@@ -2,19 +2,22 @@
 
 Four problem shapes, all solved in dense numpy at desk scale:
 
-* general LPs via a two-phase simplex (``solve_lp``),
+* LPs in one form, max c @ x over A x >= b with x free, via a two-phase
+  simplex (``solve_lp``); vertex tests, the stability LP and the two
+  LPs below write their rows in it,
 * box-constrained least squares for point-to-zonotope projection
   (``box_least_squares``),
 * min-norm point over a convex hull for point-to-polytope projection
   (``project_to_hull``),
-* cone-interior and Chebyshev-center LPs built on ``solve_lp``; descent
-  uses neither (``zonofit cone`` reads the first; the second serves only
-  its tests and the benchmark tracer).
+* cone-interior and Chebyshev-center LPs built on ``solve_lp``; no
+  ``src`` code calls either (the tests use the first as the LP oracle of
+  the min-norm cone rule, and the benchmark tracer names both).
 
 The tolerances are module constants shared by every solver
 (``FEASIBILITY_TOL``, ``KKT_TOL``, ``ITERATION_FACTOR``); only
-``solve_lp`` takes its feasibility tolerance as a keyword, since the
-locality check's stability LP needs a laxer one.
+``solve_lp`` takes its feasibility tolerance as a keyword, and only the
+locality check's stability LP sets it (``hausdorff._STABILITY_LP_TOL``,
+a laxer 1e-7).
 
 The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
@@ -32,14 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleRegion, IterationLimit, UnboundedRegion
 
 __all__ = [
-    "LinearProgram",
     "LPResult",
     "solve_lp",
     "BoxProjection",
@@ -65,50 +66,14 @@ _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-11
 
 
-@dataclass
-class LinearProgram:
-    """A dense LP: optimize objective @ x subject to lhs x {<=,=,>=} rhs.
-
-    ``lower``/``upper`` are per-variable bounds; ``None`` (or +-inf entries)
-    means unbounded. Variables are free by default.
-    """
-
-    objective: np.ndarray
-    lhs: np.ndarray
-    senses: Sequence[str]
-    rhs: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    maximize: bool = True
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.lhs = np.atleast_2d(np.asarray(self.lhs, dtype=float))
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.lhs.shape != (self.rhs.size, self.objective.size):
-            raise ValueError("inconsistent LP dimensions")
-        if len(self.senses) != self.rhs.size:
-            raise ValueError("one sense per constraint required")
-        for s in self.senses:
-            if s not in ("<=", "=", ">="):
-                raise ValueError(f"unknown sense {s!r}")
-        if not np.all(np.isfinite(self.lhs)) or not np.all(np.isfinite(self.rhs)):
-            raise ValueError("LP data must be finite")
-
-
 @dataclass(frozen=True)
 class LPResult:
-    """Outcome of ``solve_lp``.
-
-    ``status`` is "optimal", "infeasible" or "unbounded". ``duals`` holds the
-    marginal value of each input constraint's rhs (same order as the input
-    rows) and is only set on optimal exits.
-    """
+    """Outcome of ``solve_lp``: ``status`` is "optimal", "infeasible" or
+    "unbounded"; ``x`` and ``value`` are set on optimal exits only."""
 
     status: str
     x: np.ndarray | None = None
     value: float | None = None
-    duals: np.ndarray | None = None
 
 
 def _bland_simplex(T, basis, allowed, cap):
@@ -149,171 +114,72 @@ def _bland_simplex(T, basis, allowed, cap):
     raise IterationLimit("simplex iteration cap exceeded")
 
 
-def solve_lp(lp: LinearProgram, feasibility_tol: float = FEASIBILITY_TOL) -> LPResult:
-    """Two-phase dense simplex with Bland's rule.
+def solve_lp(objective, lhs, rhs, feasibility_tol: float = FEASIBILITY_TOL) -> LPResult:
+    """Maximize objective @ x subject to lhs @ x >= rhs, with x free.
 
-    On an optimal exit the primal residual satisfies
-    |lhs x - rhs|_sense <= feasibility_tol * (1 + |rhs|_inf) and the
-    reduced costs are sign-correct. Raises IterationLimit when the pivot
-    budget runs out (numerical trouble a caller may handle by perturbing).
+    Two-phase dense simplex with Bland's rule on the standard form
+    x = x+ - x-, one surplus per row and one artificial per row with
+    rhs > 0. A row with rhs <= 0 is negated, so it starts on its surplus;
+    phase 1 drives out the artificials, which never enter. An optimal x
+    meets every row within feasibility_tol * (1 + |rhs|_inf). Raises
+    ValueError for inconsistent or non-finite data, and IterationLimit
+    when the pivot budget runs out (numerical trouble a caller may handle
+    by perturbing).
     """
-    nv = lp.objective.size
-    lower = np.full(nv, -np.inf) if lp.lower is None else np.asarray(lp.lower, float)
-    upper = np.full(nv, np.inf) if lp.upper is None else np.asarray(lp.upper, float)
-
-    # Variable transform x_orig = base + S @ x_std with x_std >= 0.
-    cols = []  # (orig index, sign)
-    base = np.zeros(nv)
-    bound_rows = []  # (std col index, ub) appended as extra <= rows
-    for j in range(nv):
-        lo, hi = lower[j], upper[j]
-        if np.isfinite(lo):
-            base[j] = lo
-            cols.append((j, 1.0))
-            if np.isfinite(hi):
-                bound_rows.append((len(cols) - 1, hi - lo))
-        elif np.isfinite(hi):
-            base[j] = hi
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    ns = len(cols)
-    S = np.zeros((nv, ns))
-    for k, (j, sgn) in enumerate(cols):
-        S[j, k] = sgn
-
-    A_rows = [lp.lhs @ S]
-    b_core = lp.rhs - lp.lhs @ base
-    senses = list(lp.senses)
-    b_list = list(b_core)
-    for k, ub in bound_rows:
-        row = np.zeros(ns)
-        row[k] = 1.0
-        A_rows.append(row[None, :])
-        b_list.append(ub)
-        senses.append("<=")
-    A = np.vstack(A_rows)
-    b = np.array(b_list)
-    m = b.size
-
-    obj_sign = -1.0 if lp.maximize else 1.0
-    c_std = obj_sign * (lp.objective @ S)
-
-    # Normalize rhs >= 0, then add slack/surplus/artificial columns.
-    flip = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] = -b[i]
-            flip[i] = -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_cols, art_cols = [], []
-    extra = []
-    for i, s in enumerate(senses):
-        col = np.zeros(m)
-        if s == "<=":
-            col[i] = 1.0
-            extra.append(col)
-            slack_cols.append(ns + len(extra) - 1)
-        elif s == ">=":
-            col[i] = -1.0
-            extra.append(col)
-            slack_cols.append(ns + len(extra) - 1)
-    for i, s in enumerate(senses):
-        if s in (">=", "="):
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            art_cols.append(ns + len(extra) - 1)
-    full = np.hstack([A] + [np.array(extra).T]) if extra else A.copy()
-    N = full.shape[1]
-    art_set = set(art_cols)
-
-    basis = []
-    si = 0
-    ai = 0
-    for s in senses:
-        if s == "<=":
-            basis.append(slack_cols[si])
-            si += 1
-        elif s == ">=":
-            si += 1
-            basis.append(art_cols[ai])
-            ai += 1
-        else:
-            basis.append(art_cols[ai])
-            ai += 1
-
-    cap = max(200, ITERATION_FACTOR * (N + m) * 4)
+    c = np.asarray(objective, dtype=float)
+    A = np.atleast_2d(np.asarray(lhs, dtype=float))
+    b = np.asarray(rhs, dtype=float)
+    if A.shape != (b.size, c.size):
+        raise ValueError("inconsistent LP dimensions")
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        raise ValueError("LP data must be finite")
+    m, n = A.shape
+    art = b > 0.0
+    ns = 2 * n + m  # columns that may enter: x+, x-, surplus
+    N = ns + int(art.sum())
     T = np.zeros((m + 1, N + 1))
-    T[:m, :N] = full
-    T[:m, -1] = b
+    T[:m, :N] = np.where(art, 1.0, -1.0)[:, None] * np.hstack(
+        [A, -A, -np.eye(m), np.eye(m)[:, art]])
+    T[:m, -1] = np.abs(b)
+    basis = np.where(art, ns + np.cumsum(art) - 1, 2 * n + np.arange(m)).tolist()
+    allowed = np.arange(N) < ns
+    cap = max(200, ITERATION_FACTOR * (N + m) * 4)
 
-    if art_cols:
-        # Phase 1: minimize the sum of artificials.
-        phase1 = np.zeros(N + 1)
-        for j in art_cols:
-            phase1[j] = 1.0
-        T[-1] = phase1
-        for i, bcol in enumerate(basis):
-            if bcol in art_set:
-                T[-1] -= T[i]
-        allowed = np.ones(N, dtype=bool)
-        status = _bland_simplex(T, basis, allowed, cap)
-        # Phase 1 is bounded below by zero, so an "unbounded" claim is
-        # pivot noise; the objective check below decides feasibility.
-        if status not in ("optimal", "unbounded"):
-            raise IterationLimit("phase-1 simplex failed")
+    if N > ns:
+        # Phase 1: minimize the sum of artificials. It is bounded below by
+        # zero, so an "unbounded" claim is pivot noise; the objective check
+        # below decides feasibility.
+        T[-1, ns:N] = 1.0
+        T[-1] -= T[:m][art].sum(axis=0)
+        _bland_simplex(T, basis, allowed, cap)
         scale = 1.0 + np.abs(b).max(initial=0.0)
         if -T[-1, -1] > feasibility_tol * scale:
             return LPResult(status="infeasible")
         # Drive basic artificials out where possible.
         for i in range(m):
-            if basis[i] in art_set and abs(T[i, -1]) <= feasibility_tol * scale:
-                for j in range(N):
-                    if j not in art_set and abs(T[i, j]) > _PIVOT_TOL:
-                        piv = T[i, j]
-                        T[i] /= piv
-                        for r in range(m + 1):
-                            if r != i and T[r, j] != 0.0:
-                                T[r] -= T[r, j] * T[i]
-                        basis[i] = j
-                        break
+            if basis[i] >= ns and abs(T[i, -1]) <= feasibility_tol * scale:
+                nonzero = np.flatnonzero(np.abs(T[i, :ns]) > _PIVOT_TOL)
+                if nonzero.size:
+                    j = int(nonzero[0])
+                    T[i] /= T[i, j]
+                    for r in range(m + 1):
+                        if r != i and T[r, j] != 0.0:
+                            T[r] -= T[r, j] * T[i]
+                    basis[i] = j
 
-    # Phase 2 with the real objective; artificials may not re-enter.
-    cost = np.zeros(N + 1)
-    cost[:ns] = c_std
-    T[-1] = cost
+    # Phase 2 minimizes -objective @ x.
+    T[-1] = 0.0
+    T[-1, :n], T[-1, n:2 * n] = -c, c
     for i, bcol in enumerate(basis):
         if T[-1, bcol] != 0.0:
             T[-1] -= T[-1, bcol] * T[i]
-    allowed = np.ones(N, dtype=bool)
-    for j in art_cols:
-        allowed[j] = False
-    status = _bland_simplex(T, basis, allowed, cap)
-    if status == "unbounded":
+    if _bland_simplex(T, basis, allowed, cap) == "unbounded":
         return LPResult(status="unbounded")
-
     x_std = np.zeros(N)
     for i, bcol in enumerate(basis):
         x_std[bcol] = max(T[i, -1], 0.0)
-    x = base + S @ x_std[:ns]
-    value = float(lp.objective @ x)
-
-    # Row prices from the basis of the standard-form system.
-    B = full[:, basis]
-    cB = np.zeros(m)
-    for i, bcol in enumerate(basis):
-        cB[i] = c_std[bcol] if bcol < ns else 0.0
-    try:
-        y = np.linalg.lstsq(B.T, cB, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        y = np.zeros(m)
-    duals_all = obj_sign * flip * y
-    duals = duals_all[: lp.rhs.size]
-    return LPResult(status="optimal", x=x, value=value, duals=duals)
+    x = x_std[:n] - x_std[n:2 * n]
+    return LPResult(status="optimal", x=x, value=float(c @ x))
 
 
 @dataclass(frozen=True)
@@ -564,25 +430,16 @@ def _wolfe(S):
 def chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, float]:
     """Center and radius of the largest ball in {x : normals x <= offsets}.
 
-    Solves  max r  s.t.  <a_i, x> + r |a_i| <= b_i.  Raises
+    Solves  max r  s.t.  <a_i, x> + r |a_i| <= b_i  (rows negated).  Raises
     UnboundedRegion when the radius grows without bound and
     InfeasibleRegion when the region is empty (optimal radius < 0).
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
     b = np.asarray(offsets, dtype=float)
-    m, d = A.shape
-    row_norms = np.linalg.norm(A, axis=1)
+    d = A.shape[1]
     obj = np.zeros(d + 1)
     obj[-1] = 1.0
-    lhs = np.hstack([A, row_norms[:, None]])
-    lp = LinearProgram(
-        objective=obj,
-        lhs=lhs,
-        senses=["<="] * m,
-        rhs=b,
-        maximize=True,
-    )
-    res = solve_lp(lp)
+    res = solve_lp(obj, -np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), -b)
     if res.status == "unbounded":
         raise UnboundedRegion("no bounded inscribed ball")
     if res.status != "optimal":
@@ -619,19 +476,9 @@ def cone_interior_point(A: np.ndarray) -> ConeInteriorResult:
     An = np.where(norms[:, None] > 0.0, A / np.where(norms[:, None] == 0.0, 1.0, norms[:, None]), 0.0)
     obj = np.zeros(d + 1)
     obj[-1] = 1.0
-    lhs = np.hstack([An, -np.ones((m, 1))])
-    lower = np.concatenate([-np.ones(d), [-np.inf]])
-    upper = np.concatenate([np.ones(d), [np.inf]])
-    lp = LinearProgram(
-        objective=obj,
-        lhs=lhs,
-        senses=[">="] * m,
-        rhs=np.zeros(m),
-        lower=lower,
-        upper=upper,
-        maximize=True,
-    )
-    res = solve_lp(lp)
+    box = np.eye(d, d + 1)  # |x|_inf <= 1 as 2d rows
+    lhs = np.vstack([np.hstack([An, -np.ones((m, 1))]), box, -box])
+    res = solve_lp(obj, lhs, np.concatenate([np.zeros(m), -np.ones(2 * d)]))
     if res.status != "optimal":
         # Cannot happen for finite data; treat defensively as no interior.
         return ConeInteriorResult(interior=False, x=np.zeros(d), margin=0.0)

@@ -50,11 +50,12 @@ def hull_vertices_oracle(points):
 
 
 def lp_oracle(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, maximize=False):
-    """Reference LP optimum via scipy's HiGHS."""
+    """Reference LP optimum via scipy's HiGHS, without presolve: presolve
+    can report a feasible unbounded LP as infeasible."""
     obj = -np.asarray(c, float) if maximize else np.asarray(c, float)
     res = linprog(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds if bounds is not None else [(None, None)] * len(c),
-                  method="highs")
+                  method="highs", options={"presolve": False})
     return res
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import OLD_MANIFEST_CONFIG, random_zonotope
+from zonofit import cli, solvers
 from zonofit.cli import main
+from zonofit.cone import DirectionResult, build_cone, descent_direction
 from zonofit.descent import DescentConfig, optimize
 from zonofit.geom import (
     Zonotope,
@@ -18,6 +20,7 @@ from zonofit.geom import (
     zonotope_to_json,
     zonotope_as_polytope,
 )
+from zonofit.hausdorff import coarse_hausdorff_distance, hausdorff_distance
 
 
 def write_json(path, data):
@@ -236,6 +239,66 @@ class TestConeCommand:
         else:
             # identical bodies may fail the locality gate instead
             assert code == 5
+
+    # A coarse fit's final zonotope, certified and passing the locality
+    # gate (``_random_polytope(default_rng(10), 2)``, rank 2, 60 steps).
+    CERTIFIED_COARSE = (
+        {"vertices": [[-0.8500358307841303, 0.29027566873624633],
+                      [0.6746832366035821, 0.6866028217869948],
+                      [0.5009178989773664, -0.47518062311759557],
+                      [-0.6428827493015337, -0.750141118913481]]},
+        {"generators": [[0.01669387192819044, -1.1011001162771588],
+                        [1.334259857833306, 0.33564382442331697]],
+         "translation": [-0.754806226006927, 0.32061733304996204]},
+    )
+
+    @pytest.mark.parametrize("case", ["worked", "coarse"])
+    def test_cone_uses_the_descent_rule_and_solves_no_lp(self, tmp_path, capsys,
+                                                         monkeypatch, case):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_lp called by zonofit cone")
+
+        monkeypatch.setattr(solvers, "solve_lp", no_lp)
+        if case == "worked":
+            s = 1.05 * np.sqrt(2.0) / 2.0
+            poly_json = {"vertices": [[0.5 - s, 0.5], [0.5, 0.5 - s],
+                                      [0.5 + s, 0.5], [0.5, 0.5 + s]]}
+            zono_json = {"generators": [[1.0, 0.0], [0.0, 1.0]], "translation": [0.0, 0.0]}
+        else:
+            poly_json, zono_json = self.CERTIFIED_COARSE
+        poly = write_json(tmp_path / "p.json", poly_json)
+        zono = write_json(tmp_path / "z.json", zono_json)
+        coarse = case == "coarse"
+        assert main(["cone", poly, zono] + (["--coarse"] if coarse else [])) == 0
+        out = json.loads(capsys.readouterr().out)
+
+        fn = coarse_hausdorff_distance if coarse else hausdorff_distance
+        _, pairs = fn(polytope_from_json(poly_json), zonotope_from_json(zono_json), 1e-7)
+        res = descent_direction(build_cone(pairs), "coarse" if coarse else "exact")
+        assert res.status == ("cone_empty_interior" if coarse else "descent")
+        assert out["interior_nonempty"] is (res.status == "descent")
+        assert out["interior_margin"] == res.interior_margin
+        assert out["certificate"] == res.certificate
+        assert out["verdict"] == ("local minimum of the coarse distance" if coarse
+                                  else "not a local minimum")
+
+    def test_feasible_empty_has_its_own_verdict(self, tmp_path, capsys, monkeypatch):
+        s = 1.05 * np.sqrt(2.0) / 2.0
+        poly = write_json(tmp_path / "p.json", {
+            "vertices": [[0.5 - s, 0.5], [0.5, 0.5 - s], [0.5 + s, 0.5], [0.5, 0.5 + s]],
+        })
+        zono = write_json(tmp_path / "z.json", {
+            "generators": [[1.0, 0.0], [0.0, 1.0]], "translation": [0.0, 0.0],
+        })
+        monkeypatch.setattr(cli, "descent_direction", lambda cone, objective: DirectionResult(
+            status="feasible_empty", interior_margin=0.5))
+        assert main(["cone", poly, zono]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["interior_nonempty"] is False
+        assert out["interior_margin"] == 0.5
+        assert out["certificate"] is None
+        assert out["verdict"] == ("no direction strictly improves every pair "
+                                  "(treated as a local minimum)")
 
     def test_locality_violation_exit_5(self, tmp_path, capsys):
         poly = write_json(tmp_path / "p.json", {

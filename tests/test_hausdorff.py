@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -601,15 +601,20 @@ class TestProjectionCache:
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+    @example(seed=207, d=2)  # a polytope vertex inside z, with many exact lifts
     def test_hinted_sweep_matches_cold_sweep(self, seed, d):
-        # Rows solved on the faces of a measured zonotope: box rows repeat
-        # the solver's final solve, hull rows may differ in corral order
-        # only (inside P any simplex around the vertex will do). Hints near
-        # the swept zonotope lend most rows a face that passes; an unrelated
+        # Rows solved on the faces of a measured zonotope: box rows strictly
+        # outside z repeat the solver's final solve on their one optimal
+        # face; inside z a vertex has many exact lifts, so only its point
+        # and distance are fixed. Hull rows may differ in corral order only
+        # (inside P any simplex around the vertex will do). Hints near the
+        # swept zonotope lend most rows a face that passes; an unrelated
         # zonotope's faces mostly fail, so most of its hinted sweep is cold.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
         near = perturbed(z, rng, 1e-6)
+        normals, offsets = zonotope_facets(near)
+        outside = (poly.vertices @ normals.T - offsets).max(axis=1) > 0.0
         for hints in (z, random_zonotope(rng, z.rank, d)):
             hausdorff._projections(poly, hints)
             box = mock.patch.object(solvers, "box_least_squares",
@@ -622,8 +627,15 @@ class TestProjectionCache:
             solved = box_calls.call_count + hull_calls.call_count
             rows = len(cold[0]) + len(cold[1])
             assert solved <= rows // 2 if hints is z else solved > rows // 2
-            assert sweep_key(hinted[:1]) == sweep_key(cold[:1])
             tol = 1e-15 * poly.scale()
+            for out, h, c in zip(outside, hinted[0], cold[0]):
+                if out:
+                    assert sweep_key([[h]]) == sweep_key([[c]])
+                else:
+                    assert np.abs(h.point - c.point).max() <= tol
+                    assert abs(h.distance - c.distance) <= tol
+                    for row in (h, c):
+                        assert 0.0 <= row.coefficients.min() <= row.coefficients.max() <= 1.0
             for (_, pt), h, c in zip(enumerate_vertices(near), hinted[1], cold[1]):
                 if hints is z or poly.interior_margin(pt) <= 0.0:  # inside P any simplex
                     assert np.array_equal(np.flatnonzero(h.weights), np.flatnonzero(c.weights))

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import box_ls_oracle, hull_projection_oracle, lp_oracle, random_zonotope
 from zonofit.errors import InfeasibleRegion, UnboundedRegion
 from zonofit.solvers import (
-    LinearProgram,
+    FEASIBILITY_TOL,
     box_least_squares,
     chebyshev_center,
     cone_interior_point,
@@ -17,52 +19,39 @@ from zonofit.solvers import (
 
 class TestSolveLP:
     def test_max_x_upper_bounded(self):
-        lp = LinearProgram(objective=[1.0], lhs=[[1.0]], senses=["<="], rhs=[3.0])
-        res = solve_lp(lp)
+        res = solve_lp([1.0], [[-1.0]], [-3.0])  # x <= 3
         assert res.status == "optimal"
         assert res.value == pytest.approx(3.0, abs=1e-9)
         assert res.x[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_max_x_lower_bound_only_is_unbounded(self):
-        lp = LinearProgram(objective=[1.0], lhs=[[1.0]], senses=[">="], rhs=[0.0])
-        res = solve_lp(lp)
+        res = solve_lp([1.0], [[1.0]], [0.0])
         assert res.status == "unbounded"
 
     def test_separating_hyperplane_feasibility(self):
         # Unit-square corner e = (1,1): <g_i, eta> >= 1 for both generators.
-        lp = LinearProgram(
-            objective=[0.0, 0.0],
-            lhs=[[1.0, 0.0], [0.0, 1.0]],
-            senses=[">=", ">="],
-            rhs=[1.0, 1.0],
-            maximize=False,
-        )
-        res = solve_lp(lp)
+        res = solve_lp([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
         assert res.status == "optimal"
         eta = res.x
         assert eta[0] >= 1.0 - 1e-9 and eta[1] >= 1.0 - 1e-9
 
     def test_infeasible_detected(self):
-        lp = LinearProgram(
-            objective=[1.0],
-            lhs=[[1.0], [1.0]],
-            senses=["<=", ">="],
-            rhs=[1.0, 2.0],
-        )
-        assert solve_lp(lp).status == "infeasible"
+        # x <= 1 and x >= 2
+        assert solve_lp([1.0], [[-1.0], [1.0]], [-1.0, 2.0]).status == "infeasible"
 
     def test_equality_constraints(self):
-        # max x + y s.t. x + y = 1, x - y <= 0.5, x,y >= 0
-        lp = LinearProgram(
-            objective=[1.0, 1.0],
-            lhs=[[1.0, 1.0], [1.0, -1.0]],
-            senses=["=", "<="],
-            rhs=[1.0, 0.5],
-            lower=np.zeros(2),
-        )
-        res = solve_lp(lp)
+        # max x + y s.t. x + y = 1 (two rows), x - y <= 0.5, x,y >= 0
+        lhs = [[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        res = solve_lp([1.0, 1.0], lhs, [1.0, -1.0, -0.5, 0.0, 0.0])
         assert res.status == "optimal"
         assert res.value == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def _boxed(A, b, upper):
+        """A x <= b and 0 <= x <= upper as rows of lhs x >= rhs."""
+        n = A.shape[1]
+        return (np.vstack([-A, np.eye(n), -np.eye(n)]),
+                np.concatenate([-b, np.zeros(n), np.full(n, -upper)]))
 
     def test_against_scipy_on_random_lps(self, rng):
         hits = 0
@@ -71,9 +60,7 @@ class TestSolveLP:
             A = rng.uniform(-1.0, 1.0, size=(m, n))
             b = rng.uniform(0.5, 2.0, size=m)
             c = rng.uniform(-1.0, 1.0, size=n)
-            lp = LinearProgram(objective=c, lhs=A, senses=["<="] * m, rhs=b,
-                               lower=np.zeros(n), upper=np.full(n, 3.0), maximize=True)
-            mine = solve_lp(lp)
+            mine = solve_lp(c, *self._boxed(A, b, 3.0))
             ref = lp_oracle(c, A_ub=A, b_ub=b, bounds=[(0.0, 3.0)] * n, maximize=True)
             assert mine.status == "optimal" and ref.status == 0
             assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
@@ -86,39 +73,76 @@ class TestSolveLP:
             A = rng.uniform(-1.0, 1.0, size=(m, n))
             b = rng.uniform(0.5, 2.0, size=m)
             c = rng.uniform(-1.0, 1.0, size=n)
-            lp = LinearProgram(objective=c, lhs=A, senses=["<="] * m, rhs=b,
-                               lower=np.zeros(n), upper=np.full(n, 2.0))
-            res = solve_lp(lp)
+            res = solve_lp(c, *self._boxed(A, b, 2.0))
             assert res.status == "optimal"
             resid = float(np.maximum(A @ res.x - b, 0.0).max())
             assert resid <= 1e-9 * (1.0 + np.abs(b).max())
 
     def test_duality_gap_on_random_feasible_bounded(self, rng):
-        # maximize c x s.t. A x <= b, x free but boxed by explicit rows.
+        # max c x s.t. A x <= b, x free but boxed by explicit rows; its dual
+        # min y b s.t. A^T y = c, y >= 0 is solved as an LP of the same form.
         for _ in range(25):
             m, n = 5, 3
             A = np.vstack([rng.uniform(-1.0, 1.0, size=(m, n)), np.eye(n), -np.eye(n)])
             b = np.concatenate([rng.uniform(0.5, 2.0, size=m), np.full(2 * n, 2.0)])
             c = rng.uniform(-1.0, 1.0, size=n)
-            lp = LinearProgram(objective=c, lhs=A, senses=["<="] * A.shape[0], rhs=b,
-                               maximize=True)
-            res = solve_lp(lp)
+            res = solve_lp(c, -A, -b)
             assert res.status == "optimal"
-            y = res.duals
-            # Dual of max c x, Ax <= b: min y b with y >= 0, A^T y = c.
+            k = A.shape[0]
+            dual = solve_lp(-b, np.vstack([A.T, -A.T, np.eye(k)]),
+                            np.concatenate([c, -c, np.zeros(k)]))
+            assert dual.status == "optimal"
+            y = dual.x
             assert np.all(y >= -1e-8)
             assert np.allclose(A.T @ y, c, atol=1e-8)
-            gap = abs(float(y @ b) - res.value)
+            gap = abs(-dual.value - res.value)
             assert gap <= 1e-8 * (1.0 + abs(res.value))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 4))
+    def test_statuses_match_highs(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
+        mine = solve_lp(c, A, b)
+        ref = lp_oracle(c, A_ub=-A, b_ub=-b, maximize=True)
+        assert mine.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        if mine.status == "optimal":
+            assert mine.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+            assert (b - A @ mine.x).max() <= FEASIBILITY_TOL * (1.0 + np.abs(b).max())
+
+    def test_rejects_inconsistent_or_non_finite_data(self):
+        with pytest.raises(ValueError):
+            solve_lp([1.0, 0.0], [[1.0]], [0.0])
+        with pytest.raises(ValueError):
+            solve_lp([1.0], [[1.0]], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            solve_lp([1.0], [[np.nan]], [0.0])
+        with pytest.raises(ValueError):
+            solve_lp([1.0], [[1.0]], [np.inf])
+
+    def test_unbounded_where_highs_presolve_reports_infeasible(self):
+        # Strictly feasible, and r = (-1, 1, -1) has A r > 0 and c r > 0.
+        A = np.array([[-0.9345076354168521, 0.1913813155560599, 0.2709711787225872],
+                      [-0.816942268168698, 0.9745193483597009, -1.075859643919591],
+                      [1.1440680866508264, 1.8903861481266555, -0.03210909730378573],
+                      [-0.07205733823724082, -0.25954910487853294, -0.2269464707860154],
+                      [-0.8400326065399256, 0.11352133024220004, -0.6621350983837503]])
+        b = np.array([0.00675751749765806, -0.8621702535750682, 0.1735225614668713,
+                      -0.5233842555187698, -0.8412565848080432])
+        c = np.array([-0.852576577037628, 0.5551005960279112, -1.375962769139522])
+        r = np.array([-1.0, 1.0, -1.0])
+        assert (A @ r).min() > 0.0 and c @ r > 0.0
+        assert solve_lp(np.zeros(3), A, b).status == "optimal"
+        assert solve_lp(c, A, b).status == "unbounded"
+        assert lp_oracle(c, A_ub=-A, b_ub=-b, maximize=True).status == 3
 
     def test_determinism(self, rng):
         A = rng.uniform(-1.0, 1.0, size=(4, 3))
         b = rng.uniform(0.5, 2.0, size=4)
         c = rng.uniform(-1.0, 1.0, size=3)
-        lp = LinearProgram(objective=c, lhs=A, senses=["<="] * 4, rhs=b,
-                           lower=np.zeros(3), upper=np.ones(3))
-        r1 = solve_lp(lp)
-        r2 = solve_lp(lp)
+        lhs, rhs = self._boxed(A, b, 1.0)
+        r1 = solve_lp(c, lhs, rhs)
+        r2 = solve_lp(c, lhs, rhs)
         assert np.array_equal(r1.x, r2.x) and r1.value == r2.value
 
 
