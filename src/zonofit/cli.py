@@ -47,7 +47,8 @@ from .geom import (
     zonotope_from_json,
     zonotope_to_json,
 )
-from .hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
+from .hausdorff import (ACTIVE_PAIR_TOL, check_locality, coarse_hausdorff_distance,
+                        hausdorff_distance)
 from .warmstart import warmstart_zonotope
 
 EXIT_OK = 0
@@ -196,20 +197,11 @@ def render_svg(poly: Polytope, z: Zonotope, pairs, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _distance(args, poly, z):
-    """(value, pairs) of the distance ``--coarse`` names; a ``--tol-active``
-    the distance rejects is a usage error."""
-    fn = coarse_hausdorff_distance if args.coarse else hausdorff_distance
-    try:
-        return fn(poly, z, args.tol_active)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def cmd_distance(args) -> int:
     poly = _load_polytope(args.polytope)
     z = _load_zonotope(args.zonotope)
-    value, pairs = _distance(args, poly, z)
+    distance = coarse_hausdorff_distance if args.coarse else hausdorff_distance
+    value, pairs = distance(poly, z, args.tol_active)
     print(json.dumps({
         "value": value,
         "coarse": bool(args.coarse),
@@ -281,7 +273,7 @@ def cmd_optimize(args) -> int:
             json.dump(manifest, fh, indent=2)
     if args.plot:
         if poly.dim == 2:
-            _, pairs = hausdorff_distance(poly, z, cfg.tol_active)
+            _, pairs = hausdorff_distance(poly, z)
             render_svg(poly, z, pairs, args.plot)
         else:
             print("plotting skipped: only 2-D runs are rendered", file=sys.stderr)
@@ -311,7 +303,8 @@ def cmd_cone(args) -> int:
             "unstable_zonotope_vertices": list(report.unstable_z_vertices),
         }, indent=2))
         return EXIT_LOCALITY
-    value, pairs = _distance(args, poly, z)
+    distance = coarse_hausdorff_distance if args.coarse else hausdorff_distance
+    value, pairs = distance(poly, z, args.tol_active)
     cone = build_cone(pairs)
     result = descent_direction(cone, "coarse" if args.coarse else "exact")
     print(json.dumps({
@@ -402,6 +395,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _tol_active(text) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"need 0 <= tol_active < 1, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="zonofit", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"zonofit {__version__}")
@@ -411,7 +411,7 @@ def build_parser() -> _Parser:
     p.add_argument("polytope")
     p.add_argument("zonotope")
     p.add_argument("--coarse", action="store_true", help="vertex-set distance instead")
-    p.add_argument("--tol-active", type=float, default=1e-7)
+    p.add_argument("--tol-active", type=_tol_active, default=ACTIVE_PAIR_TOL)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("optimize", help="fit a rank-n zonotope to a polytope")
@@ -435,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("polytope")
     p.add_argument("zonotope")
     p.add_argument("--coarse", action="store_true")
-    p.add_argument("--tol-active", type=float, default=1e-7)
+    p.add_argument("--tol-active", type=_tol_active, default=ACTIVE_PAIR_TOL)
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("warmstart", help="emit an initial-guess zonotope")

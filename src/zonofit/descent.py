@@ -16,8 +16,8 @@ the step starts below every row's root of that bound at the current value.
 Halving until a probe beats the current value by more than round-off stays
 the guarantee (a vertex new at the probe has no row). "aggressive" takes
 half the largest limit, "random" half a uniformly chosen one, and
-"hybrid" switches from aggressive to conservative at a configurable
-iteration.
+"hybrid" switches from aggressive to conservative at a third of
+``max_steps``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .errors import (
     SolverRetryFailed,
 )
 from .geom import Polytope, Zonotope, _facet_directions, canonicalize, enumerate_vertices
-from .hausdorff import _projections, check_locality, coarse_hausdorff_distance, hausdorff_distance
+from .hausdorff import (ACTIVE_PAIR_TOL, _projections, check_locality,
+                        coarse_hausdorff_distance, hausdorff_distance)
 from .subgrad import params_to_zonotope, zonotope_to_params
 
 __all__ = [
@@ -55,15 +56,17 @@ TRACE_CSV_COLUMNS = ("iter", "d_exact", "d_coarse", "step", "rule",
 
 # Backtracking budget for the monotone conservative rule.
 _MAX_HALVINGS = 60
+MAX_PERTURB_TRIES = 50
 # A probe decreases the distance only when it beats it by this many machine
 # epsilons, relative: above the round-off moves of a re-derived trace (6e-15).
 _DECREASE_EPS = 64
 # Fields of older manifests that are gone, each with the one value that
-# still replays the run it describes: the removed rescue-direction switch,
-# the cone margin and the solver tolerances, now constants.
+# still replays the run it describes: the rescue-direction switch is gone,
+# the hybrid switch point is max_steps // 3, the rest are constants.
 _RETIRED_FIELDS = {
     "cone_fallback": False,
     "cone_margin": DIRECTION_MARGIN,
+    "hybrid_switch": None, "max_perturb_tries": MAX_PERTURB_TRIES, "tol_active": ACTIVE_PAIR_TOL,
     "solver": {"feasibility_tol": solvers.FEASIBILITY_TOL, "kkt_tol": solvers.KKT_TOL,
                "iteration_factor": solvers.ITERATION_FACTOR},
 }
@@ -77,20 +80,14 @@ class DescentConfig:
     max_steps: int = 500
     threshold: float = 1e-9
     step_rule: str = "conservative"  # conservative | random | aggressive | hybrid
-    hybrid_switch: int | None = None  # default: max_steps // 3
     rng_seed: int = 0
     perturb_scale: float = 1e-6  # relative to the largest generator norm
     objective: str = "exact"  # exact | coarse
-    max_perturb_tries: int = 50
-    tol_active: float = 1e-7
 
     def __post_init__(self):
         # Written so that NaN fails every comparison.
-        if not (self.max_steps >= 1 and self.threshold >= 0.0
-                and 0.0 < self.perturb_scale < np.inf and 0.0 <= self.tol_active < 1.0
-                and self.max_perturb_tries >= 0):
-            raise ValueError("need max_steps >= 1, threshold >= 0, finite perturb_scale > 0, "
-                             "0 <= tol_active < 1, max_perturb_tries >= 0")
+        if not (self.max_steps >= 1 and self.threshold >= 0 and 0 < self.perturb_scale < np.inf):
+            raise ValueError("need max_steps >= 1, threshold >= 0, finite perturb_scale > 0")
         if self.step_rule not in ("conservative", "random", "aggressive", "hybrid"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.objective not in ("exact", "coarse"):
@@ -196,22 +193,23 @@ def choose_step(rule: str, taus, rng, iteration: int = 0,
     raise ValueError(f"unknown step rule {rule!r}")
 
 
-def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng, max_tries: int = 50):
+def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng):
     """Perturb the zonotope entrywise-uniformly until locality holds.
 
-    Returns (zonotope, tries); unchanged input counts as zero tries. The
-    amplitude is ``sigma`` times the largest generator norm per try. Each
+    Returns (zonotope, tries); unchanged input counts as zero tries, and
+    more than ``MAX_PERTURB_TRIES`` raise PerturbationBudgetExceeded. The
+    amplitude is ``sigma`` times the largest generator norm per try; each
     candidate in general position is swept with the faces of ``z`` as hints.
     """
     current = z
-    for tries in range(max_tries + 1):
+    for tries in range(MAX_PERTURB_TRIES + 1):
         if tries and not _facet_directions(current)[2]:
             _projections(poly, current, hints=z)
         if check_locality(poly, current).ok:
             return current, tries
         current = _perturbed(current, sigma, rng)
     raise PerturbationBudgetExceeded(
-        f"locality not restored within {max_tries} perturbations"
+        f"locality not restored within {MAX_PERTURB_TRIES} perturbations"
     )
 
 
@@ -225,8 +223,8 @@ def _perturbed(z: Zonotope, sigma: float, rng) -> Zonotope:
 def _distances(poly, z, cfg, hints=None):
     """(d_exact, d_coarse, objective, pairs) at z, stepped to from ``hints``."""
     _projections(poly, z, hints=hints)  # cached for the distance below
-    d_exact, pairs_exact = hausdorff_distance(poly, z, cfg.tol_active)
-    d_coarse, pairs_coarse = coarse_hausdorff_distance(poly, z, cfg.tol_active)
+    d_exact, pairs_exact = hausdorff_distance(poly, z)
+    d_coarse, pairs_coarse = coarse_hausdorff_distance(poly, z)
     if cfg.objective == "coarse":
         return d_exact, d_coarse, d_coarse, pairs_coarse
     return d_exact, d_coarse, d_exact, pairs_exact
@@ -241,7 +239,7 @@ def _reaches(poly, z, d, cfg, hints=None) -> bool:
     """
     d = d * (1.0 - _DECREASE_EPS * np.finfo(float).eps)
     if cfg.objective == "coarse":
-        return coarse_hausdorff_distance(poly, z, cfg.tol_active)[0] >= d
+        return coarse_hausdorff_distance(poly, z)[0] >= d
     return max(r.distance for rows in _projections(poly, z, hints) for r in rows) >= d
 
 
@@ -279,7 +277,6 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
         raise ValueError("zonotope and polytope dimensions differ")
 
     rng = np.random.default_rng(cfg.rng_seed)
-    switch_at = cfg.hybrid_switch if cfg.hybrid_switch is not None else cfg.max_steps // 3
     z = canonicalize(z0)
     trace = DescentTrace(records=[])
     iteration = 0
@@ -314,8 +311,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 trace.termination = "threshold" if d <= cfg.threshold else "max_steps"
                 return z, trace
             if not tries:
-                z, tries = perturb_until_local(poly, z, cfg.perturb_scale, rng,
-                                               cfg.max_perturb_tries)
+                z, tries = perturb_until_local(poly, z, cfg.perturb_scale, rng)
                 if tries:
                     continue
 
@@ -327,7 +323,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 return z, trace
 
             h, effective = choose_step(cfg.step_rule, result.taus, rng,
-                                       iteration, switch_at)
+                                       iteration, cfg.max_steps // 3)
             params = zonotope_to_params(z)
 
             def step(h):
@@ -344,7 +340,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
                 h = h_rule * shrink
                 if cfg.objective == "exact":
                     U, delta, dist = _row_motion(poly, z, result.direction)
-                    out = dist < d * (1.0 - cfg.tol_active)
+                    out = dist < d * (1.0 - ACTIVE_PAIR_TOL)
                     h = min(h, 0.99 * _row_caps(U[out], delta[out], d).min(initial=np.inf))
                 for _ in range(_MAX_HALVINGS):
                     z_next = step(h)

@@ -72,6 +72,8 @@ BOUNDARY_TOL = 1e-7
 FACE_ACTIVE_TOL = 1e-7
 LIFT_FREE_TOL = 1e-7
 VERTEX_ENUM_CAP = 20
+EXTREME_TOL = 1e-9
+PUSHFORWARD_SAMPLES = 3
 
 
 def _readonly(a):
@@ -129,8 +131,6 @@ class Zonotope:
         """Image of cube point(s) x under the zonotope's affine map."""
         return np.asarray(x, dtype=float) @ self.generators + self.translation
 
-    def cubical_vertex(self, bits) -> np.ndarray:
-        return self.map_point(np.asarray(bits, dtype=float))
 
 
 def canonicalize(z: Zonotope) -> Zonotope:
@@ -153,23 +153,23 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def degenerate_subsets(z: Zonotope, tol: float = GENERAL_POSITION_TOL) -> tuple:
+def degenerate_subsets(z: Zonotope) -> tuple:
     """Index tuples of the d-subsets of generators that are linearly dependent.
 
-    Relative test: a d x d minor counts as vanishing when its magnitude is
-    at most tol times the product of the participating row norms.
+    Relative test: a d x d minor vanishes when its magnitude is at most
+    ``GENERAL_POSITION_TOL`` times the product of its rows' norms.
     """
     G = z.generators
     n, d = G.shape
     rows = _subsets(n, d)
-    bounds = tol * np.prod(np.linalg.norm(G, axis=1)[rows], axis=1)
+    bounds = GENERAL_POSITION_TOL * np.prod(np.linalg.norm(G, axis=1)[rows], axis=1)
     bad = np.abs(np.linalg.det(G[rows])) <= bounds
     return tuple(tuple(int(i) for i in r) for r in rows[bad])
 
 
-def is_general_position(z: Zonotope, tol: float = GENERAL_POSITION_TOL) -> bool:
+def is_general_position(z: Zonotope) -> bool:
     """True iff every d of the n generators are linearly independent."""
-    return not degenerate_subsets(z, tol)
+    return not degenerate_subsets(z)
 
 
 def is_zonotope_vertex(z: Zonotope, bits) -> bool:
@@ -241,20 +241,20 @@ def _zonotope_faces(z: Zonotope) -> np.ndarray:
     return codes[np.append(True, codes[1:] != codes[:-1])]
 
 
-def enumerate_vertices(z: Zonotope, cap: int = VERTEX_ENUM_CAP):
+def enumerate_vertices(z: Zonotope):
     """All vertices of a zonotope with their lifts, in lexicographic bit order.
 
     In general position every vertex lies on a facet: the vertices are the
     faces of ``_zonotope_faces`` with an empty free set. Outside general
     position each of the 2^n bit-vectors is tested with the separation LP
-    (``is_zonotope_vertex``). Returns [(bits, point), ...]; cached on the
-    instance.
+    (``is_zonotope_vertex``), up to rank ``VERTEX_ENUM_CAP``. Returns
+    [(bits, point), ...]; cached on the instance.
     """
     if z._vertices is not None:
         return z._vertices
     n = z.rank
-    if n > cap:
-        raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {cap}")
+    if n > VERTEX_ENUM_CAP:
+        raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {VERTEX_ENUM_CAP}")
     if not _facet_directions(z)[2]:
         codes = _zonotope_faces(z)
         candidates = _bits(codes[codes < 1 << n], n)
@@ -317,9 +317,9 @@ class Polytope:
     def scale(self) -> float:
         return 1.0 + float(np.abs(self.vertices).max(initial=0.0))
 
-    def contains(self, x, tol: float = BOUNDARY_TOL) -> bool:
+    def contains(self, x) -> bool:
         margins = self.facet_normals @ np.asarray(x, dtype=float) - self.facet_offsets
-        return bool(margins.max(initial=-np.inf) <= tol * self.scale())
+        return bool(margins.max(initial=-np.inf) <= BOUNDARY_TOL * self.scale())
 
     def interior_margin(self, x) -> float:
         """Smallest slack over facets; positive strictly inside."""
@@ -327,7 +327,7 @@ class Polytope:
         return float(margins.min(initial=np.inf))
 
     @staticmethod
-    def from_vertices(vertices, facets=None, tol: float = 1e-9) -> "Polytope":
+    def from_vertices(vertices, facets=None) -> "Polytope":
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         if not np.all(np.isfinite(V)):
             raise DegenerateInput("polytope vertices must be finite")
@@ -337,12 +337,12 @@ class Polytope:
         for i in range(V.shape[0]):
             others = np.delete(V, i, axis=0)
             proj = solvers.project_to_hull(others, V[i])
-            if proj.distance <= tol * scale:
+            if proj.distance <= EXTREME_TOL * scale:
                 raise DegenerateInput(f"vertex {i} is not extreme")
-        return Polytope._from_extreme(V, facets, tol)
+        return Polytope._from_extreme(V, facets)
 
     @staticmethod
-    def _from_extreme(V: np.ndarray, facets, tol: float) -> "Polytope":
+    def _from_extreme(V: np.ndarray, facets) -> "Polytope":
         """``from_vertices`` for vertices already known to be extreme."""
         scale = 1.0 + float(np.abs(V).max())
         if facets is not None:
@@ -355,14 +355,14 @@ class Polytope:
             normals = normals / norms[:, None]
             offsets = offsets / norms
         else:
-            normals, offsets = _facets_brute_force(V, tol)
+            normals, offsets = _facets_brute_force(V)
         margins = normals @ V.T - offsets[:, None]
-        if margins.max() > tol * scale * 10.0:
+        if margins.max() > EXTREME_TOL * scale * 10.0:
             raise DegenerateInput("facet description does not contain all vertices")
         return Polytope(V, normals, offsets)
 
     @staticmethod
-    def from_points(points, tol: float = 1e-9) -> "Polytope":
+    def from_points(points) -> "Polytope":
         P = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.all(np.isfinite(P)):
             raise DegenerateInput("points must be finite")
@@ -371,7 +371,7 @@ class Polytope:
         # extreme point is not hidden in the hull of its own copy.
         distinct = []
         for i in range(P.shape[0]):
-            if all(np.linalg.norm(P[i] - P[j]) > tol * scale for j in distinct):
+            if all(np.linalg.norm(P[i] - P[j]) > EXTREME_TOL * scale for j in distinct):
                 distinct.append(i)
         if len(distinct) < P.shape[1] + 1:
             raise DegenerateInput("need at least d + 1 distinct points")
@@ -380,10 +380,10 @@ class Polytope:
         for i in range(P.shape[0]):
             others = np.delete(P, i, axis=0)
             proj = solvers.project_to_hull(others, P[i])
-            if proj.distance > tol * scale:
+            if proj.distance > EXTREME_TOL * scale:
                 keep.append(i)
         _require_full_dimensional(P[keep])
-        return Polytope._from_extreme(P[keep], None, tol)
+        return Polytope._from_extreme(P[keep], None)
 
 
 def _require_full_dimensional(V: np.ndarray):
@@ -393,7 +393,7 @@ def _require_full_dimensional(V: np.ndarray):
         raise DegenerateInput("polytope must be full-dimensional")
 
 
-def _facets_brute_force(V: np.ndarray, tol: float):
+def _facets_brute_force(V: np.ndarray):
     """Facets of conv(V), full-dimensional in R^d, by brute force over
     d-subsets with supporting-plane checks. In R^1 the facets are (+1, -1).
     """
@@ -411,9 +411,9 @@ def _facets_brute_force(V: np.ndarray, tol: float):
         c = float(eta @ pts[0])
         margins = V @ eta - c
         hi, lo = margins.max(), margins.min()
-        if hi <= tol * scale:
+        if hi <= EXTREME_TOL * scale:
             pass  # eta already outward
-        elif lo >= -tol * scale:
+        elif lo >= -EXTREME_TOL * scale:
             eta, c = -eta, -c
         else:
             continue  # not a supporting hyperplane
@@ -451,9 +451,9 @@ class LiftPoint:
         return bits
 
 
-def lift_values_to_lift(values, tol: float = LIFT_FREE_TOL) -> LiftPoint:
+def lift_values_to_lift(values) -> LiftPoint:
     x = np.asarray(values, dtype=float)
-    free = tuple(int(i) for i in np.flatnonzero((x > tol) & (x < 1.0 - tol)))
+    free = tuple(int(i) for i in np.flatnonzero((x > LIFT_FREE_TOL) & (x < 1.0 - LIFT_FREE_TOL)))
     return LiftPoint(values=x, free_indices=free)
 
 
@@ -505,7 +505,7 @@ def face_affine_hull(face: FaceDescriptor) -> AffineHull:
     return face.affine_hull
 
 
-def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL) -> LiftPoint:
+def lift_boundary_point(z: Zonotope, q) -> LiftPoint:
     """Unique cube preimage of a boundary point of a stable zonotope.
 
     Box-constrained least squares recovers the preimage; uniqueness holds
@@ -517,12 +517,12 @@ def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL) -> LiftPoint:
     scale = 1.0 + z.scale() + float(np.linalg.norm(z.translation))
     normals, offsets = zonotope_facets(z)
     margins = normals @ q - offsets
-    if margins.max() > tol * scale:
+    if margins.max() > BOUNDARY_TOL * scale:
         raise NotOnBoundary("point is outside the zonotope")
-    if margins.max() < -tol * scale:
+    if margins.max() < -BOUNDARY_TOL * scale:
         raise NotOnBoundary("point is strictly interior")
     proj = solvers.box_least_squares(z.generators, z.translation, q)
-    if proj.distance > tol * scale:
+    if proj.distance > BOUNDARY_TOL * scale:
         raise NotOnBoundary("no cube preimage within tolerance")
     lift = lift_values_to_lift(proj.coefficients)
     free = list(lift.free_indices)
@@ -546,7 +546,7 @@ def lift_boundary_point(z: Zonotope, q, tol: float = BOUNDARY_TOL) -> LiftPoint:
                 elif v[i] < -1e-12:
                     steps.append(-x[i] / v[i])
             room += min(steps) if steps else np.inf
-        if room > tol:
+        if room > BOUNDARY_TOL:
             raise NonUniqueLift("preimage contains a segment; lift not unique")
     return lift
 
@@ -559,13 +559,12 @@ def pushforward(source: Zonotope, target: Zonotope, lift) -> np.ndarray:
     return target.map_point(x)
 
 
-def is_pushforward_proper(source: Zonotope, target: Zonotope,
-                          tol: float = BOUNDARY_TOL, samples_per_facet: int = 3) -> bool:
+def is_pushforward_proper(source: Zonotope, target: Zonotope) -> bool:
     """True iff pushing the source boundary forward stays on the target's.
 
-    Checks every vertex lift plus interior samples of every facet's cube
-    face against the target's H-description: proper means each image point
-    activates some facet while violating none.
+    Checks every vertex lift and ``PUSHFORWARD_SAMPLES`` interior samples
+    per coordinate of every facet's cube face against the target's facets:
+    proper means each image point activates some facet, violating none.
     """
     if target.rank != source.rank:
         raise DimensionMismatch("source and target must share the rank")
@@ -573,15 +572,14 @@ def is_pushforward_proper(source: Zonotope, target: Zonotope,
     scale = 1.0 + target.scale() + float(np.linalg.norm(target.translation))
 
     def on_boundary(y):
-        margins = normals @ y - offsets
-        return margins.max() <= tol * scale and margins.max() >= -tol * scale
+        return abs((normals @ y - offsets).max()) <= BOUNDARY_TOL * scale
 
     for bits, _ in enumerate_vertices(source):
         if not on_boundary(target.map_point(bits)):
             return False
     G = source.generators
     subsets, etas, _ = _facet_directions(source)
-    ticks = np.linspace(0.0, 1.0, samples_per_facet + 2)[1:-1]
+    ticks = np.linspace(0.0, 1.0, PUSHFORWARD_SAMPLES + 2)[1:-1]
     for rows, eta in zip(subsets, etas):
         for sign in (1.0, -1.0):
             anchor = (G @ (sign * eta) > 0.0).astype(float)
@@ -593,7 +591,7 @@ def is_pushforward_proper(source: Zonotope, target: Zonotope,
     return True
 
 
-def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescriptor:
+def minimal_face(poly: Polytope, x) -> FaceDescriptor:
     """Smallest face of the polytope whose affine hull contains ``x``.
 
     Determined by the set of facets active at x. With no active facet the
@@ -602,14 +600,14 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     x = np.asarray(x, dtype=float)
     scale = poly.scale()
     margins = poly.facet_normals @ x - poly.facet_offsets
-    if margins.max(initial=-np.inf) > tol * scale:
+    if margins.max(initial=-np.inf) > FACE_ACTIVE_TOL * scale:
         raise PointOutsidePolytope("point violates a facet inequality")
-    mask = np.abs(margins) <= tol * scale
+    mask = np.abs(margins) <= FACE_ACTIVE_TOL * scale
     active = np.flatnonzero(mask)
     if active.size == 0:
         return FaceDescriptor(affine_hull=None,
                               vertex_indices=tuple(range(poly.vertices.shape[0])))
-    on_face = np.flatnonzero(_face_vertices(poly, mask[None], tol))
+    on_face = np.flatnonzero(_face_vertices(poly, mask[None]))
     raw = poly.facet_normals[active]
     q, r = np.linalg.qr(raw.T)
     rank = int((np.abs(np.diag(r)) > 1e-10).sum())
@@ -619,10 +617,10 @@ def minimal_face(poly: Polytope, x, tol: float = FACE_ACTIVE_TOL) -> FaceDescrip
     return FaceDescriptor(affine_hull=hull, vertex_indices=tuple(int(i) for i in on_face))
 
 
-def _face_vertices(poly: Polytope, active, tol: float = FACE_ACTIVE_TOL) -> np.ndarray:
-    """Face vertices (rows x vertices): within 10 x tol x scale of all active facets."""
+def _face_vertices(poly: Polytope, active) -> np.ndarray:
+    """Face vertices (rows x vertices): within 10 FACE_ACTIVE_TOL x scale of all active facets."""
     return ~(active @ (np.abs(poly.vertices @ poly.facet_normals.T - poly.facet_offsets)
-                       > tol * poly.scale() * 10.0).T)
+                       > FACE_ACTIVE_TOL * poly.scale() * 10.0).T)
 
 
 def _simplicial_faces(poly: Polytope) -> dict:

@@ -207,7 +207,7 @@ def _zonotope_face_rows(z: Zonotope, targets: np.ndarray) -> np.ndarray:
         D = G[np.nonzero(free[at])[1].reshape(at.sum(), m)]  # (faces, m, d)
         R = Y - (anchors[at] @ G)[:, None]
         c = D @ R.transpose(0, 2, 1)
-        c = np.linalg.solve(D @ D.transpose(0, 2, 1), c) if m else c
+        c = solvers._solve_stack(D @ D.transpose(0, 2, 1), c) if m else c
         E = R - np.einsum("fmr,fmd->frd", c, D)
         inside = ((c > 1e-12) & (c < 1.0 - 1e-12)).all(axis=1)
         dist[at] = np.where(inside, np.sqrt(np.einsum("frd,frd->fr", E, E)), np.inf)
@@ -316,14 +316,14 @@ def _max_min_coefficient(points: np.ndarray, target: np.ndarray) -> float | None
     return float(res.x[-1]) if res.status == "optimal" else None
 
 
-def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL) -> bool:
+def is_hausdorff_stable(x, poly: Polytope) -> bool:
     """Whether projecting x onto the body is locally face-stable.
 
     Interior points are stable; boundary points are not. An exterior point
     is stable iff its projection q sits strictly inside its minimal face
     (all convex coefficients positive) and the offset x - q lies in the
     relative interior of that face's normal cone, i.e. every vertex off the
-    face lies strictly behind q along the offset.
+    face lies strictly behind q along the offset (by ``STRICT_TOL``).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (poly.dim,):
@@ -331,7 +331,7 @@ def is_hausdorff_stable(x, poly: Polytope, tol_strict: float = STRICT_TOL) -> bo
     if not np.all(np.isfinite(x)):
         raise DegenerateInput("point must be finite")
     row = solvers.project_to_hull(poly.vertices, x)
-    return not _hull_unstable(x[None], [row], poly, tol_strict)[0]
+    return not _hull_unstable(x[None], [row], poly)[0]
 
 
 def _exterior(P, rows, normals, offsets, scale):
@@ -344,7 +344,7 @@ def _exterior(P, rows, normals, offsets, scale):
     return margin, U, np.sqrt(np.einsum("rd,rd->r", U, U)), Q, active
 
 
-def _hull_unstable(X: np.ndarray, rows, poly: Polytope, tol_strict: float) -> np.ndarray:
+def _hull_unstable(X: np.ndarray, rows, poly: Polytope) -> np.ndarray:
     """``not is_hausdorff_stable`` for each row of X, whose projections onto
     poly are ``rows``, all at once. A face's coefficient is the least weight
     when the weights' support is its vertex set; only otherwise is it solved."""
@@ -353,18 +353,17 @@ def _hull_unstable(X: np.ndarray, rows, poly: Polytope, tol_strict: float) -> np
     W = np.array([row.weights for row in rows])
     on_face = _face_vertices(poly, active)
     t_face = np.where(on_face, W, np.inf).min(axis=1)
-    outside = (margin <= -tol_strict * scale) & (nu > tol_strict * scale) & active.any(axis=1)
+    outside = (margin <= -STRICT_TOL * scale) & (nu > STRICT_TOL * scale) & active.any(axis=1)
     for k in np.flatnonzero(outside & (on_face != (W != 0.0)).any(axis=1)):
         t = _max_min_coefficient(V[on_face[k]].T, Q[k])
         t_face[k] = -np.inf if t is None else t
     u = U / np.where(nu > 0.0, nu, 1.0)[:, None]
-    behind = np.einsum("rvd,rd->rv", V[None] - Q[:, None], u) < -tol_strict * scale
-    stable = outside & (t_face > tol_strict) & (on_face | behind).all(axis=1)
-    return ~np.where(margin > -tol_strict * scale, margin > tol_strict * scale, stable)
+    behind = np.einsum("rvd,rd->rv", V[None] - Q[:, None], u) < -STRICT_TOL * scale
+    stable = outside & (t_face > STRICT_TOL) & (on_face | behind).all(axis=1)
+    return ~np.where(margin > -STRICT_TOL * scale, margin > STRICT_TOL * scale, stable)
 
 
-def _lift_unstable(V: np.ndarray, rows, z: Zonotope, tol_strict: float,
-                   scale: float) -> np.ndarray:
+def _lift_unstable(V: np.ndarray, rows, z: Zonotope, scale: float) -> np.ndarray:
     """Which polytope vertices V, whose box least-squares rows onto z are
     ``rows``, are not Hausdorff stable relative to z, all at once. Outside
     z, the projection q is in the relative interior of the face spanned by
@@ -379,13 +378,13 @@ def _lift_unstable(V: np.ndarray, rows, z: Zonotope, tol_strict: float,
     spans = np.repeat((_facet_directions(z)[0][:, :, None] == np.arange(z.rank)).any(1), 2, 0)
     signed = (np.where(X > 0.5, 1.0, -1.0) * np.einsum("nd,rd->rn", z.generators, U)
               / np.linalg.norm(z.generators, axis=1))
-    stable = ((nu > tol_strict * scale) & (free.sum(axis=1) < z.dim)
+    stable = ((nu > STRICT_TOL * scale) & (free.sum(axis=1) < z.dim)
               & ~((active @ ~spans) & free).any(axis=1)  # every active facet spans F
-              & (free | (signed > tol_strict * nu[:, None])).all(axis=1))
-    return ~np.where(margin > -tol_strict * scale, margin > tol_strict * scale, stable)
+              & (free | (signed > STRICT_TOL * nu[:, None])).all(axis=1))
+    return ~np.where(margin > -STRICT_TOL * scale, margin > STRICT_TOL * scale, stable)
 
 
-def check_locality(poly: Polytope, z: Zonotope, tol_strict: float = STRICT_TOL) -> LocalityReport:
+def check_locality(poly: Polytope, z: Zonotope) -> LocalityReport:
     """Check the two locality conditions for the pair (poly, z).
 
     1) the zonotope is in general position; 2) every polytope vertex is
@@ -404,20 +403,18 @@ def check_locality(poly: Polytope, z: Zonotope, tol_strict: float = STRICT_TOL) 
     p_proj, z_proj = _projections(poly, z)
     zpts = np.array([pt for _, pt in enumerate_vertices(z)])
     scale = 1.0 + float(np.abs(zpts).max())
-    bad_p = _lift_unstable(poly.vertices, p_proj, z, tol_strict, scale)
-    bad_z = _hull_unstable(zpts, z_proj, poly, tol_strict)
+    bad_p = _lift_unstable(poly.vertices, p_proj, z, scale)
+    bad_z = _hull_unstable(zpts, z_proj, poly)
     return LocalityReport(general_position=True, degenerate_subsets=(),
                           unstable_p_vertices=tuple(np.flatnonzero(bad_p).tolist()),
                           unstable_z_vertices=tuple(np.flatnonzero(bad_z).tolist()))
 
 
-def evaluate(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL,
-             tol_strict: float = STRICT_TOL):
+def evaluate(poly: Polytope, z: Zonotope):
     """(value, pairs, coarse value, ``LocalityReport``): the distance, the
     coarse distance and the locality check, read off the pair's one sweep."""
-    value, pairs = hausdorff_distance(poly, z, tol_active)
-    return (value, pairs, coarse_hausdorff_distance(poly, z, tol_active)[0],
-            check_locality(poly, z, tol_strict))
+    value, pairs = hausdorff_distance(poly, z)
+    return value, pairs, coarse_hausdorff_distance(poly, z)[0], check_locality(poly, z)
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,14 @@ def _hull_rows(V, targets, corrals, weights=None) -> list:
             if ok[k] else None for k in range(len(W))]
 
 
+def _solve_stack(K: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of a stack; least squares if one is exactly singular."""
+    try:
+        return np.linalg.solve(K, B)
+    except np.linalg.LinAlgError:
+        return np.array([np.linalg.lstsq(k, b, rcond=None)[0] for k, b in zip(K, B)])
+
+
 def _affine_min_norm(C: np.ndarray) -> np.ndarray:
     """Weights of the min-norm point of the affine hull of the rows of each
     C[k] in a stack C of shape (r, m, d): one stacked solve of the bordered
@@ -379,10 +387,7 @@ def _affine_min_norm(C: np.ndarray) -> np.ndarray:
     K[:, m, m] = 0.0
     e = np.zeros((r, m + 1, 1))  # a column per matrix: NumPy 1 reads a 1-D b as a matrix
     e[:, m] = 1.0
-    try:
-        alpha = np.linalg.solve(K, e)[:, :m, 0]
-    except np.linalg.LinAlgError:  # an exactly singular system: least squares
-        alpha = np.array([np.linalg.lstsq(k, e[0, :, 0], rcond=None)[0][:m] for k in K])
+    alpha = _solve_stack(K, e)[:, :m, 0]
     ssum = alpha.sum(axis=1, keepdims=True)
     return alpha / np.where(np.abs(ssum) > 1e-12, ssum, 1.0)
 

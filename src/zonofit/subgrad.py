@@ -188,7 +188,7 @@ def gradients_for_pairs(pairs):
     return tuple(-build_cone(pairs).negated_gradients())
 
 
-def clarke_subdifferential(poly: Polytope, z: Zonotope, tol_active: float = 1e-7,
+def clarke_subdifferential(poly: Polytope, z: Zonotope,
                            objective: str = "exact") -> SubdifferentialSet:
     """Gradients of all active terms at ``z``; their hull is the
     generalized derivative of the chosen objective.
@@ -200,7 +200,7 @@ def clarke_subdifferential(poly: Polytope, z: Zonotope, tol_active: float = 1e-7
     if not coarse and not check_locality(poly, z).ok:
         raise LocalityViolation("locality conditions fail; gradients undefined")
     distance = coarse_hausdorff_distance if coarse else hausdorff_distance
-    _, pairs = distance(poly, z, tol_active)
+    _, pairs = distance(poly, z)
     return SubdifferentialSet(
         gradients=gradients_for_pairs(pairs),
         pairs=tuple(pairs),

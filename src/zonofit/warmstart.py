@@ -31,6 +31,10 @@ __all__ = [
     "warmstart_zonotope",
 ]
 
+HULL_MERGE_TOL = 1e-9
+SYMMETRY_TOL = 1e-7
+CENTER_GRID_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class SymmetricPolygon:
@@ -45,18 +49,18 @@ class SymmetricPolygon:
         object.__setattr__(self, "center", _readonly(self.center))
 
 
-def convex_hull_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Hull vertex cycle (ccw) by monotone chain; collinear points dropped.
 
     Near-duplicate inputs (e.g. a reflected vertex landing on an original
-    one up to roundoff) are merged within ``tol`` times the data scale,
-    keeping the first in lexicographic order. A turn o -> a -> b with b
+    one up to roundoff) are merged within ``HULL_MERGE_TOL`` times the data
+    scale, keeping the first in lexicographic order. A turn o -> a -> b with b
     within that distance of line oa drops a, as collinear, by one rule for
     a point and its reflection.
     """
     pts = np.asarray(points, dtype=float)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    merge = tol * (1.0 + float(np.abs(pts).max(initial=0.0)))
+    merge = HULL_MERGE_TOL * (1.0 + float(np.abs(pts).max(initial=0.0)))
     # Exact duplicates (distance 0) merge like near ones.
     near = np.tril(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= merge, -1)
     if near.any():
@@ -119,7 +123,7 @@ def _envelope_areas(V: np.ndarray, C: np.ndarray) -> np.ndarray:
     t = y / np.where(radius > 0.0, radius, 1.0)
     order = np.argsort(np.where(x >= 0.0, t, 2.0 - t), axis=1, kind="stable")
     P = np.take_along_axis(P, order[..., None], axis=1)
-    merge = 1e-9 * np.abs(W).max(axis=(1, 2))[:, None]
+    merge = HULL_MERGE_TOL * np.abs(W).max(axis=(1, 2))[:, None]
     keep = np.linalg.norm(np.stack([P, P - np.roll(P, 1, axis=1)]), axis=3).min(axis=0) > merge
     idx, rows = np.arange(P.shape[1]), np.arange(P.shape[0])[:, None]
     while True:
@@ -135,11 +139,11 @@ def _envelope_areas(V: np.ndarray, C: np.ndarray) -> np.ndarray:
         keep &= ~reflex
 
 
-def choose_center_2d(poly: Polytope, grid_depth: int = 3) -> np.ndarray:
+def choose_center_2d(poly: Polytope) -> np.ndarray:
     """Reflection point minimizing the envelope area over a refined grid.
 
     Starts from the vertex barycenter (always a candidate, so the result
-    is never worse) and refines a 9x9 grid ``grid_depth`` times. A level
+    is never worse) and refines a 9x9 grid ``CENTER_GRID_DEPTH`` times. A level
     walks its offsets from the best so far, scoring those left in one array
     pass, and accepts an area below best (1 - 64 eps): round-off ties keep
     the earlier center, and scaling by 2^k scales the result by 2^k.
@@ -150,7 +154,7 @@ def choose_center_2d(poly: Polytope, grid_depth: int = 3) -> np.ndarray:
     best = V.mean(axis=0)
     best_area = _envelope_areas(V, best[None])[0]
     width = 0.5 * float(np.ptp(V, axis=0).max())
-    for _ in range(grid_depth):
+    for _ in range(CENTER_GRID_DEPTH):
         ticks = np.linspace(-width, width, 9)
         offsets = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
         while offsets.shape[0]:
@@ -165,7 +169,7 @@ def choose_center_2d(poly: Polytope, grid_depth: int = 3) -> np.ndarray:
     return best
 
 
-def symmetric_polygon_to_zonotope(sp: SymmetricPolygon, tol: float = 1e-7) -> Zonotope:
+def symmetric_polygon_to_zonotope(sp: SymmetricPolygon) -> Zonotope:
     """Read a centrally symmetric 2m-gon off as a rank-m zonotope.
 
     Opposite edges come in +-pairs; one representative of each pair is a
@@ -180,7 +184,7 @@ def symmetric_polygon_to_zonotope(sp: SymmetricPolygon, tol: float = 1e-7) -> Zo
     scale = 1.0 + float(np.abs(V).max())
     reflected = 2.0 * sp.center - V
     for i in range(m):
-        if np.linalg.norm(reflected[i] - V[i + m]) > tol * scale:
+        if np.linalg.norm(reflected[i] - V[i + m]) > SYMMETRY_TOL * scale:
             raise AsymmetryTooLarge("opposite vertices are not reflections")
     edges = np.roll(V, -1, axis=0) - V
     # Symmetrize each generator against its opposite edge.
@@ -253,11 +257,11 @@ def warmstart_generic(poly: Polytope, n: int, rng) -> Zonotope:
     raise DegenerateInput("could not build a general-position warmstart")
 
 
-def warmstart_zonotope(poly: Polytope, n: int, rng=None, grid_depth: int = 3) -> Zonotope:
+def warmstart_zonotope(poly: Polytope, n: int, rng=None) -> Zonotope:
     """Initial guess: symmetric envelope in the plane, box fit otherwise."""
     rng = rng if rng is not None else np.random.default_rng(0)
     if poly.dim == 2:
-        center = choose_center_2d(poly, grid_depth)
+        center = choose_center_2d(poly)
         z = symmetric_polygon_to_zonotope(envelope_2d(poly, center))
         z = fit_rank_2d(z, n, center, rng)
         return canonicalize(z)

@@ -185,6 +185,26 @@ OLD_MANIFEST_CONFIG = {
 }
 
 
+# Zonotopes in general position against the unit cube whose generators 0
+# and 1 are nearly parallel (sine 1.1e-9 and 2.1e-9), so that a face's
+# normal equations are exactly singular. Locality fails for the first pair
+# (polytope vertices 1, 6 and 7) and holds for the second.
+NEAR_PARALLEL_ZONOTOPES = [
+    {"generators": [[0.566317170495932, -0.053968016275656616, -0.05229974288958994],
+                    [0.2035693832033192, -0.019399439837278213, -0.01879975929423135],
+                    [-0.5008473073262729, -0.31434213832705327, 0.6346458956749659],
+                    [-0.20367836910692505, 0.5688248758157979, -0.9730213642338175],
+                    [0.9986761092245646, 0.9105327862521164, 0.3570014257140315]],
+     "translation": [-0.25786139470233577, -0.20535789970555784, -0.1908868517915973]},
+    {"generators": [[-0.19396480763493407, -0.4599075175765177, -0.2554391786597794],
+                    [-0.08860659613173263, -0.210093986873664, -0.1166891888288935],
+                    [-0.785949930014664, 0.6357727864895328, 0.847719428443624],
+                    [-0.7974143151163553, -0.5009610758237424, -0.6526376233801743],
+                    [0.6983103298599533, 0.8205574472356758, -0.9114524914399222]],
+     "translation": [-0.3287208870084435, -0.012970718518628521, 0.024034694762808506]},
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

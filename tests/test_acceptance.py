@@ -176,7 +176,7 @@ def test_criterion_4_vertex_enumeration_oracle():
             verts = enumerate_vertices(z)
             expected = 2 * sum(math.comb(n - 1, k) for k in range(d))
             cubical = np.array([
-                z.cubical_vertex(e) for e in itertools.product((0, 1), repeat=n)
+                z.map_point(e) for e in itertools.product((0, 1), repeat=n)
             ])
             oracle = {tuple(np.round(cubical[i], 8))
                       for i in hull_vertices_oracle(cubical)}

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import OLD_MANIFEST_CONFIG, random_zonotope
+from conftest import NEAR_PARALLEL_ZONOTOPES, OLD_MANIFEST_CONFIG, random_zonotope
 from zonofit import cli, solvers
 from zonofit.cli import main
 from zonofit.cone import DirectionResult, build_cone, descent_direction
@@ -26,6 +26,15 @@ from zonofit.hausdorff import coarse_hausdorff_distance, hausdorff_distance
 def write_json(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture
+def near_parallel_files(tmp_path):
+    """The unit cube and the zonotopes of ``NEAR_PARALLEL_ZONOTOPES``."""
+    cube = write_json(tmp_path / "cube.json",
+                      {"vertices": [[float(b) for b in f"{k:03b}"] for k in range(8)]})
+    return cube, [write_json(tmp_path / f"z{k}.json", z)
+                  for k, z in enumerate(NEAR_PARALLEL_ZONOTOPES)]
 
 
 @pytest.fixture
@@ -70,6 +79,15 @@ class TestDistanceCommand:
         assert main(["distance", poly, zono, "--coarse"]) == 0
         coarse = json.loads(capsys.readouterr().out)["value"]
         assert coarse >= exact - 1e-9
+
+    def test_near_parallel_generators_exit_0(self, near_parallel_files, capsys):
+        # Exactly singular face normal equations once escaped as numpy's
+        # LinAlgError, a ValueError the command reported as a usage error.
+        cube, zonos = near_parallel_files
+        assert main(["distance", cube, zonos[0]]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert value == hausdorff_distance(cli._load_polytope(cube),
+                                           cli._load_zonotope(zonos[0]))[0]
 
     def test_dimension_mismatch_exit_2(self, square_files, tmp_path, capsys):
         poly, _ = square_files
@@ -154,6 +172,20 @@ class TestOptimizeCommand:
             return [",".join(r.split(",")[:-1]) for r in rows]
 
         assert math_cols("a.csv") == math_cols("b.csv")
+
+    def test_old_manifest_replays_the_same_run(self, tmp_path, capsys, rng):
+        # OLD_MANIFEST_CONFIG carries every retired field at its old default.
+        poly = write_json(tmp_path / "p.json",
+                          polytope_to_json(zonotope_as_polytope(random_zonotope(rng, 4, 2))))
+        old = write_json(tmp_path / "old.json", {"config": OLD_MANIFEST_CONFIG})
+        flags = ["--steps", "7", "--seed", "11", "--rule", "conservative"]
+        for name, extra in (("a.csv", flags), ("b.csv", ["--config", old])):
+            assert main(["optimize", poly, "--rank", "3", *extra,
+                         "--trace", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        rows = [[r.rsplit(",", 1)[0] for r in (tmp_path / name).read_text().split("\n")[1:]]
+                for name in ("a.csv", "b.csv")]
+        assert rows[0] == rows[1] and len(rows[0]) > 2
 
     def test_manifest_stats_are_run_totals(self, tmp_path, capsys, rng):
         poly_obj = zonotope_as_polytope(random_zonotope(rng, 4, 2))
@@ -300,6 +332,15 @@ class TestConeCommand:
         assert out["verdict"] == ("no direction strictly improves every pair "
                                   "(treated as a local minimum)")
 
+    def test_near_parallel_generators(self, near_parallel_files, capsys):
+        # The first pair fails locality, the second holds it: both exit
+        # with their verdict instead of numpy's LinAlgError.
+        cube, zonos = near_parallel_files
+        assert main(["cone", cube, zonos[0]]) == 5
+        assert json.loads(capsys.readouterr().out)["unstable_polytope_vertices"] == [1, 6, 7]
+        assert main(["cone", cube, zonos[1]]) == 0
+        assert json.loads(capsys.readouterr().out)["locality"] is True
+
     def test_locality_violation_exit_5(self, tmp_path, capsys):
         poly = write_json(tmp_path / "p.json", {
             "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
@@ -381,10 +422,14 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("field, value", [
         ("cone_margin", 1e-7), ("solver", {"feasibility_tol": 1e-7}),
-        ("solver", {"kkt_tol": 1e-8, "iteration_factor": 10})])
+        ("solver", {"kkt_tol": 1e-8, "iteration_factor": 10}),
+        ("hybrid_switch", 9), ("max_perturb_tries", 2), ("max_perturb_tries", -1),
+        ("tol_active", 1e-3), ("tol_active", -1.0), ("tol_active", 1.0),
+        ("tol_active", float("nan"))])
     def test_retired_config_field(self, square_files, tmp_path, capsys, field, value):
-        # A manifest from a run with a solver tolerance or cone margin off
-        # its old default cannot be replayed: the values are constants now.
+        # A manifest from a run with a solver tolerance, the cone margin, the
+        # hybrid switch, the perturbation budget or the active band off its
+        # old default cannot be replayed: the values are constants now.
         manifest = {"config": {**OLD_MANIFEST_CONFIG, "rank": 4, field: value}}
         flags = ["--config", write_json(tmp_path / "m.json", manifest)]
         assert main(["optimize", square_files[0], "--rank", "4", *flags]) == 1
@@ -398,8 +443,9 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ZONOFIT_SEED") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("tol", ["-1", "1", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "1", "nan", "1.5"])
     def test_rejected_tol_active(self, square_files, capsys, tol):
-        assert main(["distance", *square_files, f"--tol-active={tol}"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and err.count("\n") == 1
+        for command in ("distance", "cone"):
+            assert main([command, *square_files, f"--tol-active={tol}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and err.count("\n") == 1

@@ -78,12 +78,13 @@ class TestPerturbUntilLocal:
         assert tries >= 1
         assert check_locality(poly, out).ok
 
-    def test_budget_exceeded(self, rng):
+    def test_budget_exceeded(self, rng, monkeypatch):
         z = Zonotope([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.zeros(2))
         poly = random_polytope(rng, 2)
+        monkeypatch.setattr(descent, "MAX_PERTURB_TRIES", 2)
         with pytest.raises(PerturbationBudgetExceeded):
             # amplitude too small to fix a duplicated generator in 2 tries
-            perturb_until_local(poly, z, 1e-18, rng, max_tries=2)
+            perturb_until_local(poly, z, 1e-18, rng)
 
     def test_vertex_on_cone_boundary_resolved(self, rng):
         # Polytope vertex straight above a zonotope corner: unstable, but
@@ -117,7 +118,8 @@ class TestPerturbUntilLocal:
             assert tries >= 1 and len(cold) < tries * rows / 2
 
 
-    def test_no_sweep_for_a_start_or_candidate_off_general_position(self, rng, measured_rows):
+    def test_no_sweep_for_a_start_or_candidate_off_general_position(self, rng, measured_rows,
+                                                                     monkeypatch):
         # The start has no sweep to lend (check_locality stops at its
         # general-position test), so nothing sweeps it; candidates still
         # off general position are not swept at all.
@@ -125,8 +127,10 @@ class TestPerturbUntilLocal:
         measured_rows.clear()  # the polytope's extreme-point tests
         G = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         start = Zonotope(G, np.zeros(2))
-        with pytest.raises(PerturbationBudgetExceeded):
-            perturb_until_local(poly, start, 1e-18, rng, max_tries=2)
+        with monkeypatch.context() as mp:
+            mp.setattr(descent, "MAX_PERTURB_TRIES", 2)
+            with pytest.raises(PerturbationBudgetExceeded):
+                perturb_until_local(poly, start, 1e-18, rng)
         assert not measured_rows and start._projections is None
         out, tries = perturb_until_local(poly, start, 1e-6, rng)
         assert start._projections is None
@@ -235,7 +239,7 @@ class TestOptimize:
 
     def test_config_json_round_trip(self):
         cfg = DescentConfig(rank=4, max_steps=77, threshold=1e-6,
-                            step_rule="hybrid", hybrid_switch=9, rng_seed=5,
+                            step_rule="hybrid", rng_seed=5,
                             objective="coarse")
         back = DescentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert back == cfg
@@ -267,13 +271,10 @@ class TestOptimize:
 
     @pytest.mark.parametrize("field, value", [
         ("max_steps", 0), ("threshold", -1.0), ("threshold", np.nan),
-        ("perturb_scale", 0.0), ("perturb_scale", np.nan), ("perturb_scale", np.inf),
-        ("tol_active", -1.0), ("tol_active", 1.0), ("tol_active", np.nan),
-        ("max_perturb_tries", -1)])
+        ("perturb_scale", 0.0), ("perturb_scale", np.nan), ("perturb_scale", np.inf)])
     def test_config_rejects_bad_values(self, field, value):
-        # A negative or NaN tol_active bands no pair, which would certify a
-        # local minimum at the start; a NaN or infinite perturb_scale would
-        # fail only at the first perturbation.
+        # A NaN or infinite perturb_scale would fail only at the first
+        # perturbation.
         with pytest.raises(ValueError):
             DescentConfig(rank=4, **{field: value})
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hull_vertices_oracle, random_zonotope
-from zonofit import solvers
+from zonofit import geom, solvers
 from zonofit.errors import (
     CodimZeroFace,
     DegenerateInput,
@@ -161,7 +161,7 @@ class TestEnumerateVertices:
             expected = 2 * sum(comb(n - 1, k) for k in range(d))
             assert len(verts) == expected
             cubical = np.array(
-                [z.cubical_vertex(e) for e in itertools.product((0, 1), repeat=n)]
+                [z.map_point(e) for e in itertools.product((0, 1), repeat=n)]
             )
             oracle_idx = hull_vertices_oracle(cubical)
             oracle_pts = {tuple(np.round(cubical[i], 8)) for i in oracle_idx}
@@ -178,10 +178,11 @@ class TestEnumerateVertices:
         assert len(verts) == 2 * sum(math.comb(n - 1, i) for i in range(d))
         assert len({bits.tobytes() for bits, _ in verts}) == len(verts)
 
-    def test_rank_cap(self, rng):
+    def test_rank_cap(self, rng, monkeypatch):
         z = random_zonotope(rng, 4, 2)
+        monkeypatch.setattr(geom, "VERTEX_ENUM_CAP", 3)
         with pytest.raises(RankCapExceeded):
-            enumerate_vertices(z, cap=3)
+            enumerate_vertices(z)
 
     def test_every_enumerated_passes_vertexhood(self, rng):
         z = random_zonotope(rng, 4, 2)
@@ -230,7 +231,7 @@ class TestEnumerateVertices:
         for comb in itertools.product((0, 1), repeat=4):
             if comb in kept:
                 continue
-            pt = z.cubical_vertex(np.array(comb, float))
+            pt = z.map_point(np.array(comb, float))
             assert poly.interior_margin(pt) > 1e-9
 
 
@@ -489,7 +490,7 @@ class TestZonotopeAsPolytope:
         for _ in range(50):
             p = rng.uniform(-2.0, 2.0, size=2)
             dist = box_least_squares(z.generators, z.translation, p).distance
-            assert poly.contains(p, tol=1e-7) == (dist <= 1e-7 * poly.scale())
+            assert poly.contains(p) == (dist <= 1e-7 * poly.scale())
 
 
 class TestJsonRoundTrip:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NEAR_PARALLEL_ZONOTOPES,
     boundary_samples_2d,
     point_to_convex_polygon_distance,
     polygon_cycle,
@@ -109,9 +110,25 @@ class TestHausdorffDistance:
         assert value <= 1e-9
         probes = rng.uniform(-2.0, 2.0, size=(1000, 2))
         for p in probes[:100]:
-            in_poly = poly.contains(p, tol=1e-7)
+            in_poly = poly.contains(p)
             in_z = box_least_squares(z.generators, z.translation, p).distance <= 1e-6
             assert in_poly == in_z
+
+    @pytest.mark.parametrize("data, local", zip(NEAR_PARALLEL_ZONOTOPES, [False, True]),
+                             ids=["unstable", "local"])
+    def test_near_parallel_generators_match_the_cold_sweeps(self, data, local):
+        # A face spanned by the two near-parallel generators has exactly
+        # singular normal equations: the face search solves them by least
+        # squares, and the sweeps stay exact.
+        cube = Polytope.from_vertices(list(itertools.product([0.0, 1.0], repeat=3)))
+        z = Zonotope(data["generators"], data["translation"])
+        assert geom.is_general_position(z)
+        cold = [solvers.box_least_squares(z.generators, z.translation, v).distance
+                for v in cube.vertices]
+        cold += [solvers.project_to_hull(cube.vertices, pt).distance
+                 for _, pt in enumerate_vertices(z)]
+        assert hausdorff_distance(cube, z)[0] == pytest.approx(max(cold), rel=1e-12)
+        assert check_locality(cube, z).ok is local
 
 
 def flipped_and_permuted(z, rng):
@@ -418,9 +435,11 @@ class TestArrayLocality:
         near = [shifted_to_lower_face(z, row, k, rng.uniform(1e-9, 5e-8))
                 for row in p_rows if row.distance > 0.0
                 for k in np.flatnonzero((row.coefficients > 0.0) & (row.coefficients < 1.0))]
-        for zk in [z] + [perturbed(z, rng, 1e-7) for _ in range(3)] + near[:3]:
-            report = check_locality(poly, zk, tol_strict=tol_strict)
-            assert unstable_sets(report) == reference_locality(poly, zk, tol_strict)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hausdorff, "STRICT_TOL", tol_strict)
+            for zk in [z] + [perturbed(z, rng, 1e-7) for _ in range(3)] + near[:3]:
+                report = check_locality(poly, zk)
+                assert unstable_sets(report) == reference_locality(poly, zk, tol_strict)
 
     def test_non_simplex_faces_match_the_per_row_rules(self, rng, monkeypatch):
         # Zonotope vertices outside a cube project into its square facets,
@@ -431,10 +450,11 @@ class TestArrayLocality:
         monkeypatch.setattr(hausdorff, "_max_min_coefficient",
                             lambda *a: solved.append(1) or solve(*a))
         for tol_strict in (hausdorff.STRICT_TOL, 1e-2):
+            monkeypatch.setattr(hausdorff, "STRICT_TOL", tol_strict)
             for _ in range(10):
                 z = random_zonotope(rng, 5, 3, scale=0.7)
                 z = Zonotope(z.generators, 0.5 - 0.5 * z.generators.sum(axis=0))
-                report = check_locality(cube, z, tol_strict=tol_strict)
+                report = check_locality(cube, z)
                 assert unstable_sets(report) == reference_locality(cube, z, tol_strict)
         assert solved
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from conftest import random_polytope, random_zonotope
+from zonofit import warmstart
 from zonofit.errors import AsymmetryTooLarge, DimensionNot2
 from zonofit.geom import (
     Polytope,
@@ -209,12 +210,12 @@ class TestChooseCenter2D:
             a_best = polygon_area(envelope_2d(poly, choose_center_2d(poly)).vertices)
             assert a_best <= a_bary + 1e-12
 
-    def test_refinement_monotone(self, rng):
+    def test_refinement_monotone(self, rng, monkeypatch):
         poly = random_polytope(rng, 2)
-        areas = [
-            polygon_area(envelope_2d(poly, choose_center_2d(poly, depth)).vertices)
-            for depth in (1, 2, 3)
-        ]
+        areas = []
+        for depth in (1, 2, 3):
+            monkeypatch.setattr(warmstart, "CENTER_GRID_DEPTH", depth)
+            areas.append(polygon_area(envelope_2d(poly, choose_center_2d(poly)).vertices))
         assert areas[1] <= areas[0] + 1e-12
         assert areas[2] <= areas[1] + 1e-12
 
