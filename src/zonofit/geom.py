@@ -175,18 +175,20 @@ def is_general_position(z: Zonotope) -> bool:
 def is_zonotope_vertex(z: Zonotope, bits) -> bool:
     """Decide whether the cubical vertex at ``bits`` is a true vertex.
 
-    It is one iff some hyperplane through the origin strictly separates the
-    selected generators from the rest; strictness is encoded as margins
-    +-1, which is scale-free because the separating system is homogeneous.
+    It is one iff a hyperplane through the origin strictly separates the
+    selected nonzero generators from the rest, by margins +-1 (scale-free:
+    the system is homogeneous); a zero generator's bit is fixed at 0.
     """
     e = np.asarray(bits, dtype=float).reshape(-1)
     G = z.generators
     n, d = G.shape
     if e.size != n:
         raise DimensionMismatch("bit-vector length must equal the rank")
-    signs = np.where(e > 0.5, 1.0, -1.0)
+    signs, moves = np.where(e > 0.5, 1.0, -1.0), G.any(axis=1)
+    if (signs[~moves] > 0.0).any():
+        return False
     try:
-        res = solvers.solve_lp(np.zeros(d), signs[:, None] * G, np.ones(n))
+        res = solvers.solve_lp(np.zeros(d), (signs[:, None] * G)[moves], np.ones(moves.sum()))
     except IterationLimit as exc:
         raise LPNumericalFailure(str(exc)) from exc
     return res.status == "optimal"
@@ -277,15 +279,13 @@ def zonotope_facets(z: Zonotope):
     """
     if z._facets is not None:
         return z._facets
-    G = z.generators
-    mu = z.translation
-    normals, offsets = [], []
-    for eta in _facet_directions(z)[1]:
-        for sign in (1.0, -1.0):
-            nrm = sign * eta
-            normals.append(nrm)
-            offsets.append(float(nrm @ mu + np.maximum(G @ nrm, 0.0).sum()))
-    pair = (_readonly(np.array(normals)), _readonly(np.array(offsets)))
+    E = _facet_directions(z)[1]
+    # One product per direction, as G @ -eta is -(G @ eta) bit for bit.
+    along = np.array([z.generators @ eta for eta in E]).reshape(len(E), z.rank)
+    shift = np.array([eta @ z.translation for eta in E])
+    offsets = np.stack([shift + np.maximum(along, 0.0).sum(axis=1),
+                        np.maximum(-along, 0.0).sum(axis=1) - shift], axis=1)
+    pair = (_readonly(np.stack([E, -E], axis=1).reshape(-1, z.dim)), _readonly(offsets.ravel()))
     object.__setattr__(z, "_facets", pair)
     return pair
 
@@ -303,7 +303,7 @@ class Polytope:
     vertices: np.ndarray
     facet_normals: np.ndarray
     facet_offsets: np.ndarray
-    _faces: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _faces: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _readonly(np.atleast_2d(self.vertices)))
@@ -623,11 +623,12 @@ def _face_vertices(poly: Polytope, active) -> np.ndarray:
                        > FACE_ACTIVE_TOL * poly.scale() * 10.0).T)
 
 
-def _simplicial_faces(poly: Polytope) -> dict:
-    """Vertex index rows of the polytope's simplicial faces by size: every
-    vertex and subset of a facet with d vertices (``_face_vertices``), and
+def _simplicial_faces(poly: Polytope) -> tuple:
+    """(faces, incidence): vertex index rows of the polytope's simplicial
+    faces by size, every vertex and subset of a facet with d vertices, and
     as size d + 1 the fan joining vertex 0 to each such facet off it, which
-    covers the polytope when those are all its facets off vertex 0. Cached
+    covers the polytope when those are all its facets off vertex 0; and the
+    facet-vertex incidence (``_face_vertices``) they were read from. Cached
     on the polytope by one attribute write."""
     if poly._faces is not None:
         return poly._faces
@@ -638,8 +639,8 @@ def _simplicial_faces(poly: Polytope) -> dict:
              for m in range(2, d + 1)}
     fan = simplices[(simplices != 0).all(axis=1)]
     faces.update({1: np.arange(nv)[:, None], d + 1: np.insert(fan, 0, 0, axis=1)})
-    object.__setattr__(poly, "_faces", faces)
-    return faces
+    object.__setattr__(poly, "_faces", (faces, incidence))
+    return faces, incidence
 
 
 def zonotope_as_polytope(z: Zonotope) -> Polytope:

@@ -146,9 +146,10 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     a step started from), lends each row its face there: polytope rows by
     index, zonotope rows by cube-lift bits. Without usable hints each row
     of a general-position z takes the face it projects onto
-    (``_zonotope_face_rows``, ``_polytope_face_rows``). The rest go to the
-    solvers' cold loops, in sweep order. A cold polytope row strictly
-    outside a general-position z (a facet of ``zonotope_facets`` fails)
+    (``_zonotope_face_rows``, ``_polytope_face_rows``), except a polytope
+    row strictly inside z (by ``FACE_ACTIVE_TOL`` x scale against
+    ``zonotope_facets``), which no boundary face passes. The rest go to the
+    solvers' cold loops, in sweep order. A cold polytope row outside z
     starts the box loop at its nearest zonotope vertex, the first on ties,
     which saves face solves and keeps the bits (``box_least_squares``). Other
     rows start at 0: inside z the start would pick among many lifts.
@@ -158,25 +159,29 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
         return cached[1], cached[2]
     V, zverts = poly.vertices, enumerate_vertices(z)
     zpts = np.array([pt for _, pt in zverts])
-    p_proj, z_proj, faces = [None] * len(V), [None] * len(zverts), None
+    G, mu, p_proj, z_proj = z.generators, z.translation, [None] * len(V), [None] * len(zverts)
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
-    if hinted is not None and hinted[0] is poly:
+    unhinted = hinted is None or hinted[0] is not poly
+    if not unhinted:
         corral = {bits.tobytes(): row.corral
                   for (bits, _), row in zip(enumerate_vertices(hints), hinted[2])}
-        faces = ([row.coefficients for row in hinted[1]],
-                 [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
-    elif not _facet_directions(z)[2]:  # no hints: the faces the rows project onto
-        faces = _zonotope_face_rows(z, V), _polytope_face_rows(poly, zpts)
-    if faces is not None:
-        p_proj = solvers._box_rows(z.generators, z.translation, V, faces[0], verify=True)
-        z_proj = solvers._hull_rows(V, zpts, faces[1])
+        p_proj = solvers._box_rows(G, mu, V, [row.coefficients for row in hinted[1]], verify=True)
+        z_proj = solvers._hull_rows(V, zpts, [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
     starts = [None] * len(V)
-    if any(row is None for row in p_proj) and not _facet_directions(z)[2]:
+    if (unhinted or any(row is None for row in p_proj)) and not _facet_directions(z)[2]:
         normals, offsets = zonotope_facets(z)
-        outside = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1) > 0.0
+        margin = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
+        if unhinted:  # the faces the rows not strictly inside z project onto
+            scale = 1.0 + float(np.abs(V - mu).max())
+            near = np.flatnonzero(margin >= -FACE_ACTIVE_TOL * scale)
+            if near.size:
+                rows = dict(zip(near.tolist(), solvers._box_rows(
+                    G, mu, V[near], _zonotope_face_rows(z, V[near], scale), verify=True)))
+                p_proj = [rows.get(i) for i in range(len(V))]
+            z_proj = solvers._hull_rows(V, zpts, _polytope_face_rows(poly, zpts))
         nearest = np.square(V[:, None] - zpts).sum(axis=2).argmin(axis=1)
-        starts = [zverts[j][0] if out else None for out, j in zip(outside, nearest)]
-    p_proj = tuple(solvers.box_least_squares(z.generators, z.translation, v, start)
+        starts = [zverts[j][0] if out > 0.0 else None for out, j in zip(margin, nearest)]
+    p_proj = tuple(solvers.box_least_squares(G, mu, v, start)
                    if row is None else row for v, row, start in zip(V, p_proj, starts))
     z_proj = tuple(solvers.project_to_hull(V, pt) if row is None else row
                    for pt, row in zip(zpts, z_proj))
@@ -193,10 +198,10 @@ def _nearest_faces(dist: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndar
     return np.where(tied & (sizes[:, None] == largest), dist, np.inf).argmin(axis=0)
 
 
-def _zonotope_face_rows(z: Zonotope, targets: np.ndarray) -> np.ndarray:
+def _zonotope_face_rows(z: Zonotope, targets: np.ndarray, scale: float) -> np.ndarray:
     """The face of z (``_zonotope_faces``) each target projects onto, as a
     ``solvers._box_rows`` row: anchor bits, 0.5 on the free set. One stacked
-    normal-equation solve per free-set size."""
+    normal-equation solve per free-set size; ties within 1e-12 x ``scale``."""
     codes = _zonotope_faces(z)
     anchors, free = _bits(codes, z.rank), _bits(codes >> z.rank, z.rank)
     G, Y = z.generators, targets - z.translation
@@ -211,22 +216,41 @@ def _zonotope_face_rows(z: Zonotope, targets: np.ndarray) -> np.ndarray:
         E = R - np.einsum("fmr,fmd->frd", c, D)
         inside = ((c > 1e-12) & (c < 1.0 - 1e-12)).all(axis=1)
         dist[at] = np.where(inside, np.sqrt(np.einsum("frd,frd->fr", E, E)), np.inf)
-    pick = _nearest_faces(dist, sizes, 1.0 + float(np.abs(Y).max()))
+    pick = _nearest_faces(dist, sizes, scale)
     return anchors[pick] + 0.5 * free[pick]
 
 
 def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:
     """The simplicial face of poly (``_simplicial_faces``) each target
     projects onto, as a ``solvers._hull_rows`` corral (vertex order). One
-    stacked affine min-norm solve per face size."""
-    groups = [f for f in _simplicial_faces(poly).values() if len(f)]
+    stacked affine min-norm solve per face size, only on the (face, target)
+    pairs that can hold the target's projection q. Outside poly, t - q is a
+    non-negative combination of the normals of the facets active at q (KKT),
+    and |t - q|^2 > 0, so t violates one of them, and that facet holds q's
+    face. So t tests the faces of the facets it violates by more than
+    -``FACE_ACTIVE_TOL`` x scale; unless outside by more than that, t is
+    its own q and also tests the fan simplices over the facets that the ray
+    from vertex 0 through t leaves by (exit parameters tie within a
+    relative ``FACE_ACTIVE_TOL``)."""
+    faces, incidence = _simplicial_faces(poly)
+    V, N, b = poly.vertices, poly.facet_normals, poly.facet_offsets
+    band, margin, rise = FACE_ACTIVE_TOL * poly.scale(), targets @ N.T - b, (targets - V[0]) @ N.T
+    exits = (rise > 0.0) & ~incidence[:, 0] & (margin.max(axis=1) <= band)[:, None]
+    leave = np.divide(b - N @ V[0], rise, out=np.full(rise.shape, np.inf), where=exits)
+    leaves = exits & (leave <= leave.min(axis=1, keepdims=True) * (1.0 + FACE_ACTIVE_TOL))
+    groups = [f for f in faces.values() if len(f)]
     dist = []
     for f in groups:
-        S = (poly.vertices[f][:, None] - targets[:, None]).reshape(-1, *f.shape[1:], poly.dim)
-        W = solvers._affine_min_norm(S)
-        X = np.einsum("km,kmd->kd", W, S)
-        dist.append(np.where((W > 1e-12).all(axis=1), np.sqrt(np.einsum("kd,kd->k", X, X)),
-                             np.inf).reshape(len(f), -1))
+        fan = f.shape[1] > poly.dim  # its simplices lie on the facet of their base
+        on = incidence[:, f[:, 1:] if fan else f].all(axis=2)
+        face, row = np.nonzero(((leaves if fan else margin > -band) @ on).T)
+        dist.append(np.full((len(f), len(targets)), np.inf))
+        if len(face):
+            S = V[f[face]] - targets[row][:, None]
+            W = solvers._affine_min_norm(S)
+            X = np.einsum("km,kmd->kd", W, S)
+            dist[-1][face, row] = np.where((W > 1e-12).all(axis=1),
+                                           np.sqrt(np.einsum("kd,kd->k", X, X)), np.inf)
     sizes = np.concatenate([np.full(len(f), f.shape[1]) for f in groups])
     rows = [tuple(row) for f in groups for row in f.tolist()]
     return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]

@@ -205,6 +205,27 @@ NEAR_PARALLEL_ZONOTOPES = [
 ]
 
 
+def exhaustive_polytope_face_rows(poly, targets):
+    """``hausdorff._polytope_face_rows`` as it was before it pruned its
+    candidates: the affine min-norm solve of every target on every
+    simplicial face and fan simplex, then the same pick."""
+    from zonofit import solvers
+    from zonofit.geom import _simplicial_faces
+    from zonofit.hausdorff import _nearest_faces
+
+    groups = [f for f in _simplicial_faces(poly)[0].values() if len(f)]
+    dist = []
+    for f in groups:
+        S = (poly.vertices[f][:, None] - targets[:, None]).reshape(-1, *f.shape[1:], poly.dim)
+        W = solvers._affine_min_norm(S)
+        X = np.einsum("km,kmd->kd", W, S)
+        dist.append(np.where((W > 1e-12).all(axis=1), np.sqrt(np.einsum("kd,kd->k", X, X)),
+                             np.inf).reshape(len(f), -1))
+    sizes = np.concatenate([np.full(len(f), f.shape[1]) for f in groups])
+    rows = [tuple(row) for f in groups for row in f.tolist()]
+    return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -89,6 +89,20 @@ class TestDistanceCommand:
         assert value == hausdorff_distance(cli._load_polytope(cube),
                                            cli._load_zonotope(zonos[0]))[0]
 
+    def test_zero_generator_measures_the_zonotope_without_it(self, tmp_path, capsys):
+        # A zero generator once left the vertex list empty, and the command
+        # printed distance 0 for a triangle against the unit square.
+        poly = write_json(tmp_path / "triangle.json", {"vertices": [[0, 0], [1, 0], [0, 1]]})
+        values = []
+        for name, generators in (("padded", [[0, 0], [1, 0], [0, 1]]),
+                                 ("square", [[1, 0], [0, 1]])):
+            zono = write_json(tmp_path / f"{name}.json",
+                              {"generators": generators, "translation": [0, 0]})
+            assert main(["distance", poly, zono]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[0] == pytest.approx(values[1], abs=1e-12)
+        assert values[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+
     def test_dimension_mismatch_exit_2(self, square_files, tmp_path, capsys):
         poly, _ = square_files
         zono = write_json(tmp_path / "z3.json", {

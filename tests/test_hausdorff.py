@@ -1,9 +1,11 @@
 """Distance-layer tests: exact/coarse Hausdorff, stability, local terms."""
 
 import dataclasses
+import importlib
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     NEAR_PARALLEL_ZONOTOPES,
     boundary_samples_2d,
+    exhaustive_polytope_face_rows,
     point_to_convex_polygon_distance,
     polygon_cycle,
     random_local_instance,
@@ -817,3 +820,145 @@ def sweep_key(sweep):
     return [[(r.point.tolist(), r.distance, r.kkt_residual,
               (r.coefficients if hasattr(r, "coefficients") else r.weights).tolist())
              for r in side] for side in sweep]
+
+
+def candidate_targets(rng, poly):
+    """Targets at the polytope's vertices; at a point of each facet, and
+    1e-9 and 1e-3 inside and outside it; and 3 widths from the centroid."""
+    V, scale = poly.vertices, poly.scale()
+    targets = [V]
+    for normal, offset in zip(poly.facet_normals, poly.facet_offsets):
+        on = V[np.abs(V @ normal - offset) <= 1e-9 * scale]
+        point = rng.dirichlet(np.ones(len(on))) @ on
+        targets.append(point + np.array([0.0, 1e-9, -1e-9, 1e-3, -1e-3])[:, None] * normal)
+    center = V.mean(axis=0)
+    directions = rng.normal(size=(8, poly.dim))
+    targets.append(center + 3.0 * np.ptp(V, axis=0).max()
+                   * directions / np.linalg.norm(directions, axis=1)[:, None])
+    return np.vstack(targets)
+
+
+def hull_key(rows):
+    return [None if r is None else (r.weights.tolist(), r.point.tolist(), r.distance,
+                                    r.kkt_residual, r.corral) for r in rows]
+
+
+class TestPolytopeFaceCandidates:
+    """``_polytope_face_rows`` solves only the (face, target) pairs that can
+    hold the target's projection, and picks what the exhaustive rule picks."""
+
+    @pytest.mark.parametrize("kind", ["random", "cube"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_same_picks_and_rows_as_every_pair(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "cube":  # from d = 3 no facet is a simplex: vertices only
+            poly = Polytope.from_vertices(list(itertools.product([0.0, 1.0], repeat=d)))
+        else:
+            poly = random_polytope(rng, d, npoints=int(rng.integers(d + 2, 4 * d + 4)))
+        targets = candidate_targets(rng, poly)
+        picks = hausdorff._polytope_face_rows(poly, targets)
+        exhaustive = exhaustive_polytope_face_rows(poly, targets)
+        # Strictly inside the cube no simplex holds a target: the exhaustive
+        # rule picks the nearest vertex, which cannot pass, and the pruned
+        # rule tests nothing.
+        inside = (poly.facet_offsets - targets @ poly.facet_normals.T).min(axis=1)
+        moot = (kind == "cube" and d == 3) & (inside >= FACE_ACTIVE_TOL * poly.scale())
+        assert [p for p, m in zip(picks, moot) if not m] == [
+            p for p, m in zip(exhaustive, moot) if not m]
+        assert hull_key(solvers._hull_rows(poly.vertices, targets, picks)) == hull_key(
+            solvers._hull_rows(poly.vertices, targets, exhaustive))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_on_the_fan_boundaries_match(self, rng, d):
+        # A target on a segment from vertex 0 lies on the boundary of fan
+        # simplices, strictly inside none. No face then holds its projection
+        # strictly: the picks may differ, but no row passes on either.
+        for _ in range(10):
+            poly = random_polytope(rng, d)
+            V = poly.vertices
+            targets = V[0] + rng.uniform(0.05, 0.95, size=(len(V) - 1, 1)) * (V[1:] - V[0])
+            rows = [hull_key(solvers._hull_rows(V, targets, rule(poly, targets)))
+                    for rule in (hausdorff._polytope_face_rows, exhaustive_polytope_face_rows)]
+            assert rows[0] == rows[1]
+
+    def test_a_quarter_of_the_exhaustive_work(self, monkeypatch):
+        rng = np.random.default_rng(4401)
+        poly = random_polytope(rng, 3, npoints=10)
+        while poly.vertices.shape[0] != 10:
+            poly = random_polytope(rng, 3, npoints=10)
+        z = random_zonotope(rng, 6, 3, scale=0.3)
+        targets = np.array([pt for _, pt in enumerate_vertices(z)])
+        assert targets.shape == (32, 3)
+        count, solve = [0], solvers._affine_min_norm
+
+        def counted(C):
+            count[0] += C.shape[0]
+            return solve(C)
+        monkeypatch.setattr(solvers, "_affine_min_norm", counted)
+        picks = hausdorff._polytope_face_rows(poly, targets)
+        pruned, count[0] = count[0], 0
+        assert picks == exhaustive_polytope_face_rows(poly, targets)
+        assert 0 < 4 * pruned <= count[0]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_face_selection_for_rows_strictly_inside_the_zonotope(self, rng, monkeypatch, d):
+        selected, select = [], hausdorff._zonotope_face_rows
+
+        def spy(z, targets, scale):
+            selected.append(targets)
+            return select(z, targets, scale)
+        monkeypatch.setattr(hausdorff, "_zonotope_face_rows", spy)
+        skipped = 0
+        for _ in range(8):
+            poly = random_polytope(rng, d)
+            G = random_zonotope(rng, d + 2, d, scale=rng.choice([0.3, 3.0])).generators
+            z = Zonotope(G, poly.vertices.mean(axis=0) - 0.5 * G.sum(axis=0))
+            selected.clear()
+            p_rows = hausdorff._projections(poly, z)[0]
+            normals, offsets = zonotope_facets(z)
+            V = poly.vertices
+            margin = (V @ normals.T - offsets).max(axis=1)
+            near = margin >= -FACE_ACTIVE_TOL * (1.0 + np.abs(V - z.translation).max())
+            assert np.array_equal(np.vstack(selected or [V[:0]]), V[near])
+            skipped += int((~near).sum())
+            assert sweep_key([p_rows]) == sweep_key([cold_sweep(poly, z)[0]])
+        assert skipped > 0
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestZeroGenerator:
+    """A zero generator moves no point: the zonotope and its distances are
+    those without it."""
+
+    def test_unit_square_with_a_zero_row(self):
+        triangle = Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        z = Zonotope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        assert [bits.tolist() for bits, _ in enumerate_vertices(z)] == [
+            [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+        assert not geom.is_zonotope_vertex(z, [1.0, 0.0, 0.0])
+        value = hausdorff_distance(triangle, z)[0]
+        assert value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert value == pytest.approx(hausdorff_distance(triangle, unit_square_zonotope())[0],
+                                      abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_distance_is_the_one_without_the_zero_row(self, rng, monkeypatch, d):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        reference_distance = importlib.import_module("worker").reference_distance
+        for _ in range(4):
+            poly, z = random_polytope(rng, d), random_zonotope(rng, d + 1, d)
+            k = int(rng.integers(z.rank + 1))
+            G = np.insert(z.generators, k, 0.0, axis=0)
+            padded = Zonotope(G, z.translation)
+            value = hausdorff_distance(poly, padded)[0]
+            assert value == pytest.approx(hausdorff_distance(poly, z)[0], abs=1e-9)
+            assert value == pytest.approx(
+                reference_distance(poly.vertices, G, z.translation), abs=1e-6)
+            report = check_locality(poly, padded)
+            assert not report.ok and not report.general_position
+            assert report.degenerate_subsets == tuple(
+                s for s in itertools.combinations(range(z.rank + 1), d) if k in s)
