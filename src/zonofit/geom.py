@@ -176,8 +176,10 @@ def is_zonotope_vertex(z: Zonotope, bits) -> bool:
     """Decide whether the cubical vertex at ``bits`` is a true vertex.
 
     It is one iff a hyperplane through the origin strictly separates the
-    selected nonzero generators from the rest, by margins +-1 (scale-free:
-    the system is homogeneous); a zero generator's bit is fixed at 0.
+    selected nonzero generators from the rest, by margins +-1. The system
+    is homogeneous, so each row is divided by its norm: a short generator
+    would otherwise need a separator past the simplex's tolerances. A zero
+    generator's bit is fixed at 0.
     """
     e = np.asarray(bits, dtype=float).reshape(-1)
     G = z.generators
@@ -187,8 +189,10 @@ def is_zonotope_vertex(z: Zonotope, bits) -> bool:
     signs, moves = np.where(e > 0.5, 1.0, -1.0), G.any(axis=1)
     if (signs[~moves] > 0.0).any():
         return False
+    rows = (signs[:, None] * G)[moves]
     try:
-        res = solvers.solve_lp(np.zeros(d), (signs[:, None] * G)[moves], np.ones(moves.sum()))
+        res = solvers.solve_lp(np.zeros(d), rows / np.linalg.norm(rows, axis=1)[:, None],
+                               np.ones(moves.sum()))
     except IterationLimit as exc:
         raise LPNumericalFailure(str(exc)) from exc
     return res.status == "optimal"
@@ -250,7 +254,8 @@ def enumerate_vertices(z: Zonotope):
     faces of ``_zonotope_faces`` with an empty free set. Outside general
     position each of the 2^n bit-vectors is tested with the separation LP
     (``is_zonotope_vertex``), up to rank ``VERTEX_ENUM_CAP``. Returns
-    [(bits, point), ...]; cached on the instance.
+    [(bits, point), ...]; cached on the instance. Every zonotope has a
+    vertex, so finding none raises ``LPNumericalFailure``.
     """
     if z._vertices is not None:
         return z._vertices
@@ -263,6 +268,8 @@ def enumerate_vertices(z: Zonotope):
     else:
         candidates = [bits for bits in itertools.product((0.0, 1.0), repeat=n)
                       if is_zonotope_vertex(z, bits)]
+        if not candidates:
+            raise LPNumericalFailure("the separation LPs found no zonotope vertex")
     bits = _readonly(np.array(candidates, dtype=float).reshape(-1, n))
     out = [(row, _readonly(row @ z.generators + z.translation)) for row in bits]
     object.__setattr__(z, "_vertices", out)
@@ -334,11 +341,9 @@ class Polytope:
         _require_full_dimensional(V)
         scale = 1.0 + float(np.abs(V).max())
         # Every listed vertex must be extreme.
-        for i in range(V.shape[0]):
-            others = np.delete(V, i, axis=0)
-            proj = solvers.project_to_hull(others, V[i])
-            if proj.distance <= EXTREME_TOL * scale:
-                raise DegenerateInput(f"vertex {i} is not extreme")
+        inner = np.flatnonzero(~_extreme(V, scale))
+        if inner.size:
+            raise DegenerateInput(f"vertex {inner[0]} is not extreme")
         return Polytope._from_extreme(V, facets)
 
     @staticmethod
@@ -376,14 +381,17 @@ class Polytope:
         if len(distinct) < P.shape[1] + 1:
             raise DegenerateInput("need at least d + 1 distinct points")
         P = P[distinct]
-        keep = []
-        for i in range(P.shape[0]):
-            others = np.delete(P, i, axis=0)
-            proj = solvers.project_to_hull(others, P[i])
-            if proj.distance > EXTREME_TOL * scale:
-                keep.append(i)
+        keep = _extreme(P, scale)
         _require_full_dimensional(P[keep])
         return Polytope._from_extreme(P[keep], None)
+
+
+def _extreme(P: np.ndarray, scale: float) -> np.ndarray:
+    """Which points are farther than ``EXTREME_TOL`` x scale from the hull of
+    the others: one stacked Wolfe loop, row k on ``delete(P, k) - P[k]``."""
+    others = np.stack([np.delete(P, k, axis=0) for k in range(len(P))])
+    rows = solvers._hull_rows(others, P, *solvers._wolfe(others - P[:, None]))
+    return np.array([row.distance > EXTREME_TOL * scale for row in rows])
 
 
 def _require_full_dimensional(V: np.ndarray):

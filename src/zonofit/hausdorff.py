@@ -149,7 +149,9 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     (``_zonotope_face_rows``, ``_polytope_face_rows``), except a polytope
     row strictly inside z (by ``FACE_ACTIVE_TOL`` x scale against
     ``zonotope_facets``), which no boundary face passes. The rest go to the
-    solvers' cold loops, in sweep order. A cold polytope row outside z
+    solvers' cold loops: polytope rows one by one, zonotope rows as one
+    stack through Wolfe's lockstep loop and one ``_hull_rows`` tail, each
+    row with the bits it has alone. A cold polytope row outside z
     starts the box loop at its nearest zonotope vertex, the first on ties,
     which saves face solves and keeps the bits (``box_least_squares``). Other
     rows start at 0: inside z the start would pick among many lifts.
@@ -183,8 +185,10 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
         starts = [zverts[j][0] if out > 0.0 else None for out, j in zip(margin, nearest)]
     p_proj = tuple(solvers.box_least_squares(G, mu, v, start)
                    if row is None else row for v, row, start in zip(V, p_proj, starts))
-    z_proj = tuple(solvers.project_to_hull(V, pt) if row is None else row
-                   for pt, row in zip(zpts, z_proj))
+    cold = [j for j, row in enumerate(z_proj) if row is None]
+    rows = iter(solvers._hull_rows(V, zpts[cold], *solvers._wolfe(V - zpts[cold][:, None]))
+                if cold else ())
+    z_proj = tuple(next(rows) if row is None else row for row in z_proj)
     object.__setattr__(z, "_projections", (poly, p_proj, z_proj))
     return p_proj, z_proj
 

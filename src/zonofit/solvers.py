@@ -23,7 +23,12 @@ The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
 their final face to. The Hausdorff sweeps solve their rows there first,
 on faces they choose, one solve per face shape, and keep those where the
-solver's optimality test passes; only the rest run the cold loops.
+solver's optimality test passes; only the rest run the cold loops: the
+polytope rows one ``box_least_squares`` each, the zonotope rows as one
+stack through Wolfe's loop (``_wolfe``), which runs its rows in lockstep
+with one stacked affine solve per corral size and ends each row with the
+bits it has alone. ``project_to_hull`` is that loop on one row, and the
+polytope's extreme-point test runs it on one row per point.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -334,17 +339,17 @@ def project_to_hull(points: np.ndarray, target: np.ndarray) -> HullProjection:
     """
     V = np.atleast_2d(np.asarray(points, dtype=float))
     T = np.asarray(target, dtype=float)[None]
-    corral, lam = _wolfe(V - T[0])
-    return _hull_rows(V, T, [corral], [lam])[0]
+    return _hull_rows(V, T, *_wolfe(V - T[:, None]))[0]
 
 
 def _hull_rows(V, targets, corrals, weights=None) -> list:
-    """The face tail of ``project_to_hull`` on many rows at once. Row k's
-    weights on ``corrals[k]`` are ``weights[k]`` when given (Wolfe's, from
-    the same solve); otherwise they are the affine min-norm solve on it in
-    its order, one stacked solve per corral size, and the row is None
-    unless the corral is not empty, every weight is positive and Wolfe's
-    stopping test passes, which proves it optimal."""
+    """The face tail of ``project_to_hull`` on many rows at once: target k
+    against the points V, or against V[k] when V stacks one point set per
+    row. Row k's weights on ``corrals[k]`` are ``weights[k]`` when given
+    (Wolfe's, from the same solve); otherwise they are the affine min-norm
+    solve on it in its order, one stacked solve per corral size, and the
+    row is None unless the corral is not empty, every weight is positive
+    and Wolfe's stopping test passes, which proves it optimal."""
     S = V - targets[:, None]
     W = np.zeros(S.shape[:2])
     ok = [True] * len(W) if weights is not None else np.zeros(len(W), dtype=bool)
@@ -370,11 +375,14 @@ def _hull_rows(V, targets, corrals, weights=None) -> list:
 
 
 def _solve_stack(K: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` of a stack; least squares if one is exactly singular."""
+    """``np.linalg.solve`` of a stack, each matrix as it is solved alone:
+    least squares for one that is exactly singular."""
     try:
         return np.linalg.solve(K, B)
     except np.linalg.LinAlgError:
-        return np.array([np.linalg.lstsq(k, b, rcond=None)[0] for k, b in zip(K, B)])
+        if len(K) == 1:
+            return np.linalg.lstsq(K[0], B[0], rcond=None)[0][None]
+        return np.concatenate([_solve_stack(K[k:k + 1], B[k:k + 1]) for k in range(len(K))])
 
 
 def _affine_min_norm(C: np.ndarray) -> np.ndarray:
@@ -393,43 +401,64 @@ def _affine_min_norm(C: np.ndarray) -> np.ndarray:
 
 
 def _wolfe(S):
-    """Wolfe's loop on the rows of S; returns its final corral, in order,
-    and the corral's weights (its last affine min-norm solve)."""
-    norms2 = np.einsum("ij,ij->i", S, S)
-    eps = KKT_TOL * (1.0 + float(norms2.max(initial=0.0)))
-    corral = [int(np.argmin(norms2))]
-    lam = np.array([1.0])
-    x = S[corral[0]].copy()
-    cap = max(100, ITERATION_FACTOR * 4 * (S.shape[0] + S.shape[1]))
+    """Wolfe's loop on each S[k] of a stack S (rows, points, d), every row in
+    lockstep; returns each row's final corral, in order, and the corral's
+    weights (its last affine min-norm solve), as two lists. Each round every
+    row in a major step takes it alone (S[k] @ x, the argmin, the stopping
+    test), and the rows in a minor step share one ``_affine_min_norm`` per
+    corral size, which solves each row's system exactly as it would alone:
+    each row ends with the bits it has when run alone."""
+    rows, m, d = S.shape
+    cap = max(100, ITERATION_FACTOR * 4 * (m + d))
+    norms2 = np.einsum("rij,rij->ri", S, S)
+    first = norms2.argmin(axis=1).tolist()
+    eps = (KKT_TOL * (1.0 + norms2.max(axis=1, initial=0.0))).tolist()
+    x = list(S[np.arange(rows), first])
+    corral = [[j] for j in first]
+    lam = [np.array([1.0]) for _ in range(rows)]
+    majors, minors = [0] * rows, [0] * rows
+    major, minor = list(range(rows)), []
 
-    for _ in range(cap):
-        dots = S @ x
-        cand = int(np.argmin(dots))
-        if dots[cand] >= x @ x - eps or cand in corral:
-            return corral, lam
-        corral.append(cand)
-        lam = np.concatenate((lam, (0.0,)))
-        for _ in range(cap):
-            alpha = _affine_min_norm(S[None, corral])[0]
-            if alpha.min() > 1e-12:
-                lam = alpha
-                break
-            mask = alpha <= 1e-12
-            denom = lam[mask] - alpha[mask]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                thetas = np.where(denom > 1e-15, lam[mask] / denom, 0.0)
-            theta = float(np.clip(thetas.min(), 0.0, 1.0))
-            lam = lam + theta * (alpha - lam)
-            lam[np.asarray(mask).nonzero()[0][np.argmin(thetas)]] = 0.0
-            keep = lam > 1e-14
-            corral = [c for c, kf in zip(corral, keep) if kf]
-            lam = lam[keep]
-            if not corral:  # numerical collapse; restart from best point
-                corral = [int(np.argmin(norms2))]
-                lam = np.array([1.0])
-                break
-        x = lam @ S[corral]
-    raise IterationLimit("min-norm point did not converge")
+    while major or minor:
+        for k in major:
+            if majors[k] == cap:
+                raise IterationLimit("min-norm point did not converge")
+            majors[k] += 1
+            dots = S[k] @ x[k]
+            cand = int(dots.argmin())
+            if dots[cand] >= x[k] @ x[k] - eps[k] or cand in corral[k]:
+                continue  # row k is done
+            corral[k].append(cand)
+            lam[k] = np.concatenate((lam[k], (0.0,)))
+            minors[k] = 0
+            minor.append(k)
+        major, waiting, minor = [], minor, []
+        for size in {len(corral[k]) for k in waiting}:
+            group = [k for k in waiting if len(corral[k]) == size]
+            alphas = _affine_min_norm(S[np.array(group)[:, None], [corral[k] for k in group]])
+            for k, alpha, positive in zip(group, alphas, (alphas.min(axis=1) > 1e-12).tolist()):
+                minors[k] += 1
+                if positive:
+                    lam[k] = alpha
+                else:
+                    mask = alpha <= 1e-12
+                    denom = lam[k][mask] - alpha[mask]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        thetas = np.where(denom > 1e-15, lam[k][mask] / denom, 0.0)
+                    theta = float(np.clip(thetas.min(), 0.0, 1.0))
+                    lam[k] = lam[k] + theta * (alpha - lam[k])
+                    lam[k][np.asarray(mask).nonzero()[0][np.argmin(thetas)]] = 0.0
+                    keep = lam[k] > 1e-14
+                    corral[k] = [c for c, kf in zip(corral[k], keep) if kf]
+                    lam[k] = lam[k][keep]
+                    if not corral[k]:  # numerical collapse; restart from best point
+                        corral[k], lam[k] = [first[k]], np.array([1.0])
+                    elif minors[k] < cap:
+                        minor.append(k)
+                        continue
+                x[k] = lam[k] @ S[k, corral[k]]
+                major.append(k)
+    return corral, lam
 
 
 def chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, float]:

@@ -6,6 +6,8 @@ scipy.optimize.linprog, bounded least squares from scipy's BVLS, and
 simplex-constrained projections from SLSQP.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog, lsq_linear, minimize
@@ -90,6 +92,65 @@ def hull_projection_oracle(points, target):
     lam = res.x
     q = lam @ P
     return lam, q, float(np.linalg.norm(t - q))
+
+
+def hausdorff_oracle(vertices, G, mu):
+    """Reference Hausdorff distance between conv(vertices) and the zonotope
+    (G, mu): BVLS for each polytope vertex, and SLSQP for each vertex that
+    Qhull finds among the 2^n cube corners."""
+    V, G, mu = (np.asarray(a, float) for a in (vertices, G, mu))
+    d_p = max(box_ls_oracle(G, mu, v)[2] for v in V)
+    corners = mu + np.array(list(itertools.product((0.0, 1.0), repeat=len(G)))) @ G
+    d_z = max(hull_projection_oracle(V, corners[i])[2] for i in hull_vertices_oracle(corners))
+    return max(d_p, d_z)
+
+
+# A generator parallel to another and far shorter than it, beside the unit
+# square: the separation LPs of vertex enumeration must still find the
+# square's vertices. Against the triangle (0,0), (1,0), (0,1) the distance
+# is that of the square, 1/sqrt(2).
+SHORT_PARALLEL_GENERATORS = [[[1e-9, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                             [[1e-17, 0.0], [1.0, 0.0], [0.0, 1.0]]]
+UNIT_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def wolfe_reference(S):
+    """Wolfe's loop on one row S (points minus target) as it ran before the
+    solvers ran rows in lockstep: (corral in order, weights)."""
+    from zonofit import solvers
+
+    norms2 = np.einsum("ij,ij->i", S, S)
+    eps = solvers.KKT_TOL * (1.0 + float(norms2.max(initial=0.0)))
+    corral, lam = [int(np.argmin(norms2))], np.array([1.0])
+    x = S[corral[0]].copy()
+    cap = max(100, solvers.ITERATION_FACTOR * 4 * (S.shape[0] + S.shape[1]))
+    for _ in range(cap):
+        dots = S @ x
+        cand = int(np.argmin(dots))
+        if dots[cand] >= x @ x - eps or cand in corral:
+            return corral, lam
+        corral.append(cand)
+        lam = np.concatenate((lam, (0.0,)))
+        for _ in range(cap):
+            alpha = solvers._affine_min_norm(S[None, corral])[0]
+            if alpha.min() > 1e-12:
+                lam = alpha
+                break
+            mask = alpha <= 1e-12
+            denom = lam[mask] - alpha[mask]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                thetas = np.where(denom > 1e-15, lam[mask] / denom, 0.0)
+            theta = float(np.clip(thetas.min(), 0.0, 1.0))
+            lam = lam + theta * (alpha - lam)
+            lam[np.asarray(mask).nonzero()[0][np.argmin(thetas)]] = 0.0
+            keep = lam > 1e-14
+            corral = [c for c, kf in zip(corral, keep) if kf]
+            lam = lam[keep]
+            if not corral:  # numerical collapse; restart from best point
+                corral, lam = [int(np.argmin(norms2))], np.array([1.0])
+                break
+        x = lam @ S[corral]
+    raise RuntimeError("min-norm point did not converge")
 
 
 def polygon_cycle(vertices):

@@ -6,7 +6,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import NEAR_PARALLEL_ZONOTOPES, OLD_MANIFEST_CONFIG, random_zonotope
+from conftest import (
+    NEAR_PARALLEL_ZONOTOPES,
+    OLD_MANIFEST_CONFIG,
+    SHORT_PARALLEL_GENERATORS,
+    UNIT_TRIANGLE,
+    hausdorff_oracle,
+    random_zonotope,
+)
 from zonofit import cli, solvers
 from zonofit.cli import main
 from zonofit.cone import DirectionResult, build_cone, descent_direction
@@ -55,6 +62,15 @@ class TestDistanceCommand:
         assert main(["distance", poly, zono]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["value"] <= 1e-9
+
+    @pytest.mark.parametrize("G", SHORT_PARALLEL_GENERATORS)
+    def test_short_parallel_generator_matches_the_oracle(self, tmp_path, capsys, G):
+        poly = write_json(tmp_path / "p.json", {"vertices": UNIT_TRIANGLE})
+        zono = write_json(tmp_path / "z.json", {"generators": G, "translation": [0.0, 0.0]})
+        assert main(["distance", poly, zono]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == pytest.approx(hausdorff_oracle(UNIT_TRIANGLE, G, [0.0, 0.0]),
+                                             rel=1e-6)
 
     def test_rotated_square_values(self, tmp_path, capsys):
         s = 1.05 * np.sqrt(2.0) / 2.0

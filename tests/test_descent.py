@@ -105,11 +105,10 @@ class TestPerturbUntilLocal:
         z = Zonotope(np.eye(2), np.zeros(2))
         poly = Polytope.from_vertices([[1.0, 2.0], [3.0, 2.5], [2.0, 4.0]])
         rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
-        cold = []
-        for name in ("box_least_squares", "project_to_hull"):
-            solve = getattr(solvers, name)
-            monkeypatch.setattr(solvers, name,
-                                lambda *a, solve=solve: cold.append(1) or solve(*a))
+        cold = []  # a 1 per cold row: each box call, each row handed to Wolfe's loop
+        solve, wolfe = solvers.box_least_squares, solvers._wolfe
+        monkeypatch.setattr(solvers, "box_least_squares", lambda *a: cold.append(1) or solve(*a))
+        monkeypatch.setattr(solvers, "_wolfe", lambda S: cold.extend([1] * len(S)) or wolfe(S))
         for seed in range(10):
             start = Zonotope(z.generators, z.translation)
             hausdorff_distance(poly, start)
@@ -311,7 +310,7 @@ class TestProbes:
             d_coarse, _ = coarse_hausdorff_distance(poly, z)
             with monkeypatch.context() as m:
                 m.setattr(solvers, "box_least_squares", no_sweep)
-                m.setattr(solvers, "project_to_hull", no_sweep)
+                m.setattr(solvers, "_wolfe", no_sweep)
                 assert descent._reaches(poly, z, d_coarse, cfg)
                 assert descent._reaches(poly, z, 0.5 * d_coarse, cfg)
             assert z._projections is None

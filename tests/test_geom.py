@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hull_vertices_oracle, random_zonotope
+from conftest import SHORT_PARALLEL_GENERATORS, hull_vertices_oracle, random_zonotope
 from zonofit import geom, solvers
 from zonofit.errors import (
     CodimZeroFace,
     DegenerateInput,
     DimensionMismatch,
+    LPNumericalFailure,
     NotOnBoundary,
     PointOutsidePolytope,
     RankCapExceeded,
@@ -214,6 +215,23 @@ class TestEnumerateVertices:
         assert got == oracle
         assert all(comb[0] == comb[1] for comb in got)
 
+    @pytest.mark.parametrize("G", SHORT_PARALLEL_GENERATORS)
+    def test_short_parallel_generator_keeps_the_square_vertices(self, G):
+        # The short generator moves with its long parallel partner: the
+        # vertices are the unit square's, each lift with equal first two bits.
+        z = Zonotope(G, np.zeros(2))
+        got = [tuple(int(b) for b in bits) for bits, _ in enumerate_vertices(z)]
+        assert got == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert np.allclose([pt for _, pt in enumerate_vertices(z)],
+                           [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], atol=1e-8)
+
+    def test_no_vertex_found_is_a_numerical_failure(self, monkeypatch):
+        # Every zonotope has a vertex: separation LPs that find none failed.
+        monkeypatch.setattr(solvers, "solve_lp", lambda *a: solvers.LPResult(status="infeasible"))
+        z = Zonotope([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], np.zeros(2))
+        with pytest.raises(LPNumericalFailure):
+            enumerate_vertices(z)
+
     def test_general_position_enumeration_solves_no_lp(self, rng, monkeypatch):
         from zonofit import solvers
 
@@ -346,15 +364,29 @@ class TestPolytope:
             points = rng.normal(size=(8, 2))
             if len(hull_vertices_oracle(points)) == 5:
                 break
-        calls = []
-        project = solvers.project_to_hull
-        monkeypatch.setattr(solvers, "project_to_hull",
-                            lambda *a, **k: calls.append(1) or project(*a, **k))
+        calls = []  # a 1 per row handed to Wolfe's loop
+        wolfe = solvers._wolfe
+        monkeypatch.setattr(solvers, "_wolfe", lambda S: calls.extend([1] * len(S)) or wolfe(S))
         poly = Polytope.from_points(points)
         assert len(calls) == 8
         again = Polytope.from_vertices(poly.vertices)
         for name in ("vertices", "facet_normals", "facet_offsets"):
             assert np.array_equal(getattr(poly, name), getattr(again, name))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
+    def test_extreme_points_are_those_of_each_point_alone(self, seed, d):
+        # One stacked Wolfe loop decides every point as its own projection
+        # onto the hull of the others does; the last point is on an edge or
+        # inside, so not extreme.
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(int(rng.integers(d + 2, 3 * d + 6)), d))
+        P[-1] = P[:2].mean(axis=0)
+        scale = 1.0 + float(np.abs(P).max())
+        alone = [solvers.project_to_hull(np.delete(P, k, axis=0), P[k]).distance
+                 > geom.EXTREME_TOL * scale for k in range(len(P))]
+        assert geom._extreme(P, scale).tolist() == alone
+        assert not alone[-1]
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateInput):

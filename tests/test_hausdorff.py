@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     NEAR_PARALLEL_ZONOTOPES,
+    SHORT_PARALLEL_GENERATORS,
+    UNIT_TRIANGLE,
     boundary_samples_2d,
     exhaustive_polytope_face_rows,
+    hausdorff_oracle,
     point_to_convex_polygon_distance,
     polygon_cycle,
     random_local_instance,
@@ -605,7 +608,7 @@ class TestProjectionCache:
             poly, z = random_local_instance(rng, d=d)
             hausdorff_distance(poly, z)
             with monkeypatch.context() as patch:
-                for name in ("solve_lp", "box_least_squares", "project_to_hull"):
+                for name in ("solve_lp", "box_least_squares", "_wolfe"):
                     patch.setattr(solvers, name, refuse)
                 assert check_locality(poly, z).ok
                 local_terms(poly, z)
@@ -642,12 +645,12 @@ class TestProjectionCache:
             hausdorff._projections(poly, hints)
             box = mock.patch.object(solvers, "box_least_squares",
                                     wraps=solvers.box_least_squares)
-            hull = mock.patch.object(solvers, "project_to_hull", wraps=solvers.project_to_hull)
+            hull = mock.patch.object(solvers, "_wolfe", wraps=solvers._wolfe)
             with box as box_calls, hull as hull_calls:
                 hinted = hausdorff._projections(
                     poly, Zonotope(near.generators, near.translation), hints=hints)
             cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation))
-            solved = box_calls.call_count + hull_calls.call_count
+            solved = box_calls.call_count + sum(len(c.args[0]) for c in hull_calls.call_args_list)
             rows = len(cold[0]) + len(cold[1])
             assert solved <= rows // 2 if hints is z else solved > rows // 2
             tol = 1e-15 * poly.scale()
@@ -697,6 +700,34 @@ class TestProjectionCache:
         hausdorff._projections(poly, Zonotope(G, z.translation))
         assert len(calls) == len(poly.vertices)
         assert all(start is None for *_, start in calls)
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cold_zonotope_rows_are_project_to_hull(self, rng, d):
+        # Hints from an unrelated zonotope send most zonotope rows cold, and
+        # a zonotope off general position sends every row cold. The cold rows
+        # run through Wolfe's loop as one stack; each ends as it does alone.
+        for _ in range(4):
+            poly, hints = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+            z = random_zonotope(rng, d + 2, d)
+            G = z.generators.copy()
+            G[1] = 2.0 * G[0]
+            hausdorff._projections(poly, hints)
+            for zk, kwargs in ((z, {"hints": hints}), (Zonotope(G, z.translation), {})):
+                with mock.patch.object(solvers, "_wolfe", wraps=solvers._wolfe) as wolfe:
+                    rows = hausdorff._projections(poly, zk, **kwargs)[1]
+                stacked = [S for call in wolfe.call_args_list for S in call.args[0]]
+                zpts = [pt for _, pt in enumerate_vertices(zk)]
+                cold = [j for j, pt in enumerate(zpts)
+                        if any(np.array_equal(poly.vertices - pt, S) for S in stacked)]
+                assert len(wolfe.call_args_list) == 1 and len(cold) == len(stacked) > 0
+                if not kwargs:
+                    assert cold == list(range(len(zpts)))
+                for j in cold:
+                    one = solvers.project_to_hull(poly.vertices, zpts[j])
+                    assert rows[j].corral == one.corral
+                    for name in ("weights", "point", "distance", "kkt_residual"):
+                        assert np.array_equal(getattr(rows[j], name), getattr(one, name))
 
 
 def shifted_to_lower_face(z, row, i, c):
@@ -928,6 +959,33 @@ class TestPolytopeFaceCandidates:
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestShortParallelGenerator:
+    """A generator parallel to another and far shorter than it puts the
+    zonotope off general position, so its vertices come from the separation
+    LPs. Each LP row is divided by its norm, so the short generator needs no
+    separator past the simplex's tolerances, and the zonotope keeps the
+    vertices of the unit square beside it."""
+
+    @pytest.mark.parametrize("G", SHORT_PARALLEL_GENERATORS)
+    def test_distance_matches_the_oracle(self, G):
+        poly, z = Polytope.from_vertices(UNIT_TRIANGLE), Zonotope(G, [0.0, 0.0])
+        value = hausdorff_distance(poly, z)[0]
+        assert value == pytest.approx(hausdorff_oracle(UNIT_TRIANGLE, G, [0.0, 0.0]), rel=1e-6)
+        assert value == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("G", SHORT_PARALLEL_GENERATORS)
+    def test_hinted_sweep_matches_the_oracle(self, G):
+        # The hints turn the short generator off the parallel direction: a
+        # general-position zonotope of the same rank, measured first.
+        poly = Polytope.from_vertices(UNIT_TRIANGLE)
+        hints = Zonotope(np.array(G) + [[0.3, 0.2], [0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+        assert not _facet_directions(hints)[2]
+        hausdorff_distance(poly, hints)
+        p_rows, z_rows = hausdorff._projections(poly, Zonotope(G, [0.0, 0.0]), hints=hints)
+        value = max(row.distance for row in p_rows + z_rows)
+        assert value == pytest.approx(hausdorff_oracle(UNIT_TRIANGLE, G, [0.0, 0.0]), rel=1e-6)
 
 
 class TestZeroGenerator:

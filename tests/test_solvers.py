@@ -1,11 +1,21 @@
 """Solver-layer tests: simplex LP, box LS, min-norm point, Chebyshev LPs."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_ls_oracle, hull_projection_oracle, lp_oracle, random_zonotope
+from conftest import (
+    box_ls_oracle,
+    hull_projection_oracle,
+    lp_oracle,
+    random_zonotope,
+    wolfe_reference,
+)
+from zonofit import solvers
 from zonofit.errors import InfeasibleRegion, UnboundedRegion
 from zonofit.solvers import (
     FEASIBILITY_TOL,
@@ -286,6 +296,93 @@ class TestProjectToHull:
             res = project_to_hull(rng.uniform(-1.0, 1.0, size=(n, d)),
                                   rng.uniform(-3.0, 3.0, size=d))
             assert sorted(res.corral) == np.flatnonzero(res.weights).tolist()
+
+
+def collapsing_row(d):
+    """Wolfe rows S (points minus target) of two points whose first minor
+    step runs: the target is nearer their hull than either point."""
+    S = np.zeros((2, d))
+    S[:, 0] = (1.0, -2.0) if d == 1 else (1.0, 1.0)
+    if d > 1:
+        S[:, 1] = (1.0, -1.0)
+    return S
+
+
+@contextlib.contextmanager
+def collapsing(row):
+    """Patch ``solvers._affine_min_norm`` to force one numerical collapse on
+    the corrals drawn from ``row``: its first two-point corral reduces to
+    one point, whose next solve gives a weight below the keep threshold, so
+    the loop restarts that row from its best point; later solves are real.
+    Yields a list that is not empty once the collapse has happened."""
+    solve, marked, fired = solvers._affine_min_norm, {p.tobytes() for p in row}, []
+
+    def patched(C):
+        alpha = solve(C)
+        for i, c in enumerate(C):
+            if not fired and all(p.tobytes() in marked for p in c):
+                if len(c) == 1:
+                    fired.append(i)
+                alpha[i] = [1e-15] if len(c) == 1 else [-0.5, 1.5]
+        return alpha
+
+    with mock.patch.object(solvers, "_affine_min_norm", patched):
+        yield fired
+
+
+class TestStackedWolfe:
+    """Wolfe's loop runs a stack of rows in lockstep; each row must end with
+    the corral (in order) and the weights it gets when run alone, which are
+    those of the loop that ran one row (``wolfe_reference``)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), rows=st.integers(1, 10),
+           kind=st.sampled_from(["outside", "inside", "repeated", "grid", "collapse"]))
+    def test_each_row_ends_as_it_does_alone(self, seed, d, rows, kind):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 3 * d + 3))
+        P = rng.normal(size=(rows, m, d))
+        T = rng.normal(size=(rows, d)) * 2.0
+        if kind == "inside":  # convex combinations of the row's points
+            W = rng.dirichlet(np.ones(m), size=rows)
+            T = np.einsum("rm,rmd->rd", W, P)
+        elif kind == "repeated" and m > 1:
+            P[:, rng.integers(m)] = P[:, rng.integers(m)]
+        elif kind == "grid":  # exact ties in the argmin and the stopping test
+            P, T = np.round(P), np.round(T)
+        S = P - T[:, None]
+        alone, reference = [], []
+        if kind == "collapse":  # one more row, at k, that collapses once
+            k = int(rng.integers(rows + 1))
+            row = np.zeros((m + 1, d))
+            row[:2] = collapsing_row(d)
+            row[2:] = 5.0 + rng.random((m - 1, d))  # far from the two, never in a corral
+            S = np.insert(np.pad(S, ((0, 0), (0, 1), (0, 0)), constant_values=9.0), k, row, 0)
+            with collapsing(row) as fired:
+                corrals, weights = solvers._wolfe(S)
+            assert fired and sorted(corrals[k]) == [0, 1]  # restarted, then ended on the two
+            for j in range(len(S)):
+                with collapsing(row) as fired:
+                    alone.append(solvers._wolfe(S[j:j + 1]))
+                with collapsing(row) as fired_reference:
+                    reference.append(wolfe_reference(S[j]))
+                assert bool(fired) == bool(fired_reference) == (j == k)
+        else:
+            corrals, weights = solvers._wolfe(S)
+            alone = [solvers._wolfe(S[j:j + 1]) for j in range(len(S))]
+            reference = [wolfe_reference(S[j]) for j in range(len(S))]
+        for corral, lam, (one_corral, one_lam), ref in zip(corrals, weights, alone, reference):
+            assert corral == one_corral[0] == ref[0]
+            assert lam.tobytes() == one_lam[0].tobytes() == ref[1].tobytes()
+
+    def test_a_singular_system_leaves_the_others_alone(self, rng):
+        # A repeated point makes its bordered Gram matrix exactly singular:
+        # that one falls back to least squares, the others are solved as alone.
+        C = rng.normal(size=(3, 3, 2))
+        C[1, 2] = C[1, 0]
+        stacked = solvers._affine_min_norm(C)
+        for k in range(3):
+            assert stacked[k].tobytes() == solvers._affine_min_norm(C[k:k + 1])[0].tobytes()
 
 
 class TestChebyshevCenter:
