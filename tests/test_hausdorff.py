@@ -701,7 +701,6 @@ class TestProjectionCache:
         assert len(calls) == len(poly.vertices)
         assert all(start is None for *_, start in calls)
 
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_cold_zonotope_rows_are_project_to_hull(self, rng, d):
         # Hints from an unrelated zonotope send most zonotope rows cold, and
