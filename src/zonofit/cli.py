@@ -334,10 +334,13 @@ def cmd_warmstart(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(s) for s in args.dims.split(",") if s.strip()]
-    ranks = [int(s) for s in args.ranks.split(",") if s.strip()]
-    if not dims or not ranks or args.seeds < 1:
-        raise _UsageError("need nonempty --dims/--ranks and --seeds >= 1")
+    try:
+        dims = [int(s) for s in args.dims.split(",") if s.strip()]
+        ranks = [int(s) for s in args.ranks.split(",") if s.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"--dims/--ranks need comma-separated integers: {exc}") from exc
+    if not dims or not ranks or min(dims) < 1 or args.seeds < 1 or args.steps < 1:
+        raise _UsageError("need nonempty --dims/--ranks, dims, --seeds and --steps >= 1")
     summary = []
     curves = {}
     for d in dims:

@@ -2,8 +2,9 @@
 
 Each achieving pair (p_i, q_i) with cube lift e_i contributes one linear
 functional on perturbation space: moving the zonotope parameters by
-(dQ, dmu) moves q_i by dQ^T e_i + dmu, and the pair's distance shrinks to
-first order iff that motion has positive inner product with p_i - q_i.
+(dQ, dmu) moves q_i by dQ^T e_i + dmu (``motion``, which the step limits
+of the pairs and of every sweep row share), and the pair's distance shrinks
+to first order iff that motion has positive inner product with p_i - q_i.
 The cone of perturbations improving (weakly) every pair is polyhedral; a
 point in its interior strictly decreases the distance for small steps,
 and an empty interior certifies a local minimum when every q_i is a
@@ -37,6 +38,7 @@ __all__ = [
     "build_cone",
     "certificate",
     "descent_direction",
+    "motion",
     "tau_limits",
 ]
 
@@ -114,25 +116,39 @@ def certificate(pairs, objective: str) -> str:
     return "heuristic"
 
 
+def motion(X: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """delta_i = dQ^T x_i + dmu per row x_i of X: the motion of the zonotope
+    point with cube lift x_i as the parameters move along ``direction``."""
+    d = direction.size // (X.shape[1] + 1)
+    return X @ direction[:-d].reshape(X.shape[1], d) + direction[-d:]
+
+
 def tau_limits(cone: FeasibilityCone, direction: np.ndarray):
     """Per-pair step-size limits along ``direction``.
 
-    tau_i = 2 <delta_i, p_i - q_i> / |delta_i|^2 with
-    delta_i = dQ^T e_i + dmu; the numerators are the cone rows applied to
-    the direction. Any step below tau_i strictly shrinks pair i's
-    distance, and tau_i/2 is the minimizer along the ray. Requires the
-    direction to improve every pair (NonImprovingRow otherwise).
+    tau_i = 2 <delta_i, p_i - q_i> / |delta_i|^2 with delta_i the motion of
+    q_i; the numerators are the cone rows applied to the direction. Any
+    step below tau_i strictly shrinks pair i's distance, and tau_i/2 is the
+    minimizer along the ray. Requires the direction to improve every pair
+    (NonImprovingRow otherwise).
     """
     if not cone.pairs:
         raise EmptyTaus("no achieving pairs")
     direction = np.asarray(direction, dtype=float)
-    d = cone.pairs[0].p.size
-    E = np.array([pair.lift.values for pair in cone.pairs])
-    delta = E @ direction[:-d].reshape(E.shape[1], d) + direction[-d:]
+    delta = motion(np.array([pair.lift.values for pair in cone.pairs]), direction)
     num = cone.matrix @ direction
     if np.any(num <= 0.0):
         raise NonImprovingRow("direction does not improve every pair")
     return tuple((2.0 * num / (delta * delta).sum(axis=1)).tolist())
+
+
+def _row_caps(U, delta, d):
+    """Per row, the positive root h of |u - h delta| = d >= |u|: inf where
+    delta = 0, and the pair limit of ``tau_limits`` at d = |u|."""
+    a, b, c = (delta * delta).sum(1), (U * delta).sum(1), d * d - (U * U).sum(1)
+    s = np.sqrt(b * b + a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b > 0.0, (b + s) / a, c / (s - b))
 
 
 def descent_direction(cone: FeasibilityCone, objective: str = "exact") -> DirectionResult:

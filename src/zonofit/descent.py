@@ -11,8 +11,9 @@ empty feasible set).
 Step rules: "conservative" takes half the smallest limit, which only
 guarantees decrease of the active terms. The distance is a max over one
 row per vertex of either body; held on its face, each row of the current
-sweep is at most |u - h delta| away at step h, so for the exact objective
-the step starts below every row's root of that bound at the current value.
+sweep is at most |u - h delta| away at step h (``cone.motion``), so for
+the exact objective the step starts below every row's root of that bound
+at the current value (``cone._row_caps``, beside the pairs' limits).
 Halving until a probe beats the current value by more than round-off stays
 the guarantee (a vertex new at the probe has no row). "aggressive" takes
 half the largest limit, "random" half a uniformly chosen one, and
@@ -29,17 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .cone import DIRECTION_MARGIN, build_cone, descent_direction
+from .cone import DIRECTION_MARGIN, _row_caps, build_cone, descent_direction, motion
 from .errors import (
+    DimensionMismatch,
     EmptyTaus,
     IterationLimit,
     LPNumericalFailure,
     PerturbationBudgetExceeded,
     SolverRetryFailed,
 )
-from .geom import Polytope, Zonotope, _facet_directions, canonicalize, enumerate_vertices
-from .hausdorff import (ACTIVE_PAIR_TOL, _projections, check_locality,
-                        coarse_hausdorff_distance, hausdorff_distance)
+from .geom import Polytope, Zonotope, _facet_directions, canonicalize
+from .hausdorff import (ACTIVE_PAIR_TOL, _projections, check_locality, coarse_hausdorff_distance,
+                        hausdorff_distance)
 from .subgrad import params_to_zonotope, zonotope_to_params
 
 __all__ = [
@@ -86,8 +88,9 @@ class DescentConfig:
 
     def __post_init__(self):
         # Written so that NaN fails every comparison.
-        if not (self.max_steps >= 1 and self.threshold >= 0 and 0 < self.perturb_scale < np.inf):
-            raise ValueError("need max_steps >= 1, threshold >= 0, finite perturb_scale > 0")
+        if not (self.rank >= 1 and self.max_steps >= 1 and self.threshold >= 0
+                and 0 < self.perturb_scale < np.inf):
+            raise ValueError("need rank, max_steps >= 1, threshold >= 0, finite perturb_scale > 0")
         if self.step_rule not in ("conservative", "random", "aggressive", "hybrid"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.objective not in ("exact", "coarse"):
@@ -139,17 +142,8 @@ class DescentTrace:
         return ",".join(TRACE_CSV_COLUMNS)
 
     def csv_rows(self):
-        for r in self.records:
-            yield ",".join([
-                str(r.iteration),
-                f"{r.d_exact:.17g}",
-                f"{r.d_coarse:.17g}",
-                f"{r.step_size:.17g}",
-                r.rule,
-                str(r.active_pairs),
-                r.cone_status,
-                f"{r.ms:.3f}",
-            ])
+        for columns, r in zip(self.math_columns(), self.records):
+            yield ",".join([*map(str, columns), f"{r.ms:.3f}"])
 
     def to_csv(self) -> str:
         return "\n".join([self.csv_header(), *self.csv_rows()]) + "\n"
@@ -240,28 +234,16 @@ def _reaches(poly, z, d, cfg, hints=None) -> bool:
     d = d * (1.0 - _DECREASE_EPS * np.finfo(float).eps)
     if cfg.objective == "coarse":
         return coarse_hausdorff_distance(poly, z)[0] >= d
-    return max(r.distance for rows in _projections(poly, z, hints) for r in rows) >= d
+    return _projections(poly, z, hints)[2].distance.max() >= d
 
 
 def _row_motion(poly, z, direction):
-    """(U, delta, distances) per row of z's cached sweep, polytope rows first:
-    u is the row's polytope point minus its zonotope point, delta that
-    zonotope point's motion along ``direction`` on a fixed cube lift. At
-    step h the row is at most |u - h delta| away."""
-    p_proj, z_proj = _projections(poly, z)
-    X, Q = zip(*[(r.coefficients, r.point) for r in p_proj], *enumerate_vertices(z))
-    delta = np.array(X) @ direction[:-z.dim].reshape(z.rank, z.dim) + direction[-z.dim:]
-    P = np.vstack([poly.vertices, [r.point for r in z_proj]])
-    return P - np.array(Q), delta, np.array([r.distance for r in p_proj + z_proj])
-
-
-def _row_caps(U, delta, d):
-    """Per row, the positive root h of |u - h delta| = d >= |u|: inf where
-    delta = 0, and the pair limit of ``cone.tau_limits`` at d = |u|."""
-    a, b, c = (delta * delta).sum(1), (U * delta).sum(1), d * d - (U * U).sum(1)
-    s = np.sqrt(b * b + a * c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(b > 0.0, (b + s) / a, c / (s - b))
+    """(U, delta, distances) per row of z's cached sweep table: u is the
+    row's polytope point minus its zonotope point, delta that zonotope
+    point's motion along ``direction`` on a fixed cube lift. At step h the
+    row is at most |u - h delta| away."""
+    rows = _projections(poly, z)[2]
+    return rows.P - rows.Q, motion(rows.X, direction), rows.distance
 
 
 def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
@@ -272,9 +254,9 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
     Solver failures are retried once after a perturbation, then abort.
     """
     if z0.rank != cfg.rank:
-        raise ValueError(f"start zonotope has rank {z0.rank}, config says {cfg.rank}")
+        raise DimensionMismatch(f"start zonotope has rank {z0.rank}, config says {cfg.rank}")
     if z0.dim != poly.dim:
-        raise ValueError("zonotope and polytope dimensions differ")
+        raise DimensionMismatch(f"polytope is {poly.dim}-D, start zonotope is {z0.dim}-D")
 
     rng = np.random.default_rng(cfg.rng_seed)
     z = canonicalize(z0)

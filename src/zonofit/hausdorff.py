@@ -2,26 +2,28 @@
 
 The distance is exact: both directed sup-distances are achieved at
 vertices, so two vertex sweeps with exact projections suffice. They run
-once per (polytope, zonotope) pair, cached on the zonotope by a single
-attribute write (so concurrent calls stay safe), and the distance, the
-locality check and the local terms all read them. A sweep solves every
-row first on a face, as arrays through the solvers' face tails: the face
-the row had on the hints (the zonotope a step started from), or else the
-face it projects onto in the other body's face list. Only rows whose face
-fails the solver's own optimality test go to the solvers' cold loops.
-Each near-maximal pair is returned with the data the optimization layer
-needs: its two endpoints and the cube lift of the zonotope-side point.
+once per (polytope, zonotope) pair, cached on the zonotope with their rows
+as one table (``SweepRows``: both endpoints, the cube lift of the zonotope
+point and the distance) by a single attribute write (so concurrent calls
+stay safe), and the distance, the locality check, the local terms and the
+descent's step caps all read them. A sweep solves every row first on a
+face, as arrays through the solvers' face tails: the face the row had on
+the hints (the zonotope a step started from), or else the face it
+projects onto in the other body's face list. Only rows whose face fails
+the solver's own optimality test go to the solvers' cold loops.
 
-Also here: the coarse (vertex-set) distance, Hausdorff stability of a
-point relative to a body, the locality check that gates the subgradient
-calculus, and the decomposition of the distance into smooth terms that is
-valid in a neighborhood of a locality-satisfying zonotope. The locality
-check tests all of a sweep's rows at once, reads a polytope face
-coefficient off the projection's weights, and projects nothing itself.
+Also here: the coarse (vertex-set) distance, whose nearest-vertex rows
+fill the same table, Hausdorff stability of a point relative to a body,
+the locality check that gates the subgradient calculus, and the
+decomposition of the distance into smooth terms that is valid in a
+neighborhood of a locality-satisfying zonotope. The locality check tests
+all of a sweep's rows at once, reads a polytope face coefficient off the
+projection's weights, and projects nothing itself.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,13 +133,20 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
         raise DimensionMismatch(f"polytope is {poly.dim}-D, zonotope is {z.dim}-D")
 
 
+# A pair's sweep as one table of arrays, a row per vertex of either body,
+# polytope rows first and each body's rows in vertex order: the polytope-side
+# point P, the zonotope-side point Q, the cube lift X of Q and |P - Q|.
+SweepRows = namedtuple("SweepRows", "P Q X distance")
+
+
 def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     """The pair's two vertex sweeps, computed once and cached on ``z``.
 
-    Returns (p_proj, z_proj): the box least-squares projection of each
-    polytope vertex onto z, and the min-norm projection onto poly of each
-    zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
-    last polytope measured; it is reused only for the same polytope object.
+    Returns (p_proj, z_proj, rows): the box least-squares projection of
+    each polytope vertex onto z, the min-norm projection onto poly of each
+    zonotope vertex in ``enumerate_vertices`` order, and both as one
+    ``SweepRows`` table. The cache keeps the last polytope measured; it is
+    reused only for the same polytope object.
 
     Each row is first solved on a face, one pass per side through the
     solvers' face tails, and kept where the face passes the solver's own
@@ -158,17 +167,15 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
-        return cached[1], cached[2]
-    V, zverts = poly.vertices, enumerate_vertices(z)
-    zpts = np.array([pt for _, pt in zverts])
-    G, mu, p_proj, z_proj = z.generators, z.translation, [None] * len(V), [None] * len(zverts)
+        return cached[1:]
+    V, (bits, zpts) = poly.vertices, map(np.array, zip(*enumerate_vertices(z)))
+    G, mu, p_proj, z_proj = z.generators, z.translation, [None] * len(V), [None] * len(zpts)
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     unhinted = hinted is None or hinted[0] is not poly
-    if not unhinted:
-        corral = {bits.tobytes(): row.corral
-                  for (bits, _), row in zip(enumerate_vertices(hints), hinted[2])}
-        p_proj = solvers._box_rows(G, mu, V, [row.coefficients for row in hinted[1]], verify=True)
-        z_proj = solvers._hull_rows(V, zpts, [corral.get(bits.tobytes(), ()) for bits, _ in zverts])
+    if not unhinted:  # the hints' table: polytope rows' lifts, zonotope rows' bits
+        corral = {b.tobytes(): row.corral for b, row in zip(hinted[3].X[len(V):], hinted[2])}
+        p_proj = solvers._box_rows(G, mu, V, hinted[3].X[:len(V)], verify=True)
+        z_proj = solvers._hull_rows(V, zpts, [corral.get(b.tobytes(), ()) for b in bits])
     starts = [None] * len(V)
     if (unhinted or any(row is None for row in p_proj)) and not _facet_directions(z)[2]:
         normals, offsets = zonotope_facets(z)
@@ -182,15 +189,19 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
                 p_proj = [rows.get(i) for i in range(len(V))]
             z_proj = solvers._hull_rows(V, zpts, _polytope_face_rows(poly, zpts))
         nearest = np.square(V[:, None] - zpts).sum(axis=2).argmin(axis=1)
-        starts = [zverts[j][0] if out > 0.0 else None for out, j in zip(margin, nearest)]
+        starts = [bits[j] if out > 0.0 else None for out, j in zip(margin, nearest)]
     p_proj = tuple(solvers.box_least_squares(G, mu, v, start)
                    if row is None else row for v, row, start in zip(V, p_proj, starts))
     cold = [j for j, row in enumerate(z_proj) if row is None]
     rows = iter(solvers._hull_rows(V, zpts[cold], *solvers._wolfe(V - zpts[cold][:, None]))
                 if cold else ())
     z_proj = tuple(next(rows) if row is None else row for row in z_proj)
-    object.__setattr__(z, "_projections", (poly, p_proj, z_proj))
-    return p_proj, z_proj
+    table = SweepRows(*map(_readonly, (np.vstack([V, [row.point for row in z_proj]]),
+                                       np.vstack([[row.point for row in p_proj], zpts]),
+                                       np.vstack([[row.coefficients for row in p_proj], bits]),
+                                       [row.distance for row in p_proj + z_proj])))
+    object.__setattr__(z, "_projections", (poly, p_proj, z_proj, table))
+    return p_proj, z_proj, table
 
 
 def _nearest_faces(dist: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndarray:
@@ -260,38 +271,33 @@ def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:
     return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]
 
 
-def _banded_pairs(rows, tol_active: float):
-    """(value, pairs) from one row per vertex of either body.
-
-    A row is (side, vertex_index, p, q, lift values of q, distance). A pair
-    is reported when its distance is within ``tol_active * value`` of the
-    maximum, in row order. Raises ValueError unless 0 <= tol_active < 1.
+def _banded_pairs(rows: SweepRows, p_rows: int, tol_active: float):
+    """(value, pairs) from a table of one row per vertex of either body,
+    the first ``p_rows`` of them polytope rows. A pair is reported when its
+    distance is within ``tol_active * value`` of the maximum, in row order.
+    Raises ValueError unless 0 <= tol_active < 1.
     """
     if not 0.0 <= tol_active < 1.0:
         raise ValueError(f"need 0 <= tol_active < 1, got {tol_active}")
-    value = max(row[-1] for row in rows)
-    pairs = [AchievingPair(p=p, q=q, side=side, vertex_index=index,
-                           lift=lift_values_to_lift(values), distance=distance)
-             for side, index, p, q, values, distance in rows
-             if distance >= value * (1.0 - tol_active)]
+    value = float(rows.distance.max())
+    band = np.flatnonzero(rows.distance >= value * (1.0 - tol_active)).tolist()
+    pairs = [AchievingPair(p=rows.P[k], q=rows.Q[k], side="p_vertex" if k < p_rows else "z_vertex",
+                           vertex_index=k if k < p_rows else k - p_rows,
+                           lift=lift_values_to_lift(rows.X[k]), distance=float(rows.distance[k]))
+             for k in band]
     return value, pairs
 
 
 def hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL):
     """Exact Hausdorff distance and its achieving pairs.
 
-    Reads the pair's two vertex sweeps (``_projections``). Returns
+    Reads the table of the pair's sweep rows (``_projections``). Returns
     (value, pairs); a pair is reported when its distance is within
     ``tol_active * value`` of the maximum, deduplicated by construction
     (one candidate per vertex, lowest index first).
     """
     _require_same_dim(poly, z)
-    p_proj, z_proj = _projections(poly, z)
-    rows = [("p_vertex", i, v, bp.point, bp.coefficients, bp.distance)
-            for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
-    rows += [("z_vertex", j, hp.point, pt, bits, hp.distance)
-             for j, ((bits, pt), hp) in enumerate(zip(enumerate_vertices(z), z_proj))]
-    return _banded_pairs(rows, tol_active)
+    return _banded_pairs(_projections(poly, z)[2], len(poly.vertices), tol_active)
 
 
 def coarse_hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL):
@@ -299,20 +305,15 @@ def coarse_hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = A
 
     An upper bound for the exact distance. Every pair endpoint is a
     vertex, so every pair carries an exact 0/1 lift; nearest neighbours
-    break ties by lowest index.
+    break ties by lowest index. The rows fill the exact distance's table,
+    each row's vertex paired with its nearest vertex of the other body.
     """
     _require_same_dim(poly, z)
-    zverts = enumerate_vertices(z)
-    zpts = np.array([pt for _, pt in zverts])
-    V = poly.vertices
+    V, (lifts, zpts) = poly.vertices, map(np.array, zip(*enumerate_vertices(z)))
     dmat = np.linalg.norm(V[:, None, :] - zpts[None, :, :], axis=2)
-    p_near = dmat.argmin(axis=1)
-    z_near = dmat.argmin(axis=0)
-    rows = [("p_vertex", i, V[i], zverts[j][1], zverts[j][0], float(dmat[i, j]))
-            for i, j in enumerate(p_near)]
-    rows += [("z_vertex", j, V[i], pt, bits, float(dmat[i, j]))
-             for j, (i, (bits, pt)) in enumerate(zip(z_near, zverts))]
-    return _banded_pairs(rows, tol_active)
+    i = np.concatenate([np.arange(len(V)), dmat.argmin(axis=0)])
+    j = np.concatenate([dmat.argmin(axis=1), np.arange(len(zpts))])
+    return _banded_pairs(SweepRows(V[i], zpts[j], lifts[j], dmat[i, j]), len(V), tol_active)
 
 
 # Laxer feasibility for the small equality-constrained stability LP; its
@@ -428,8 +429,8 @@ def check_locality(poly: Polytope, z: Zonotope) -> LocalityReport:
     if degenerate:
         return LocalityReport(general_position=False, degenerate_subsets=degenerate,
                               unstable_p_vertices=(), unstable_z_vertices=())
-    p_proj, z_proj = _projections(poly, z)
-    zpts = np.array([pt for _, pt in enumerate_vertices(z)])
+    p_proj, z_proj, rows = _projections(poly, z)
+    zpts = rows.Q[len(p_proj):]
     scale = 1.0 + float(np.abs(zpts).max())
     bad_p = _lift_unstable(poly.vertices, p_proj, z, scale)
     bad_z = _hull_unstable(zpts, z_proj, poly)
@@ -520,10 +521,9 @@ def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
     if require_locality and not check_locality(poly, z0).ok:
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
-    p_proj, z_proj = _projections(poly, z0)
-    terms = [p_vertex_term(i, v, lift_values_to_lift(bp.coefficients))
-             for i, (v, bp) in enumerate(zip(poly.vertices, p_proj))]
-    terms += [SmoothTerm(side="z_vertex", vertex_index=j, bits=bits,
-                         hull=minimal_face(poly, hp.point).affine_hull)
-              for j, ((bits, _), hp) in enumerate(zip(enumerate_vertices(z0), z_proj))]
+    rows, m = _projections(poly, z0)[2], len(poly.vertices)
+    terms = [p_vertex_term(i, rows.P[i], lift_values_to_lift(rows.X[i])) for i in range(m)]
+    terms += [SmoothTerm(side="z_vertex", vertex_index=k - m, bits=rows.X[k],
+                         hull=minimal_face(poly, rows.P[k]).affine_hull)
+              for k in range(m, len(rows.P))]
     return terms

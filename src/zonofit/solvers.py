@@ -81,6 +81,16 @@ class LPResult:
     value: float | None = None
 
 
+def _pivot(T, basis, row, col):
+    """Pivot tableau ``T`` on (row, col): scale the row to a unit pivot,
+    then clear the column from every other row in one rank-1 update."""
+    T[row] /= T[row, col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= f[:, None] * T[row]
+    basis[row] = col
+
+
 def _bland_simplex(T, basis, allowed, cap):
     """Run simplex pivots on tableau ``T`` until optimal or unbounded.
 
@@ -95,13 +105,10 @@ def _bland_simplex(T, basis, allowed, cap):
         # Entering tolerance tracks the cost row's magnitude: after pivots
         # with large multipliers, sub-noise reduced costs must not enter.
         tol_c = _COST_TOL + 1e-9 * float(np.abs(cost).max(initial=0.0))
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if cost[j] < -tol_c:
-                entering = j
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(allowed & (cost < -tol_c))
+        if eligible.size == 0:
             return "optimal"
+        entering = eligible[0]
         col = T[:m, entering]
         rows = np.flatnonzero(col > _PIVOT_TOL)
         if rows.size == 0:
@@ -109,13 +116,7 @@ def _bland_simplex(T, basis, allowed, cap):
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
-        leave = tied[np.argmin([basis[i] for i in tied])]
-        piv = T[leave, entering]
-        T[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leave]
-        basis[leave] = entering
+        _pivot(T, basis, tied[np.argmin([basis[i] for i in tied])], entering)
     raise IterationLimit("simplex iteration cap exceeded")
 
 
@@ -165,12 +166,7 @@ def solve_lp(objective, lhs, rhs, feasibility_tol: float = FEASIBILITY_TOL) -> L
             if basis[i] >= ns and abs(T[i, -1]) <= feasibility_tol * scale:
                 nonzero = np.flatnonzero(np.abs(T[i, :ns]) > _PIVOT_TOL)
                 if nonzero.size:
-                    j = int(nonzero[0])
-                    T[i] /= T[i, j]
-                    for r in range(m + 1):
-                        if r != i and T[r, j] != 0.0:
-                            T[r] -= T[r, j] * T[i]
-                    basis[i] = j
+                    _pivot(T, basis, i, int(nonzero[0]))
 
     # Phase 2 minimizes -objective @ x.
     T[-1] = 0.0
@@ -181,8 +177,7 @@ def solve_lp(objective, lhs, rhs, feasibility_tol: float = FEASIBILITY_TOL) -> L
     if _bland_simplex(T, basis, allowed, cap) == "unbounded":
         return LPResult(status="unbounded")
     x_std = np.zeros(N)
-    for i, bcol in enumerate(basis):
-        x_std[bcol] = max(T[i, -1], 0.0)
+    x_std[basis] = np.maximum(T[:m, -1], 0.0)
     x = x_std[:n] - x_std[n:2 * n]
     return LPResult(status="optimal", x=x, value=float(c @ x))
 

@@ -199,6 +199,8 @@ def fit_rank_2d(z: Zonotope, n: int, center, rng) -> Zonotope:
     Too many generators: keep the n longest and recenter. Too few: pad
     with short random generators, retrying until general position holds.
     """
+    if n < 2:
+        raise DegenerateInput("rank must be at least the dimension")
     m = z.rank
     if m == n:
         return z

@@ -153,6 +153,73 @@ def wolfe_reference(S):
     raise RuntimeError("min-norm point did not converge")
 
 
+def solve_lp_reference(c, A, b, feasibility_tol=None):
+    """``solvers.solve_lp`` as it ran before one rank-1 update replaced its
+    row-by-row elimination loops: (status, x)."""
+    from zonofit import solvers
+
+    tol = solvers.FEASIBILITY_TOL if feasibility_tol is None else feasibility_tol
+    c, A, b = (np.asarray(a, dtype=float) for a in (c, np.atleast_2d(A), b))
+    m, n = A.shape
+    art = b > 0.0
+    ns = 2 * n + m
+    N = ns + int(art.sum())
+    T = np.zeros((m + 1, N + 1))
+    T[:m, :N] = np.where(art, 1.0, -1.0)[:, None] * np.hstack(
+        [A, -A, -np.eye(m), np.eye(m)[:, art]])
+    T[:m, -1] = np.abs(b)
+    basis = np.where(art, ns + np.cumsum(art) - 1, 2 * n + np.arange(m)).tolist()
+    cap = max(200, solvers.ITERATION_FACTOR * (N + m) * 4)
+
+    def pivot(i, j):
+        T[i] /= T[i, j]
+        for r in range(m + 1):
+            if r != i and T[r, j] != 0.0:
+                T[r] -= T[r, j] * T[i]
+        basis[i] = j
+
+    def simplex():
+        for _ in range(cap):
+            cost = T[-1, :-1]
+            tol_c = solvers._COST_TOL + 1e-9 * float(np.abs(cost).max(initial=0.0))
+            entering = next((j for j in range(ns) if cost[j] < -tol_c), -1)
+            if entering < 0:
+                return "optimal"
+            col = T[:m, entering]
+            rows = np.flatnonzero(col > solvers._PIVOT_TOL)
+            if rows.size == 0:
+                return "unbounded"
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            tied = rows[ratios <= best + solvers._PIVOT_TOL * (1.0 + abs(best))]
+            pivot(tied[np.argmin([basis[i] for i in tied])], entering)
+        raise RuntimeError("simplex iteration cap exceeded")
+
+    if N > ns:
+        T[-1, ns:N] = 1.0
+        T[-1] -= T[:m][art].sum(axis=0)
+        simplex()
+        scale = 1.0 + np.abs(b).max(initial=0.0)
+        if -T[-1, -1] > tol * scale:
+            return "infeasible", None
+        for i in range(m):
+            if basis[i] >= ns and abs(T[i, -1]) <= tol * scale:
+                nonzero = np.flatnonzero(np.abs(T[i, :ns]) > solvers._PIVOT_TOL)
+                if nonzero.size:
+                    pivot(i, int(nonzero[0]))
+    T[-1] = 0.0
+    T[-1, :n], T[-1, n:2 * n] = -c, c
+    for i, bcol in enumerate(basis):
+        if T[-1, bcol] != 0.0:
+            T[-1] -= T[-1, bcol] * T[i]
+    if simplex() == "unbounded":
+        return "unbounded", None
+    x_std = np.zeros(N)
+    for i, bcol in enumerate(basis):
+        x_std[bcol] = max(T[i, -1], 0.0)
+    return "optimal", x_std[:n] - x_std[n:2 * n]
+
+
 def polygon_cycle(vertices):
     """Order 2-D points counterclockwise around their mean."""
     V = np.asarray(vertices, float)

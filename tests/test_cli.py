@@ -270,6 +270,24 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one_is_a_usage_error(self, square_files, capsys, rank):
+        poly, _ = square_files
+        assert main(["optimize", poly, "--rank", rank, "--warmstart", "random"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad config:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rank, generators", [
+        ("2", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),  # a rank-3 start
+        ("3", np.eye(3).tolist())])  # a 3-D start for the 2-D square
+    def test_mismatched_start_zonotope_exit_2(self, square_files, tmp_path, capsys,
+                                              rank, generators):
+        start = write_json(tmp_path / "start.json",
+                           {"generators": generators, "translation": [0.0] * len(generators[0])})
+        assert main(["optimize", square_files[0], "--rank", rank, "--warmstart", start]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
 
 class TestConeCommand:
     def test_worked_example_not_local_min(self, tmp_path, capsys):
@@ -386,6 +404,15 @@ class TestConeCommand:
 
 
 class TestWarmstartCommand:
+    @pytest.mark.parametrize("rank", ["-1", "0", "1"])
+    def test_rank_below_the_dimension_exit_2(self, tmp_path, capsys, rank):
+        poly = write_json(tmp_path / "p.json", {"vertices": [
+            [0, 0], [2, 0.2], [2.6, 1.4], [1.1, 2.3], [-0.4, 1.2]]})
+        assert main(["warmstart", poly, "--rank", rank]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
     def test_emits_zonotope_json(self, tmp_path, capsys, rng):
         z = random_zonotope(rng, 3, 2)
         poly = write_json(tmp_path / "p.json",
@@ -425,6 +452,13 @@ class TestBenchCommand:
 
     def test_empty_dims_usage_error(self):
         assert main(["bench", "--dims", "", "--ranks", "4", "--seeds", "1"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--dims", "x"], ["--ranks", "2,y"],
+                                       ["--dims", "2,0"]])
+    def test_bad_flag_is_a_usage_error(self, capsys, flags):
+        assert main(["bench", "--seeds", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 class TestUsageErrors:

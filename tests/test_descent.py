@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import OLD_MANIFEST_CONFIG, random_local_instance, random_polytope, random_zonotope
 from zonofit import descent, solvers
-from zonofit.cone import build_cone, descent_direction
-from zonofit.errors import EmptyTaus, PerturbationBudgetExceeded
+from zonofit.cone import _row_caps, build_cone, descent_direction
+from zonofit.errors import DimensionMismatch, EmptyTaus, PerturbationBudgetExceeded
 from zonofit.descent import (
     DescentConfig,
     choose_step,
@@ -185,8 +185,13 @@ class TestOptimize:
 
     def test_rank_mismatch_rejected(self, rng):
         poly, z0 = random_local_instance(rng, d=2, n=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             optimize(poly, z0, DescentConfig(rank=3))
+
+    def test_dimension_mismatch_rejected(self, rng):
+        poly, _ = random_local_instance(rng, d=2, n=4)
+        with pytest.raises(DimensionMismatch):
+            optimize(poly, random_zonotope(rng, 4, 3), DescentConfig(rank=4))
 
     def test_distance_improves_from_random_start(self, rng):
         poly = random_polytope(rng, 2)
@@ -277,6 +282,11 @@ class TestOptimize:
         with pytest.raises(ValueError):
             DescentConfig(rank=4, **{field: value})
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_config_rejects_rank_below_one(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            DescentConfig(rank=rank)
+
     def test_trace_csv_columns(self, rng):
         poly, z0 = random_local_instance(rng, d=2, n=3)
         cfg = DescentConfig(rank=3, max_steps=3, threshold=1e-12)
@@ -353,7 +363,7 @@ class TestStepCap:
         direction = rng.normal(size=(z.rank + 1) * d) * z.scale()
         U, delta, value, out = _rows(poly, z, direction)
         U, delta = U[out], delta[out]
-        caps = descent._row_caps(U, delta, value)
+        caps = _row_caps(U, delta, value)
         finite = np.isfinite(caps)
         assert finite.any()
         at_cap = np.linalg.norm(U[finite] - caps[finite, None] * delta[finite], axis=1)
@@ -386,7 +396,7 @@ class TestStepCap:
         U, delta, _, out = _rows(poly, z, result.direction)
         band = ~out
         assert band.sum() == len(pairs)
-        roots = descent._row_caps(U[band], delta[band], np.linalg.norm(U[band], axis=1))
+        roots = _row_caps(U[band], delta[band], np.linalg.norm(U[band], axis=1))
         np.testing.assert_allclose(roots, result.taus, rtol=1e-12)
 
     def test_one_probe_per_iteration(self):

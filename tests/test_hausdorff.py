@@ -43,6 +43,7 @@ from zonofit.geom import (
     zonotope_facets,
 )
 from zonofit.hausdorff import (
+    ACTIVE_PAIR_TOL,
     _max_min_coefficient,
     check_locality,
     coarse_hausdorff_distance,
@@ -219,6 +220,58 @@ class TestCoarseHausdorffDistance:
         brute = max(D.min(axis=1).max(), D.min(axis=0).max())
         assert value == pytest.approx(brute, abs=1e-12)
 
+
+    @staticmethod
+    def nearest_vertex_pairs(poly, z, tol_active):
+        """The coarse (value, pairs) by one nearest-vertex search per vertex of
+        either body, lowest index first among ties, as (side, vertex index,
+        p, q, lift, distance) rows."""
+        V, zverts = poly.vertices, enumerate_vertices(z)
+        rows = []
+        for i, v in enumerate(V):
+            dists = [float(np.linalg.norm(v - pt)) for _, pt in zverts]
+            j = dists.index(min(dists))
+            rows.append(("p_vertex", i, v, zverts[j][1], zverts[j][0], dists[j]))
+        for j, (bits, pt) in enumerate(zverts):
+            dists = [float(np.linalg.norm(v - pt)) for v in V]
+            i = dists.index(min(dists))
+            rows.append(("z_vertex", j, V[i], pt, bits, dists[i]))
+        value = max(row[-1] for row in rows)
+        return value, [row for row in rows if row[-1] >= value * (1.0 - tol_active)]
+
+    def assert_pairs_are_nearest_vertices(self, poly, z, tol_active):
+        value, pairs = coarse_hausdorff_distance(poly, z, tol_active)
+        ref_value, reference = self.nearest_vertex_pairs(poly, z, tol_active)
+        assert value == pytest.approx(ref_value, rel=1e-15)
+        assert len(pairs) == len(reference)
+        for pair, (side, index, p, q, lift, distance) in zip(pairs, reference):
+            assert (pair.side, pair.vertex_index) == (side, index)
+            assert np.array_equal(pair.p, p) and np.array_equal(pair.q, q)
+            assert np.array_equal(pair.lift.values, lift) and pair.lift.free_indices == ()
+            assert pair.distance == pytest.approx(distance, rel=1e-15)
+        return pairs
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           tol_active=st.sampled_from([ACTIVE_PAIR_TOL, 0.5, 0.999]))
+    def test_pairs_are_the_nearest_vertices(self, seed, d, tol_active):
+        rng = np.random.default_rng(seed)
+        self.assert_pairs_are_nearest_vertices(
+            random_polytope(rng, d), random_zonotope(rng, d + 1 + seed % 3, d), tol_active)
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        # Zonotope vertex (0.5, 0) is 0.5 from polytope vertices (0, 0) and
+        # (1, 0), and (0.5, 1) from the top two; polytope vertex (1, 0) is
+        # 0.5 from zonotope vertices (0.5, 0) and (1.5, 0).
+        poly = unit_square_polytope()
+        z = Zonotope(np.eye(2), [0.5, 0.0])
+        pairs = self.assert_pairs_are_nearest_vertices(poly, z, 0.999)
+        tied = next(pair for pair in pairs
+                    if pair.side == "z_vertex" and np.array_equal(pair.q, [0.5, 0.0]))
+        candidates = [i for i, v in enumerate(poly.vertices)
+                      if np.linalg.norm(v - [0.5, 0.0]) == 0.5]
+        assert len(candidates) == 2 and np.array_equal(tied.p, poly.vertices[min(candidates)])
+
     def test_all_coarse_lifts_are_integral(self, rng):
         poly = random_polytope(rng, 2)
         z = random_zonotope(rng, 3, 2)
@@ -298,7 +351,7 @@ def projection_faces(poly, z):
     set and anchor for a polytope vertex, and the vertex set of the minimal
     polytope face for a zonotope vertex (keyed by its bits).
     """
-    p_proj, z_proj = hausdorff._projections(poly, z)
+    p_proj, z_proj, _ = hausdorff._projections(poly, z)
     normals, offsets = zonotope_facets(z)
     p_faces = []
     for v, row in zip(poly.vertices, p_proj):
@@ -411,7 +464,7 @@ def _lift_stable(v: np.ndarray, row: solvers.BoxProjection, z: Zonotope,
 
 def reference_locality(poly, z, tol_strict=hausdorff.STRICT_TOL):
     """``check_locality`` by the per-row rules above."""
-    p_proj, z_proj = hausdorff._projections(poly, z)
+    p_proj, z_proj, _ = hausdorff._projections(poly, z)
     zverts = enumerate_vertices(z)
     scale = 1.0 + max(float(np.abs(pt).max()) for _, pt in zverts)
     bad_p = tuple(i for i, (v, row) in enumerate(zip(poly.vertices, p_proj))
@@ -787,7 +840,7 @@ class TestFaceSelection:
     def test_unhinted_sweep_matches_the_cold_loops(self, seed, d, kind):
         rng = np.random.default_rng(seed)
         poly, z, tie = selection_instance(rng, d, kind)
-        p_rows, z_rows = hausdorff._projections(poly, z)
+        p_rows, z_rows, _ = hausdorff._projections(poly, z)
         p_cold, z_cold = cold_sweep(poly, z)
         tol = 1e-15 * poly.scale()
         for i, (row, cold) in enumerate(zip(p_rows, p_cold)):
@@ -982,7 +1035,7 @@ class TestShortParallelGenerator:
         hints = Zonotope(np.array(G) + [[0.3, 0.2], [0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
         assert not _facet_directions(hints)[2]
         hausdorff_distance(poly, hints)
-        p_rows, z_rows = hausdorff._projections(poly, Zonotope(G, [0.0, 0.0]), hints=hints)
+        p_rows, z_rows, _ = hausdorff._projections(poly, Zonotope(G, [0.0, 0.0]), hints=hints)
         value = max(row.distance for row in p_rows + z_rows)
         assert value == pytest.approx(hausdorff_oracle(UNIT_TRIANGLE, G, [0.0, 0.0]), rel=1e-6)
 

@@ -13,6 +13,7 @@ from conftest import (
     hull_projection_oracle,
     lp_oracle,
     random_zonotope,
+    solve_lp_reference,
     wolfe_reference,
 )
 from zonofit import solvers
@@ -145,6 +146,25 @@ class TestSolveLP:
         assert solve_lp(np.zeros(3), A, b).status == "optimal"
         assert solve_lp(c, A, b).status == "unbounded"
         assert lp_oracle(c, A_ub=-A, b_ub=-b, maximize=True).status == 3
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 5),
+           kind=st.sampled_from(["normal", "integer", "sparse"]))
+    def test_pivots_match_the_row_by_row_elimination(self, seed, m, n, kind):
+        # One rank-1 update per pivot does the arithmetic of the old loop
+        # over rows: the same status and x (up to the sign of a zero).
+        # Integer data makes degenerate vertices and tied ratios common.
+        rng = np.random.default_rng(seed)
+        c, A, b = rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
+        if kind == "integer":
+            c, A, b = np.round(2.0 * c), np.round(2.0 * A), np.round(2.0 * b)
+        elif kind == "sparse":
+            A *= rng.random((m, n)) < 0.4
+        res = solve_lp(c, A, b)
+        status, x = solve_lp_reference(c, A, b)
+        assert res.status == status
+        if status == "optimal":
+            assert np.array_equal(res.x, x)
 
     def test_determinism(self, rng):
         A = rng.uniform(-1.0, 1.0, size=(4, 3))

@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull
 
 from conftest import random_polytope, random_zonotope
 from zonofit import warmstart
-from zonofit.errors import AsymmetryTooLarge, DimensionNot2
+from zonofit.errors import AsymmetryTooLarge, DegenerateInput, DimensionNot2
 from zonofit.geom import (
     Polytope,
     Zonotope,
@@ -280,6 +280,16 @@ class TestFitRank:
         from zonofit.geom import is_general_position
 
         assert is_general_position(out)
+
+
+@pytest.mark.parametrize("rank", [-1, 0, 1])
+def test_rank_below_the_dimension_is_degenerate_input(rng, rank):
+    # A negative rank once sliced the planar envelope's generators from the
+    # end and returned a body of another rank.
+    pentagon = Polytope.from_vertices([[0, 0], [2, 0.2], [2.6, 1.4], [1.1, 2.3], [-0.4, 1.2]])
+    for poly in (pentagon, random_polytope(rng, 3)):
+        with pytest.raises(DegenerateInput):
+            warmstart_zonotope(poly, rank if poly.dim == 2 else rank + 1)
 
 
 class TestWarmstartGeneric:
