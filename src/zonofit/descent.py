@@ -234,7 +234,7 @@ def _reaches(poly, z, d, cfg, hints=None) -> bool:
     d = d * (1.0 - _DECREASE_EPS * np.finfo(float).eps)
     if cfg.objective == "coarse":
         return coarse_hausdorff_distance(poly, z)[0] >= d
-    return _projections(poly, z, hints)[2].distance.max() >= d
+    return _projections(poly, z, hints).distance.max() >= d
 
 
 def _row_motion(poly, z, direction):
@@ -242,7 +242,7 @@ def _row_motion(poly, z, direction):
     row's polytope point minus its zonotope point, delta that zonotope
     point's motion along ``direction`` on a fixed cube lift. At step h the
     row is at most |u - h delta| away."""
-    rows = _projections(poly, z)[2]
+    rows = _projections(poly, z)
     return rows.P - rows.Q, motion(rows.X, direction), rows.distance
 
 

@@ -335,9 +335,7 @@ class Polytope:
 
     @staticmethod
     def from_vertices(vertices, facets=None) -> "Polytope":
-        V = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if not np.all(np.isfinite(V)):
-            raise DegenerateInput("polytope vertices must be finite")
+        V = _point_rows(vertices, "polytope vertices")
         _require_full_dimensional(V)
         scale = 1.0 + float(np.abs(V).max())
         # Every listed vertex must be extreme.
@@ -348,29 +346,30 @@ class Polytope:
 
     @staticmethod
     def _from_extreme(V: np.ndarray, facets) -> "Polytope":
-        """``from_vertices`` for vertices already known to be extreme."""
-        scale = 1.0 + float(np.abs(V).max())
+        """``from_vertices`` for vertices already known to be extreme. Given
+        ``facets`` must be exactly the facets of conv(V), each within
+        10 x ``EXTREME_TOL`` (x scale for offsets) of a distinct one that
+        ``_facets_brute_force`` finds, which stands in for it."""
+        normals, offsets = _facets_brute_force(V)
         if facets is not None:
-            normals = np.atleast_2d(np.asarray([f[:-1] for f in facets], dtype=float))
-            offsets = np.asarray([f[-1] for f in facets], dtype=float)
-            norms = np.linalg.norm(normals, axis=1)
-            if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(norms))
+            F = np.asarray(facets, dtype=float)
+            if F.ndim != 2 or F.shape[1] != V.shape[1] + 1:
+                raise DegenerateInput("each facet must be a normal and an offset")
+            norms = np.linalg.norm(F[:, :-1], axis=1)
+            if not (np.all(np.isfinite(F[:, -1])) and np.all(np.isfinite(norms))
                     and np.all(norms > 0.0)):
                 raise DegenerateInput("facet normals must be finite and nonzero")
-            normals = normals / norms[:, None]
-            offsets = offsets / norms
-        else:
-            normals, offsets = _facets_brute_force(V)
-        margins = normals @ V.T - offsets[:, None]
-        if margins.max() > EXTREME_TOL * scale * 10.0:
-            raise DegenerateInput("facet description does not contain all vertices")
+            n, c, tol = F[:, :-1] / norms[:, None], F[:, -1] / norms, 10.0 * EXTREME_TOL
+            match = ((np.abs(n[:, None] - normals).max(axis=2) <= tol)
+                     & (np.abs(c[:, None] - offsets) <= tol * (1.0 + float(np.abs(V).max()))))
+            if not ((match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()):
+                raise DegenerateInput("facets are not exactly the facets of the vertices' hull")
+            normals, offsets = normals[match.argmax(axis=1)], offsets[match.argmax(axis=1)]
         return Polytope(V, normals, offsets)
 
     @staticmethod
     def from_points(points) -> "Polytope":
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        if not np.all(np.isfinite(P)):
-            raise DegenerateInput("points must be finite")
+        P = _point_rows(points, "points")
         scale = 1.0 + float(np.abs(P).max())
         # Merge near-duplicates (keeping the first) so that a repeated
         # extreme point is not hidden in the hull of its own copy.
@@ -386,12 +385,23 @@ class Polytope:
         return Polytope._from_extreme(P[keep], None)
 
 
+def _point_rows(points, name: str) -> np.ndarray:
+    """points as a float array, one point a row; raises DegenerateInput
+    unless it is a non-empty, finite 2-D array."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.size == 0:
+        raise DegenerateInput(f"{name} must be a non-empty 2-D array, one point a row")
+    if not np.all(np.isfinite(P)):
+        raise DegenerateInput(f"{name} must be finite")
+    return P
+
+
 def _extreme(P: np.ndarray, scale: float) -> np.ndarray:
     """Which points are farther than ``EXTREME_TOL`` x scale from the hull of
     the others: one stacked Wolfe loop, row k on ``delete(P, k) - P[k]``."""
     others = np.stack([np.delete(P, k, axis=0) for k in range(len(P))])
-    rows = solvers._hull_rows(others, P, *solvers._wolfe(others - P[:, None]))
-    return np.array([row.distance > EXTREME_TOL * scale for row in rows])
+    distance = solvers._hull_rows(others, P, *solvers._wolfe(others - P[:, None]))[2]
+    return distance > EXTREME_TOL * scale
 
 
 def _require_full_dimensional(V: np.ndarray):

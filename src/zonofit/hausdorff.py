@@ -2,15 +2,15 @@
 
 The distance is exact: both directed sup-distances are achieved at
 vertices, so two vertex sweeps with exact projections suffice. They run
-once per (polytope, zonotope) pair, cached on the zonotope with their rows
-as one table (``SweepRows``: both endpoints, the cube lift of the zonotope
-point and the distance) by a single attribute write (so concurrent calls
-stay safe), and the distance, the locality check, the local terms and the
-descent's step caps all read them. A sweep solves every row first on a
-face, as arrays through the solvers' face tails: the face the row had on
-the hints (the zonotope a step started from), or else the face it
-projects onto in the other body's face list. Only rows whose face fails
-the solver's own optimality test go to the solvers' cold loops.
+once per (polytope, zonotope) pair into one table (``SweepRows``: both
+endpoints, the zonotope point's cube lift, the distance, and a zonotope
+row's weights and corral), cached on the zonotope by one attribute write
+(so concurrent calls stay safe); the distance, the locality check, the
+local terms and the descent's step caps all read it. A sweep solves every
+row first on a face, as arrays through the solvers' face tails: the face
+the row had on the hints (the zonotope a step started from), or else the
+face it projects onto in the other body's face list. Rows whose face
+fails the solver's own optimality test go to its cold loops.
 
 Also here: the coarse (vertex-set) distance, whose nearest-vertex rows
 fill the same table, Hausdorff stability of a point relative to a body,
@@ -18,7 +18,7 @@ the locality check that gates the subgradient calculus, and the
 decomposition of the distance into smooth terms that is valid in a
 neighborhood of a locality-satisfying zonotope. The locality check tests
 all of a sweep's rows at once, reads a polytope face coefficient off the
-projection's weights, and projects nothing itself.
+table's weights W, and projects nothing itself.
 """
 
 from __future__ import annotations
@@ -135,73 +135,76 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
 
 # A pair's sweep as one table of arrays, a row per vertex of either body,
 # polytope rows first and each body's rows in vertex order: the polytope-side
-# point P, the zonotope-side point Q, the cube lift X of Q and |P - Q|.
-SweepRows = namedtuple("SweepRows", "P Q X distance")
+# point P, the zonotope-side point Q, the cube lift X of Q and |P - Q|; for
+# zonotope rows, P's weights W over poly's vertices and their corrals (Wolfe's
+# points of positive weight, in his order), which the coarse table leaves None.
+SweepRows = namedtuple("SweepRows", "P Q X distance W corrals", defaults=(None, None))
 
 
-def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None):
-    """The pair's two vertex sweeps, computed once and cached on ``z``.
-
-    Returns (p_proj, z_proj, rows): the box least-squares projection of
-    each polytope vertex onto z, the min-norm projection onto poly of each
-    zonotope vertex in ``enumerate_vertices`` order, and both as one
-    ``SweepRows`` table. The cache keeps the last polytope measured; it is
-    reused only for the same polytope object.
+def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> SweepRows:
+    """The pair's two vertex sweeps as one ``SweepRows`` table, computed
+    once and cached on ``z``: the box least-squares projection of each
+    polytope vertex onto z, then the min-norm projection onto poly of each
+    zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
+    last polytope measured; it is reused only for the same polytope object.
 
     Each row is first solved on a face, one pass per side through the
     solvers' face tails, and kept where the face passes the solver's own
     optimality test, which proves it the exact projection. ``hints``, a
-    zonotope of the same rank whose sweep against poly is cached (the one
-    a step started from), lends each row its face there: polytope rows by
-    index, zonotope rows by cube-lift bits. Without usable hints each row
-    of a general-position z takes the face it projects onto
+    zonotope of the same rank whose sweep against poly is cached (the one a
+    step started from), lends each row its face there: polytope rows by
+    index, zonotope rows their corral by cube-lift bits. Without usable
+    hints each row of a general-position z takes the face it projects onto
     (``_zonotope_face_rows``, ``_polytope_face_rows``), except a polytope
     row strictly inside z (by ``FACE_ACTIVE_TOL`` x scale against
     ``zonotope_facets``), which no boundary face passes. The rest go to the
     solvers' cold loops: polytope rows one by one, zonotope rows as one
     stack through Wolfe's lockstep loop and one ``_hull_rows`` tail, each
-    row with the bits it has alone. A cold polytope row outside z
-    starts the box loop at its nearest zonotope vertex, the first on ties,
-    which saves face solves and keeps the bits (``box_least_squares``). Other
-    rows start at 0: inside z the start would pick among many lifts.
+    row with the bits it has alone. A cold polytope row outside z starts the
+    box loop at its nearest zonotope vertex, the first on ties, which saves
+    face solves and keeps the bits (``box_least_squares``). Other rows start
+    at 0: inside z the start would pick among many lifts.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
-        return cached[1:]
+        return cached[1]
     V, (bits, zpts) = poly.vertices, map(np.array, zip(*enumerate_vertices(z)))
-    G, mu, p_proj, z_proj = z.generators, z.translation, [None] * len(V), [None] * len(zpts)
+    G, mu, k, general = z.generators, z.translation, len(V), not _facet_directions(z)[2]
+    P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
+    P[:k], Q[k:], X[k:], distance = V, zpts, bits, np.empty(len(P))
+    faces, corrals, margin = np.full((k, z.rank), np.nan), [()] * len(zpts), None
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
-    unhinted = hinted is None or hinted[0] is not poly
-    if not unhinted:  # the hints' table: polytope rows' lifts, zonotope rows' bits
-        corral = {b.tobytes(): row.corral for b, row in zip(hinted[3].X[len(V):], hinted[2])}
-        p_proj = solvers._box_rows(G, mu, V, hinted[3].X[:len(V)], verify=True)
-        z_proj = solvers._hull_rows(V, zpts, [corral.get(b.tobytes(), ()) for b in bits])
-    starts = [None] * len(V)
-    if (unhinted or any(row is None for row in p_proj)) and not _facet_directions(z)[2]:
+    if hinted is not None and hinted[0] is poly:  # polytope rows' lifts, zonotope rows' corrals
+        lent = dict(zip(map(np.ndarray.tobytes, hinted[1].X[k:]), hinted[1].corrals))
+        faces, corrals = hinted[1].X[:k], [lent.get(b.tobytes(), ()) for b in bits]
+    elif general:  # the faces the rows not strictly inside z project onto
         normals, offsets = zonotope_facets(z)
         margin = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
-        if unhinted:  # the faces the rows not strictly inside z project onto
-            scale = 1.0 + float(np.abs(V - mu).max())
-            near = np.flatnonzero(margin >= -FACE_ACTIVE_TOL * scale)
-            if near.size:
-                rows = dict(zip(near.tolist(), solvers._box_rows(
-                    G, mu, V[near], _zonotope_face_rows(z, V[near], scale), verify=True)))
-                p_proj = [rows.get(i) for i in range(len(V))]
-            z_proj = solvers._hull_rows(V, zpts, _polytope_face_rows(poly, zpts))
-        nearest = np.square(V[:, None] - zpts).sum(axis=2).argmin(axis=1)
-        starts = [bits[j] if out > 0.0 else None for out, j in zip(margin, nearest)]
-    p_proj = tuple(solvers.box_least_squares(G, mu, v, start)
-                   if row is None else row for v, row, start in zip(V, p_proj, starts))
-    cold = [j for j, row in enumerate(z_proj) if row is None]
-    rows = iter(solvers._hull_rows(V, zpts[cold], *solvers._wolfe(V - zpts[cold][:, None]))
-                if cold else ())
-    z_proj = tuple(next(rows) if row is None else row for row in z_proj)
-    table = SweepRows(*map(_readonly, (np.vstack([V, [row.point for row in z_proj]]),
-                                       np.vstack([[row.point for row in p_proj], zpts]),
-                                       np.vstack([[row.coefficients for row in p_proj], bits]),
-                                       [row.distance for row in p_proj + z_proj])))
-    object.__setattr__(z, "_projections", (poly, p_proj, z_proj, table))
-    return p_proj, z_proj, table
+        scale = 1.0 + float(np.abs(V - mu).max())
+        near = margin >= -FACE_ACTIVE_TOL * scale
+        if near.any():
+            faces[near] = _zonotope_face_rows(z, V[near], scale)
+        corrals = _polytope_face_rows(poly, zpts)
+    X[:k], Q[:k], distance[:k], _, p_ok = solvers._box_rows(G, mu, V, faces, verify=True)
+    W, P[k:], distance[k:], _, z_ok = solvers._hull_rows(V, zpts, corrals)
+    if margin is None and general and not p_ok.all():
+        normals, offsets = zonotope_facets(z)
+        margin = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
+    for i in np.flatnonzero(~p_ok):
+        out = margin is not None and margin[i] > 0.0
+        start = bits[np.square(V[i] - zpts).sum(axis=1).argmin()] if out else None
+        row = solvers.box_least_squares(G, mu, V[i], start)
+        X[i], Q[i], distance[i] = row.coefficients, row.point, row.distance
+    cold = np.flatnonzero(~z_ok)
+    if cold.size:
+        cold_corrals, weights = solvers._wolfe(V - zpts[cold][:, None])
+        W[cold], P[k + cold], distance[k + cold], _, _ = solvers._hull_rows(
+            V, zpts[cold], cold_corrals, weights)
+        for j, corral in zip(cold.tolist(), cold_corrals):
+            corrals[j] = tuple(corral)
+    table = SweepRows(*map(_readonly, (P, Q, X, distance, W)), tuple(corrals))
+    object.__setattr__(z, "_projections", (poly, table))
+    return table
 
 
 def _nearest_faces(dist: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndarray:
@@ -297,7 +300,7 @@ def hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_P
     (one candidate per vertex, lowest index first).
     """
     _require_same_dim(poly, z)
-    return _banded_pairs(_projections(poly, z)[2], len(poly.vertices), tol_active)
+    return _banded_pairs(_projections(poly, z), len(poly.vertices), tol_active)
 
 
 def coarse_hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = ACTIVE_PAIR_TOL):
@@ -360,26 +363,24 @@ def is_hausdorff_stable(x, poly: Polytope) -> bool:
     if not np.all(np.isfinite(x)):
         raise DegenerateInput("point must be finite")
     row = solvers.project_to_hull(poly.vertices, x)
-    return not _hull_unstable(x[None], [row], poly)[0]
+    return not _hull_unstable(x[None], row.point[None], row.weights[None], poly)[0]
 
 
-def _exterior(P, rows, normals, offsets, scale):
+def _exterior(P, Q, normals, offsets, scale):
     """Least facet slack of each point P, offset U = P - Q from its projection
-    Q (``rows``), |U|, Q, and the facets within the face tolerance of Q."""
-    Q = np.array([row.point for row in rows])
+    Q, |U|, and the facets within the face tolerance of Q."""
     U = P - Q
     margin = (offsets - np.einsum("fd,rd->rf", normals, P)).min(axis=1)
     active = np.abs(np.einsum("fd,rd->rf", normals, Q) - offsets) <= FACE_ACTIVE_TOL * scale
-    return margin, U, np.sqrt(np.einsum("rd,rd->r", U, U)), Q, active
+    return margin, U, np.sqrt(np.einsum("rd,rd->r", U, U)), active
 
 
-def _hull_unstable(X: np.ndarray, rows, poly: Polytope) -> np.ndarray:
-    """``not is_hausdorff_stable`` for each row of X, whose projections onto
-    poly are ``rows``, all at once. A face's coefficient is the least weight
+def _hull_unstable(T, Q, W, poly: Polytope) -> np.ndarray:
+    """``not is_hausdorff_stable`` for each row of T, projected onto poly at Q
+    with weights W, all at once. A face's coefficient is the least weight
     when the weights' support is its vertex set; only otherwise is it solved."""
     V, scale = poly.vertices, poly.scale()
-    margin, U, nu, Q, active = _exterior(X, rows, poly.facet_normals, poly.facet_offsets, scale)
-    W = np.array([row.weights for row in rows])
+    margin, U, nu, active = _exterior(T, Q, poly.facet_normals, poly.facet_offsets, scale)
     on_face = _face_vertices(poly, active)
     t_face = np.where(on_face, W, np.inf).min(axis=1)
     outside = (margin <= -STRICT_TOL * scale) & (nu > STRICT_TOL * scale) & active.any(axis=1)
@@ -392,16 +393,15 @@ def _hull_unstable(X: np.ndarray, rows, poly: Polytope) -> np.ndarray:
     return ~np.where(margin > -STRICT_TOL * scale, margin > STRICT_TOL * scale, stable)
 
 
-def _lift_unstable(V: np.ndarray, rows, z: Zonotope, scale: float) -> np.ndarray:
-    """Which polytope vertices V, whose box least-squares rows onto z are
-    ``rows``, are not Hausdorff stable relative to z, all at once. Outside
-    z, the projection q is in the relative interior of the face spanned by
+def _lift_unstable(V, Q, X, z: Zonotope, scale: float) -> np.ndarray:
+    """Which polytope vertices V, box least-squares projected onto z at Q
+    with coefficients X, are not Hausdorff stable relative to z, all at
+    once. Outside z, q is in the relative interior of the face spanned by
     the free generators F (coefficients strictly inside (0, 1)) iff |F| < d
     and every facet active at q spans F; u = v - q is in the relative
     interior of that face's normal cone iff sign(2 x_i - 1) <g_i, u> > 0
     off F (strict complementarity)."""
-    margin, U, nu, _, active = _exterior(V, rows, *zonotope_facets(z), scale)
-    X = np.array([row.coefficients for row in rows])
+    margin, U, nu, active = _exterior(V, Q, *zonotope_facets(z), scale)
     free = (X > 0.0) & (X < 1.0)
     # Facet rows come in +-pairs per spanning subset (``zonotope_facets``).
     spans = np.repeat((_facet_directions(z)[0][:, :, None] == np.arange(z.rank)).any(1), 2, 0)
@@ -429,11 +429,11 @@ def check_locality(poly: Polytope, z: Zonotope) -> LocalityReport:
     if degenerate:
         return LocalityReport(general_position=False, degenerate_subsets=degenerate,
                               unstable_p_vertices=(), unstable_z_vertices=())
-    p_proj, z_proj, rows = _projections(poly, z)
-    zpts = rows.Q[len(p_proj):]
+    rows, k = _projections(poly, z), len(poly.vertices)
+    zpts = rows.Q[k:]
     scale = 1.0 + float(np.abs(zpts).max())
-    bad_p = _lift_unstable(poly.vertices, p_proj, z, scale)
-    bad_z = _hull_unstable(zpts, z_proj, poly)
+    bad_p = _lift_unstable(poly.vertices, rows.Q[:k], rows.X[:k], z, scale)
+    bad_z = _hull_unstable(zpts, rows.P[k:], rows.W, poly)
     return LocalityReport(general_position=True, degenerate_subsets=(),
                           unstable_p_vertices=tuple(np.flatnonzero(bad_p).tolist()),
                           unstable_z_vertices=tuple(np.flatnonzero(bad_z).tolist()))
@@ -521,7 +521,7 @@ def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
     if require_locality and not check_locality(poly, z0).ok:
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
-    rows, m = _projections(poly, z0)[2], len(poly.vertices)
+    rows, m = _projections(poly, z0), len(poly.vertices)
     terms = [p_vertex_term(i, rows.P[i], lift_values_to_lift(rows.X[i])) for i in range(m)]
     terms += [SmoothTerm(side="z_vertex", vertex_index=k - m, bits=rows.X[k],
                          hull=minimal_face(poly, rows.P[k]).affine_hull)

@@ -21,14 +21,14 @@ a laxer 1e-7).
 
 The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
-their final face to. The Hausdorff sweeps solve their rows there first,
-on faces they choose, one solve per face shape, and keep those where the
-solver's optimality test passes; only the rest run the cold loops: the
-polytope rows one ``box_least_squares`` each, the zonotope rows as one
-stack through Wolfe's loop (``_wolfe``), which runs its rows in lockstep
-with one stacked affine solve per corral size and ends each row with the
-bits it has alone. ``project_to_hull`` is that loop on one row, and the
-polytope's extreme-point test runs it on one row per point.
+their final face to; it returns its rows as arrays and an ``ok`` mask.
+The Hausdorff sweeps solve their rows there first, on faces they choose,
+one solve per face shape, and keep the ok ones; only the rest run the
+cold loops: the polytope rows one ``box_least_squares`` each, the
+zonotope rows as one stack through Wolfe's loop (``_wolfe``), which runs
+its rows in lockstep with one stacked affine solve per corral size and
+ends each row with the bits it has alone. ``project_to_hull`` is that
+loop on one row; the extreme-point test runs it on one row per point.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -38,7 +38,6 @@ reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +212,9 @@ def box_least_squares(generators: np.ndarray, translation: np.ndarray,
     """
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
     T = np.asarray(target, dtype=float)[None]
-    return _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, start)[None])[0]
+    X, points, dist, kkt, _ = _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, start)[None])
+    return BoxProjection(coefficients=X[0], point=points[0], distance=float(dist[0]),
+                         kkt_residual=float(kkt[0]))
 
 
 def _box_tol(G, Y) -> np.ndarray:
@@ -222,13 +223,14 @@ def _box_tol(G, Y) -> np.ndarray:
     return KKT_TOL * (1.0 + float(np.abs(G).max(initial=0.0)) * scale)
 
 
-def _box_rows(G, mu, targets, faces, verify=False) -> list:
-    """The face tail of ``box_least_squares`` on many rows at once.
+def _box_rows(G, mu, targets, faces, verify=False):
+    """The face tail of ``box_least_squares`` on many rows at once; returns
+    (X, points, distances, kkt residuals, ok) as arrays, a row per target.
     ``faces`` are the active-set loop's rows, already solved on their free
     sets F (coefficients strictly inside (0, 1)) by ``_face_solve``, or with
-    ``verify`` other rows' faces, solved here by one ``_face_solve`` per
-    free set; a verified row is None unless it lies strictly inside (0, 1)
-    on F and passes the loop's stopping test, which proves it optimal."""
+    ``verify`` other rows' faces (NaN for none), solved here by one
+    ``_face_solve`` per free set; a verified row is ok only strictly inside
+    (0, 1) on F and passing the loop's stopping test, which proves it optimal."""
     Y = targets - mu
     X = np.array(faces, dtype=float)
     free = (X > 0.0) & (X < 1.0)
@@ -240,15 +242,12 @@ def _box_rows(G, mu, targets, faces, verify=False) -> list:
     E = Y - P
     W = np.einsum("nd,rd->rn", G, E)  # negative gradient
     signed = np.where(X == 0.0, W, -W)
-    ok = [True] * len(X)
+    ok = np.ones(len(X), dtype=bool)
     if verify:
         bound_ok = signed <= _box_tol(G, Y)[:, None] + 1e-15
         ok = np.where(free, (X > 1e-12) & (X < 1.0 - 1e-12), bound_ok).all(axis=1)
-    kkt = np.where(free, np.abs(W), signed).max(axis=1, initial=0.0).tolist()
-    points = P + mu
-    dist2 = np.einsum("rd,rd->r", E, E).tolist()
-    return [BoxProjection(coefficients=X[k], point=points[k], distance=math.sqrt(dist2[k]),
-                          kkt_residual=kkt[k]) if ok[k] else None for k in range(len(X))]
+    kkt = np.where(free, np.abs(W), signed).max(axis=1, initial=0.0)
+    return X, P + mu, np.sqrt(np.einsum("rd,rd->r", E, E)), kkt, ok
 
 
 def _face_solve(G, Y, X, f) -> np.ndarray:
@@ -334,20 +333,25 @@ def project_to_hull(points: np.ndarray, target: np.ndarray) -> HullProjection:
     """
     V = np.atleast_2d(np.asarray(points, dtype=float))
     T = np.asarray(target, dtype=float)[None]
-    return _hull_rows(V, T, *_wolfe(V - T[:, None]))[0]
+    corrals, weights = _wolfe(V - T[:, None])
+    W, points, dist, kkt, _ = _hull_rows(V, T, corrals, weights)
+    return HullProjection(weights=W[0], point=points[0], distance=float(dist[0]),
+                          kkt_residual=float(kkt[0]), corral=tuple(corrals[0]))
 
 
-def _hull_rows(V, targets, corrals, weights=None) -> list:
+def _hull_rows(V, targets, corrals, weights=None):
     """The face tail of ``project_to_hull`` on many rows at once: target k
     against the points V, or against V[k] when V stacks one point set per
-    row. Row k's weights on ``corrals[k]`` are ``weights[k]`` when given
-    (Wolfe's, from the same solve); otherwise they are the affine min-norm
-    solve on it in its order, one stacked solve per corral size, and the
-    row is None unless the corral is not empty, every weight is positive
-    and Wolfe's stopping test passes, which proves it optimal."""
+    row. Returns (W, points, distances, kkt residuals, ok) as arrays, a row
+    per target, W over the points. Row k's weights on ``corrals[k]`` are
+    ``weights[k]`` when given (Wolfe's, from the same solve); otherwise they
+    are the affine min-norm solve on it in its order, one stacked solve per
+    corral size, and the row is ok only if the corral is not empty, every
+    weight is positive and Wolfe's stopping test passes, which proves it
+    optimal."""
     S = V - targets[:, None]
     W = np.zeros(S.shape[:2])
-    ok = [True] * len(W) if weights is not None else np.zeros(len(W), dtype=bool)
+    ok = np.full(len(W), weights is not None)
     for m in set(map(len, corrals)) - {0}:
         rows = [k for k, corral in enumerate(corrals) if len(corral) == m]
         at = (np.array(rows)[:, None], np.array([corrals[k] for k in rows]))
@@ -362,11 +366,7 @@ def _hull_rows(V, targets, corrals, weights=None) -> list:
     xx = np.einsum("rd,rd->r", X, X)
     if weights is None:
         ok &= dots >= xx - KKT_TOL * (1.0 + np.einsum("rnd,rnd->rn", S, S).max(axis=1))
-    points = targets + X
-    xx, dots = xx.tolist(), dots.tolist()
-    return [HullProjection(weights=W[k], point=points[k], distance=math.sqrt(xx[k]),
-                           kkt_residual=max(0.0, xx[k] - dots[k]), corral=tuple(corrals[k]))
-            if ok[k] else None for k in range(len(W))]
+    return W, targets + X, np.sqrt(xx), np.maximum(0.0, xx - dots), ok
 
 
 def _solve_stack(K: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -290,6 +290,17 @@ class TestOptimizeCommand:
 
 
 class TestConeCommand:
+    def test_incomplete_facet_list_exit_2(self, tmp_path, capsys):
+        # With its one facet, the triangle would be a half-plane that holds
+        # (0.9, 0.9): the locality check would run on a wrong polytope.
+        poly = write_json(tmp_path / "p.json", {"vertices": UNIT_TRIANGLE,
+                                                "facets": [[0.0, -1.0, 0.0]]})
+        zono = write_json(tmp_path / "z.json", {"generators": [[2.0, 0.0], [0.0, 2.0]],
+                                                "translation": [-0.5, -0.5]})
+        assert main(["cone", poly, zono]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {poly}:") and err.count("\n") == 1
+
     def test_worked_example_not_local_min(self, tmp_path, capsys):
         s = 1.05 * np.sqrt(2.0) / 2.0
         poly = write_json(tmp_path / "p.json", {

@@ -1,6 +1,7 @@
 """Geometry-layer tests: zonotope/polytope types, vertices, lifts, faces."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHORT_PARALLEL_GENERATORS, hull_vertices_oracle, random_zonotope
+from conftest import (
+    SHORT_PARALLEL_GENERATORS,
+    UNIT_TRIANGLE,
+    hull_vertices_oracle,
+    random_polytope,
+    random_zonotope,
+)
 from zonofit import geom, solvers
 from zonofit.errors import (
     CodimZeroFace,
@@ -417,12 +424,28 @@ CUBE_ZONOTOPE = Zonotope(np.eye(3), np.zeros(3))
      DegenerateInput),
     (lambda: Polytope.from_vertices(SQUARE, facets=[[0.0, 0.0, 0.0]] + SQUARE_FACETS[1:]),
      DegenerateInput),
+    (lambda: Polytope.from_vertices(UNIT_TRIANGLE, facets=[[0.0, -1.0, 0.0]]), DegenerateInput),
+    (lambda: Polytope.from_vertices(SQUARE, facets=SQUARE_FACETS[1:]), DegenerateInput),
+    (lambda: Polytope.from_vertices(SQUARE, facets=SQUARE_FACETS + [[1.0, 1.0, 5.0]]),
+     DegenerateInput),
+    (lambda: Polytope.from_vertices(SQUARE, facets=SQUARE_FACETS[:3] + [[1.0, 1.0, 5.0]]),
+     DegenerateInput),
+    (lambda: Polytope.from_vertices(SQUARE, facets=SQUARE_FACETS + SQUARE_FACETS[:1]),
+     DegenerateInput),
+    (lambda: Polytope.from_vertices([]), DegenerateInput),
+    (lambda: Polytope.from_points([]), DegenerateInput),
+    (lambda: Polytope.from_vertices([[[0.0]]]), DegenerateInput),
+    (lambda: Polytope.from_points([[[0.0]]]), DegenerateInput),
+    (lambda: Polytope.from_vertices(np.zeros((3, 0))), DegenerateInput),
     (lambda: hausdorff_distance(Polytope.from_vertices(SQUARE), CUBE_ZONOTOPE), DimensionMismatch),
     (lambda: coarse_hausdorff_distance(Polytope.from_vertices(SQUARE), CUBE_ZONOTOPE),
      DimensionMismatch),
     (lambda: check_locality(Polytope.from_vertices(SQUARE), CUBE_ZONOTOPE), DimensionMismatch),
 ], ids=["nan-vertex", "nan-point", "inf-point", "single-point", "too-few-distinct",
-        "nan-facet", "zero-normal", "distance-dims", "coarse-dims", "locality-dims"])
+        "nan-facet", "zero-normal", "one-facet-triangle", "square-missing-edge",
+        "supporting-row-added", "supporting-row-for-an-edge", "repeated-facet",
+        "empty-vertices", "empty-points", "3d-vertices", "3d-points", "no-coordinates",
+        "distance-dims", "coarse-dims", "locality-dims"])
 def test_bad_input_raises_typed_error(build, error):
     with pytest.raises(error):
         build()
@@ -537,3 +560,24 @@ class TestJsonRoundTrip:
         sq = unit_square_polytope()
         back = polytope_from_json(polytope_to_json(sq))
         assert np.allclose(back.vertices, sq.vertices)
+
+    def test_polytope_bit_for_bit(self, rng):
+        # Through JSON text and back, twice: the facets read back are those
+        # written, every bit, and the one-facet triangle is refused.
+        for d in (1, 2, 3):
+            for _ in range(10):
+                poly = random_polytope(rng, d)
+                once = polytope_from_json(json.loads(json.dumps(polytope_to_json(poly))))
+                twice = polytope_from_json(json.loads(json.dumps(polytope_to_json(once))))
+                for back in (once, twice):
+                    for name in ("vertices", "facet_normals", "facet_offsets"):
+                        assert getattr(back, name).tobytes() == getattr(poly, name).tobytes()
+
+    def test_given_facets_in_any_order_and_scale(self):
+        # Facets given in another order and unnormalized describe the same
+        # square; the polytope keeps their order.
+        back = Polytope.from_vertices(SQUARE, facets=[[0.0, 3.0, 3.0], [-2.0, 0.0, 0.0],
+                                                      [0.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+        assert back.facet_normals.tolist() == [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
+        assert back.facet_offsets.tolist() == [1.0, 0.0, 0.0, 1.0]
+        assert not back.contains([1.5, 0.5])
