@@ -173,13 +173,17 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
     P[:k], Q[k:], X[k:], distance = V, zpts, bits, np.empty(len(P))
     faces, corrals, margin = np.full((k, z.rank), np.nan), [()] * len(zpts), None
+
+    def facet_margin():  # each polytope vertex's largest violation of z's facets
+        normals, offsets = zonotope_facets(z)
+        return (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
+
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     if hinted is not None and hinted[0] is poly:  # polytope rows' lifts, zonotope rows' corrals
         lent = dict(zip(map(np.ndarray.tobytes, hinted[1].X[k:]), hinted[1].corrals))
         faces, corrals = hinted[1].X[:k], [lent.get(b.tobytes(), ()) for b in bits]
     elif general:  # the faces the rows not strictly inside z project onto
-        normals, offsets = zonotope_facets(z)
-        margin = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
+        margin = facet_margin()
         scale = 1.0 + float(np.abs(V - mu).max())
         near = margin >= -FACE_ACTIVE_TOL * scale
         if near.any():
@@ -188,8 +192,7 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     X[:k], Q[:k], distance[:k], _, p_ok = solvers._box_rows(G, mu, V, faces, verify=True)
     W, P[k:], distance[k:], _, z_ok = solvers._hull_rows(V, zpts, corrals)
     if margin is None and general and not p_ok.all():
-        normals, offsets = zonotope_facets(z)
-        margin = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
+        margin = facet_margin()
     for i in np.flatnonzero(~p_ok):
         out = margin is not None and margin[i] > 0.0
         start = bits[np.square(V[i] - zpts).sum(axis=1).argmin()] if out else None
@@ -197,10 +200,9 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
         X[i], Q[i], distance[i] = row.coefficients, row.point, row.distance
     cold = np.flatnonzero(~z_ok)
     if cold.size:
-        cold_corrals, weights = solvers._wolfe(V - zpts[cold][:, None])
-        W[cold], P[k + cold], distance[k + cold], _, _ = solvers._hull_rows(
-            V, zpts[cold], cold_corrals, weights)
-        for j, corral in zip(cold.tolist(), cold_corrals):
+        wolfe = solvers._wolfe(V - zpts[cold][:, None])  # corrals, weights
+        W[cold], P[k + cold], distance[k + cold], _, _ = solvers._hull_rows(V, zpts[cold], *wolfe)
+        for j, corral in zip(cold.tolist(), wolfe[0]):
             corrals[j] = tuple(corral)
     table = SweepRows(*map(_readonly, (P, Q, X, distance, W)), tuple(corrals))
     object.__setattr__(z, "_projections", (poly, table))
@@ -430,10 +432,9 @@ def check_locality(poly: Polytope, z: Zonotope) -> LocalityReport:
         return LocalityReport(general_position=False, degenerate_subsets=degenerate,
                               unstable_p_vertices=(), unstable_z_vertices=())
     rows, k = _projections(poly, z), len(poly.vertices)
-    zpts = rows.Q[k:]
-    scale = 1.0 + float(np.abs(zpts).max())
+    scale = 1.0 + float(np.abs(rows.Q[k:]).max())
     bad_p = _lift_unstable(poly.vertices, rows.Q[:k], rows.X[:k], z, scale)
-    bad_z = _hull_unstable(zpts, rows.P[k:], rows.W, poly)
+    bad_z = _hull_unstable(rows.Q[k:], rows.P[k:], rows.W, poly)
     return LocalityReport(general_position=True, degenerate_subsets=(),
                           unstable_p_vertices=tuple(np.flatnonzero(bad_p).tolist()),
                           unstable_z_vertices=tuple(np.flatnonzero(bad_z).tolist()))

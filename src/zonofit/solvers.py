@@ -344,11 +344,10 @@ def _hull_rows(V, targets, corrals, weights=None):
     against the points V, or against V[k] when V stacks one point set per
     row. Returns (W, points, distances, kkt residuals, ok) as arrays, a row
     per target, W over the points. Row k's weights on ``corrals[k]`` are
-    ``weights[k]`` when given (Wolfe's, from the same solve); otherwise they
-    are the affine min-norm solve on it in its order, one stacked solve per
-    corral size, and the row is ok only if the corral is not empty, every
-    weight is positive and Wolfe's stopping test passes, which proves it
-    optimal."""
+    ``weights[k]`` when given (Wolfe's, from the same solve); otherwise the
+    affine min-norm solve on it in its order, one stacked solve per corral
+    size, and the row is ok only if the corral is not empty, every weight
+    is positive and Wolfe's stopping test passes, which proves it optimal."""
     S = V - targets[:, None]
     W = np.zeros(S.shape[:2])
     ok = np.full(len(W), weights is not None)

@@ -895,9 +895,12 @@ class TestFaceSelection:
             else:
                 assert sweep_key(rows, i) == sweep_key(cold, i)
         for j, (_, pt) in enumerate(enumerate_vertices(z)):
-            # A selected corral and Wolfe's may differ; their two solves agree
-            # to roundoff, up to about 2e-15 x scale.
-            assert abs(rows.distance[m + j] - cold.distance[m + j]) <= 10.0 * tol
+            if rows.corrals[j] == cold.corrals[j]:  # one solve, so every bit agrees
+                assert hull_row_key(rows, m, j) == hull_row_key(cold, m, j)
+            else:
+                # Solves on two corrals, or on one in two orders, agree to
+                # roundoff: up to about 2e-15 x scale.
+                assert abs(rows.distance[m + j] - cold.distance[m + j]) <= 10.0 * tol
             if tie is not None and tie[:2] == ("z", j):
                 assert rows.W[j, tie[2]] > 0.0
                 assert set(np.flatnonzero(rows.W[j])) >= set(np.flatnonzero(cold.W[j]))
@@ -946,6 +949,12 @@ class TestConcurrentCalls:
 def sweep_key(rows, i):
     """Every number of polytope row i of a sweep table, comparable with ==."""
     return rows.Q[i].tolist(), float(rows.distance[i]), rows.X[i].tolist()
+
+
+def hull_row_key(rows, m, j):
+    """Every number of zonotope row j of a sweep table with m polytope rows,
+    its bytes, comparable with ==."""
+    return rows.P[m + j].tobytes(), rows.distance[m + j].tobytes(), rows.W[j].tobytes()
 
 
 def candidate_targets(rng, poly):
