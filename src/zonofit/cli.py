@@ -152,9 +152,9 @@ def _polygon_cycle(points):
 def render_svg(poly: Polytope, z: Zonotope, pairs, path):
     """Plot the polytope and zonotope outlines with one marker group per
     achieving pair (2-D only)."""
-    from .geom import enumerate_vertices
+    from .geom import _vertex_arrays
 
-    zpts = np.array([pt for _, pt in enumerate_vertices(z)])
+    zpts = _vertex_arrays(z)[1]
     every = np.vstack([poly.vertices, zpts] + [np.vstack([p.p, p.q]) for p in pairs])
     lo = every.min(axis=0)
     hi = every.max(axis=0)
@@ -339,8 +339,10 @@ def cmd_bench(args) -> int:
         ranks = [int(s) for s in args.ranks.split(",") if s.strip()]
     except ValueError as exc:
         raise _UsageError(f"--dims/--ranks need comma-separated integers: {exc}") from exc
-    if not dims or not ranks or min(dims) < 1 or args.seeds < 1 or args.steps < 1:
-        raise _UsageError("need nonempty --dims/--ranks, dims, --seeds and --steps >= 1")
+    if not dims or not ranks or min(dims + ranks) < 1 or args.seeds < 1 or args.steps < 1:
+        raise _UsageError("need nonempty --dims/--ranks, dims, ranks, --seeds and --steps >= 1")
+    if max(ranks) < min(dims):
+        raise _UsageError("need a rank >= a dim in --dims/--ranks")
     summary = []
     curves = {}
     for d in dims:

@@ -14,12 +14,14 @@ unit normal eta of its span gives the facets +-eta, and the vertices of
 the facet with outward normal eta are the anchor bits ``G @ eta > 0`` off
 S combined with every bit pattern on S, and its faces those with every
 pattern {0, 1, free} on S. One pass over the subsets
-(``_facet_directions``) yields facets, faces and vertices together. Outside
-general position that correspondence fails, and vertex enumeration falls
-back to a separating-hyperplane feasibility LP per bit-vector. A zonotope
+(``_facet_directions``) yields facets, faces and vertices together, each
+built once per zonotope as read-only arrays cached on it. Outside general
+position that correspondence fails, and vertex enumeration falls back to a
+separating-hyperplane feasibility LP per bit-vector. A zonotope
 face is named by a cube lift's anchor bits and free generators
 (``LiftPoint``); polytope faces are handed around as ``FaceDescriptor``
-values carrying an orthonormal affine-hull description.
+values carrying an orthonormal affine-hull description; a polytope's
+facet-vertex incidence is built once and cached on it (``_simplicial_faces``).
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ EXTREME_TOL = 1e-9
 PUSHFORWARD_SAMPLES = 3
 
 
-def _readonly(a):
-    a = np.asarray(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -87,14 +89,15 @@ class Zonotope:
     """A zonotope: row i of ``generators`` is generator g_i.
 
     The represented set is {x @ generators + translation : x in [0,1]^n}.
-    Instances are immutable; the derived vertex list, facet directions and
-    facet description are cached on first use, and so are the vertex sweeps
-    against the last polytope measured (see ``hausdorff._projections``).
+    Instances are immutable; the derived faces, vertices, facet directions
+    and facet description are built on first use and cached, and so are the
+    vertex sweeps against the last polytope measured (``hausdorff._projections``).
     """
 
     generators: np.ndarray
     translation: np.ndarray
-    _vertices: list | None = field(default=None, init=False, repr=False, compare=False)
+    _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _faces: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _facets: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _directions: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _projections: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -227,11 +230,14 @@ def _bits(codes: np.ndarray, n: int) -> np.ndarray:
     return (codes[:, None] & (1 << np.arange(n - 1, -1, -1, dtype=np.int64))) > 0
 
 
-def _zonotope_faces(z: Zonotope) -> np.ndarray:
-    """Every boundary face of a general-position zonotope as an integer code
-    free set << n | anchor bits (``_bits``): each facet's anchor bits off its
-    subset with every pattern {0, 1, free} on it. Sorted and distinct: the
-    vertices (empty free set) come first, in lexicographic bit order."""
+def _zonotope_faces(z: Zonotope) -> tuple:
+    """Every boundary face of a general-position zonotope as boolean rows of
+    anchor bits and of free generators (``_bits`` of the code free set << n |
+    anchor bits): each facet's anchor bits off its subset with every pattern
+    {0, 1, free} on it. Sorted by code and distinct, so the vertices (empty
+    free set) come first, in lexicographic bit order. Cached on the instance."""
+    if z._faces is not None:
+        return z._faces
     subsets, normals, _ = _facet_directions(z)
     n, k = z.rank, subsets.shape[1]
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -244,7 +250,10 @@ def _zonotope_faces(z: Zonotope) -> np.ndarray:
     on_subset = weights[subsets] @ np.where(patterns == 2, 1 << n, patterns)
     codes = np.sort(np.concatenate([(along > 0.0) @ weights, (along < 0.0) @ weights])[:, None]
                     + np.concatenate([on_subset, on_subset]), axis=None)
-    return codes[np.append(True, codes[1:] != codes[:-1])]
+    codes = codes[np.append(True, codes[1:] != codes[:-1])]
+    faces = tuple(_readonly(_bits(c, n), bool) for c in (codes, codes >> n))
+    object.__setattr__(z, "_faces", faces)
+    return faces
 
 
 def enumerate_vertices(z: Zonotope):
@@ -254,26 +263,34 @@ def enumerate_vertices(z: Zonotope):
     faces of ``_zonotope_faces`` with an empty free set. Outside general
     position each of the 2^n bit-vectors is tested with the separation LP
     (``is_zonotope_vertex``), up to rank ``VERTEX_ENUM_CAP``. Returns
-    [(bits, point), ...]; cached on the instance. Every zonotope has a
-    vertex, so finding none raises ``LPNumericalFailure``.
+    [(bits, point), ...], rows of the read-only arrays of ``_vertex_arrays``,
+    built once and cached on the instance. Every zonotope has a vertex, so
+    finding none raises ``LPNumericalFailure``.
     """
     if z._vertices is not None:
-        return z._vertices
+        return z._vertices[0]
     n = z.rank
     if n > VERTEX_ENUM_CAP:
         raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {VERTEX_ENUM_CAP}")
     if not _facet_directions(z)[2]:
-        codes = _zonotope_faces(z)
-        candidates = _bits(codes[codes < 1 << n], n)
+        anchors, free = _zonotope_faces(z)
+        candidates = anchors[~free.any(axis=1)]
     else:
         candidates = [bits for bits in itertools.product((0.0, 1.0), repeat=n)
                       if is_zonotope_vertex(z, bits)]
         if not candidates:
             raise LPNumericalFailure("the separation LPs found no zonotope vertex")
     bits = _readonly(np.array(candidates, dtype=float).reshape(-1, n))
-    out = [(row, _readonly(row @ z.generators + z.translation)) for row in bits]
-    object.__setattr__(z, "_vertices", out)
-    return out
+    # One product per row: a batched bits @ G changes last bits.
+    points = _readonly(np.array([row @ z.generators for row in bits]) + z.translation)
+    object.__setattr__(z, "_vertices", (list(zip(bits, points)), bits, points))
+    return z._vertices[0]
+
+
+def _vertex_arrays(z: Zonotope) -> tuple:
+    """(bits, points): ``enumerate_vertices(z)`` as the read-only arrays of its rows."""
+    enumerate_vertices(z)
+    return z._vertices[1:]
 
 
 def zonotope_facets(z: Zonotope):
@@ -592,9 +609,8 @@ def is_pushforward_proper(source: Zonotope, target: Zonotope) -> bool:
     def on_boundary(y):
         return abs((normals @ y - offsets).max()) <= BOUNDARY_TOL * scale
 
-    for bits, _ in enumerate_vertices(source):
-        if not on_boundary(target.map_point(bits)):
-            return False
+    if not all(on_boundary(target.map_point(bits)) for bits in _vertex_arrays(source)[0]):
+        return False
     G = source.generators
     subsets, etas, _ = _facet_directions(source)
     ticks = np.linspace(0.0, 1.0, PUSHFORWARD_SAMPLES + 2)[1:-1]
@@ -636,9 +652,14 @@ def minimal_face(poly: Polytope, x) -> FaceDescriptor:
 
 
 def _face_vertices(poly: Polytope, active) -> np.ndarray:
-    """Face vertices (rows x vertices): within 10 FACE_ACTIVE_TOL x scale of all active facets."""
-    return ~(active @ (np.abs(poly.vertices @ poly.facet_normals.T - poly.facet_offsets)
-                       > FACE_ACTIVE_TOL * poly.scale() * 10.0).T)
+    """Face vertices (rows x vertices): on all active facets (``_simplicial_faces``)."""
+    return ~(active @ ~_simplicial_faces(poly)[1])
+
+
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a, axis=0)`` for 2-D a: one lexsort and an adjacent-row compare."""
+    a = a[np.lexsort(a.T[::-1])]
+    return np.concatenate([a[:1], a[1:][(a[1:] != a[:-1]).any(axis=1)]])
 
 
 def _simplicial_faces(poly: Polytope) -> tuple:
@@ -646,14 +667,15 @@ def _simplicial_faces(poly: Polytope) -> tuple:
     faces by size, every vertex and subset of a facet with d vertices, and
     as size d + 1 the fan joining vertex 0 to each such facet off it, which
     covers the polytope when those are all its facets off vertex 0; and the
-    facet-vertex incidence (``_face_vertices``) they were read from. Cached
-    on the polytope by one attribute write."""
+    facet-vertex incidence they were read from: within 10 FACE_ACTIVE_TOL x
+    scale of the facet. Cached on the polytope by one attribute write."""
     if poly._faces is not None:
         return poly._faces
     nv, d = poly.vertices.shape
-    incidence = _face_vertices(poly, np.eye(poly.facet_offsets.size, dtype=bool))
+    incidence = ~(np.abs(poly.vertices @ poly.facet_normals.T - poly.facet_offsets)
+                  > FACE_ACTIVE_TOL * poly.scale() * 10.0).T
     simplices = np.nonzero(incidence[incidence.sum(axis=1) == d])[1].reshape(-1, d)
-    faces = {m: np.unique(simplices[:, _subsets(d, m)].reshape(-1, m), axis=0)
+    faces = {m: _unique_rows(simplices[:, _subsets(d, m)].reshape(-1, m))
              for m in range(2, d + 1)}
     fan = simplices[(simplices != 0).all(axis=1)]
     faces.update({1: np.arange(nv)[:, None], d + 1: np.insert(fan, 0, 0, axis=1)})
@@ -663,9 +685,7 @@ def _simplicial_faces(poly: Polytope) -> tuple:
 
 def zonotope_as_polytope(z: Zonotope) -> Polytope:
     """V- and H-description of a general-position zonotope as a Polytope."""
-    verts = np.array([pt for _, pt in enumerate_vertices(z)])
-    normals, offsets = zonotope_facets(z)
-    return Polytope(vertices=verts, facet_normals=normals, facet_offsets=offsets)
+    return Polytope(_vertex_arrays(z)[1], *zonotope_facets(z))
 
 
 # --- JSON wire formats -----------------------------------------------------

@@ -36,13 +36,12 @@ from .geom import (
     LiftPoint,
     Polytope,
     Zonotope,
-    _bits,
     _face_vertices,
     _facet_directions,
     _readonly,
     _simplicial_faces,
+    _vertex_arrays,
     _zonotope_faces,
-    enumerate_vertices,
     lift_values_to_lift,
     minimal_face,
     zonotope_facets,
@@ -168,7 +167,7 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     cached = z._projections
     if cached is not None and cached[0] is poly:
         return cached[1]
-    V, (bits, zpts) = poly.vertices, map(np.array, zip(*enumerate_vertices(z)))
+    V, (bits, zpts) = poly.vertices, _vertex_arrays(z)
     G, mu, k, general = z.generators, z.translation, len(V), not _facet_directions(z)[2]
     P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
     P[:k], Q[k:], X[k:], distance = V, zpts, bits, np.empty(len(P))
@@ -222,8 +221,7 @@ def _zonotope_face_rows(z: Zonotope, targets: np.ndarray, scale: float) -> np.nd
     """The face of z (``_zonotope_faces``) each target projects onto, as a
     ``solvers._box_rows`` row: anchor bits, 0.5 on the free set. One stacked
     normal-equation solve per free-set size; ties within 1e-12 x ``scale``."""
-    codes = _zonotope_faces(z)
-    anchors, free = _bits(codes, z.rank), _bits(codes >> z.rank, z.rank)
+    anchors, free = _zonotope_faces(z)
     G, Y = z.generators, targets - z.translation
     sizes = free.sum(axis=1)
     dist = np.empty((len(sizes), len(Y)))
@@ -314,7 +312,7 @@ def coarse_hausdorff_distance(poly: Polytope, z: Zonotope, tol_active: float = A
     each row's vertex paired with its nearest vertex of the other body.
     """
     _require_same_dim(poly, z)
-    V, (lifts, zpts) = poly.vertices, map(np.array, zip(*enumerate_vertices(z)))
+    V, (lifts, zpts) = poly.vertices, _vertex_arrays(z)
     dmat = np.linalg.norm(V[:, None, :] - zpts[None, :, :], axis=2)
     i = np.concatenate([np.arange(len(V)), dmat.argmin(axis=0)])
     j = np.concatenate([dmat.argmin(axis=1), np.arange(len(zpts))])

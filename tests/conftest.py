@@ -354,6 +354,23 @@ def exhaustive_polytope_face_rows(poly, targets):
     return [rows[k] for k in _nearest_faces(np.concatenate(dist), sizes, poly.scale())]
 
 
+def simplicial_faces_reference(poly):
+    """``geom._simplicial_faces`` as it was before its lexsort dedupe: the
+    facet-vertex incidence from |V N^T - b|, and each face size's rows
+    deduplicated and ordered by ``np.unique(axis=0)``."""
+    from zonofit.geom import FACE_ACTIVE_TOL, _subsets
+
+    nv, d = poly.vertices.shape
+    incidence = ~(np.abs(poly.vertices @ poly.facet_normals.T - poly.facet_offsets)
+                  > FACE_ACTIVE_TOL * poly.scale() * 10.0).T
+    simplices = np.nonzero(incidence[incidence.sum(axis=1) == d])[1].reshape(-1, d)
+    faces = {m: np.unique(simplices[:, _subsets(d, m)].reshape(-1, m), axis=0)
+             for m in range(2, d + 1)}
+    fan = simplices[(simplices != 0).all(axis=1)]
+    faces.update({1: np.arange(nv)[:, None], d + 1: np.insert(fan, 0, 0, axis=1)})
+    return faces, incidence
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

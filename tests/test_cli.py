@@ -465,7 +465,8 @@ class TestBenchCommand:
         assert main(["bench", "--dims", "", "--ranks", "4", "--seeds", "1"]) == 1
 
     @pytest.mark.parametrize("flags", [["--steps", "0"], ["--dims", "x"], ["--ranks", "2,y"],
-                                       ["--dims", "2,0"]])
+                                       ["--dims", "2,0"], ["--ranks=-1"],
+                                       ["--dims", "3", "--ranks", "2"]])
     def test_bad_flag_is_a_usage_error(self, capsys, flags):
         assert main(["bench", "--seeds", "1", *flags]) == 1
         err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from conftest import (
     hull_vertices_oracle,
     random_polytope,
     random_zonotope,
+    simplicial_faces_reference,
 )
 from zonofit import geom, solvers
 from zonofit.errors import (
@@ -260,6 +261,50 @@ class TestEnumerateVertices:
             assert poly.interior_margin(pt) > 1e-9
 
 
+class TestVertexCache:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), extra=st.integers(0, 3),
+           degenerate=st.booleans())
+    def test_cached_arrays_are_the_enumerated_rows(self, seed, d, extra, degenerate):
+        # In general position and on the LP fallback (a generator parallel
+        # to another, or zero in 1-D): a list of (bits, point) rows of two
+        # read-only arrays, in the separation LP's lexicographic bit order,
+        # each point bit-equal to its own row product bits @ G + mu.
+        rng = np.random.default_rng(seed)
+        n = d + extra
+        G, mu = rng.uniform(-1.0, 1.0, size=(n, d)), rng.uniform(-0.5, 0.5, size=d)
+        if degenerate:
+            G[-1] = -0.5 * G[0] if d > 1 else 0.0
+        z = Zonotope(G, mu)
+        assert is_general_position(z) != degenerate
+        pairs = enumerate_vertices(z)
+        bits, points = geom._vertex_arrays(z)
+        oracle = [comb for comb in itertools.product((0.0, 1.0), repeat=n)
+                  if is_zonotope_vertex(z, comb)]
+        assert isinstance(pairs, list) and len(pairs) == len(bits) == len(points) == len(oracle)
+        assert [tuple(b) for b, _ in pairs] == [tuple(b) for b in bits] == oracle
+        for (b, p), row, point in zip(pairs, bits, points):
+            assert b.tobytes() == row.tobytes() and p.tobytes() == point.tobytes()
+            assert point.tobytes() == (row @ z.generators + z.translation).tobytes()
+        assert not (bits.flags.writeable or points.flags.writeable)
+        assert enumerate_vertices(z) is pairs and geom._vertex_arrays(z)[1] is points
+
+    def test_face_codes_are_built_once(self, rng, monkeypatch):
+        # Enumeration, an unhinted sweep and its face selection share one
+        # build of the face rows: one _bits call for the anchors, one for
+        # the free sets.
+        from zonofit import hausdorff
+
+        built, bits = [], geom._bits
+        monkeypatch.setattr(geom, "_bits", lambda codes, n: built.append(n) or bits(codes, n))
+        z = random_zonotope(rng, 6, 3)
+        poly = random_polytope(rng, 3, scale=3.0)
+        enumerate_vertices(z)
+        hausdorff._projections(poly, z)
+        hausdorff._zonotope_face_rows(z, poly.vertices, poly.scale())
+        assert built == [6, 6]
+
+
 class TestLiftBoundaryPoint:
     def test_edge_midpoint(self):
         z = unit_square_zonotope()
@@ -496,6 +541,58 @@ class TestBadInputProperties:
         span = rng.uniform(-1.0, 1.0, size=(d + 1 + extra, m)) @ rng.normal(size=(m, d))
         with pytest.raises(DegenerateInput):
             build(scale * (rng.uniform(-1.0, 1.0, size=d) + span))
+
+
+class TestSimplicialFaces:
+    """The lexsort dedupe of ``_simplicial_faces`` against numpy's unique
+    rows (``conftest.simplicial_faces_reference``): equal faces in the same
+    order, and an equal incidence."""
+
+    @staticmethod
+    def assert_matches_reference(poly):
+        faces, incidence = geom._simplicial_faces(poly)
+        want, want_incidence = simplicial_faces_reference(poly)
+        assert np.array_equal(incidence, want_incidence)
+        assert faces.keys() == want.keys()
+        for m, rows in want.items():
+            assert faces[m].dtype == rows.dtype and faces[m].shape == rows.shape
+            assert np.array_equal(faces[m], rows)
+        return faces
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+           extra=st.integers(0, 8))
+    def test_random_polytopes(self, seed, d, extra):
+        rng = np.random.default_rng(seed)
+        poly = random_polytope(rng, d, npoints=d + 2 + extra)
+        self.assert_matches_reference(poly)
+        active = rng.random((5, len(poly.facet_offsets))) < 0.3
+        far = ~simplicial_faces_reference(poly)[1]
+        assert np.array_equal(geom._face_vertices(poly, active), ~(active @ far))
+
+    def test_cube_has_no_simplicial_facet(self):
+        poly = Polytope.from_vertices(list(itertools.product((0.0, 1.0), repeat=3)))
+        faces = self.assert_matches_reference(poly)
+        assert [len(faces[m]) for m in (2, 3, 4)] == [0, 0, 0]
+
+    def test_a_few_hundred_vertices(self):
+        # Qhull's triangulated hull of 300 points on the sphere.
+        from scipy.spatial import ConvexHull
+
+        pts = np.random.default_rng(7).normal(size=(300, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        eq = ConvexHull(pts).equations
+        poly = Polytope(pts, eq[:, :3], -eq[:, 3])
+        faces = self.assert_matches_reference(poly)
+        assert len(faces[3]) == len(eq) and len(faces[2]) == 3 * len(eq) // 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40), m=st.integers(1, 4),
+           top=st.integers(1, 6))
+    def test_unique_rows_is_numpys(self, seed, rows, m, top):
+        a = np.random.default_rng(seed).integers(0, top, size=(rows, m))
+        got, want = geom._unique_rows(a), np.unique(a, axis=0)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestMinimalFace:
