@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cone import build_cone, descent_direction
+from .cone import OBJECTIVES, build_cone, descent_direction
 from .descent import DescentConfig, optimize
 from .errors import (
     DegenerateInput,
@@ -427,7 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rule", default="conservative",
                    choices=["conservative", "random", "aggressive", "hybrid"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objective", default="exact", choices=["exact", "coarse"])
+    p.add_argument("--objective", default="exact", choices=OBJECTIVES)
     p.add_argument("--warmstart", default="auto",
                    help="'auto', 'random', or a zonotope JSON path")
     p.add_argument("--trace", help="write per-iteration CSV here")

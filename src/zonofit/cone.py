@@ -10,10 +10,14 @@ point in its interior strictly decreases the distance for small steps,
 and an empty interior certifies a local minimum when every q_i is a
 vertex (always true for the coarse objective).
 
-The same row divided by |p_i - q_i| is the negated gradient n_i of pair
-i's active smooth term at the zonotope, -(e_i (x) r^_i, r^_i) with
-r^_i = (p_i - q_i) / |p_i - q_i|, so the gradients are read off the cone
-matrix (``FeasibilityCone.negated_gradients``). Positive row scaling
+A row is (x (x) u, u) for a cube lift x and an offset u (``rows``), the
+one formula of every smooth term's gradient: a term's is
+``rows(x, w / |w|)`` with x the lift of its zonotope point and w that
+point's offset from the term's polytope flat
+(``hausdorff.SmoothTerm.gradient``). At the zonotope where pair i
+achieves the distance, w = q_i - p_i, so the row over |p_i - q_i| is the
+negated gradient n_i of its active term, and the gradients are read off
+the cone matrix (``FeasibilityCone.negated_gradients``). Positive row scaling
 leaves the open cone {x : A x > 0} unchanged, and by Gordan's
 alternative it is empty iff 0 lies in conv{n_i}. Otherwise the min-norm
 point u of that hull satisfies <n_i, u> >= |u|^2 > 0 for every i, so u
@@ -39,8 +43,13 @@ __all__ = [
     "certificate",
     "descent_direction",
     "motion",
+    "rows",
     "tau_limits",
 ]
+
+# The objectives a fit can descend: the exact distance or the coarse
+# (vertex-set) one.
+OBJECTIVES = ("exact", "coarse")
 
 # Relative margin a direction must clear on every cone row to count as
 # strictly improving.
@@ -71,14 +80,25 @@ class FeasibilityCone:
         return self.matrix / r[:, None]
 
 
+def rows(X, U) -> np.ndarray:
+    """(x (x) u, u) per row of X and U, in the flat parameter layout: the
+    functional u . (dQ^T x + dmu) on the parameters (``motion``)."""
+    X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
+    return np.concatenate([(X[..., :, None] * U[..., None, :]).reshape(*X.shape[:-1], -1), U],
+                          axis=-1)
+
+
 def build_cone(pairs) -> FeasibilityCone:
     """Assemble the cone matrix from achieving pairs (lift order fixed)."""
-    rows = []
-    for pair in pairs:
-        e = pair.lift.values
-        r = pair.p - pair.q
-        rows.append(np.concatenate([np.outer(e, r).ravel(), r]))
-    return FeasibilityCone(matrix=np.array(rows), pairs=tuple(pairs))
+    pairs = tuple(pairs)
+    return FeasibilityCone(matrix=rows([pair.lift.values for pair in pairs],
+                                       [pair.p - pair.q for pair in pairs]), pairs=pairs)
+
+
+def _require_objective(objective: str):
+    """Raise ValueError unless ``objective`` is one of ``OBJECTIVES``."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +128,9 @@ def certificate(pairs, objective: str) -> str:
 
     Every coarse pair joins two vertices, so the coarse objective is always
     certified; the exact one only when every q_i is a zonotope vertex.
+    Raises ValueError for an objective not in ``OBJECTIVES``.
     """
+    _require_objective(objective)
     if objective == "coarse":
         return "certified_local_min_coarse"
     if all(pair.q_is_zonotope_vertex for pair in pairs):
@@ -159,8 +181,10 @@ def descent_direction(cone: FeasibilityCone, objective: str = "exact") -> Direct
     ``solvers.CONE_INTERIOR_MARGIN`` times the longest gradient, is an
     empty cone interior and short-circuits to a certificate. Otherwise the
     min-norm point is the direction, verified to strictly improve every
-    pair; a row it fails is read as a local minimum.
+    pair; a row it fails is read as a local minimum. Raises ValueError for
+    an objective not in ``OBJECTIVES``.
     """
+    _require_objective(objective)
     try:
         N = cone.negated_gradients()
     except DegenerateFace:

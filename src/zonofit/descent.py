@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .cone import DIRECTION_MARGIN, _row_caps, build_cone, descent_direction, motion
+from .cone import (DIRECTION_MARGIN, _require_objective, _row_caps, build_cone,
+                   descent_direction, motion)
 from .errors import (
     DimensionMismatch,
     EmptyTaus,
@@ -93,8 +94,7 @@ class DescentConfig:
             raise ValueError("need rank, max_steps >= 1, threshold >= 0, finite perturb_scale > 0")
         if self.step_rule not in ("conservative", "random", "aggressive", "hybrid"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.objective not in ("exact", "coarse"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+        _require_objective(self.objective)
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)

@@ -18,7 +18,12 @@ the locality check that gates the subgradient calculus, and the
 decomposition of the distance into smooth terms that is valid in a
 neighborhood of a locality-satisfying zonotope. The locality check tests
 all of a sweep's rows at once, reads a polytope face coefficient off the
-table's weights W, and projects nothing itself.
+table's weights W, and projects nothing itself. Every smooth term, one per
+sweep row, is one ``SmoothTerm``: a polytope flat {y : N y = c} (a vertex,
+N = I, or the affine hull of a face) against the affine hull of a zonotope
+face (a vertex, or the face of a polytope vertex's projection). One offset
+w, of the face point nearest the flat with cube lift x, gives both its
+value |w| and its gradient, the cone's row formula ``cone.rows(x, w/|w|)``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solvers
-from .errors import DegenerateInput, DimensionMismatch, LocalityViolation
+from . import cone, solvers
+from .errors import DegenerateFace, DegenerateInput, DimensionMismatch, LocalityViolation
 from .geom import (
     FACE_ACTIVE_TOL,
     AffineHull,
@@ -56,9 +61,7 @@ __all__ = [
     "is_hausdorff_stable",
     "check_locality",
     "evaluate",
-    "dist_point_to_affine",
     "local_terms",
-    "p_vertex_term",
 ]
 
 ACTIVE_PAIR_TOL = 1e-7
@@ -115,16 +118,6 @@ class LocalityReport:
             and not self.unstable_p_vertices
             and not self.unstable_z_vertices
         )
-
-
-def dist_point_to_affine(u, hull: AffineHull) -> float:
-    """Distance from u to the affine subspace cut out by the hull's planes.
-
-    With orthonormal normals this is |sum_k (<eta_k, u> - c_k) eta_k|,
-    i.e. the norm of the offset-residual vector.
-    """
-    s = hull.normals @ np.asarray(u, dtype=float) - hull.offsets
-    return float(np.linalg.norm(s))
 
 
 def _require_same_dim(poly: Polytope, z: Zonotope):
@@ -447,13 +440,17 @@ def evaluate(poly: Polytope, z: Zonotope):
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """One smooth term of the local max-decomposition of the distance.
+    """One smooth term of the local max-decomposition of the distance: the
+    distance from a polytope flat {y : N y = c} to the affine hull of a
+    zonotope face (anchor bits plus free generators).
 
-    A z_vertex term tracks a zonotope vertex (cube lift ``bits``) against
-    the fixed affine hull of its minimal face in the polytope. A p_vertex
-    term tracks a fixed polytope vertex against the moving affine hull of
-    a zonotope face (anchor bits + free generator indices). Both evaluate
-    at any zonotope with the same rank; generator order must be preserved.
+    A p_vertex term tracks a fixed polytope vertex ``point`` (N = I,
+    c = point) against the moving face of ``anchor_bits`` and
+    ``free_indices``. A z_vertex term tracks a zonotope vertex (cube lift
+    ``bits``, no free generator) against the fixed affine hull ``hull`` of
+    its minimal face in the polytope (None, an empty N, for the whole
+    body). Both evaluate at any zonotope with the same rank and dimension;
+    generator order must be preserved.
     """
 
     side: str
@@ -476,34 +473,53 @@ class SmoothTerm:
             return 0 if self.hull is None else self.hull.codim
         return self.point.size - len(self.free_indices)
 
+    def _offset(self, z: Zonotope):
+        """(x, w) at z: x the cube lift of the face point nearest the flat,
+        its free coefficients y = lstsq(N D, c - N q) (q the anchor's image,
+        D the free generators as columns), and w = N^T (N (q + D y) - c)
+        that point's offset from the flat."""
+        n, d = z.generators.shape
+        if self.side == "p_vertex":  # the flat is the vertex
+            N, c = np.eye(self.point.size), self.point
+            x, free = self.anchor_bits, self.free_indices
+        else:  # the face is the vertex; a hull of None is an empty N
+            hull = self.hull
+            N, c = (np.zeros((0, d)), np.zeros(0)) if hull is None else (hull.normals, hull.offsets)
+            x, free = self.bits, ()
+        if x.size != n or N.shape[1] != d:
+            raise DimensionMismatch(f"term is for rank {x.size} in {N.shape[1]}-D, "
+                                    f"zonotope is rank {n} in {d}-D")
+        x, free = np.array(x, dtype=float), list(free)
+        A, b = N @ z.generators[free].T, c - N @ z.map_point(x)
+        y = np.linalg.lstsq(A, b, rcond=None)[0] if free else np.zeros(0)
+        x[free] = y
+        return x, N.T @ (A @ y - b)
+
     def value(self, z: Zonotope) -> float:
-        if self.side == "z_vertex":
-            if self.hull is None:
-                return 0.0
-            u = z.map_point(self.bits)
-            return dist_point_to_affine(u, self.hull)
-        return float(np.linalg.norm(_face_residual(self, z)[0]))
+        return float(np.linalg.norm(self._offset(z)[1]))
+
+    def gradient(self, z: Zonotope) -> np.ndarray:
+        """The value's gradient in the flat parameter layout, the cone's row
+        formula ``cone.rows(x, w / |w|)``. Raises DegenerateFace where the term
+        has none: codim < 1 (a projection inside the face) or |w| <= 1e-14
+        (the face point on the flat)."""
+        x, w = self._offset(z)
+        delta = float(np.linalg.norm(w))
+        if self.codim < 1 or delta <= 1e-14:
+            raise DegenerateFace("no gradient: codim-0 face, or the face point on the flat")
+        return cone.rows(x, w / delta)
 
 
-def _face_residual(term: SmoothTerm, z: Zonotope):
-    """(w, y) for a p_vertex term at z: with r = p - v (v the anchor vertex)
-    and D the free generators as columns, y is the least-squares fit
-    D y ~ r and w = r - D y the offset of p from the face's affine hull."""
-    r = term.point - z.map_point(term.anchor_bits)
-    free = list(term.free_indices)
-    if not free:
-        return r, np.zeros(0)
-    D = z.generators[free].T
-    y, *_ = np.linalg.lstsq(D, r, rcond=None)
-    return r - D @ y, y
-
-
-def p_vertex_term(vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
-    """Term tracking polytope vertex ``p`` against the zonotope face of
-    ``lift``: its anchor vertex (free coordinates at 0) and its free
-    generators."""
-    return SmoothTerm(side="p_vertex", vertex_index=vertex_index, point=p,
-                      anchor_bits=lift.anchor_bits(), free_indices=lift.free_indices)
+def _term(poly: Polytope, side: str, vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
+    """The term tracking a sweep row, polytope point p against the zonotope
+    point of cube lift ``lift``: a polytope vertex against the lift's face
+    (its anchor vertex, free coordinates at 0, and free generators), or a
+    zonotope vertex against the affine hull of p's minimal face."""
+    if side == "p_vertex":
+        return SmoothTerm(side=side, vertex_index=vertex_index, point=p,
+                          anchor_bits=lift.anchor_bits(), free_indices=lift.free_indices)
+    return SmoothTerm(side=side, vertex_index=vertex_index, bits=lift.values,
+                      hull=minimal_face(poly, p).affine_hull)
 
 
 def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
@@ -517,12 +533,10 @@ def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
     degenerate configurations, where the decomposition may only hold at
     the base point itself).
     """
+    _require_same_dim(poly, z0)
     if require_locality and not check_locality(poly, z0).ok:
         raise LocalityViolation("locality conditions fail at the base zonotope")
 
     rows, m = _projections(poly, z0), len(poly.vertices)
-    terms = [p_vertex_term(i, rows.P[i], lift_values_to_lift(rows.X[i])) for i in range(m)]
-    terms += [SmoothTerm(side="z_vertex", vertex_index=k - m, bits=rows.X[k],
-                         hull=minimal_face(poly, rows.P[k]).affine_hull)
-              for k in range(m, len(rows.P))]
-    return terms
+    return [_term(poly, "p_vertex" if k < m else "z_vertex", k if k < m else k - m,
+                  rows.P[k], lift_values_to_lift(rows.X[k])) for k in range(len(rows.P))]

@@ -4,19 +4,20 @@ Parameters of a rank-n zonotope in R^d are flattened into a single vector
 of length n*d + d: generator rows in row-major order, then the
 translation. All gradients returned here use that layout.
 
-At the zonotope where a pair achieves the distance, every active term's
-gradient is -(e (x) r^, r^), with e the cube lift of q and
+Every smooth term is one object (``hausdorff.SmoothTerm``): a polytope
+flat against the affine hull of a zonotope face. Its value and its
+gradient come from one offset, w, of the face point nearest the flat, with
+x that point's cube lift: the value is |w| and the gradient is the cone's
+row formula ``cone.rows(x, w / |w|)``, at every zonotope near the base one
+(``SmoothTerm.gradient``; ``term_from_pair`` builds a pair's term). At the
+zonotope where a pair achieves the distance, w = q - p, so every active
+term's gradient is -(e (x) r^, r^), with e the cube lift of q and
 r^ = (p - q) / |p - q|: the pair's cone row over -|p - q|. The descent and
 ``clarke_subdifferential`` read it off the cone matrix
-(``gradients_for_pairs``). The term formulae here hold at any zonotope
-near the base one. For a zonotope-vertex term the moving point is affine
-in the parameters and the gradient is immediate. For a polytope-vertex
-term the moving object is the affine hull of a zonotope face, and the
-gradient is the chain rule through the orthogonal-projector form of the
-point-to-affine distance, on every face. The paper's explicit facet normal
-from signed minors is kept as ``facet_normal``, the reference the facet
-gradients are tested against. A central finite-difference oracle is
-provided for validation.
+(``gradients_for_pairs``). The paper's explicit facet normal from signed
+minors is kept as ``facet_normal``, the reference the facet gradients are
+tested against. A central finite-difference oracle is provided for
+validation.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import build_cone
-from .errors import DegenerateFace, LocalityViolation, SingularSubmatrix
-from .geom import Polytope, Zonotope, minimal_face
+from .cone import _require_objective, build_cone
+from .errors import LocalityViolation, SingularSubmatrix
+from .geom import Polytope, Zonotope
 from .hausdorff import (
     AchievingPair,
     SmoothTerm,
-    _face_residual,
+    _term,
     check_locality,
     coarse_hausdorff_distance,
     hausdorff_distance,
-    p_vertex_term,
 )
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "SubdifferentialSet",
     "facet_normal_minor_vector",
     "facet_normal",
-    "grad_delta_q",
-    "grad_delta_p",
     "term_from_pair",
     "clarke_subdifferential",
     "finite_difference_gradient",
@@ -119,63 +117,9 @@ def facet_normal(z: Zonotope, free_indices, orientation_ref) -> np.ndarray:
     return sigma * m / gamma
 
 
-def grad_delta_q(term: SmoothTerm, z: Zonotope) -> np.ndarray:
-    """Gradient of a zonotope-vertex term in the flat parameter layout.
-
-    The moving point is u = bits @ G + mu and the face's affine hull in the
-    polytope is fixed, so with w the unit offset of u from the hull the
-    gradient is bits (x) w for the generators and w for the translation.
-    """
-    if term.side != "z_vertex":
-        raise ValueError("expected a z_vertex term")
-    if term.hull is None:
-        raise DegenerateFace("codim-0 face: term is identically zero")
-    u = z.map_point(term.bits)
-    s = term.hull.normals @ u - term.hull.offsets
-    delta = float(np.linalg.norm(s))
-    if delta <= 1e-14:
-        raise DegenerateFace("vertex lies on the face's affine hull")
-    w = (term.hull.normals.T @ s) / delta  # unit vector from hull toward u
-    grad_g = np.outer(term.bits, w)
-    return np.concatenate([grad_g.ravel(), w])
-
-
-def grad_delta_p(term: SmoothTerm, z: Zonotope) -> np.ndarray:
-    """Gradient of a polytope-vertex term in the flat parameter layout.
-
-    delta(Z) = |w| with w = (I - P_span)(p - v), v the anchor vertex and
-    P_span the projector onto the span of the free generators (on a vertex
-    face, w = p - v). With y the coefficients of p - v on the free
-    generators and w^ = w / |w|, the chain rule through the projector gives
-    -(anchor bits + y on the free coordinates) (x) w^ for the generators
-    and -w^ for the translation, on faces of every codimension. The result
-    does not depend on which face vertex anchors the affine hull.
-    """
-    if term.side != "p_vertex":
-        raise ValueError("expected a p_vertex term")
-    if term.codim < 1:
-        raise DegenerateFace("projection is interior; no gradient")
-    w, y = _face_residual(term, z)
-    delta = float(np.linalg.norm(w))
-    if delta <= 1e-14:
-        raise DegenerateFace("vertex lies on the face's affine hull")
-    what = w / delta
-    cvec = term.anchor_bits.astype(float)
-    cvec[list(term.free_indices)] += y
-    grad_g = -np.outer(cvec, what)
-    return np.concatenate([grad_g.ravel(), -what])
-
-
 def term_from_pair(poly: Polytope, z: Zonotope, pair: AchievingPair) -> SmoothTerm:
     """Smooth term tracking the given achieving pair near ``z``."""
-    if pair.side == "p_vertex":
-        return p_vertex_term(pair.vertex_index, pair.p, pair.lift)
-    return SmoothTerm(
-        side="z_vertex",
-        vertex_index=pair.vertex_index,
-        bits=pair.lift.values,
-        hull=minimal_face(poly, pair.p).affine_hull,
-    )
+    return _term(poly, pair.side, pair.vertex_index, pair.p, pair.lift)
 
 
 def gradients_for_pairs(pairs):
@@ -194,8 +138,10 @@ def clarke_subdifferential(poly: Polytope, z: Zonotope,
     generalized derivative of the chosen objective.
 
     The exact objective requires the locality conditions; the coarse
-    objective only needs the pairs themselves.
+    objective only needs the pairs themselves. Raises ValueError for an
+    objective not in ``cone.OBJECTIVES``.
     """
+    _require_objective(objective)
     coarse = objective == "coarse"
     if not coarse and not check_locality(poly, z).ok:
         raise LocalityViolation("locality conditions fail; gradients undefined")
@@ -204,12 +150,15 @@ def clarke_subdifferential(poly: Polytope, z: Zonotope,
     return SubdifferentialSet(
         gradients=gradients_for_pairs(pairs),
         pairs=tuple(pairs),
-        objective="coarse" if coarse else "exact",
+        objective=objective,
     )
 
 
 def finite_difference_gradient(term: SmoothTerm, z: Zonotope, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the term value over all parameters."""
+    """Central finite differences of the term value over all parameters.
+    Raises ValueError unless the step h is finite and positive."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"need a finite step h > 0, got {h}")
     n, d = z.generators.shape
     base = zonotope_to_params(z)
     out = np.empty(base.size)

@@ -33,8 +33,6 @@ from zonofit.hausdorff import coarse_hausdorff_distance, hausdorff_distance, loc
 from zonofit.solvers import cone_interior_point
 from zonofit.subgrad import (
     finite_difference_gradient,
-    grad_delta_p,
-    grad_delta_q,
     params_to_zonotope,
     zonotope_to_params,
 )
@@ -67,8 +65,7 @@ def test_criterion_1_gradient_correctness():
                 for term in local_terms(poly, z):
                     if term.codim < 1 or term.value(z) <= 1e-6:
                         continue
-                    grad = (grad_delta_p(term, z) if term.side == "p_vertex"
-                            else grad_delta_q(term, z))
+                    grad = term.gradient(z)
                     fd = finite_difference_gradient(term, z, h=1e-6)
                     err = relerr(grad, fd)
                     worst = max(worst, err)

@@ -7,7 +7,8 @@ import pytest
 from conftest import random_local_instance, random_zonotope, rotated_square_configuration
 from zonofit import solvers
 from zonofit.errors import NonImprovingRow
-from zonofit.cone import build_cone, descent_direction, tau_limits
+from zonofit.cone import build_cone, certificate, descent_direction, tau_limits
+from zonofit.descent import DescentConfig
 from zonofit.geom import LiftPoint, Polytope, Zonotope, zonotope_as_polytope
 from zonofit.hausdorff import AchievingPair, coarse_hausdorff_distance, hausdorff_distance
 from zonofit.subgrad import (
@@ -193,6 +194,21 @@ class TestDescentDirection:
         res = descent_direction(cone, objective="coarse")
         assert res.status == "cone_empty_interior"
         assert res.certificate == "certified_local_min_coarse"
+
+    @pytest.mark.parametrize("objective", ["bogus", "Coarse", "EXACT", ""])
+    def test_unknown_objective_raises(self, objective):
+        # Only "exact" and "coarse" name an objective; anything else is an
+        # error, not silently the exact one.
+        poly, z = rotated_square_configuration(eps=0.05)
+        _, pairs = hausdorff_distance(poly, z)
+        with pytest.raises(ValueError, match="unknown objective"):
+            descent_direction(build_cone(pairs), objective)
+        with pytest.raises(ValueError, match="unknown objective"):
+            certificate(pairs, objective)
+        with pytest.raises(ValueError, match="unknown objective"):
+            clarke_subdifferential(poly, z, objective=objective)
+        with pytest.raises(ValueError, match="unknown objective"):
+            DescentConfig(rank=2, objective=objective)
 
     def test_descent_guarantee_with_backtracking(self, rng):
         # The half-min-tau step shrinks every *active* term, but an

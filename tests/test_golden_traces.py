@@ -28,6 +28,7 @@ import pytest
 
 from zonofit.descent import DescentConfig, optimize
 from zonofit.geom import Polytope, Zonotope
+from zonofit.hausdorff import SmoothTerm
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_traces.json")
 CASES = json.loads(FIXTURE.read_text())
@@ -65,9 +66,11 @@ def test_descent_reads_gradients_off_the_cone(monkeypatch):
 
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "zonofit"]
     for module in modules:
-        for name in ("grad_delta_p", "grad_delta_q", "term_from_pair", "minimal_face"):
+        for name in ("term_from_pair", "minimal_face"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    for name in ("gradient", "_offset"):
+        monkeypatch.setattr(SmoothTerm, name, forbidden)
     for case in CASES:
         assert run_case(case) == case["expected"]
 

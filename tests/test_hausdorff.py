@@ -29,7 +29,7 @@ from conftest import (
     rotated_square_configuration,
 )
 import zonofit
-from zonofit import geom, hausdorff, solvers
+from zonofit import cone, geom, hausdorff, solvers
 from zonofit.errors import DegenerateInput, DimensionMismatch, LocalityViolation
 from zonofit.geom import (
     FACE_ACTIVE_TOL,
@@ -44,10 +44,10 @@ from zonofit.geom import (
 )
 from zonofit.hausdorff import (
     ACTIVE_PAIR_TOL,
+    SmoothTerm,
     _max_min_coefficient,
     check_locality,
     coarse_hausdorff_distance,
-    dist_point_to_affine,
     hausdorff_distance,
     is_hausdorff_stable,
     local_terms,
@@ -516,16 +516,25 @@ class TestArrayLocality:
         assert solved
 
 
-class TestDistPointToAffine:
+def vertex_face_term(u, hull):
+    """A z_vertex term whose vertex (cube lift 0) maps to u, against ``hull``."""
+    u = np.asarray(u, dtype=float)
+    return (SmoothTerm(side="z_vertex", vertex_index=0, bits=np.zeros(u.size), hull=hull),
+            Zonotope(np.eye(u.size), u))
+
+
+class TestVertexFaceTermValue:
     def test_x_axis(self):
         hull = AffineHull(base=np.zeros(2), normals=np.array([[0.0, 1.0]]),
                           offsets=np.array([0.0]))
-        assert dist_point_to_affine([0.0, 2.0], hull) == pytest.approx(2.0)
+        term, z = vertex_face_term([0.0, 2.0], hull)
+        assert term.value(z) == pytest.approx(2.0)
 
     def test_point_in_subspace(self):
         hull = AffineHull(base=np.zeros(2), normals=np.array([[0.0, 1.0]]),
                           offsets=np.array([0.0]))
-        assert dist_point_to_affine([3.0, 0.0], hull) == pytest.approx(0.0)
+        term, z = vertex_face_term([3.0, 0.0], hull)
+        assert term.value(z) == pytest.approx(0.0)
 
     def test_random_codim2_in_r4(self, rng):
         for _ in range(10):
@@ -540,9 +549,8 @@ class TestDistPointToAffine:
             s = np.linalg.lstsq(normals @ normals.T, normals @ u - hull.offsets,
                                 rcond=None)[0]
             proj = u - normals.T @ s
-            assert dist_point_to_affine(u, hull) == pytest.approx(
-                np.linalg.norm(u - proj), abs=1e-10
-            )
+            term, z = vertex_face_term(u, hull)
+            assert term.value(z) == pytest.approx(np.linalg.norm(u - proj), abs=1e-10)
 
 
 class TestLocalTerms:
@@ -590,6 +598,41 @@ class TestLocalTerms:
             true_value, _ = hausdorff_distance(poly, z2)
             term_value = max(t.value(z2) for t in terms)
             assert term_value == pytest.approx(true_value, abs=1e-8)
+
+
+    def test_mismatched_dimension_is_typed(self):
+        with pytest.raises(DimensionMismatch):
+            local_terms(unit_square_polytope(), Zonotope(np.eye(3), np.zeros(3)),
+                        require_locality=False)
+
+    def test_term_at_another_rank_or_dimension_is_typed(self, rng):
+        poly, z = random_local_instance(rng, d=2, n=4)
+        for term in local_terms(poly, z):
+            others = [random_zonotope(rng, 3, 2)]
+            if term.side == "p_vertex" or term.hull is not None:  # a flat to compare
+                others.append(random_zonotope(rng, 4, 3))
+            for other in others:
+                with pytest.raises(DimensionMismatch):
+                    term.value(other)
+                with pytest.raises(DimensionMismatch):
+                    term.gradient(other)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+    def test_every_term_gradient_is_its_sweep_rows_cone_row(self, seed, d):
+        # At the base zonotope a term's face point is its sweep row's
+        # zonotope point Q[k], with cube lift X[k], so its gradient is the
+        # cone's row formula on that row, active or not.
+        poly, z = random_local_instance(np.random.default_rng(seed), d=d)
+        table, checked = hausdorff._projections(poly, z), 0
+        for k, term in enumerate(local_terms(poly, z)):
+            if term.codim < 1 or term.value(z) <= 1e-6:
+                continue
+            u = table.P[k] - table.Q[k]
+            expected = -cone.rows(table.X[k], u / np.linalg.norm(u))
+            assert np.linalg.norm(term.gradient(z) - expected) <= 1e-12 * np.linalg.norm(expected)
+            checked += 1
+        assert checked
 
 
 def pair_key(pair):

@@ -12,8 +12,6 @@ from zonofit.subgrad import (
     facet_normal,
     facet_normal_minor_vector,
     finite_difference_gradient,
-    grad_delta_p,
-    grad_delta_q,
     param_dim,
     params_to_zonotope,
     term_from_pair,
@@ -46,7 +44,7 @@ class TestParamLayout:
         assert np.array_equal(zonotope_to_params(z), [1, 2, 3, 4, 5, 6])
 
 
-class TestGradDeltaQ:
+class TestZVertexGradient:
     def test_direct_substitution(self):
         # eta = (0,1), lift e = (1,0): d/dg_12 = 1, d/dg_22 = 0, d/dmu_2 = 1.
         z = Zonotope([[1.0, 3.0], [2.0, 1.0]], [0.0, 0.0])
@@ -54,7 +52,7 @@ class TestGradDeltaQ:
                           offsets=np.array([0.0]))
         term = SmoothTerm(side="z_vertex", vertex_index=0,
                           bits=np.array([1.0, 0.0]), hull=hull)
-        g = grad_delta_q(term, z)
+        g = term.gradient(z)
         # layout: (g11, g12, g21, g22, mu1, mu2)
         assert g == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
 
@@ -64,7 +62,7 @@ class TestGradDeltaQ:
         for t in actives:
             if t.side != "z_vertex":
                 continue
-            g = grad_delta_q(t, z)
+            g = t.gradient(z)
             assert np.linalg.norm(g[-2:]) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_finite_differences(self, rng):
@@ -74,7 +72,7 @@ class TestGradDeltaQ:
             for t in local_terms(poly, z):
                 if t.side != "z_vertex" or t.hull is None or t.value(z) < 1e-4:
                     continue
-                g = grad_delta_q(t, z)
+                g = t.gradient(z)
                 fd = finite_difference_gradient(t, z, h=1e-6)
                 assert relerr(g, fd) <= 1e-5
                 checked += 1
@@ -84,7 +82,7 @@ class TestGradDeltaQ:
         term = SmoothTerm(side="z_vertex", vertex_index=0,
                           bits=np.array([0.0, 0.0]), hull=None)
         with pytest.raises(DegenerateFace):
-            grad_delta_q(term, Zonotope(np.eye(2), np.zeros(2)))
+            term.gradient(Zonotope(np.eye(2), np.zeros(2)))
 
 
 class TestFacetNormal:
@@ -122,7 +120,7 @@ class TestFacetNormal:
             facet_normal(z, (0, 1), (np.ones(3), np.zeros(3)))
 
 
-class TestGradDeltaP:
+class TestPVertexGradient:
     def test_axis_aligned_facet_mu_block(self):
         # Polytope vertex straight above the top edge of the unit square:
         # eta = (0,1), so d/dmu = (0,-1).
@@ -131,7 +129,7 @@ class TestGradDeltaP:
                           point=np.array([0.5, 2.0]),
                           anchor_bits=np.array([0.0, 1.0]),
                           free_indices=(0,))
-        g = grad_delta_p(term, z)
+        g = term.gradient(z)
         assert g[-2:] == pytest.approx([0.0, -1.0])
 
     def test_anchor_independence(self, rng):
@@ -156,7 +154,7 @@ class TestGradDeltaP:
             t2 = SmoothTerm(side="p_vertex", vertex_index=0, point=p,
                             anchor_bits=a2, free_indices=free)
             assert t1.value(z) == pytest.approx(t2.value(z), abs=1e-12)
-            assert relerr(grad_delta_p(t1, z), grad_delta_p(t2, z)) <= 1e-9
+            assert relerr(t1.gradient(z), t2.gradient(z)) <= 1e-9
 
     def test_matches_finite_differences_2d(self, rng):
         checked = 0
@@ -165,7 +163,7 @@ class TestGradDeltaP:
             for t in local_terms(poly, z):
                 if t.side != "p_vertex" or t.codim < 1 or t.value(z) < 1e-4:
                     continue
-                g = grad_delta_p(t, z)
+                g = t.gradient(z)
                 fd = finite_difference_gradient(t, z, h=1e-6)
                 assert relerr(g, fd) <= 1e-5
                 checked += 1
@@ -178,7 +176,7 @@ class TestGradDeltaP:
             for t in local_terms(poly, z):
                 if t.side != "p_vertex" or t.codim < 1 or t.value(z) < 1e-4:
                     continue
-                g = grad_delta_p(t, z)
+                g = t.gradient(z)
                 fd = finite_difference_gradient(t, z, h=1e-6)
                 assert relerr(g, fd) <= 1e-5
                 seen_codims.add(t.codim)
@@ -195,7 +193,7 @@ class TestGradDeltaP:
                     if t.side != "p_vertex" or t.codim != 1 or t.value(z) < 1e-4:
                         continue
                     eta = facet_normal(z, t.free_indices, (t.point, z.map_point(t.anchor_bits)))
-                    assert np.abs(grad_delta_p(t, z)[-d:] + eta).max() <= 1e-12
+                    assert np.abs(t.gradient(z)[-d:] + eta).max() <= 1e-12
                     checked += 1
         assert checked >= 10
 
@@ -206,7 +204,7 @@ class TestGradDeltaP:
                           anchor_bits=np.array([0.0, 0.0]),
                           free_indices=(0, 1))
         with pytest.raises(DegenerateFace):
-            grad_delta_p(term, z)
+            term.gradient(z)
 
 
 class TestClarkeSubdifferential:
@@ -244,8 +242,7 @@ class TestClarkeSubdifferential:
             assert sub.objective == objective
             for g, pair in zip(sub.gradients, sub.pairs):
                 term = term_from_pair(poly, z, pair)
-                grad = grad_delta_p if pair.side == "p_vertex" else grad_delta_q
-                assert relerr(np.asarray(g), grad(term, z)) <= 1e-12
+                assert relerr(np.asarray(g), term.gradient(z)) <= 1e-12
                 r = pair.p - pair.q
                 rhat = r / np.linalg.norm(r)
                 expected = np.concatenate([-np.outer(pair.lift.values, rhat).ravel(), -rhat])
@@ -274,7 +271,7 @@ class TestFiniteDifferenceOracle:
                           offsets=np.array([0.0]))
         term = SmoothTerm(side="z_vertex", vertex_index=0,
                           bits=np.array([1.0, 1.0]), hull=hull)
-        g = grad_delta_q(term, z)
+        g = term.gradient(z)
         fd = finite_difference_gradient(term, z, h=1e-6)
         assert relerr(g, fd) <= 1e-8
 
@@ -285,11 +282,19 @@ class TestFiniteDifferenceOracle:
         if not terms:
             pytest.skip("no facet-landing term sampled")
         t = terms[0]
-        g = grad_delta_p(t, z)
+        g = t.gradient(z)
         errs = [relerr(g, finite_difference_gradient(t, z, h=h))
                 for h in (1e-4, 1e-6)]
         assert errs[1] <= errs[0] + 1e-12  # smaller h at least as accurate
         assert errs[1] <= 1e-5
+
+
+    @pytest.mark.parametrize("h", [0.0, -1e-6, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        poly, z = rotated_square_configuration(eps=0.05)
+        term = local_terms(poly, z)[0]
+        with pytest.raises(ValueError, match="finite step"):
+            finite_difference_gradient(term, z, h=h)
 
 
 class TestSliceRationality:
