@@ -475,9 +475,11 @@ class SmoothTerm:
 
     def _offset(self, z: Zonotope):
         """(x, w) at z: x the cube lift of the face point nearest the flat,
-        its free coefficients y = lstsq(N D, c - N q) (q the anchor's image,
-        D the free generators as columns), and w = N^T (N (q + D y) - c)
-        that point's offset from the flat."""
+        the anchor plus its free coefficients y = lstsq(N D, c - N q) (q the
+        anchor's image, D the free generators as columns), and
+        w = N^T (N (q + D y) - c) that point's offset from the flat. Any
+        vertex of the face may anchor it: y shifts by the anchor's free bits
+        and x does not."""
         n, d = z.generators.shape
         if self.side == "p_vertex":  # the flat is the vertex
             N, c = np.eye(self.point.size), self.point
@@ -492,7 +494,7 @@ class SmoothTerm:
         x, free = np.array(x, dtype=float), list(free)
         A, b = N @ z.generators[free].T, c - N @ z.map_point(x)
         y = np.linalg.lstsq(A, b, rcond=None)[0] if free else np.zeros(0)
-        x[free] = y
+        x[free] += y
         return x, N.T @ (A @ y - b)
 
     def value(self, z: Zonotope) -> float:

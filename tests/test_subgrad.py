@@ -134,16 +134,24 @@ class TestPVertexGradient:
 
     def test_anchor_independence(self, rng):
         # Two distinct anchor vertices of the same facet give the same
-        # gradient.
-        for _ in range(5):
+        # gradient. p sits outside the middle of the edge along generator j,
+        # on its outward normal, so its projection lies inside that edge.
+        from zonofit.geom import lift_values_to_lift
+        from zonofit.solvers import box_least_squares
+
+        checked = 0
+        for j in range(8):
             z = random_zonotope(rng, 4, 2)
-            p = z.center + np.array([0.0, 10.0])
-            from zonofit.solvers import box_least_squares
-            from zonofit.geom import lift_values_to_lift
+            G = z.generators
+            normal = np.array([-G[j % 4, 1], G[j % 4, 0]])
+            normal /= np.linalg.norm(normal)
+            bits = (G @ normal > 0).astype(float)
+            bits[j % 4] = 0.5
+            p = z.map_point(bits) + 10.0 * normal
 
             bp = box_least_squares(z.generators, z.translation, p)
             lift = lift_values_to_lift(bp.coefficients)
-            if len(lift.free_indices) != 1:
+            if lift.free_indices != (j % 4,):
                 continue
             free = lift.free_indices
             a1 = lift.anchor_bits()
@@ -155,6 +163,8 @@ class TestPVertexGradient:
                             anchor_bits=a2, free_indices=free)
             assert t1.value(z) == pytest.approx(t2.value(z), abs=1e-12)
             assert relerr(t1.gradient(z), t2.gradient(z)) <= 1e-9
+            checked += 1
+        assert checked >= 6
 
     def test_matches_finite_differences_2d(self, rng):
         checked = 0
