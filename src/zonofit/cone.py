@@ -72,8 +72,10 @@ class FeasibilityCone:
 
     def negated_gradients(self) -> np.ndarray:
         """Row i over |p_i - q_i|: the negated gradient of pair i's active
-        term. Raises DegenerateFace for a pair with p = q, whose term has
-        no gradient there."""
+        term. Raises EmptyTaus for a cone without pairs, and DegenerateFace
+        for a pair with p = q, whose term has no gradient there."""
+        if not self.pairs:
+            raise EmptyTaus("no achieving pairs")
         r = np.linalg.norm(self.matrix[:, -self.pairs[0].p.size:], axis=1)
         if np.any(r <= 1e-14):
             raise DegenerateFace("achieving pair has p = q; no gradient")
@@ -182,7 +184,7 @@ def descent_direction(cone: FeasibilityCone, objective: str = "exact") -> Direct
     empty cone interior and short-circuits to a certificate. Otherwise the
     min-norm point is the direction, verified to strictly improve every
     pair; a row it fails is read as a local minimum. Raises ValueError for
-    an objective not in ``OBJECTIVES``.
+    an objective not in ``OBJECTIVES`` and EmptyTaus for a cone of no pairs.
     """
     _require_objective(objective)
     try:

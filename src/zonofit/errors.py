@@ -41,10 +41,6 @@ class PointOutsidePolytope(ZonofitError):
     """The query point violates a facet inequality beyond tolerance."""
 
 
-class CodimZeroFace(ZonofitError):
-    """The face is the whole body; it has no affine-hull normals."""
-
-
 class DegenerateFace(ZonofitError):
     """The face has the wrong codimension for this gradient formula."""
 

@@ -19,9 +19,10 @@ built once per zonotope as read-only arrays cached on it. Outside general
 position that correspondence fails, and vertex enumeration falls back to a
 separating-hyperplane feasibility LP per bit-vector. A zonotope
 face is named by a cube lift's anchor bits and free generators
-(``LiftPoint``); polytope faces are handed around as ``FaceDescriptor``
-values carrying an orthonormal affine-hull description; a polytope's
-facet-vertex incidence is built once and cached on it (``_simplicial_faces``).
+(``LiftPoint``); a polytope face is one ``FaceDescriptor``: its vertex
+indices and its affine hull as the flat {y : N y = c} with orthonormal rows
+N, none for the whole body; a polytope's facet-vertex incidence is built
+once and cached on it (``_simplicial_faces``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 from . import solvers
 from .errors import (
-    CodimZeroFace,
     DegenerateInput,
     DimensionMismatch,
     LPNumericalFailure,
@@ -49,7 +49,6 @@ __all__ = [
     "Zonotope",
     "Polytope",
     "LiftPoint",
-    "AffineHull",
     "FaceDescriptor",
     "canonicalize",
     "degenerate_subsets",
@@ -62,7 +61,6 @@ __all__ = [
     "pushforward",
     "is_pushforward_proper",
     "minimal_face",
-    "face_affine_hull",
     "polytope_from_json",
     "polytope_to_json",
     "zonotope_from_json",
@@ -72,7 +70,6 @@ __all__ = [
 GENERAL_POSITION_TOL = 1e-10
 BOUNDARY_TOL = 1e-7
 FACE_ACTIVE_TOL = 1e-7
-LIFT_FREE_TOL = 1e-7
 VERTEX_ENUM_CAP = 20
 EXTREME_TOL = 1e-9
 PUSHFORWARD_SAMPLES = 3
@@ -479,65 +476,30 @@ class LiftPoint:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
 
-    def anchor_bits(self) -> np.ndarray:
-        """Bit-vector with free coordinates dropped to 0 (a face anchor)."""
-        bits = np.round(self.values).astype(float)
-        bits[list(self.free_indices)] = 0.0
-        return bits
-
 
 def lift_values_to_lift(values) -> LiftPoint:
     x = np.asarray(values, dtype=float)
-    free = tuple(int(i) for i in np.flatnonzero((x > LIFT_FREE_TOL) & (x < 1.0 - LIFT_FREE_TOL)))
-    return LiftPoint(values=x, free_indices=free)
-
-
-@dataclass(frozen=True)
-class AffineHull:
-    """Affine subspace as intersection of hyperplanes <eta_k, y> = c_k.
-
-    Normals are mutually orthonormal, so the distance from u is
-    |sum_k (<eta_k, u> - c_k) eta_k|. ``base`` is a point of the subspace.
-    """
-
-    base: np.ndarray
-    normals: np.ndarray  # (m, d), orthonormal rows
-    offsets: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", _readonly(self.base))
-        object.__setattr__(self, "normals", _readonly(np.atleast_2d(self.normals)))
-        object.__setattr__(self, "offsets", _readonly(np.atleast_1d(self.offsets)))
-
-    @property
-    def codim(self) -> int:
-        return self.normals.shape[0]
+    return LiftPoint(values=x, free_indices=tuple(np.flatnonzero((x > 0.0) & (x < 1.0)).tolist()))
 
 
 @dataclass(frozen=True)
 class FaceDescriptor:
-    """A face of the polytope (``minimal_face``): its vertex subset and
-    its affine hull, which is None exactly when the face is the whole body
-    (codim 0).
+    """A face of the polytope (``minimal_face``): the flat {y : N y = c} of
+    its affine hull, with orthonormal rows N (``normals``, shape (0, d) for
+    the whole body) and ``offsets`` c, and the indices of its vertices.
     """
 
-    affine_hull: AffineHull | None
-    vertex_indices: tuple | None = None
+    normals: np.ndarray
+    offsets: np.ndarray
+    vertex_indices: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "normals", _readonly(self.normals))
+        object.__setattr__(self, "offsets", _readonly(self.offsets))
 
     @property
     def codim(self) -> int:
-        return 0 if self.affine_hull is None else self.affine_hull.codim
-
-
-def face_affine_hull(face: FaceDescriptor) -> AffineHull:
-    """The stored affine hull; raises for the codim-0 face.
-
-    By convention the distance to a codim-0 face is 0, so it has no
-    hyperplane description to return.
-    """
-    if face.affine_hull is None:
-        raise CodimZeroFace("face is the whole body")
-    return face.affine_hull
+        return len(self.normals)
 
 
 def lift_boundary_point(z: Zonotope, q) -> LiftPoint:
@@ -629,26 +591,25 @@ def minimal_face(poly: Polytope, x) -> FaceDescriptor:
     """Smallest face of the polytope whose affine hull contains ``x``.
 
     Determined by the set of facets active at x. With no active facet the
-    whole polytope is returned (codim 0).
+    whole polytope is returned (codim 0, no normals). Raises
+    DimensionMismatch unless x is a point of the polytope's space, and
+    DegenerateInput unless it is finite.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (poly.dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, polytope is {poly.dim}-D")
+    if not np.all(np.isfinite(x)):
+        raise DegenerateInput("point must be finite")
     scale = poly.scale()
     margins = poly.facet_normals @ x - poly.facet_offsets
     if margins.max(initial=-np.inf) > FACE_ACTIVE_TOL * scale:
         raise PointOutsidePolytope("point violates a facet inequality")
     mask = np.abs(margins) <= FACE_ACTIVE_TOL * scale
-    active = np.flatnonzero(mask)
-    if active.size == 0:
-        return FaceDescriptor(affine_hull=None,
-                              vertex_indices=tuple(range(poly.vertices.shape[0])))
     on_face = np.flatnonzero(_face_vertices(poly, mask[None]))
-    raw = poly.facet_normals[active]
-    q, r = np.linalg.qr(raw.T)
-    rank = int((np.abs(np.diag(r)) > 1e-10).sum())
-    normals = q[:, :rank].T
+    q, r = np.linalg.qr(poly.facet_normals[mask].T)
+    normals = q[:, :int((np.abs(np.diag(r)) > 1e-10).sum())].T
     base = poly.vertices[on_face].mean(axis=0) if on_face.size else x
-    hull = AffineHull(base=base, normals=normals, offsets=normals @ base)
-    return FaceDescriptor(affine_hull=hull, vertex_indices=tuple(int(i) for i in on_face))
+    return FaceDescriptor(normals, normals @ base, tuple(on_face.tolist()))
 
 
 def _face_vertices(poly: Polytope, active) -> np.ndarray:

@@ -20,10 +20,12 @@ neighborhood of a locality-satisfying zonotope. The locality check tests
 all of a sweep's rows at once, reads a polytope face coefficient off the
 table's weights W, and projects nothing itself. Every smooth term, one per
 sweep row, is one ``SmoothTerm``: a polytope flat {y : N y = c} (a vertex,
-N = I, or the affine hull of a face) against the affine hull of a zonotope
-face (a vertex, or the face of a polytope vertex's projection). One offset
-w, of the face point nearest the flat with cube lift x, gives both its
-value |w| and its gradient, the cone's row formula ``cone.rows(x, w/|w|)``.
+N = I, or the affine hull of a face, ``minimal_face``, with no rows for the
+whole body) against the affine hull of a zonotope face, anchor bits and
+free generators (a vertex, or the face of a polytope vertex's
+projection). One offset w, of the face point nearest the flat with cube
+lift x, gives both its value |w| and its gradient, the cone's row formula
+``cone.rows(x, w/|w|)``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from . import cone, solvers
 from .errors import DegenerateFace, DegenerateInput, DimensionMismatch, LocalityViolation
 from .geom import (
     FACE_ACTIVE_TOL,
-    AffineHull,
     LiftPoint,
     Polytope,
     Zonotope,
@@ -441,37 +442,44 @@ def evaluate(poly: Polytope, z: Zonotope):
 @dataclass(frozen=True)
 class SmoothTerm:
     """One smooth term of the local max-decomposition of the distance: the
-    distance from a polytope flat {y : N y = c} to the affine hull of a
-    zonotope face (anchor bits plus free generators).
+    distance from a polytope flat {y : N y = c} (``normals`` N, ``offsets``
+    c) to the affine hull of a zonotope face, the generators at
+    ``free_indices`` through the vertex of ``anchor_bits``.
 
-    A p_vertex term tracks a fixed polytope vertex ``point`` (N = I,
-    c = point) against the moving face of ``anchor_bits`` and
-    ``free_indices``. A z_vertex term tracks a zonotope vertex (cube lift
-    ``bits``, no free generator) against the fixed affine hull ``hull`` of
-    its minimal face in the polytope (None, an empty N, for the whole
-    body). Both evaluate at any zonotope with the same rank and dimension;
-    generator order must be preserved.
+    A p_vertex term tracks a polytope vertex p (N = I, c = p) against the
+    face of z its projection lies in; a z_vertex term tracks a zonotope
+    vertex (its bits the anchor, no free index) against the affine hull of
+    its minimal face in the polytope (no rows for the whole body). ``side``
+    and ``vertex_index`` name the sweep row; value and gradient do not read
+    them. Both evaluate at any zonotope with the same rank and dimension;
+    generator order must be preserved. Raises DimensionMismatch for fields
+    of mismatched shapes or a free index outside the rank, and
+    DegenerateInput for non-finite data or a repeated free index.
     """
 
     side: str
     vertex_index: int
-    bits: np.ndarray | None = None
-    hull: AffineHull | None = None
-    point: np.ndarray | None = None
-    anchor_bits: np.ndarray | None = None
-    free_indices: tuple | None = None
+    normals: np.ndarray
+    offsets: np.ndarray
+    anchor_bits: np.ndarray
+    free_indices: tuple = ()
 
     def __post_init__(self):
-        for name in ("bits", "point", "anchor_bits"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, _readonly(v))
+        N, c, x = map(_readonly, (self.normals, self.offsets, self.anchor_bits))
+        free = tuple(int(i) for i in self.free_indices)
+        if N.ndim != 2 or c.shape != N.shape[:1] or x.ndim != 1:
+            raise DimensionMismatch("need normals (m, d), offsets (m,) and 1-D anchor bits")
+        if not all(0 <= i < x.size for i in free):
+            raise DimensionMismatch(f"free indices {free} are not all below the rank {x.size}")
+        if len(set(free)) < len(free) or not all(np.isfinite(a).all() for a in (N, c, x)):
+            raise DegenerateInput("term data must be finite and its free indices distinct")
+        for name, value in zip(("normals", "offsets", "anchor_bits", "free_indices"),
+                               (N, c, x, free)):
+            object.__setattr__(self, name, value)
 
     @property
     def codim(self) -> int:
-        if self.side == "z_vertex":
-            return 0 if self.hull is None else self.hull.codim
-        return self.point.size - len(self.free_indices)
+        return len(self.normals) - len(self.free_indices)
 
     def _offset(self, z: Zonotope):
         """(x, w) at z: x the cube lift of the face point nearest the flat,
@@ -480,19 +488,12 @@ class SmoothTerm:
         w = N^T (N (q + D y) - c) that point's offset from the flat. Any
         vertex of the face may anchor it: y shifts by the anchor's free bits
         and x does not."""
-        n, d = z.generators.shape
-        if self.side == "p_vertex":  # the flat is the vertex
-            N, c = np.eye(self.point.size), self.point
-            x, free = self.anchor_bits, self.free_indices
-        else:  # the face is the vertex; a hull of None is an empty N
-            hull = self.hull
-            N, c = (np.zeros((0, d)), np.zeros(0)) if hull is None else (hull.normals, hull.offsets)
-            x, free = self.bits, ()
-        if x.size != n or N.shape[1] != d:
-            raise DimensionMismatch(f"term is for rank {x.size} in {N.shape[1]}-D, "
+        (n, d), N, free = z.generators.shape, self.normals, list(self.free_indices)
+        if self.anchor_bits.size != n or N.shape[1] != d:
+            raise DimensionMismatch(f"term is for rank {self.anchor_bits.size} in {N.shape[1]}-D, "
                                     f"zonotope is rank {n} in {d}-D")
-        x, free = np.array(x, dtype=float), list(free)
-        A, b = N @ z.generators[free].T, c - N @ z.map_point(x)
+        x = np.array(self.anchor_bits)
+        A, b = N @ z.generators[free].T, self.offsets - N @ z.map_point(x)
         y = np.linalg.lstsq(A, b, rcond=None)[0] if free else np.zeros(0)
         x[free] += y
         return x, N.T @ (A @ y - b)
@@ -512,16 +513,18 @@ class SmoothTerm:
         return cone.rows(x, w / delta)
 
 
-def _term(poly: Polytope, side: str, vertex_index: int, p, lift: LiftPoint) -> SmoothTerm:
+def _term(poly: Polytope, side: str, vertex_index: int, p, x) -> SmoothTerm:
     """The term tracking a sweep row, polytope point p against the zonotope
-    point of cube lift ``lift``: a polytope vertex against the lift's face
-    (its anchor vertex, free coordinates at 0, and free generators), or a
-    zonotope vertex against the affine hull of p's minimal face."""
+    point of cube lift x: a polytope vertex (the flat N = I, c = p) against
+    the face of x (the coordinates strictly inside (0, 1) free, the rest
+    rounded to the anchor's bits, free ones at 0), or a zonotope vertex (the
+    face of x alone) against the affine hull of p's minimal face."""
     if side == "p_vertex":
-        return SmoothTerm(side=side, vertex_index=vertex_index, point=p,
-                          anchor_bits=lift.anchor_bits(), free_indices=lift.free_indices)
-    return SmoothTerm(side=side, vertex_index=vertex_index, bits=lift.values,
-                      hull=minimal_face(poly, p).affine_hull)
+        free = (x > 0.0) & (x < 1.0)
+        return SmoothTerm(side, vertex_index, np.eye(len(p)), p, np.where(free, 0.0, np.round(x)),
+                          tuple(np.flatnonzero(free).tolist()))
+    face = minimal_face(poly, p)
+    return SmoothTerm(side, vertex_index, face.normals, face.offsets, x)
 
 
 def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
@@ -541,4 +544,4 @@ def local_terms(poly: Polytope, z0: Zonotope, require_locality: bool = True):
 
     rows, m = _projections(poly, z0), len(poly.vertices)
     return [_term(poly, "p_vertex" if k < m else "z_vertex", k if k < m else k - m,
-                  rows.P[k], lift_values_to_lift(rows.X[k])) for k in range(len(rows.P))]
+                  rows.P[k], rows.X[k]) for k in range(len(rows.P))]

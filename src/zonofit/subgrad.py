@@ -5,7 +5,9 @@ of length n*d + d: generator rows in row-major order, then the
 translation. All gradients returned here use that layout.
 
 Every smooth term is one object (``hausdorff.SmoothTerm``): a polytope
-flat against the affine hull of a zonotope face. Its value and its
+flat {y : N y = c} (a vertex, N = I, or the affine hull of its minimal
+face, no rows for the whole body) against the affine hull of a zonotope
+face (anchor bits and free generators). Its value and its
 gradient come from one offset, w, of the face point nearest the flat, with
 x that point's cube lift: the value is |w| and the gradient is the cone's
 row formula ``cone.rows(x, w / |w|)``, at every zonotope near the base one
@@ -119,7 +121,7 @@ def facet_normal(z: Zonotope, free_indices, orientation_ref) -> np.ndarray:
 
 def term_from_pair(poly: Polytope, z: Zonotope, pair: AchievingPair) -> SmoothTerm:
     """Smooth term tracking the given achieving pair near ``z``."""
-    return _term(poly, pair.side, pair.vertex_index, pair.p, pair.lift)
+    return _term(poly, pair.side, pair.vertex_index, pair.p, pair.lift.values)
 
 
 def gradients_for_pairs(pairs):

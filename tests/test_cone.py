@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_local_instance, random_zonotope, rotated_square_configuration
 from zonofit import solvers
-from zonofit.errors import NonImprovingRow
+from zonofit.errors import EmptyTaus, NonImprovingRow
 from zonofit.cone import build_cone, certificate, descent_direction, tau_limits
 from zonofit.descent import DescentConfig
 from zonofit.geom import LiftPoint, Polytope, Zonotope, zonotope_as_polytope
@@ -313,6 +313,14 @@ class TestDescentDirection:
                 bound = p @ p - solvers.KKT_TOL * (1.0 + (N * N).sum(axis=1).max())
                 assert (N @ p).min() >= bound
         assert empty >= 16 and multi >= 60
+
+    def test_empty_cone_is_typed(self):
+        # A cone of no pairs has no gradient to project: the same typed
+        # error as its step limits, not an IndexError.
+        with pytest.raises(EmptyTaus):
+            descent_direction(build_cone([]))
+        with pytest.raises(EmptyTaus):
+            tau_limits(build_cone([]), np.zeros(6))
 
 
 class TestTauLimits:

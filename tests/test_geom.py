@@ -19,7 +19,6 @@ from conftest import (
 )
 from zonofit import geom, solvers
 from zonofit.errors import (
-    CodimZeroFace,
     DegenerateInput,
     DimensionMismatch,
     LPNumericalFailure,
@@ -33,7 +32,6 @@ from zonofit.geom import (
     canonicalize,
     degenerate_subsets,
     enumerate_vertices,
-    face_affine_hull,
     is_general_position,
     is_pushforward_proper,
     is_zonotope_vertex,
@@ -46,7 +44,12 @@ from zonofit.geom import (
     zonotope_from_json,
     zonotope_to_json,
 )
-from zonofit.hausdorff import check_locality, coarse_hausdorff_distance, hausdorff_distance
+from zonofit.hausdorff import (
+    AchievingPair,
+    check_locality,
+    coarse_hausdorff_distance,
+    hausdorff_distance,
+)
 
 # Worked hexagon example: generators as rows, translation 0.
 HEX_GENERATORS = np.array([[1.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
@@ -342,6 +345,15 @@ class TestLiftBoundaryPoint:
         with pytest.raises(NonUniqueLift):
             lift_boundary_point(z, [1.0, 0.0])
 
+    def test_free_set_is_strictly_inside_the_unit_interval(self):
+        # The locality check's and the solvers' rule: a coefficient of 1e-9
+        # is free, so a pair whose lift has one is not at a zonotope vertex.
+        lift = geom.lift_values_to_lift([1e-9, 1.0, 0.0, 1.0 - 1e-9])
+        assert lift.free_indices == (0, 3)
+        pair = AchievingPair(p=np.ones(2), q=np.zeros(2), side="p_vertex", vertex_index=0,
+                             lift=lift, distance=float(np.sqrt(2.0)))
+        assert not pair.q_is_zonotope_vertex
+
 
 class TestPushforward:
     def test_identity_target(self, rng):
@@ -599,30 +611,37 @@ class TestMinimalFace:
     def test_bottom_edge(self):
         sq = unit_square_polytope()
         face = minimal_face(sq, [0.5, 0.0])
-        assert face.codim == 1
-        hull = face_affine_hull(face)
-        eta = hull.normals[0]
-        assert np.allclose(np.abs(eta), [0.0, 1.0], atol=1e-9)
+        assert face.codim == 1 and face.vertex_indices == (0, 1)
+        assert np.allclose(np.abs(face.normals[0]), [0.0, 1.0], atol=1e-9)
+        assert np.allclose(face.normals @ [0.3, 0.0], face.offsets, atol=1e-12)
 
     def test_corner(self):
         sq = unit_square_polytope()
         face = minimal_face(sq, [0.0, 0.0])
         assert face.codim == 2
-        hull = face_affine_hull(face)
-        assert hull.normals.shape == (2, 2)
-        assert np.allclose(hull.normals @ hull.normals.T, np.eye(2), atol=1e-9)
+        assert face.normals.shape == (2, 2)
+        assert np.allclose(face.normals @ face.normals.T, np.eye(2), atol=1e-9)
 
-    def test_interior_gives_codim_zero(self):
+    def test_interior_gives_the_whole_body_without_normals(self):
         sq = unit_square_polytope()
         face = minimal_face(sq, [0.5, 0.5])
-        assert face.codim == 0
-        with pytest.raises(CodimZeroFace):
-            face_affine_hull(face)
+        assert face.codim == 0 and face.vertex_indices == (0, 1, 2, 3)
+        assert face.normals.shape == (0, 2) and face.offsets.shape == (0,)
 
     def test_outside_raises(self):
         sq = unit_square_polytope()
         with pytest.raises(PointOutsidePolytope):
             minimal_face(sq, [2.0, 0.0])
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.5], [0.5, np.inf]])
+    def test_non_finite_point_raises(self, x):
+        with pytest.raises(DegenerateInput):
+            minimal_face(unit_square_polytope(), x)
+
+    @pytest.mark.parametrize("x", [[0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]]])
+    def test_point_of_another_dimension_raises(self, x):
+        with pytest.raises(DimensionMismatch):
+            minimal_face(unit_square_polytope(), x)
 
 
 class TestZonotopeAsPolytope:

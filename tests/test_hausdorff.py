@@ -33,7 +33,6 @@ from zonofit import cone, geom, hausdorff, solvers
 from zonofit.errors import DegenerateInput, DimensionMismatch, LocalityViolation
 from zonofit.geom import (
     FACE_ACTIVE_TOL,
-    AffineHull,
     Polytope,
     Zonotope,
     _facet_directions,
@@ -516,24 +515,22 @@ class TestArrayLocality:
         assert solved
 
 
-def vertex_face_term(u, hull):
-    """A z_vertex term whose vertex (cube lift 0) maps to u, against ``hull``."""
+def vertex_face_term(u, normals, offsets):
+    """A z_vertex term whose vertex (cube lift 0) maps to u, against the flat
+    {y : normals y = offsets}."""
     u = np.asarray(u, dtype=float)
-    return (SmoothTerm(side="z_vertex", vertex_index=0, bits=np.zeros(u.size), hull=hull),
+    return (SmoothTerm(side="z_vertex", vertex_index=0, normals=normals, offsets=offsets,
+                       anchor_bits=np.zeros(u.size)),
             Zonotope(np.eye(u.size), u))
 
 
 class TestVertexFaceTermValue:
     def test_x_axis(self):
-        hull = AffineHull(base=np.zeros(2), normals=np.array([[0.0, 1.0]]),
-                          offsets=np.array([0.0]))
-        term, z = vertex_face_term([0.0, 2.0], hull)
+        term, z = vertex_face_term([0.0, 2.0], np.array([[0.0, 1.0]]), np.array([0.0]))
         assert term.value(z) == pytest.approx(2.0)
 
     def test_point_in_subspace(self):
-        hull = AffineHull(base=np.zeros(2), normals=np.array([[0.0, 1.0]]),
-                          offsets=np.array([0.0]))
-        term, z = vertex_face_term([3.0, 0.0], hull)
+        term, z = vertex_face_term([3.0, 0.0], np.array([[0.0, 1.0]]), np.array([0.0]))
         assert term.value(z) == pytest.approx(0.0)
 
     def test_random_codim2_in_r4(self, rng):
@@ -542,14 +539,13 @@ class TestVertexFaceTermValue:
             q, _ = np.linalg.qr(A.T)
             normals = q[:, :2].T
             base = rng.normal(size=4)
-            hull = AffineHull(base=base, normals=normals, offsets=normals @ base)
             u = rng.normal(size=4)
             # Least-squares oracle: project u onto {y : normals y = offsets}.
             # y = u - normals^T s  with  normals normals^T s = normals u - c.
-            s = np.linalg.lstsq(normals @ normals.T, normals @ u - hull.offsets,
+            s = np.linalg.lstsq(normals @ normals.T, normals @ u - normals @ base,
                                 rcond=None)[0]
             proj = u - normals.T @ s
-            term, z = vertex_face_term(u, hull)
+            term, z = vertex_face_term(u, normals, normals @ base)
             assert term.value(z) == pytest.approx(np.linalg.norm(u - proj), abs=1e-10)
 
 
@@ -608,10 +604,7 @@ class TestLocalTerms:
     def test_term_at_another_rank_or_dimension_is_typed(self, rng):
         poly, z = random_local_instance(rng, d=2, n=4)
         for term in local_terms(poly, z):
-            others = [random_zonotope(rng, 3, 2)]
-            if term.side == "p_vertex" or term.hull is not None:  # a flat to compare
-                others.append(random_zonotope(rng, 4, 3))
-            for other in others:
+            for other in (random_zonotope(rng, 3, 2), random_zonotope(rng, 4, 3)):
                 with pytest.raises(DimensionMismatch):
                     term.value(other)
                 with pytest.raises(DimensionMismatch):
@@ -641,11 +634,8 @@ def pair_key(pair):
 
 
 def term_key(term):
-    hull = term.hull
-    return (term.side, term.vertex_index, term.free_indices,
-            *(None if a is None else a.tolist()
-              for a in (term.bits, term.point, term.anchor_bits)),
-            None if hull is None else (hull.normals.tolist(), hull.offsets.tolist()))
+    return (term.side, term.vertex_index, term.free_indices, term.normals.tolist(),
+            term.offsets.tolist(), term.anchor_bits.tolist())
 
 
 def distance_key(poly, z, **kwargs):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_local_instance, random_zonotope, rotated_square_configuration
-from zonofit.errors import DegenerateFace, SingularSubmatrix
-from zonofit.geom import AffineHull, Polytope, Zonotope
+from zonofit.errors import DegenerateFace, DegenerateInput, DimensionMismatch, SingularSubmatrix
+from zonofit.geom import Polytope, Zonotope
 from zonofit.hausdorff import SmoothTerm, hausdorff_distance, local_terms
 from zonofit.subgrad import (
     clarke_subdifferential,
@@ -48,10 +48,8 @@ class TestZVertexGradient:
     def test_direct_substitution(self):
         # eta = (0,1), lift e = (1,0): d/dg_12 = 1, d/dg_22 = 0, d/dmu_2 = 1.
         z = Zonotope([[1.0, 3.0], [2.0, 1.0]], [0.0, 0.0])
-        hull = AffineHull(base=np.zeros(2), normals=np.array([[0.0, 1.0]]),
-                          offsets=np.array([0.0]))
-        term = SmoothTerm(side="z_vertex", vertex_index=0,
-                          bits=np.array([1.0, 0.0]), hull=hull)
+        term = SmoothTerm(side="z_vertex", vertex_index=0, normals=np.array([[0.0, 1.0]]),
+                          offsets=np.array([0.0]), anchor_bits=np.array([1.0, 0.0]))
         g = term.gradient(z)
         # layout: (g11, g12, g21, g22, mu1, mu2)
         assert g == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
@@ -70,7 +68,7 @@ class TestZVertexGradient:
         for _ in range(8):
             poly, z = random_local_instance(rng, d=2, n=4)
             for t in local_terms(poly, z):
-                if t.side != "z_vertex" or t.hull is None or t.value(z) < 1e-4:
+                if t.side != "z_vertex" or t.codim < 1 or t.value(z) < 1e-4:
                     continue
                 g = t.gradient(z)
                 fd = finite_difference_gradient(t, z, h=1e-6)
@@ -79,10 +77,38 @@ class TestZVertexGradient:
         assert checked >= 10
 
     def test_codim0_raises(self):
-        term = SmoothTerm(side="z_vertex", vertex_index=0,
-                          bits=np.array([0.0, 0.0]), hull=None)
+        term = SmoothTerm(side="z_vertex", vertex_index=0, normals=np.zeros((0, 2)),
+                          offsets=np.zeros(0), anchor_bits=np.array([0.0, 0.0]))
         with pytest.raises(DegenerateFace):
             term.gradient(Zonotope(np.eye(2), np.zeros(2)))
+
+
+class TestTermFields:
+    def test_free_index_outside_the_rank_is_typed(self):
+        with pytest.raises(DimensionMismatch):
+            SmoothTerm(side="p_vertex", vertex_index=0, normals=np.eye(2),
+                       offsets=np.zeros(2), anchor_bits=np.zeros(2), free_indices=(5,))
+
+    def test_repeated_free_index_is_typed(self):
+        # (0, 0) would otherwise count twice and give codim 0.
+        with pytest.raises(DegenerateInput):
+            SmoothTerm(side="p_vertex", vertex_index=0, normals=np.eye(2),
+                       offsets=np.zeros(2), anchor_bits=np.zeros(2), free_indices=(0, 0))
+
+    @pytest.mark.parametrize("normals, offsets, anchor_bits", [
+        (np.eye(2), np.zeros(3), np.zeros(2)),
+        (np.zeros(2), np.zeros(1), np.zeros(2)),
+        (np.eye(2), np.zeros(2), np.zeros((2, 2))),
+    ])
+    def test_mismatched_shapes_are_typed(self, normals, offsets, anchor_bits):
+        with pytest.raises(DimensionMismatch):
+            SmoothTerm(side="z_vertex", vertex_index=0, normals=normals, offsets=offsets,
+                       anchor_bits=anchor_bits)
+
+    def test_non_finite_data_is_typed(self):
+        with pytest.raises(DegenerateInput):
+            SmoothTerm(side="p_vertex", vertex_index=0, normals=np.eye(2),
+                       offsets=np.array([np.nan, 0.0]), anchor_bits=np.zeros(2))
 
 
 class TestFacetNormal:
@@ -126,7 +152,7 @@ class TestPVertexGradient:
         # eta = (0,1), so d/dmu = (0,-1).
         z = Zonotope(np.eye(2), np.zeros(2))
         term = SmoothTerm(side="p_vertex", vertex_index=0,
-                          point=np.array([0.5, 2.0]),
+                          normals=np.eye(2), offsets=np.array([0.5, 2.0]),
                           anchor_bits=np.array([0.0, 1.0]),
                           free_indices=(0,))
         g = term.gradient(z)
@@ -154,12 +180,13 @@ class TestPVertexGradient:
             if lift.free_indices != (j % 4,):
                 continue
             free = lift.free_indices
-            a1 = lift.anchor_bits()
+            a1 = np.round(lift.values)
+            a1[list(free)] = 0.0
             a2 = a1.copy()
             a2[free[0]] = 1.0  # the opposite vertex of the same edge
-            t1 = SmoothTerm(side="p_vertex", vertex_index=0, point=p,
+            t1 = SmoothTerm(side="p_vertex", vertex_index=0, normals=np.eye(2), offsets=p,
                             anchor_bits=a1, free_indices=free)
-            t2 = SmoothTerm(side="p_vertex", vertex_index=0, point=p,
+            t2 = SmoothTerm(side="p_vertex", vertex_index=0, normals=np.eye(2), offsets=p,
                             anchor_bits=a2, free_indices=free)
             assert t1.value(z) == pytest.approx(t2.value(z), abs=1e-12)
             assert relerr(t1.gradient(z), t2.gradient(z)) <= 1e-9
@@ -202,7 +229,7 @@ class TestPVertexGradient:
                 for t in local_terms(poly, z):
                     if t.side != "p_vertex" or t.codim != 1 or t.value(z) < 1e-4:
                         continue
-                    eta = facet_normal(z, t.free_indices, (t.point, z.map_point(t.anchor_bits)))
+                    eta = facet_normal(z, t.free_indices, (t.offsets, z.map_point(t.anchor_bits)))
                     assert np.abs(t.gradient(z)[-d:] + eta).max() <= 1e-12
                     checked += 1
         assert checked >= 10
@@ -210,7 +237,7 @@ class TestPVertexGradient:
     def test_interior_projection_raises(self):
         z = Zonotope(np.eye(2), np.zeros(2))
         term = SmoothTerm(side="p_vertex", vertex_index=0,
-                          point=np.array([0.5, 0.5]),
+                          normals=np.eye(2), offsets=np.array([0.5, 0.5]),
                           anchor_bits=np.array([0.0, 0.0]),
                           free_indices=(0, 1))
         with pytest.raises(DegenerateFace):
@@ -277,10 +304,8 @@ class TestFiniteDifferenceOracle:
     def test_linear_term_fd_nearly_exact(self):
         # Codim-1 z_vertex term with fixed hull is linear in parameters.
         z = Zonotope([[1.0, 3.0], [2.0, 1.0]], [0.5, 0.5])
-        hull = AffineHull(base=np.zeros(2), normals=np.array([[0.0, 1.0]]),
-                          offsets=np.array([0.0]))
-        term = SmoothTerm(side="z_vertex", vertex_index=0,
-                          bits=np.array([1.0, 1.0]), hull=hull)
+        term = SmoothTerm(side="z_vertex", vertex_index=0, normals=np.array([[0.0, 1.0]]),
+                          offsets=np.array([0.0]), anchor_bits=np.array([1.0, 1.0]))
         g = term.gradient(z)
         fd = finite_difference_gradient(term, z, h=1e-6)
         assert relerr(g, fd) <= 1e-8
@@ -310,7 +335,7 @@ class TestFiniteDifferenceOracle:
 class TestSliceRationality:
     def test_z_vertex_term_squared_is_quadratic_on_lines(self, rng):
         poly, z = random_local_instance(rng, d=2, n=3)
-        terms = [t for t in local_terms(poly, z) if t.side == "z_vertex" and t.hull is not None]
+        terms = [t for t in local_terms(poly, z) if t.side == "z_vertex" and t.codim > 0]
         t0 = terms[0]
         params = zonotope_to_params(z)
         direction = rng.normal(size=params.size)
