@@ -76,7 +76,9 @@ PUSHFORWARD_SAMPLES = 3
 
 
 def _readonly(a, dtype=float):
-    a = np.asarray(a, dtype=dtype)
+    """A read-only copy of a: the caller's array stays writable, and writing
+    to it changes nothing that holds the copy."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -278,8 +280,9 @@ def enumerate_vertices(z: Zonotope):
         if not candidates:
             raise LPNumericalFailure("the separation LPs found no zonotope vertex")
     bits = _readonly(np.array(candidates, dtype=float).reshape(-1, n))
-    # One product per row: a batched bits @ G changes last bits.
-    points = _readonly(np.array([row @ z.generators for row in bits]) + z.translation)
+    # A stacked product: each row gets the bits of its own row @ G (a gemm,
+    # bits @ G, changes last bits).
+    points = _readonly((bits[:, None, :] @ z.generators)[:, 0] + z.translation)
     object.__setattr__(z, "_vertices", (list(zip(bits, points)), bits, points))
     return z._vertices[0]
 
@@ -301,9 +304,11 @@ def zonotope_facets(z: Zonotope):
     if z._facets is not None:
         return z._facets
     E = _facet_directions(z)[1]
-    # One product per direction, as G @ -eta is -(G @ eta) bit for bit.
-    along = np.array([z.generators @ eta for eta in E]).reshape(len(E), z.rank)
-    shift = np.array([eta @ z.translation for eta in E])
+    # Stacked products: each direction gets the bits of its own G @ eta and
+    # eta @ translation (a gemm, E @ G.T, changes last bits), and G @ -eta
+    # is -(G @ eta) bit for bit.
+    along = (z.generators @ E[:, :, None])[:, :, 0]
+    shift = (E[:, None, :] @ z.translation)[:, 0]
     offsets = np.stack([shift + np.maximum(along, 0.0).sum(axis=1),
                         np.maximum(-along, 0.0).sum(axis=1) - shift], axis=1)
     pair = (_readonly(np.stack([E, -E], axis=1).reshape(-1, z.dim)), _readonly(offsets.ravel()))

@@ -151,12 +151,12 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     (``_zonotope_face_rows``, ``_polytope_face_rows``), except a polytope
     row strictly inside z (by ``FACE_ACTIVE_TOL`` x scale against
     ``zonotope_facets``), which no boundary face passes. The rest go to the
-    solvers' cold loops: polytope rows one by one, zonotope rows as one
-    stack through Wolfe's lockstep loop and one ``_hull_rows`` tail, each
-    row with the bits it has alone. A cold polytope row outside z starts the
-    box loop at its nearest zonotope vertex, the first on ties, which saves
-    face solves and keeps the bits (``box_least_squares``). Other rows start
-    at 0: inside z the start would pick among many lifts.
+    solvers' cold loops, each side's rows as one stack through its lockstep
+    loop (``_box_active_set``, ``_wolfe``) and one face tail, each row with
+    the bits it has alone. A cold polytope row outside z starts the box loop
+    at its nearest zonotope vertex, the first on ties, which saves face
+    solves and keeps the bits (``box_least_squares``). Other rows start at
+    0: inside z the start would pick among many lifts.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
@@ -184,13 +184,15 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
         corrals = _polytope_face_rows(poly, zpts)
     X[:k], Q[:k], distance[:k], _, p_ok = solvers._box_rows(G, mu, V, faces, verify=True)
     W, P[k:], distance[k:], _, z_ok = solvers._hull_rows(V, zpts, corrals)
-    if margin is None and general and not p_ok.all():
-        margin = facet_margin()
-    for i in np.flatnonzero(~p_ok):
-        out = margin is not None and margin[i] > 0.0
-        start = bits[np.square(V[i] - zpts).sum(axis=1).argmin()] if out else None
-        row = solvers.box_least_squares(G, mu, V[i], start)
-        X[i], Q[i], distance[i] = row.coefficients, row.point, row.distance
+    cold = np.flatnonzero(~p_ok)
+    if cold.size:
+        if margin is None and general:
+            margin = facet_margin()
+        out = margin[cold] > 0.0 if margin is not None else np.zeros(cold.size, dtype=bool)
+        nearest = np.square(V[cold][:, None] - zpts).sum(axis=2).argmin(axis=1)
+        starts = np.where(out[:, None], bits[nearest], 0.0)
+        X[cold], Q[cold], distance[cold], _, _ = solvers._box_rows(
+            G, mu, V[cold], solvers._box_active_set(G, V[cold] - mu, starts))
     cold = np.flatnonzero(~z_ok)
     if cold.size:
         wolfe = solvers._wolfe(V - zpts[cold][:, None])  # corrals, weights

@@ -24,11 +24,13 @@ set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
 their final face to; it returns its rows as arrays and an ``ok`` mask.
 The Hausdorff sweeps solve their rows there first, on faces they choose,
 one solve per face shape, and keep the ok ones; only the rest run the
-cold loops: the polytope rows one ``box_least_squares`` each, the
-zonotope rows as one stack through Wolfe's loop (``_wolfe``), which runs
-its rows in lockstep with one stacked affine solve per corral size and
-ends each row with the bits it has alone. ``project_to_hull`` is that
-loop on one row; the extreme-point test runs it on one row per point.
+cold loops, each side's rows as one stack in lockstep: the polytope rows
+through the box loop (``_box_active_set``), with stacked gradient
+products and one face solve per free set, the zonotope rows through
+Wolfe's loop (``_wolfe``), with one stacked affine solve per corral size.
+Each loop ends each row with the bits it has alone; ``box_least_squares``
+and ``project_to_hull`` are the loops on one row, and the extreme-point
+test runs Wolfe's on one row per point.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -212,7 +214,8 @@ def box_least_squares(generators: np.ndarray, translation: np.ndarray,
     """
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
     T = np.asarray(target, dtype=float)[None]
-    X, points, dist, kkt, _ = _box_rows(G, mu, T, _box_active_set(G, T[0] - mu, start)[None])
+    starts = np.zeros((1, len(G))) if start is None else np.asarray(start)[None]
+    X, points, dist, kkt, _ = _box_rows(G, mu, T, _box_active_set(G, T - mu, starts))
     return BoxProjection(coefficients=X[0], point=points[0], distance=float(dist[0]),
                          kkt_residual=float(kkt[0]))
 
@@ -259,58 +262,79 @@ def _face_solve(G, Y, X, f) -> np.ndarray:
     return np.linalg.lstsq(G[f].T, R.T, rcond=None)[0].T
 
 
-def _box_active_set(G, y, start=None) -> np.ndarray:
-    """The active-set loop of ``box_least_squares`` from ``start`` (0/1
-    bits, or 0 when None); returns x. Only the gradient and ``_face_solve``
-    use numpy: the per-coordinate bookkeeping is cheaper on Python floats,
-    with the same comparisons and order of operations, hence the same bits."""
-    n, tol = G.shape[0], float(_box_tol(G, y))
-    x = [0.0] * n if start is None else (np.asarray(start) > 0.5).astype(float).tolist()
-    status = [1 if xi else -1 for xi in x]  # -1 lower, 0 free, +1 upper
+def _box_active_set(G, Y, starts) -> np.ndarray:
+    """The active-set loop of ``box_least_squares`` on each row of Y, from
+    the cube vertex of its row of ``starts`` (0/1 bits), every row in
+    lockstep; returns X, a row per row of Y. Each round the rows in pricing
+    take their negative gradients from two stacked products, which give
+    each row the bits of its own ``x @ G`` and ``G @ r``, and the rows in a
+    face solve share one ``_face_solve`` per free set. The per-coordinate
+    bookkeeping is each row's own, on Python floats, with the comparisons
+    and order of operations it has alone: each row ends with the bits it
+    has when run alone."""
+    rows, n = len(Y), G.shape[0]
+    tol = _box_tol(G, Y).tolist()
+    X = (np.asarray(starts) > 0.5).astype(float).tolist()
+    status = [[1 if xi else -1 for xi in x] for x in X]  # -1 lower, 0 free, +1 upper
     cap = max(100, ITERATION_FACTOR * 6 * (n + 1))
-    blocked = -1  # variable pinned back with zero progress last cycle
+    blocked = [-1] * rows  # variable pinned back with zero progress last cycle
+    worst, prices, solves = [-1] * rows, [0] * rows, [0] * rows
+    pricing, solving = list(range(rows)), []
 
-    for _ in range(cap):
-        w = (G @ (y - np.array(x) @ G)).tolist()  # negative gradient
-        worst, worst_v = -1, tol
-        for i, (s, wi) in enumerate(zip(status, w)):
-            v = wi if s == -1 and wi > tol else -wi if s == 1 and wi < -tol else 0.0
-            if i != blocked and v > worst_v + 1e-15:
-                worst, worst_v = i, v
-        if worst < 0:
-            return np.array(x)
-        status[worst] = 0
-        blocked = -1
-
-        for _ in range(cap):
-            free = [i for i, s in enumerate(status) if s == 0]
-            z = _face_solve(G, y[None], np.array(x)[None], np.array(status) == 0)[0].tolist()
-            lo_viol = [zk < -1e-12 for zk in z]
-            hi_viol = [zk > 1.0 + 1e-12 for zk in z]
-            if not any(lo_viol) and not any(hi_viol):
-                snap = False
-                for i, zk in zip(free, z):
-                    x[i] = min(max(zk, 0.0), 1.0)
-                    if x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
-                        x[i] = 0.0 if x[i] <= 1e-12 else 1.0
-                        status[i] = -1 if x[i] == 0.0 else 1
-                        snap = True
-                if snap:
-                    continue  # solve again on the smaller free set
-                break  # x is the face solve on its free set, as the tail needs
-            # Step from x toward z until the first bound is hit.
-            alphas = [(0.0 - x[i]) / (zk - x[i]) if lo else (1.0 - x[i]) / (zk - x[i]) if hi
-                      else 1.0 for i, zk, lo, hi in zip(free, z, lo_viol, hi_viol)]
-            alpha = max(min(min(alphas), 1.0), 0.0)
-            kstar = alphas.index(min(alphas))  # a violating coordinate: its alpha is < 1
-            for k, (i, zk) in enumerate(zip(free, z)):
-                x[i] += alpha * (zk - x[i])
-                if k == kstar or x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
-                    x[i] = 0.0 if lo_viol[k] or x[i] <= 1e-12 else 1.0
-                    status[i] = -1 if x[i] == 0.0 else 1
-            if alpha == 0.0 and free[kstar] == worst:
-                blocked = worst  # avoid freeing the same variable right away
-    raise IterationLimit("box least squares did not converge")
+    while pricing or solving:
+        if pricing:
+            R = Y[pricing] - (np.array([X[k] for k in pricing])[:, None, :] @ G)[:, 0]
+            for k, w in zip(pricing, (G @ R[:, :, None])[:, :, 0].tolist()):  # -gradients
+                if prices[k] == cap:
+                    raise IterationLimit("box least squares did not converge")
+                prices[k] += 1
+                worst[k], worst_v = -1, tol[k]
+                for i, (s, wi) in enumerate(zip(status[k], w)):
+                    v = wi if s == -1 and wi > tol[k] else -wi if s == 1 and wi < -tol[k] else 0.0
+                    if i != blocked[k] and v > worst_v + 1e-15:
+                        worst[k], worst_v = i, v
+                if worst[k] >= 0:  # else row k is done
+                    status[k][worst[k]] = 0
+                    blocked[k], solves[k] = -1, 0
+                    solving.append(k)
+        faces = {}
+        for k in solving:
+            faces.setdefault(tuple(s == 0 for s in status[k]), []).append(k)
+        pricing, solving = [], []
+        for f, group in faces.items():
+            free = [i for i, fi in enumerate(f) if fi]
+            Z = _face_solve(G, Y[group], np.array([X[k] for k in group]), np.array(f))
+            for k, z in zip(group, Z.tolist()):
+                x = X[k]
+                solves[k] += 1
+                lo_viol = [zk < -1e-12 for zk in z]
+                hi_viol = [zk > 1.0 + 1e-12 for zk in z]
+                if not any(lo_viol) and not any(hi_viol):
+                    snap = False
+                    for i, zk in zip(free, z):
+                        x[i] = min(max(zk, 0.0), 1.0)
+                        if x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
+                            x[i] = 0.0 if x[i] <= 1e-12 else 1.0
+                            status[k][i] = -1 if x[i] == 0.0 else 1
+                            snap = True
+                    # A snap solves again on the smaller free set; otherwise x
+                    # is the face solve on its free set, as the tail needs.
+                    (solving if snap and solves[k] < cap else pricing).append(k)
+                    continue
+                # Step from x toward z until the first bound is hit.
+                alphas = [(0.0 - x[i]) / (zk - x[i]) if lo else (1.0 - x[i]) / (zk - x[i]) if hi
+                          else 1.0 for i, zk, lo, hi in zip(free, z, lo_viol, hi_viol)]
+                alpha = max(min(min(alphas), 1.0), 0.0)
+                kstar = alphas.index(min(alphas))  # a violating coordinate: its alpha is < 1
+                for j, (i, zk) in enumerate(zip(free, z)):
+                    x[i] += alpha * (zk - x[i])
+                    if j == kstar or x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
+                        x[i] = 0.0 if lo_viol[j] or x[i] <= 1e-12 else 1.0
+                        status[k][i] = -1 if x[i] == 0.0 else 1
+                if alpha == 0.0 and free[kstar] == worst[k]:
+                    blocked[k] = worst[k]  # avoid freeing the same variable right away
+                (solving if solves[k] < cap else pricing).append(k)
+    return np.array(X)
 
 
 @dataclass(frozen=True)

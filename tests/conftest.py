@@ -153,6 +153,59 @@ def wolfe_reference(S):
     raise RuntimeError("min-norm point did not converge")
 
 
+def box_reference(G, y, start):
+    """The box least-squares active-set loop on one row y (target minus
+    translation) from the cube vertex ``start``, as it ran before the
+    solvers ran rows in lockstep: x."""
+    from zonofit import solvers
+
+    n, tol = G.shape[0], float(solvers._box_tol(G, y))
+    x = (np.asarray(start) > 0.5).astype(float).tolist()
+    status = [1 if xi else -1 for xi in x]
+    cap = max(100, solvers.ITERATION_FACTOR * 6 * (n + 1))
+    blocked = -1
+    for _ in range(cap):
+        w = (G @ (y - np.array(x) @ G)).tolist()
+        worst, worst_v = -1, tol
+        for i, (s, wi) in enumerate(zip(status, w)):
+            v = wi if s == -1 and wi > tol else -wi if s == 1 and wi < -tol else 0.0
+            if i != blocked and v > worst_v + 1e-15:
+                worst, worst_v = i, v
+        if worst < 0:
+            return np.array(x)
+        status[worst] = 0
+        blocked = -1
+        for _ in range(cap):
+            free = [i for i, s in enumerate(status) if s == 0]
+            z = solvers._face_solve(G, y[None], np.array(x)[None],
+                                    np.array(status) == 0)[0].tolist()
+            lo_viol = [zk < -1e-12 for zk in z]
+            hi_viol = [zk > 1.0 + 1e-12 for zk in z]
+            if not any(lo_viol) and not any(hi_viol):
+                snap = False
+                for i, zk in zip(free, z):
+                    x[i] = min(max(zk, 0.0), 1.0)
+                    if x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
+                        x[i] = 0.0 if x[i] <= 1e-12 else 1.0
+                        status[i] = -1 if x[i] == 0.0 else 1
+                        snap = True
+                if snap:
+                    continue
+                break
+            alphas = [(0.0 - x[i]) / (zk - x[i]) if lo else (1.0 - x[i]) / (zk - x[i]) if hi
+                      else 1.0 for i, zk, lo, hi in zip(free, z, lo_viol, hi_viol)]
+            alpha = max(min(min(alphas), 1.0), 0.0)
+            kstar = alphas.index(min(alphas))
+            for k, (i, zk) in enumerate(zip(free, z)):
+                x[i] += alpha * (zk - x[i])
+                if k == kstar or x[i] <= 1e-12 or x[i] >= 1.0 - 1e-12:
+                    x[i] = 0.0 if lo_viol[k] or x[i] <= 1e-12 else 1.0
+                    status[i] = -1 if x[i] == 0.0 else 1
+            if alpha == 0.0 and free[kstar] == worst:
+                blocked = worst
+    raise RuntimeError("box least squares did not converge")
+
+
 def solve_lp_reference(c, A, b, feasibility_tol=None):
     """``solvers.solve_lp`` as it ran before one rank-1 update replaced its
     row-by-row elimination loops: (status, x)."""

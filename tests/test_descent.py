@@ -105,9 +105,10 @@ class TestPerturbUntilLocal:
         z = Zonotope(np.eye(2), np.zeros(2))
         poly = Polytope.from_vertices([[1.0, 2.0], [3.0, 2.5], [2.0, 4.0]])
         rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
-        cold = []  # a 1 per cold row: each box call, each row handed to Wolfe's loop
-        solve, wolfe = solvers.box_least_squares, solvers._wolfe
-        monkeypatch.setattr(solvers, "box_least_squares", lambda *a: cold.append(1) or solve(*a))
+        cold = []  # a 1 per cold row: each row handed to the box loop or to Wolfe's loop
+        solve, wolfe = solvers._box_active_set, solvers._wolfe
+        monkeypatch.setattr(solvers, "_box_active_set",
+                            lambda G, Y, s: cold.extend([1] * len(Y)) or solve(G, Y, s))
         monkeypatch.setattr(solvers, "_wolfe", lambda S: cold.extend([1] * len(S)) or wolfe(S))
         for seed in range(10):
             start = Zonotope(z.generators, z.translation)
@@ -319,7 +320,7 @@ class TestProbes:
             z = random_zonotope(rng, 4, 2)
             d_coarse, _ = coarse_hausdorff_distance(poly, z)
             with monkeypatch.context() as m:
-                m.setattr(solvers, "box_least_squares", no_sweep)
+                m.setattr(solvers, "_box_active_set", no_sweep)
                 m.setattr(solvers, "_wolfe", no_sweep)
                 assert descent._reaches(poly, z, d_coarse, cfg)
                 assert descent._reaches(poly, z, 0.5 * d_coarse, cfg)

@@ -78,6 +78,18 @@ class TestZonotopeType:
         with pytest.raises(ValueError):
             z.generators[0, 0] = 5.0
 
+    def test_callers_arrays_stay_writable_and_apart(self, rng):
+        # The body keeps copies: writing to the caller's arrays afterwards
+        # changes neither the body nor its cached vertices and facets.
+        G, mu = rng.normal(size=(4, 2)), rng.normal(size=2)
+        z = Zonotope(G, mu)
+        before = [a.copy() for a in (z.generators, z.translation, *geom._vertex_arrays(z),
+                                     *geom.zonotope_facets(z))]
+        G[0, 0], mu[0] = 5.0, 5.0
+        assert G.flags.writeable and mu.flags.writeable
+        after = (z.generators, z.translation, *geom._vertex_arrays(z), *geom.zonotope_facets(z))
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
 
 class TestCanonicalize:
     def test_already_sorted_identity(self):
@@ -292,6 +304,21 @@ class TestVertexCache:
         assert not (bits.flags.writeable or points.flags.writeable)
         assert enumerate_vertices(z) is pairs and geom._vertex_arrays(z)[1] is points
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), extra=st.integers(0, 3))
+    def test_facet_offsets_are_per_direction_products(self, seed, d, extra):
+        # The stacked products give each facet direction eta the bits of its
+        # own G @ eta and eta @ translation (the vertex points' own row
+        # products are checked above).
+        rng = np.random.default_rng(seed)
+        z = Zonotope(rng.uniform(-1.0, 1.0, size=(d + extra, d)), rng.uniform(-0.5, 0.5, size=d))
+        E = geom._facet_directions(z)[1]
+        along = np.array([z.generators @ eta for eta in E]).reshape(len(E), z.rank)
+        shift = np.array([eta @ z.translation for eta in E])
+        offsets = np.stack([shift + np.maximum(along, 0.0).sum(axis=1),
+                            np.maximum(-along, 0.0).sum(axis=1) - shift], axis=1).ravel()
+        assert geom.zonotope_facets(z)[1].tobytes() == offsets.tobytes()
+
     def test_face_codes_are_built_once(self, rng, monkeypatch):
         # Enumeration, an unhinted sweep and its face selection share one
         # build of the face rows: one _bits call for the anchors, one for
@@ -406,6 +433,16 @@ class TestPolytope:
         assert np.allclose(np.linalg.norm(sq.facet_normals, axis=1), 1.0)
         margins = sq.facet_normals @ sq.vertices.T - sq.facet_offsets[:, None]
         assert margins.max() <= 1e-9
+
+    def test_callers_vertices_stay_writable_and_apart(self):
+        V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        poly = Polytope.from_vertices(V)
+        incidence = geom._simplicial_faces(poly)[1].copy()
+        V[0] = [-1.0, -1.0]
+        assert V.flags.writeable
+        assert poly.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert poly.contains([0.0, 0.0]) and not poly.contains([-0.5, -0.5])
+        assert np.array_equal(geom._simplicial_faces(poly)[1], incidence)
 
     def test_rejects_non_extreme_vertex(self):
         with pytest.raises(DegenerateInput):

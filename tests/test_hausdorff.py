@@ -692,7 +692,7 @@ class TestProjectionCache:
             poly, z = random_local_instance(rng, d=d)
             hausdorff_distance(poly, z)
             with monkeypatch.context() as patch:
-                for name in ("solve_lp", "box_least_squares", "_wolfe"):
+                for name in ("solve_lp", "_box_active_set", "_wolfe"):
                     patch.setattr(solvers, name, refuse)
                 assert check_locality(poly, z).ok
                 local_terms(poly, z)
@@ -727,14 +727,14 @@ class TestProjectionCache:
         outside = (poly.vertices @ normals.T - offsets).max(axis=1) > 0.0
         for hints in (z, random_zonotope(rng, z.rank, d)):
             hausdorff._projections(poly, hints)
-            box = mock.patch.object(solvers, "box_least_squares",
-                                    wraps=solvers.box_least_squares)
+            box = mock.patch.object(solvers, "_box_active_set", wraps=solvers._box_active_set)
             hull = mock.patch.object(solvers, "_wolfe", wraps=solvers._wolfe)
             with box as box_calls, hull as hull_calls:
                 hinted = hausdorff._projections(
                     poly, Zonotope(near.generators, near.translation), hints=hints)
             cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation))
-            solved = box_calls.call_count + sum(len(c.args[0]) for c in hull_calls.call_args_list)
+            solved = (sum(len(c.args[1]) for c in box_calls.call_args_list)
+                      + sum(len(c.args[0]) for c in hull_calls.call_args_list))
             rows, m = len(cold.distance), len(poly.vertices)
             assert solved <= rows // 2 if hints is z else solved > rows // 2
             tol = 1e-15 * poly.scale()
@@ -756,10 +756,10 @@ class TestProjectionCache:
         # Hints from an unrelated zonotope send most rows cold. A cold row
         # strictly outside z starts at the bits of its nearest vertex of z;
         # a row inside starts at 0, as does every row of a degenerate z.
-        calls, seen = [], set()
-        solve = solvers.box_least_squares
-        monkeypatch.setattr(solvers, "box_least_squares",
-                            lambda *a: calls.append(a) or solve(*a))
+        calls, seen = [], set()  # (row, start) of each row handed to the box loop
+        solve = solvers._box_active_set
+        monkeypatch.setattr(solvers, "_box_active_set",
+                            lambda G, Y, starts: calls.extend(zip(Y, starts)) or solve(G, Y, starts))
         for d in (2, 3):
             for _ in range(6):
                 poly, hints = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
@@ -769,13 +769,14 @@ class TestProjectionCache:
                 hausdorff._projections(poly, z, hints=hints)
                 normals, offsets = zonotope_facets(z)
                 zverts = enumerate_vertices(z)
-                for _, _, v, start in calls:
+                for y, start in calls:
+                    v = poly.vertices[((poly.vertices - z.translation) == y).all(axis=1)][0]
                     if (normals @ v - offsets).max() > 0.0:
                         near = np.argmin([np.linalg.norm(pt - v) for _, pt in zverts])
                         assert np.array_equal(start, zverts[near][0])
                         seen.add("outside")
                     else:
-                        assert start is None
+                        assert not start.any()
                         seen.add("inside")
         assert seen == {"outside", "inside"}
         G = z.generators.copy()
@@ -783,7 +784,7 @@ class TestProjectionCache:
         del calls[:]
         hausdorff._projections(poly, Zonotope(G, z.translation))
         assert len(calls) == len(poly.vertices)
-        assert all(start is None for *_, start in calls)
+        assert not any(start.any() for _, start in calls)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cold_zonotope_rows_are_project_to_hull(self, rng, d):

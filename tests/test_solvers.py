@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    box_reference,
     box_ls_oracle,
     hull_projection_oracle,
     lp_oracle,
@@ -257,6 +258,46 @@ class TestBoxLeastSquares:
                 assert np.array_equal(warm.point, cold.point)
                 assert warm.kkt_residual <= 1e-8 * (1.0 + np.abs(z.generators).max()
                                                     * (1 + np.linalg.norm(p)))
+
+
+class TestStackedBox:
+    """The box loop runs a stack of rows in lockstep; each row must end with
+    the bits it gets when run alone, which are those of the loop that ran
+    one row (``box_reference``)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), rows=st.integers(1, 10),
+           kind=st.sampled_from(["sweep", "parallel", "grid"]))
+    def test_each_row_ends_as_it_does_alone(self, seed, d, rows, kind):
+        # "sweep": rows inside z start at 0, rows outside at their nearest
+        # vertex of z, as in a sweep; "parallel": the same with two
+        # near-parallel generators; "grid": small integer data, whose face
+        # solves land on bounds (snaps, steps of length 0), from any start.
+        from zonofit.geom import Zonotope, _vertex_arrays
+
+        rng = np.random.default_rng(seed)
+        n = d + int(rng.integers(0, 4))
+        G, mu = rng.uniform(-1.0, 1.0, size=(n, d)), rng.uniform(-0.5, 0.5, size=d)
+        if kind == "parallel":
+            G[1] = 0.5 * G[0] + 1e-7 * rng.normal(size=d)
+        inside = rng.random(rows) < 0.4
+        u = rng.normal(size=(rows, d))
+        radius = 0.5 * np.linalg.norm(G, axis=1).sum() + rng.uniform(0.1, 2.0, size=(rows, 1))
+        T = np.where(inside[:, None], rng.random((rows, n)) @ G + mu,  # beyond z's radius
+                     mu + 0.5 * G.sum(axis=0) + radius * u / np.linalg.norm(u, axis=1)[:, None])
+        if kind == "grid":
+            G, mu = rng.integers(-2, 3, size=(n, d)).astype(float), np.zeros(d)
+            T = rng.integers(-4, 5, size=(rows, d)) / 2.0
+            starts = np.where(inside[:, None], 0.0, rng.integers(0, 2, size=(rows, n)))
+        else:
+            bits, points = _vertex_arrays(Zonotope(G, mu))
+            nearest = np.square(T[:, None] - points).sum(axis=2).argmin(axis=1)
+            starts = np.where(inside[:, None], 0.0, bits[nearest])
+        X = solvers._box_active_set(G, T - mu, starts)
+        for k in range(rows):
+            one = solvers._box_active_set(G, T[k:k + 1] - mu, starts[k:k + 1])
+            assert X[k].tobytes() == one[0].tobytes()
+            assert X[k].tobytes() == box_reference(G, T[k] - mu, starts[k]).tobytes()
 
 
 class TestProjectToHull:
