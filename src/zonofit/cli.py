@@ -97,13 +97,15 @@ def _load_zonotope(path) -> Zonotope:
 
 
 def _seed_from(args) -> int:
+    """ZONOFIT_SEED if set, else --seed; a usage error unless it is an integer >= 0."""
     env = os.environ.get("ZONOFIT_SEED")
-    if env is None:
-        return args.seed
     try:
-        return int(env)
+        seed = args.seed if env is None else int(env)
     except ValueError as exc:
         raise _UsageError(f"ZONOFIT_SEED is not an integer: {env!r}") from exc
+    if seed < 0:
+        raise _UsageError(f"{'--seed' if env is None else 'ZONOFIT_SEED'} must be >= 0, got {seed}")
+    return seed
 
 
 def _pair_payload(pair):

@@ -88,6 +88,11 @@ class DescentConfig:
     objective: str = "exact"  # exact | coarse
 
     def __post_init__(self):
+        counts = (self.rank, self.max_steps, self.rng_seed)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
+            raise ValueError("rank, max_steps and rng_seed must be integers")
+        if self.rng_seed < 0:  # np.random.default_rng takes no negative seed
+            raise ValueError(f"need rng_seed >= 0, got {self.rng_seed}")
         # Written so that NaN fails every comparison.
         if not (self.rank >= 1 and self.max_steps >= 1 and self.threshold >= 0
                 and 0 < self.perturb_scale < np.inf):

@@ -9,13 +9,12 @@ Conventions fixed here and used everywhere else:
 * A polytope is a vertex list (every listed vertex extreme) plus a derived
   irredundant facet description with unit outward normals.
 
-Zonotope faces are read off generator subsets: a (d-1)-subset S with a
-unit normal eta of its span gives the facets +-eta, and the vertices of
-the facet with outward normal eta are the anchor bits ``G @ eta > 0`` off
-S combined with every bit pattern on S, and its faces those with every
-pattern {0, 1, free} on S. One pass over the subsets
-(``_facet_directions``) yields facets, faces and vertices together, each
-built once per zonotope as read-only arrays cached on it. Outside general
+Zonotope facets and vertices are read off generator subsets: a
+(d-1)-subset S with a unit normal eta of its span gives the facets +-eta,
+and the vertices of the facet with outward normal eta are the anchor bits
+``G @ eta > 0`` off S combined with every bit pattern on S. One pass over
+the subsets (``_facet_directions``) yields both, each built once per
+zonotope as read-only arrays cached on it. Outside general
 position that correspondence fails, and vertex enumeration falls back to a
 separating-hyperplane feasibility LP per bit-vector. A zonotope
 face is named by a cube lift's anchor bits and free generators
@@ -88,15 +87,14 @@ class Zonotope:
     """A zonotope: row i of ``generators`` is generator g_i.
 
     The represented set is {x @ generators + translation : x in [0,1]^n}.
-    Instances are immutable; the derived faces, vertices, facet directions
-    and facet description are built on first use and cached, and so are the
+    Instances are immutable; the derived vertices, facet directions and
+    facet description are built on first use and cached, and so are the
     vertex sweeps against the last polytope measured (``hausdorff._projections``).
     """
 
     generators: np.ndarray
     translation: np.ndarray
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _faces: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _facets: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _directions: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _projections: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -229,37 +227,12 @@ def _bits(codes: np.ndarray, n: int) -> np.ndarray:
     return (codes[:, None] & (1 << np.arange(n - 1, -1, -1, dtype=np.int64))) > 0
 
 
-def _zonotope_faces(z: Zonotope) -> tuple:
-    """Every boundary face of a general-position zonotope as boolean rows of
-    anchor bits and of free generators (``_bits`` of the code free set << n |
-    anchor bits): each facet's anchor bits off its subset with every pattern
-    {0, 1, free} on it. Sorted by code and distinct, so the vertices (empty
-    free set) come first, in lexicographic bit order. Cached on the instance."""
-    if z._faces is not None:
-        return z._faces
-    subsets, normals, _ = _facet_directions(z)
-    n, k = z.rank, subsets.shape[1]
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    along = normals @ z.generators.T
-    along[np.arange(subsets.shape[0])[:, None], subsets] = 0.0
-    # The facets +-eta have anchor bits where +-G @ eta > 0 off the subset
-    # (never 0 in general position); a pattern digit 1 on it sets a bit, 2
-    # frees it (bit n + i of the code).
-    patterns = np.arange(3 ** k) // 3 ** np.arange(k - 1, -1, -1)[:, None] % 3
-    on_subset = weights[subsets] @ np.where(patterns == 2, 1 << n, patterns)
-    codes = np.sort(np.concatenate([(along > 0.0) @ weights, (along < 0.0) @ weights])[:, None]
-                    + np.concatenate([on_subset, on_subset]), axis=None)
-    codes = codes[np.append(True, codes[1:] != codes[:-1])]
-    faces = tuple(_readonly(_bits(c, n), bool) for c in (codes, codes >> n))
-    object.__setattr__(z, "_faces", faces)
-    return faces
-
-
 def enumerate_vertices(z: Zonotope):
     """All vertices of a zonotope with their lifts, in lexicographic bit order.
 
-    In general position every vertex lies on a facet: the vertices are the
-    faces of ``_zonotope_faces`` with an empty free set. Outside general
+    In general position every vertex lies on a facet: its bits are the
+    facet's anchor bits with some bit pattern on the facet's generator
+    subset, one integer code per (facet, pattern). Outside general
     position each of the 2^n bit-vectors is tested with the separation LP
     (``is_zonotope_vertex``), up to rank ``VERTEX_ENUM_CAP``. Returns
     [(bits, point), ...], rows of the read-only arrays of ``_vertex_arrays``,
@@ -271,9 +244,16 @@ def enumerate_vertices(z: Zonotope):
     n = z.rank
     if n > VERTEX_ENUM_CAP:
         raise RankCapExceeded(f"rank {n} exceeds the enumeration cap {VERTEX_ENUM_CAP}")
-    if not _facet_directions(z)[2]:
-        anchors, free = _zonotope_faces(z)
-        candidates = anchors[~free.any(axis=1)]
+    subsets, normals, degenerate = _facet_directions(z)
+    if not degenerate:
+        k, weights = subsets.shape[1], 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        along = normals @ z.generators.T
+        along[np.arange(len(subsets))[:, None], subsets] = 0.0
+        # The facets +-eta have anchor bits where +-G @ eta > 0 off the
+        # subset (never 0 in general position), and every bit pattern on it.
+        on_subset = weights[subsets] @ (np.arange(2 ** k) >> np.arange(k - 1, -1, -1)[:, None] & 1)
+        anchors = np.concatenate([along > 0.0, along < 0.0]) @ weights
+        candidates = _bits(np.unique(anchors[:, None] + np.tile(on_subset, (2, 1))), n)
     else:
         candidates = [bits for bits in itertools.product((0.0, 1.0), repeat=n)
                       if is_zonotope_vertex(z, bits)]

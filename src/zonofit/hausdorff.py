@@ -6,11 +6,12 @@ once per (polytope, zonotope) pair into one table (``SweepRows``: both
 endpoints, the zonotope point's cube lift, the distance, and a zonotope
 row's weights and corral), cached on the zonotope by one attribute write
 (so concurrent calls stay safe); the distance, the locality check, the
-local terms and the descent's step caps all read it. A sweep solves every
-row first on a face, as arrays through the solvers' face tails: the face
-the row had on the hints (the zonotope a step started from), or else the
-face it projects onto in the other body's face list. Rows whose face
-fails the solver's own optimality test go to its cold loops.
+local terms and the descent's step caps all read it. A sweep solves rows
+first on a face, as arrays through the solvers' face tails: every row on
+the face it had on the hints (the zonotope a step started from), or
+without hints each zonotope row on the polytope face it projects onto.
+The polytope rows of an unhinted sweep, and rows whose face fails the
+solver's own optimality test, go to the solvers' cold loops.
 
 Also here: the coarse (vertex-set) distance, whose nearest-vertex rows
 fill the same table, Hausdorff stability of a point relative to a body,
@@ -47,7 +48,6 @@ from .geom import (
     _readonly,
     _simplicial_faces,
     _vertex_arrays,
-    _zonotope_faces,
     lift_values_to_lift,
     minimal_face,
     zonotope_facets,
@@ -141,22 +141,22 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
     last polytope measured; it is reused only for the same polytope object.
 
-    Each row is first solved on a face, one pass per side through the
-    solvers' face tails, and kept where the face passes the solver's own
-    optimality test, which proves it the exact projection. ``hints``, a
+    Rows given a face are solved on it first, one pass per side through
+    the solvers' face tails, and kept where the face passes the solver's
+    own optimality test, which proves it the exact projection. ``hints``, a
     zonotope of the same rank whose sweep against poly is cached (the one a
     step started from), lends each row its face there: polytope rows by
     index, zonotope rows their corral by cube-lift bits. Without usable
-    hints each row of a general-position z takes the face it projects onto
-    (``_zonotope_face_rows``, ``_polytope_face_rows``), except a polytope
-    row strictly inside z (by ``FACE_ACTIVE_TOL`` x scale against
-    ``zonotope_facets``), which no boundary face passes. The rest go to the
-    solvers' cold loops, each side's rows as one stack through its lockstep
-    loop (``_box_active_set``, ``_wolfe``) and one face tail, each row with
-    the bits it has alone. A cold polytope row outside z starts the box loop
-    at its nearest zonotope vertex, the first on ties, which saves face
-    solves and keeps the bits (``box_least_squares``). Other rows start at
-    0: inside z the start would pick among many lifts.
+    hints each zonotope row of a general-position z takes the polytope face
+    it projects onto (``_polytope_face_rows``), and the polytope rows take
+    no face. The rest go to the solvers' cold loops, each side's rows as
+    one stack through its lockstep loop (``_box_active_set``, ``_wolfe``)
+    and one face tail, each row with the bits it has alone. A cold polytope
+    row outside a general-position z (some facet of ``zonotope_facets``
+    violated) starts the box loop at its nearest zonotope vertex, the first
+    on ties, which saves face solves and keeps the bits
+    (``box_least_squares``). Other rows start at 0: inside z the start
+    would pick among many lifts.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
@@ -165,32 +165,24 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     G, mu, k, general = z.generators, z.translation, len(V), not _facet_directions(z)[2]
     P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
     P[:k], Q[k:], X[k:], distance = V, zpts, bits, np.empty(len(P))
-    faces, corrals, margin = np.full((k, z.rank), np.nan), [()] * len(zpts), None
-
-    def facet_margin():  # each polytope vertex's largest violation of z's facets
-        normals, offsets = zonotope_facets(z)
-        return (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)
-
+    corrals, cold = [()] * len(zpts), np.arange(k)
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     if hinted is not None and hinted[0] is poly:  # polytope rows' lifts, zonotope rows' corrals
         lent = dict(zip(map(np.ndarray.tobytes, hinted[1].X[k:]), hinted[1].corrals))
-        faces, corrals = hinted[1].X[:k], [lent.get(b.tobytes(), ()) for b in bits]
-    elif general:  # the faces the rows not strictly inside z project onto
-        margin = facet_margin()
-        scale = 1.0 + float(np.abs(V - mu).max())
-        near = margin >= -FACE_ACTIVE_TOL * scale
-        if near.any():
-            faces[near] = _zonotope_face_rows(z, V[near], scale)
+        corrals = [lent.get(b.tobytes(), ()) for b in bits]
+        X[:k], Q[:k], distance[:k], _, p_ok = solvers._box_rows(G, mu, V, hinted[1].X[:k],
+                                                                verify=True)
+        cold = np.flatnonzero(~p_ok)
+    elif general:  # the faces the zonotope rows project onto
         corrals = _polytope_face_rows(poly, zpts)
-    X[:k], Q[:k], distance[:k], _, p_ok = solvers._box_rows(G, mu, V, faces, verify=True)
     W, P[k:], distance[k:], _, z_ok = solvers._hull_rows(V, zpts, corrals)
-    cold = np.flatnonzero(~p_ok)
     if cold.size:
-        if margin is None and general:
-            margin = facet_margin()
-        out = margin[cold] > 0.0 if margin is not None else np.zeros(cold.size, dtype=bool)
-        nearest = np.square(V[cold][:, None] - zpts).sum(axis=2).argmin(axis=1)
-        starts = np.where(out[:, None], bits[nearest], 0.0)
+        starts = np.zeros((cold.size, z.rank))
+        if general:  # rows violating a facet of z start at their nearest vertex
+            normals, offsets = zonotope_facets(z)
+            out = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)[cold] > 0.0
+            nearest = np.square(V[cold][out][:, None] - zpts).sum(axis=2).argmin(axis=1)
+            starts[out] = bits[nearest]
         X[cold], Q[cold], distance[cold], _, _ = solvers._box_rows(
             G, mu, V[cold], solvers._box_active_set(G, V[cold] - mu, starts))
     cold = np.flatnonzero(~z_ok)
@@ -211,27 +203,6 @@ def _nearest_faces(dist: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndar
     tied = dist <= dist.min(axis=0) + 1e-12 * scale
     largest = np.where(tied, sizes[:, None], -1).max(axis=0)
     return np.where(tied & (sizes[:, None] == largest), dist, np.inf).argmin(axis=0)
-
-
-def _zonotope_face_rows(z: Zonotope, targets: np.ndarray, scale: float) -> np.ndarray:
-    """The face of z (``_zonotope_faces``) each target projects onto, as a
-    ``solvers._box_rows`` row: anchor bits, 0.5 on the free set. One stacked
-    normal-equation solve per free-set size; ties within 1e-12 x ``scale``."""
-    anchors, free = _zonotope_faces(z)
-    G, Y = z.generators, targets - z.translation
-    sizes = free.sum(axis=1)
-    dist = np.empty((len(sizes), len(Y)))
-    for m in np.unique(sizes):
-        at = sizes == m
-        D = G[np.nonzero(free[at])[1].reshape(at.sum(), m)]  # (faces, m, d)
-        R = Y - (anchors[at] @ G)[:, None]
-        c = D @ R.transpose(0, 2, 1)
-        c = solvers._solve_stack(D @ D.transpose(0, 2, 1), c) if m else c
-        E = R - np.einsum("fmr,fmd->frd", c, D)
-        inside = ((c > 1e-12) & (c < 1.0 - 1e-12)).all(axis=1)
-        dist[at] = np.where(inside, np.sqrt(np.einsum("frd,frd->fr", E, E)), np.inf)
-    pick = _nearest_faces(dist, sizes, scale)
-    return anchors[pick] + 0.5 * free[pick]
 
 
 def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:

@@ -22,12 +22,14 @@ a laxer 1e-7).
 The two projections end in a row-batched face tail (``_box_rows``: free
 set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
 their final face to; it returns its rows as arrays and an ``ok`` mask.
-The Hausdorff sweeps solve their rows there first, on faces they choose,
-one solve per face shape, and keep the ok ones; only the rest run the
-cold loops, each side's rows as one stack in lockstep: the polytope rows
-through the box loop (``_box_active_set``), with stacked gradient
-products and one face solve per free set, the zonotope rows through
-Wolfe's loop (``_wolfe``), with one stacked affine solve per corral size.
+The Hausdorff sweeps solve rows there first, on hinted faces or, for
+zonotope rows, on the polytope face each projects onto, one solve per
+face shape, and keep the ok ones; the rest, with every polytope row of a
+sweep without hints, run the cold loops, each side's rows as one stack in
+lockstep: the polytope rows through the box loop (``_box_active_set``),
+with stacked gradient products and one face solve per free set, the
+zonotope rows through Wolfe's loop (``_wolfe``), with one stacked affine
+solve per corral size.
 Each loop ends each row with the bits it has alone; ``box_least_squares``
 and ``project_to_hull`` are the loops on one row, and the extreme-point
 test runs Wolfe's on one row per point.
@@ -231,7 +233,7 @@ def _box_rows(G, mu, targets, faces, verify=False):
     (X, points, distances, kkt residuals, ok) as arrays, a row per target.
     ``faces`` are the active-set loop's rows, already solved on their free
     sets F (coefficients strictly inside (0, 1)) by ``_face_solve``, or with
-    ``verify`` other rows' faces (NaN for none), solved here by one
+    ``verify`` other rows' faces (a hinted sweep's), solved here by one
     ``_face_solve`` per free set; a verified row is ok only strictly inside
     (0, 1) on F and passing the loop's stopping test, which proves it optimal."""
     Y = targets - mu

@@ -14,12 +14,12 @@ row formula ``cone.rows(x, w / |w|)``, at every zonotope near the base one
 (``SmoothTerm.gradient``; ``term_from_pair`` builds a pair's term). At the
 zonotope where a pair achieves the distance, w = q - p, so every active
 term's gradient is -(e (x) r^, r^), with e the cube lift of q and
-r^ = (p - q) / |p - q|: the pair's cone row over -|p - q|. The descent and
-``clarke_subdifferential`` read it off the cone matrix
-(``gradients_for_pairs``). The paper's explicit facet normal from signed
-minors is kept as ``facet_normal``, the reference the facet gradients are
-tested against. A central finite-difference oracle is provided for
-validation.
+r^ = (p - q) / |p - q|: the pair's cone row over -|p - q|. The descent
+reads the rows off the cone matrix (``FeasibilityCone.negated_gradients``),
+and ``clarke_subdifferential`` negates them (``gradients_for_pairs``). The
+paper's explicit facet normal from signed minors is kept as
+``facet_normal``, the reference the facet gradients are tested against. A
+central finite-difference oracle is provided for validation.
 """
 
 from __future__ import annotations

@@ -519,6 +519,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ZONOFIT_SEED") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["optimize", "--steps", "2"], ["warmstart"]])
+    @pytest.mark.parametrize("env", [None, "-1"])
+    def test_negative_seed(self, square_files, capsys, monkeypatch, command, env):
+        # A negative seed would fail only in np.random.default_rng.
+        seed = ["--seed", "-1"] if env is None else []
+        if env is not None:
+            monkeypatch.setenv("ZONOFIT_SEED", env)
+        assert main([command[0], square_files[0], "--rank", "2", *command[1:], *seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "-1" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["-1", "1", "nan", "1.5"])
     def test_rejected_tol_active(self, square_files, capsys, tol):
         for command in ("distance", "cone"):

@@ -283,6 +283,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             DescentConfig(rank=4, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", "x"), ("rng_seed", True),
+        ("max_steps", 2.5), ("max_steps", True), ("rank", 4.0)])
+    def test_config_rejects_a_non_integer_count_or_a_negative_seed(self, field, value):
+        # A negative seed would fail only in np.random.default_rng.
+        with pytest.raises(ValueError, match=field):
+            DescentConfig(**{"rank": 4, field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = DescentConfig(rank=np.int64(4), max_steps=np.int64(3), rng_seed=np.int64(7))
+        assert (cfg.rank, cfg.max_steps, cfg.rng_seed) == (4, 3, 7)
+
     @pytest.mark.parametrize("rank", [0, -1])
     def test_config_rejects_rank_below_one(self, rank):
         with pytest.raises(ValueError, match="rank"):

@@ -319,10 +319,9 @@ class TestVertexCache:
                             np.maximum(-along, 0.0).sum(axis=1) - shift], axis=1).ravel()
         assert geom.zonotope_facets(z)[1].tobytes() == offsets.tobytes()
 
-    def test_face_codes_are_built_once(self, rng, monkeypatch):
-        # Enumeration, an unhinted sweep and its face selection share one
-        # build of the face rows: one _bits call for the anchors, one for
-        # the free sets.
+    def test_vertex_codes_are_built_once(self, rng, monkeypatch):
+        # Enumeration reads its vertex codes as bits once, and a later sweep
+        # reads the cached vertices.
         from zonofit import hausdorff
 
         built, bits = [], geom._bits
@@ -330,9 +329,9 @@ class TestVertexCache:
         z = random_zonotope(rng, 6, 3)
         poly = random_polytope(rng, 3, scale=3.0)
         enumerate_vertices(z)
+        assert built == [6]
         hausdorff._projections(poly, z)
-        hausdorff._zonotope_face_rows(z, poly.vertices, poly.scale())
-        assert built == [6, 6]
+        assert built == [6]
 
 
 class TestLiftBoundaryPoint:

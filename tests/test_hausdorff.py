@@ -333,13 +333,18 @@ class TestCheckLocality:
         assert 0 in report.unstable_p_vertices
 
     def test_vertex_near_lower_face_reported(self):
-        # Vertex 0 projects into the top edge of the square, 1e-9 short of
-        # the corner (1, 1): within the face tolerance of the right edge,
-        # so it counts as projecting to the corner, on its cone's boundary.
+        # Vertex 0 sits 1e-9 left of the corner (1, 1), above the square.
+        # The box loop lifts it to the corner, where its offset (-1e-9, 1)
+        # is on the corner's normal cone's boundary: strict complementarity
+        # fails on generator 0.
         z = unit_square_zonotope()
         poly = Polytope.from_vertices([[1.0 - 1e-9, 2.0], [3.0, 2.5], [2.0, 4.0]])
-        assert 0.0 < hausdorff._projections(poly, z).X[0, 0] < 1.0
+        assert hausdorff._projections(poly, z).X[0].tolist() == [1.0, 1.0]
         assert 0 in check_locality(poly, z).unstable_p_vertices
+        # On the edge lift, into the top edge, the right edge is within the
+        # face tolerance of q and does not span its free generator 0.
+        X = np.array([[1.0 - 1e-9, 1.0]])
+        assert hausdorff._lift_unstable(poly.vertices[:1], z.map_point(X), X, z, 2.0)[0]
 
 
 def projection_faces(poly, z):
@@ -896,9 +901,18 @@ def selection_instance(rng, d, kind):
 
 def cold_sweep(poly, z):
     """Both sweeps of the pair by the solvers' cold loops, row by row, as a
-    ``SweepRows`` table."""
+    ``SweepRows`` table. A polytope vertex outside a general-position z
+    starts the box loop at its nearest zonotope vertex, as in the sweep."""
     zverts = enumerate_vertices(z)
-    p_rows = [solvers.box_least_squares(z.generators, z.translation, v) for v in poly.vertices]
+    bits, pts = geom._vertex_arrays(z)
+    starts = [None] * len(poly.vertices)
+    if geom.is_general_position(z):
+        normals, offsets = zonotope_facets(z)
+        for i, v in enumerate(poly.vertices):
+            if (normals @ v - offsets).max() > 0.0:
+                starts[i] = bits[np.square(v - pts).sum(axis=1).argmin()]
+    p_rows = [solvers.box_least_squares(z.generators, z.translation, v, start)
+              for v, start in zip(poly.vertices, starts)]
     z_rows = [solvers.project_to_hull(poly.vertices, pt) for _, pt in zverts]
     return hausdorff.SweepRows(
         P=np.vstack([poly.vertices, [r.point for r in z_rows]]),
@@ -920,14 +934,8 @@ class TestFaceSelection:
         poly, z, tie = selection_instance(rng, d, kind)
         rows, cold, m = hausdorff._projections(poly, z), cold_sweep(poly, z), len(poly.vertices)
         tol = 1e-15 * poly.scale()
-        for i in range(m):
-            if tie is not None and tie[:2] == ("p", i):
-                # The cold loop may stop on the sub-face, whose stopping test
-                # passes too; the selected row is on the face itself.
-                assert 0.0 < rows.X[i, tie[2]] < 1.0
-                assert abs(rows.distance[i] - cold.distance[i]) <= tol
-            else:
-                assert sweep_key(rows, i) == sweep_key(cold, i)
+        for i in range(m):  # the box loop's rows, near-ties too
+            assert sweep_key(rows, i) == sweep_key(cold, i)
         for j, (_, pt) in enumerate(enumerate_vertices(z)):
             if rows.corrals[j] == cold.corrals[j]:  # one solve, so every bit agrees
                 assert hull_row_key(rows, m, j) == hull_row_key(cold, m, j)
@@ -942,20 +950,25 @@ class TestFaceSelection:
                 assert np.array_equal(np.flatnonzero(rows.W[j]), np.flatnonzero(cold.W[j]))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_general_position_sweep_calls_no_cold_loop(self, rng, monkeypatch, d):
+    def test_general_position_sweep_runs_one_box_loop_and_no_wolfe(self, rng, monkeypatch, d):
         # The zonotope sits inside the polytope: its vertices project into
-        # the fan, the polytope's vertices onto its boundary faces.
+        # the fan, each on its selected face. Every polytope row runs the
+        # box loop, all in one stack.
         def refuse(*args):
-            raise AssertionError("cold loop called")
+            raise AssertionError("Wolfe's loop called")
 
+        box = solvers._box_active_set
         for _ in range(5):
             poly = random_polytope(rng, d)
             G = random_zonotope(rng, d + 2, d, scale=0.1).generators
             z = Zonotope(G, poly.vertices.mean(axis=0) - 0.5 * G.sum(axis=0))
+            stacks = []
             with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_box_active_set", refuse)
+                patch.setattr(solvers, "_box_active_set",
+                              lambda G, Y, starts: stacks.append(len(Y)) or box(G, Y, starts))
                 patch.setattr(solvers, "_wolfe", refuse)
                 assert hausdorff_distance(poly, z)[0] > 0.0
+            assert stacks == [len(poly.vertices)]
 
 class TestConcurrentCalls:
     def test_threads_on_shared_objects_match_a_serial_call(self, rng):
@@ -1073,30 +1086,6 @@ class TestPolytopeFaceCandidates:
         pruned, count[0] = count[0], 0
         assert picks == exhaustive_polytope_face_rows(poly, targets)
         assert 0 < 4 * pruned <= count[0]
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_no_face_selection_for_rows_strictly_inside_the_zonotope(self, rng, monkeypatch, d):
-        selected, select = [], hausdorff._zonotope_face_rows
-
-        def spy(z, targets, scale):
-            selected.append(targets)
-            return select(z, targets, scale)
-        monkeypatch.setattr(hausdorff, "_zonotope_face_rows", spy)
-        skipped = 0
-        for _ in range(8):
-            poly = random_polytope(rng, d)
-            G = random_zonotope(rng, d + 2, d, scale=rng.choice([0.3, 3.0])).generators
-            z = Zonotope(G, poly.vertices.mean(axis=0) - 0.5 * G.sum(axis=0))
-            selected.clear()
-            rows, cold = hausdorff._projections(poly, z), cold_sweep(poly, z)
-            normals, offsets = zonotope_facets(z)
-            V = poly.vertices
-            margin = (V @ normals.T - offsets).max(axis=1)
-            near = margin >= -FACE_ACTIVE_TOL * (1.0 + np.abs(V - z.translation).max())
-            assert np.array_equal(np.vstack(selected or [V[:0]]), V[near])
-            skipped += int((~near).sum())
-            assert all(sweep_key(rows, i) == sweep_key(cold, i) for i in range(len(V)))
-        assert skipped > 0
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
