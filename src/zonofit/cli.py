@@ -63,6 +63,15 @@ class _UsageError(Exception):
     pass
 
 
+def _write(path, text):
+    """Write text to the file at path; failing that, a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
@@ -195,8 +204,7 @@ def render_svg(poly: Polytope, z: Zonotope, pairs, path):
             "</g>"
         )
     lines.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_distance(args) -> int:
@@ -266,13 +274,10 @@ def cmd_optimize(args) -> int:
     }
     payload = {"zonotope": zonotope_to_json(z), "manifest": manifest}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(zonotope_to_json(z), fh, indent=2)
+        _write(args.out, json.dumps(zonotope_to_json(z), indent=2))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.to_csv())
-        with open(args.trace + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        _write(args.trace, trace.to_csv())
+        _write(args.trace + ".manifest.json", json.dumps(manifest, indent=2))
     if args.plot:
         if poly.dim == 2:
             _, pairs = hausdorff_distance(poly, z)
@@ -329,8 +334,7 @@ def cmd_warmstart(args) -> int:
     z = warmstart_zonotope(poly, args.rank, rng)
     text = json.dumps(zonotope_to_json(z), indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     print(text)
     return EXIT_OK
 
@@ -394,10 +398,8 @@ def cmd_bench(args) -> int:
     curves_text = "\n".join(curve_lines) + "\n"
 
     if args.out:
-        with open(args.out + "summary.csv", "w") as fh:
-            fh.write(summary_text)
-        with open(args.out + "curves.csv", "w") as fh:
-            fh.write(curves_text)
+        _write(args.out + "summary.csv", summary_text)
+        _write(args.out + "curves.csv", curves_text)
     print(summary_text, end="")
     return EXIT_OK
 

@@ -198,7 +198,7 @@ def perturb_until_local(poly: Polytope, z: Zonotope, sigma: float, rng):
     Returns (zonotope, tries); unchanged input counts as zero tries, and
     more than ``MAX_PERTURB_TRIES`` raise PerturbationBudgetExceeded. The
     amplitude is ``sigma`` times the largest generator norm per try; each
-    candidate in general position is swept with the faces of ``z`` as hints.
+    candidate in general position is swept with ``z``'s corrals as hints.
     """
     current = z
     for tries in range(MAX_PERTURB_TRIES + 1):
@@ -268,7 +268,7 @@ def optimize(poly: Polytope, z0: Zonotope, cfg: DescentConfig):
     trace = DescentTrace(records=[])
     iteration = 0
     retried = False
-    stepped_from = None  # zonotope of the last step, for face hints
+    stepped_from = None  # zonotope of the last step, for corral hints
     tries = 0  # locality perturbations applied to z since its last step
     shrink = 1.0  # adaptive starting fraction for conservative backtracking
 

@@ -6,12 +6,12 @@ once per (polytope, zonotope) pair into one table (``SweepRows``: both
 endpoints, the zonotope point's cube lift, the distance, and a zonotope
 row's weights and corral), cached on the zonotope by one attribute write
 (so concurrent calls stay safe); the distance, the locality check, the
-local terms and the descent's step caps all read it. A sweep solves rows
-first on a face, as arrays through the solvers' face tails: every row on
-the face it had on the hints (the zonotope a step started from), or
-without hints each zonotope row on the polytope face it projects onto.
-The polytope rows of an unhinted sweep, and rows whose face fails the
-solver's own optimality test, go to the solvers' cold loops.
+local terms and the descent's step caps all read it. A sweep's polytope
+rows run the solvers' box loop as one stack. Its zonotope rows are
+solved first on a corral, as arrays through the hull's face tail: the
+corral a row had on the hints (the zonotope a step started from), or
+without hints the polytope face it projects onto; rows whose corral
+fails the solver's own optimality test run Wolfe's loop.
 
 Also here: the coarse (vertex-set) distance, whose nearest-vertex rows
 fill the same table, Hausdorff stability of a point relative to a body,
@@ -141,22 +141,21 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     zonotope vertex in ``enumerate_vertices`` order. The cache keeps the
     last polytope measured; it is reused only for the same polytope object.
 
-    Rows given a face are solved on it first, one pass per side through
-    the solvers' face tails, and kept where the face passes the solver's
-    own optimality test, which proves it the exact projection. ``hints``, a
-    zonotope of the same rank whose sweep against poly is cached (the one a
-    step started from), lends each row its face there: polytope rows by
-    index, zonotope rows their corral by cube-lift bits. Without usable
-    hints each zonotope row of a general-position z takes the polytope face
-    it projects onto (``_polytope_face_rows``), and the polytope rows take
-    no face. The rest go to the solvers' cold loops, each side's rows as
-    one stack through its lockstep loop (``_box_active_set``, ``_wolfe``)
-    and one face tail, each row with the bits it has alone. A cold polytope
+    The polytope rows run the box loop (``_box_active_set``) as one stack
+    in lockstep and one face tail, each row with the bits it has alone. A
     row outside a general-position z (some facet of ``zonotope_facets``
-    violated) starts the box loop at its nearest zonotope vertex, the first
-    on ties, which saves face solves and keeps the bits
-    (``box_least_squares``). Other rows start at 0: inside z the start
-    would pick among many lifts.
+    violated) starts at its nearest zonotope vertex, the first on ties,
+    which saves face solves and keeps the bits (``box_least_squares``);
+    other rows start at 0: inside z the start would pick among many lifts.
+
+    The zonotope rows are solved first on a corral, in one pass through the
+    hull's face tail, and kept where it passes the solver's own optimality
+    test, which proves it the exact projection. ``hints``, a zonotope of
+    the same rank whose sweep against poly is cached (the one a step
+    started from), lends each zonotope row its corral there by cube-lift
+    bits; without usable hints each zonotope row of a general-position z
+    takes the polytope face it projects onto (``_polytope_face_rows``). The
+    rest run Wolfe's loop (``_wolfe``) as one stack in lockstep.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
@@ -165,27 +164,22 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     G, mu, k, general = z.generators, z.translation, len(V), not _facet_directions(z)[2]
     P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
     P[:k], Q[k:], X[k:], distance = V, zpts, bits, np.empty(len(P))
-    corrals, cold = [()] * len(zpts), np.arange(k)
+    starts = np.zeros((k, z.rank))
+    if general:  # rows violating a facet of z start at their nearest vertex
+        normals, offsets = zonotope_facets(z)
+        out = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1) > 0.0
+        starts[out] = bits[np.square(V[out][:, None] - zpts).sum(axis=2).argmin(axis=1)]
+    X[:k] = solvers._box_active_set(G, V - mu, starts)
+    Q[:k], distance[:k], _ = solvers._box_rows(G, mu, V, X[:k])
+    corrals = [()] * len(zpts)
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
-    if hinted is not None and hinted[0] is poly:  # polytope rows' lifts, zonotope rows' corrals
+    if hinted is not None and hinted[0] is poly:  # the corrals of the hints' zonotope rows
         lent = dict(zip(map(np.ndarray.tobytes, hinted[1].X[k:]), hinted[1].corrals))
         corrals = [lent.get(b.tobytes(), ()) for b in bits]
-        X[:k], Q[:k], distance[:k], _, p_ok = solvers._box_rows(G, mu, V, hinted[1].X[:k],
-                                                                verify=True)
-        cold = np.flatnonzero(~p_ok)
     elif general:  # the faces the zonotope rows project onto
         corrals = _polytope_face_rows(poly, zpts)
-    W, P[k:], distance[k:], _, z_ok = solvers._hull_rows(V, zpts, corrals)
-    if cold.size:
-        starts = np.zeros((cold.size, z.rank))
-        if general:  # rows violating a facet of z start at their nearest vertex
-            normals, offsets = zonotope_facets(z)
-            out = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1)[cold] > 0.0
-            nearest = np.square(V[cold][out][:, None] - zpts).sum(axis=2).argmin(axis=1)
-            starts[out] = bits[nearest]
-        X[cold], Q[cold], distance[cold], _, _ = solvers._box_rows(
-            G, mu, V[cold], solvers._box_active_set(G, V[cold] - mu, starts))
-    cold = np.flatnonzero(~z_ok)
+    W, P[k:], distance[k:], _, ok = solvers._hull_rows(V, zpts, corrals)
+    cold = np.flatnonzero(~ok)
     if cold.size:
         wolfe = solvers._wolfe(V - zpts[cold][:, None])  # corrals, weights
         W[cold], P[k + cold], distance[k + cold], _, _ = solvers._hull_rows(V, zpts[cold], *wolfe)

@@ -19,17 +19,16 @@ The tolerances are module constants shared by every solver
 locality check's stability LP sets it (``hausdorff._STABILITY_LP_TOL``,
 a laxer 1e-7).
 
-The two projections end in a row-batched face tail (``_box_rows``: free
-set and bits; ``_hull_rows``: Wolfe's corral) that the cold loops hand
-their final face to; it returns its rows as arrays and an ``ok`` mask.
-The Hausdorff sweeps solve rows there first, on hinted faces or, for
-zonotope rows, on the polytope face each projects onto, one solve per
-face shape, and keep the ok ones; the rest, with every polytope row of a
-sweep without hints, run the cold loops, each side's rows as one stack in
-lockstep: the polytope rows through the box loop (``_box_active_set``),
-with stacked gradient products and one face solve per free set, the
-zonotope rows through Wolfe's loop (``_wolfe``), with one stacked affine
-solve per corral size.
+The two projections end in a row-batched face tail that returns its rows
+as arrays: ``_box_rows`` takes the box loop's coefficients and
+``_hull_rows`` Wolfe's corrals, or any corrals, which it solves and
+marks ``ok`` where they pass Wolfe's stopping test. The Hausdorff sweeps
+run every polytope row through the box loop (``_box_active_set``) as one
+stack in lockstep, with stacked gradient products and one face solve per
+free set. They solve zonotope rows first on a lent corral or on the
+polytope face each projects onto, one solve per face size, and keep the
+ok ones; the rest run Wolfe's loop (``_wolfe``) as one stack in
+lockstep, with one stacked affine solve per corral size.
 Each loop ends each row with the bits it has alone; ``box_least_squares``
 and ``project_to_hull`` are the loops on one row, and the extreme-point
 test runs Wolfe's on one row per point.
@@ -217,42 +216,24 @@ def box_least_squares(generators: np.ndarray, translation: np.ndarray,
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
     T = np.asarray(target, dtype=float)[None]
     starts = np.zeros((1, len(G))) if start is None else np.asarray(start)[None]
-    X, points, dist, kkt, _ = _box_rows(G, mu, T, _box_active_set(G, T - mu, starts))
+    X = _box_active_set(G, T - mu, starts)
+    points, dist, kkt = _box_rows(G, mu, T, X)
     return BoxProjection(coefficients=X[0], point=points[0], distance=float(dist[0]),
                          kkt_residual=float(kkt[0]))
 
 
-def _box_tol(G, Y) -> np.ndarray:
-    """The stopping tolerance of ``box_least_squares`` per row of Y."""
-    scale = 1.0 + np.sqrt(np.einsum("...d,...d->...", Y, Y))
-    return KKT_TOL * (1.0 + float(np.abs(G).max(initial=0.0)) * scale)
-
-
-def _box_rows(G, mu, targets, faces, verify=False):
-    """The face tail of ``box_least_squares`` on many rows at once; returns
-    (X, points, distances, kkt residuals, ok) as arrays, a row per target.
-    ``faces`` are the active-set loop's rows, already solved on their free
-    sets F (coefficients strictly inside (0, 1)) by ``_face_solve``, or with
-    ``verify`` other rows' faces (a hinted sweep's), solved here by one
-    ``_face_solve`` per free set; a verified row is ok only strictly inside
-    (0, 1) on F and passing the loop's stopping test, which proves it optimal."""
+def _box_rows(G, mu, targets, X):
+    """The face tail of ``box_least_squares`` on many rows at once: the rows
+    X of the active-set loop, each solved on its free set (coefficients
+    strictly inside (0, 1)) by ``_face_solve``. Returns (points, distances,
+    kkt residuals) as arrays, a row per target."""
     Y = targets - mu
-    X = np.array(faces, dtype=float)
-    free = (X > 0.0) & (X < 1.0)
-    if verify:
-        for f in {f.tobytes(): f for f in free if f.any()}.values():
-            rows = (free == f).all(axis=1)
-            X[np.ix_(rows, f)] = _face_solve(G, Y[rows], X[rows], f)
     P = np.einsum("rn,nd->rd", X, G)
     E = Y - P
     W = np.einsum("nd,rd->rn", G, E)  # negative gradient
-    signed = np.where(X == 0.0, W, -W)
-    ok = np.ones(len(X), dtype=bool)
-    if verify:
-        bound_ok = signed <= _box_tol(G, Y)[:, None] + 1e-15
-        ok = np.where(free, (X > 1e-12) & (X < 1.0 - 1e-12), bound_ok).all(axis=1)
-    kkt = np.where(free, np.abs(W), signed).max(axis=1, initial=0.0)
-    return X, P + mu, np.sqrt(np.einsum("rd,rd->r", E, E)), kkt, ok
+    free = (X > 0.0) & (X < 1.0)
+    kkt = np.where(free, np.abs(W), np.where(X == 0.0, W, -W)).max(axis=1, initial=0.0)
+    return P + mu, np.sqrt(np.einsum("rd,rd->r", E, E)), kkt
 
 
 def _face_solve(G, Y, X, f) -> np.ndarray:
@@ -275,7 +256,8 @@ def _box_active_set(G, Y, starts) -> np.ndarray:
     and order of operations it has alone: each row ends with the bits it
     has when run alone."""
     rows, n = len(Y), G.shape[0]
-    tol = _box_tol(G, Y).tolist()
+    scale = 1.0 + np.sqrt(np.einsum("rd,rd->r", Y, Y))  # the stopping test's, per row
+    tol = (KKT_TOL * (1.0 + float(np.abs(G).max(initial=0.0)) * scale)).tolist()
     X = (np.asarray(starts) > 0.5).astype(float).tolist()
     status = [[1 if xi else -1 for xi in x] for x in X]  # -1 lower, 0 free, +1 upper
     cap = max(100, ITERATION_FACTOR * 6 * (n + 1))

@@ -159,7 +159,9 @@ def box_reference(G, y, start):
     solvers ran rows in lockstep: x."""
     from zonofit import solvers
 
-    n, tol = G.shape[0], float(solvers._box_tol(G, y))
+    n = G.shape[0]
+    tol = solvers.KKT_TOL * (1.0 + float(np.abs(G).max(initial=0.0))
+                             * (1.0 + np.sqrt(np.einsum("d,d->", y, y))))
     x = (np.asarray(start) > 0.5).astype(float).tolist()
     status = [1 if xi else -1 for xi in x]
     cap = max(100, solvers.ITERATION_FACTOR * 6 * (n + 1))
@@ -432,16 +434,24 @@ def rng():
 @pytest.fixture
 def measured_rows(monkeypatch):
     """The tail's name for each sweep row measured while the test runs. A row
-    leaves the solvers through a face tail whether it was solved on a
-    hinted face, on a selected face or by a cold loop, and only a row that
-    the tail accepts (its ``ok``, the tail's last array) is measured."""
+    leaves the solvers through a face tail. Every polytope row runs the box
+    loop, so each ``_box_rows`` row is measured; a zonotope row is solved on
+    a lent or selected corral or by Wolfe's loop, and only a ``_hull_rows``
+    row that the tail accepts (its ``ok``, the last array) is measured."""
     from zonofit import solvers
 
-    rows = []
-    for name in ("_box_rows", "_hull_rows"):
-        def spy(*args, tail=getattr(solvers, name), name=name, **kwargs):
-            out = tail(*args, **kwargs)
-            rows.extend([name] * int(np.count_nonzero(out[-1])))
-            return out
-        monkeypatch.setattr(solvers, name, spy)
+    rows, box, hull = [], solvers._box_rows, solvers._hull_rows
+
+    def box_spy(*args):
+        out = box(*args)
+        rows.extend(["_box_rows"] * len(out[0]))
+        return out
+
+    def hull_spy(*args):
+        out = hull(*args)
+        rows.extend(["_hull_rows"] * int(np.count_nonzero(out[-1])))
+        return out
+
+    monkeypatch.setattr(solvers, "_box_rows", box_spy)
+    monkeypatch.setattr(solvers, "_hull_rows", hull_spy)
     return rows

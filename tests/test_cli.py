@@ -530,6 +530,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "-1" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag, written", [
+        (["optimize", "--rank", "3", "--steps", "2"], "--trace", ""),
+        (["optimize", "--rank", "3", "--steps", "2"], "--out", ""),
+        (["optimize", "--rank", "3", "--steps", "2"], "--plot", ""),
+        (["warmstart", "--rank", "3"], "--out", ""),
+        (["bench", "--seeds", "1", "--steps", "2"], "--out", "summary.csv"),
+    ])
+    def test_unwritable_output(self, square_files, tmp_path, capsys, command, flag, written):
+        # An output in a directory that does not exist is one line on
+        # stderr, not a traceback.
+        path = str(tmp_path / "missing" / "out")
+        inputs = [] if command[0] == "bench" else [square_files[0]]
+        assert main([command[0], *inputs, *command[1:], flag, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {path + written}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["-1", "1", "nan", "1.5"])
     def test_rejected_tol_active(self, square_files, capsys, tol):
         for command in ("distance", "cone"):

@@ -100,23 +100,26 @@ class TestPerturbUntilLocal:
         assert successes == 20
 
     def test_candidates_are_swept_on_the_faces_of_the_start(self, monkeypatch):
-        # Only the borderline vertex may change its face; every other row of
-        # a candidate keeps the face it had at the measured start zonotope.
+        # Polytope rows always run the box loop, all of them in one stack per
+        # candidate. Zonotope rows keep the corral they had at the measured
+        # start zonotope; only the borderline vertex may change its face, so
+        # Wolfe's loop solves fewer than half of the rows.
         z = Zonotope(np.eye(2), np.zeros(2))
         poly = Polytope.from_vertices([[1.0, 2.0], [3.0, 2.5], [2.0, 4.0]])
-        rows = poly.vertices.shape[0] + len(enumerate_vertices(z))
-        cold = []  # a 1 per cold row: each row handed to the box loop or to Wolfe's loop
+        m = poly.vertices.shape[0]
+        rows = m + len(enumerate_vertices(z))
+        stacks, cold = [], []  # the box loop's stack sizes; a 1 per row handed to Wolfe's loop
         solve, wolfe = solvers._box_active_set, solvers._wolfe
         monkeypatch.setattr(solvers, "_box_active_set",
-                            lambda G, Y, s: cold.extend([1] * len(Y)) or solve(G, Y, s))
+                            lambda G, Y, s: stacks.append(len(Y)) or solve(G, Y, s))
         monkeypatch.setattr(solvers, "_wolfe", lambda S: cold.extend([1] * len(S)) or wolfe(S))
         for seed in range(10):
             start = Zonotope(z.generators, z.translation)
             hausdorff_distance(poly, start)
-            del cold[:]
+            del stacks[:], cold[:]
             _, tries = perturb_until_local(poly, start, 1e-6, np.random.default_rng(seed))
-            assert tries >= 1 and len(cold) < tries * rows / 2
-
+            assert tries >= 1 and stacks == [m] * tries
+            assert len(cold) < tries * rows / 2
 
     def test_no_sweep_for_a_start_or_candidate_off_general_position(self, rng, measured_rows,
                                                                      monkeypatch):

@@ -718,60 +718,82 @@ class TestProjectionCache:
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
     @example(seed=207, d=2)  # a polytope vertex inside z, with many exact lifts
     def test_hinted_sweep_matches_cold_sweep(self, seed, d):
-        # Rows solved on the faces of a measured zonotope: box rows strictly
-        # outside z repeat the solver's final solve on their one optimal
-        # face; inside z a vertex has many exact lifts, so only its point
-        # and distance are fixed. Hull rows may differ in corral order only
-        # (inside P any simplex around the vertex will do). Hints near the
-        # swept zonotope lend most rows a face that passes; an unrelated
-        # zonotope's faces mostly fail, so most of its hinted sweep is cold.
+        # Every polytope row runs the box loop, hints or not, so it is the
+        # cold loop's row bit for bit, inside z too, where a vertex has many
+        # exact lifts. Hints lend zonotope rows only their corrals: a row
+        # agrees with the unhinted sweep's to roundoff (about 2e-15 x scale),
+        # and in its support unless an unrelated zonotope lent its corral
+        # inside P, where any simplex around the vertex will do. Hints near
+        # the swept zonotope lend most zonotope rows a corral that passes;
+        # some of an unrelated zonotope's fail (3 to 8 of 8 at d = 2), and
+        # Wolfe's loop solves those.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
         near = perturbed(z, rng, 1e-6)
-        normals, offsets = zonotope_facets(near)
-        outside = (poly.vertices @ normals.T - offsets).max(axis=1) > 0.0
+        cold = cold_sweep(poly, near)
+        m, zrows = len(poly.vertices), len(cold.corrals)
         for hints in (z, random_zonotope(rng, z.rank, d)):
             hausdorff._projections(poly, hints)
-            box = mock.patch.object(solvers, "_box_active_set", wraps=solvers._box_active_set)
-            hull = mock.patch.object(solvers, "_wolfe", wraps=solvers._wolfe)
-            with box as box_calls, hull as hull_calls:
+            with mock.patch.object(solvers, "_wolfe", wraps=solvers._wolfe) as hull_calls:
                 hinted = hausdorff._projections(
                     poly, Zonotope(near.generators, near.translation), hints=hints)
-            cold = hausdorff._projections(poly, Zonotope(near.generators, near.translation))
-            solved = (sum(len(c.args[1]) for c in box_calls.call_args_list)
-                      + sum(len(c.args[0]) for c in hull_calls.call_args_list))
-            rows, m = len(cold.distance), len(poly.vertices)
-            assert solved <= rows // 2 if hints is z else solved > rows // 2
-            tol = 1e-15 * poly.scale()
-            for i, out in enumerate(outside):
-                if out:
-                    assert sweep_key(hinted, i) == sweep_key(cold, i)
-                else:
-                    assert np.abs(hinted.Q[i] - cold.Q[i]).max() <= tol
-                    assert abs(hinted.distance[i] - cold.distance[i]) <= tol
-                    for x in (hinted.X[i], cold.X[i]):
-                        assert 0.0 <= x.min() <= x.max() <= 1.0
+            unhinted = hausdorff._projections(poly, Zonotope(near.generators, near.translation))
+            solved = sum(len(c.args[0]) for c in hull_calls.call_args_list)
+            assert solved <= zrows // 2 if hints is z else solved > 0
+            for i in range(m):
+                assert sweep_key(hinted, i) == sweep_key(cold, i)
+            tol = 10.0 * 1e-15 * poly.scale()
             for j, (_, pt) in enumerate(enumerate_vertices(near)):
                 if hints is z or poly.interior_margin(pt) <= 0.0:  # inside P any simplex
-                    assert np.array_equal(np.flatnonzero(hinted.W[j]), np.flatnonzero(cold.W[j]))
-                assert np.abs(hinted.P[m + j] - cold.P[m + j]).max() <= tol
-                assert abs(hinted.distance[m + j] - cold.distance[m + j]) <= tol
+                    assert np.array_equal(np.flatnonzero(hinted.W[j]),
+                                          np.flatnonzero(unhinted.W[j]))
+                assert np.abs(hinted.P[m + j] - unhinted.P[m + j]).max() <= tol
+                assert abs(hinted.distance[m + j] - unhinted.distance[m + j]) <= tol
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_sweep_runs_its_polytope_rows_through_one_box_loop(self, rng, monkeypatch, d):
+        # With hints from the zonotope a step starts at, with an unrelated
+        # zonotope's, and without hints, a sweep hands all its polytope rows
+        # to one box loop from the same starts, and its polytope rows are
+        # the same bits.
+        def bits(a):
+            return np.asarray(a, dtype=float).tobytes()
+
+        calls, box = [], solvers._box_active_set
+        monkeypatch.setattr(solvers, "_box_active_set",
+                            lambda G, Y, starts: calls.append((Y, starts)) or box(G, Y, starts))
+        for _ in range(4):
+            poly, start = random_local_instance(rng, d=d)
+            z, m = perturbed(start, rng, 1e-3), len(poly.vertices)
+            unrelated = random_zonotope(rng, start.rank, d)
+            for hints in (start, unrelated):
+                hausdorff._projections(poly, hints)
+            tables, starts = [], []
+            for hints in (start, unrelated, None):
+                del calls[:]
+                tables.append(hausdorff._projections(
+                    poly, Zonotope(z.generators, z.translation), hints=hints))
+                assert len(calls) == 1
+                assert bits(calls[0][0]) == bits(poly.vertices - z.translation)
+                starts.append(bits(calls[0][1]))
+            assert starts[1:] == starts[:-1]
+            rows = [[bits(t.Q[:m]), bits(t.X[:m]), bits(t.distance[:m])] for t in tables]
+            assert rows[1:] == rows[:-1]
 
     def test_cold_rows_outside_start_at_their_nearest_vertex(self, rng, monkeypatch):
-        # Hints from an unrelated zonotope send most rows cold. A cold row
-        # strictly outside z starts at the bits of its nearest vertex of z;
-        # a row inside starts at 0, as does every row of a degenerate z.
+        # A row strictly outside z starts the box loop at the bits of its
+        # nearest vertex of z; a row inside starts at 0, as does every row
+        # of a degenerate z.
         calls, seen = [], set()  # (row, start) of each row handed to the box loop
         solve = solvers._box_active_set
         monkeypatch.setattr(solvers, "_box_active_set",
                             lambda G, Y, starts: calls.extend(zip(Y, starts)) or solve(G, Y, starts))
         for d in (2, 3):
             for _ in range(6):
-                poly, hints = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+                poly = random_polytope(rng, d)
                 z = random_zonotope(rng, d + 2, d, scale=rng.choice([0.5, 1.5]))
-                hausdorff._projections(poly, hints)
                 del calls[:]
-                hausdorff._projections(poly, z, hints=hints)
+                hausdorff._projections(poly, z)
                 normals, offsets = zonotope_facets(z)
                 zverts = enumerate_vertices(z)
                 for y, start in calls:
@@ -793,11 +815,11 @@ class TestProjectionCache:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cold_zonotope_rows_are_project_to_hull(self, rng, d):
-        # Hints from an unrelated zonotope send most zonotope rows cold, and
-        # a zonotope off general position sends every row cold. The cold rows
-        # run through Wolfe's loop as one stack; each ends as it does alone,
-        # bit for bit. An unhinted sweep of a general-position zonotope keeps
-        # the face it picked for every other row.
+        # An unrelated zonotope lends most zonotope rows a corral that
+        # fails, and a zonotope off general position has none to select, so
+        # those rows run Wolfe's loop, as one stack; each ends as it does
+        # alone, bit for bit. An unhinted sweep of a general-position
+        # zonotope keeps the face it selected for every other zonotope row.
         def bits(a):
             return np.asarray(a, dtype=float).tobytes()
 
