@@ -412,38 +412,37 @@ def _require_full_dimensional(V: np.ndarray):
 
 def _facets_brute_force(V: np.ndarray):
     """Facets of conv(V), full-dimensional in R^d, by brute force over
-    d-subsets with supporting-plane checks. In R^1 the facets are (+1, -1).
+    d-subsets with supporting-plane checks: one batched SVD per block of
+    subsets (a block bounds the margins array at 4096 x len(V)). The
+    products are stacked matmuls, so each plane has the bits of its own
+    product. In R^1 the facets are (+1, -1).
     """
     k, d = V.shape
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([float(V.max()), float(-V.min())])
     scale = 1.0 + float(np.abs(V).max())
-    normals, offsets = [], []
-    for rows in itertools.combinations(range(k), d):
-        pts = V[list(rows)]
-        _, s, vt = np.linalg.svd(pts[1:] - pts[0])
-        if s.size < d - 1 or s[-1] <= 1e-10 * max(1.0, s[0]):
-            continue  # affinely dependent subset
-        eta = vt[-1]
-        c = float(eta @ pts[0])
-        margins = V @ eta - c
-        hi, lo = margins.max(), margins.min()
-        if hi <= EXTREME_TOL * scale:
-            pass  # eta already outward
-        elif lo >= -EXTREME_TOL * scale:
-            eta, c = -eta, -c
-        else:
-            continue  # not a supporting hyperplane
-        duplicate = any(
-            np.linalg.norm(en - eta) < 1e-8 and abs(ec - c) < 1e-8 * scale
-            for en, ec in zip(normals, offsets)
-        )
-        if not duplicate:
-            normals.append(eta)
-            offsets.append(c)
-    if not normals:
+    tol, subsets, planes = EXTREME_TOL * scale, _subsets(k, d), []
+    for start in range(0, len(subsets), 4096):
+        rows = subsets[start:start + 4096]
+        base = V[rows[:, 0]]
+        _, s, vt = np.linalg.svd(V[rows[:, 1:]] - base[:, None])
+        eta = vt[:, -1]
+        c = (eta[:, None, :] @ base[:, :, None])[:, 0, 0]
+        margins = (V @ eta[:, :, None])[:, :, 0] - c[:, None]
+        outward = margins.max(axis=1) <= tol  # else inward, if a supporting plane
+        inward = ~outward & (margins.min(axis=1) >= -tol)
+        flip = np.where(inward, -1.0, 1.0)
+        independent = s[:, -1] > 1e-10 * np.maximum(1.0, s[:, 0])
+        planes.append((flip[:, None] * eta, flip * c, independent & (outward | inward)))
+    eta, c, supporting = (np.concatenate(a) for a in zip(*planes))
+    keep = []  # the supporting planes, in subset order, less duplicates
+    for i in np.flatnonzero(supporting):
+        if not ((np.linalg.norm(eta[keep] - eta[i], axis=1) < 1e-8)
+                & (np.abs(c[keep] - c[i]) < 1e-8 * scale)).any():
+            keep.append(i)
+    if not keep:
         raise DegenerateInput("no facets found; input is degenerate")
-    return np.array(normals), np.array(offsets)
+    return eta[keep], c[keep]
 
 
 @dataclass(frozen=True)
@@ -493,9 +492,15 @@ def lift_boundary_point(z: Zonotope, q) -> LiftPoint:
     Box-constrained least squares recovers the preimage; uniqueness holds
     iff the generators free in the solution are linearly independent.
     Raises NotOnBoundary when q is off the boundary (outside or strictly
-    interior) and NonUniqueLift when the stability check fails.
+    interior) and NonUniqueLift when the stability check fails;
+    DimensionMismatch unless q is a point of the zonotope's space, and
+    DegenerateInput unless it is finite.
     """
     q = np.asarray(q, dtype=float)
+    if q.shape != (z.dim,):
+        raise DimensionMismatch(f"point has shape {q.shape}, zonotope is {z.dim}-D")
+    if not np.all(np.isfinite(q)):
+        raise DegenerateInput("point must be finite")
     scale = 1.0 + z.scale() + float(np.linalg.norm(z.translation))
     normals, offsets = zonotope_facets(z)
     margins = normals @ q - offsets
@@ -610,11 +615,10 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
 
 def _simplicial_faces(poly: Polytope) -> tuple:
     """(faces, incidence): vertex index rows of the polytope's simplicial
-    faces by size, every vertex and subset of a facet with d vertices, and
-    as size d + 1 the fan joining vertex 0 to each such facet off it, which
-    covers the polytope when those are all its facets off vertex 0; and the
-    facet-vertex incidence they were read from: within 10 FACE_ACTIVE_TOL x
-    scale of the facet. Cached on the polytope by one attribute write."""
+    faces by size, every vertex and subset of a facet with d vertices; and
+    the facet-vertex incidence they were read from: within 10
+    FACE_ACTIVE_TOL x scale of the facet. Cached on the polytope by one
+    attribute write."""
     if poly._faces is not None:
         return poly._faces
     nv, d = poly.vertices.shape
@@ -623,8 +627,7 @@ def _simplicial_faces(poly: Polytope) -> tuple:
     simplices = np.nonzero(incidence[incidence.sum(axis=1) == d])[1].reshape(-1, d)
     faces = {m: _unique_rows(simplices[:, _subsets(d, m)].reshape(-1, m))
              for m in range(2, d + 1)}
-    fan = simplices[(simplices != 0).all(axis=1)]
-    faces.update({1: np.arange(nv)[:, None], d + 1: np.insert(fan, 0, 0, axis=1)})
+    faces[1] = np.arange(nv)[:, None]
     object.__setattr__(poly, "_faces", (faces, incidence))
     return faces, incidence
 

@@ -7,11 +7,12 @@ endpoints, the zonotope point's cube lift, the distance, and a zonotope
 row's weights and corral), cached on the zonotope by one attribute write
 (so concurrent calls stay safe); the distance, the locality check, the
 local terms and the descent's step caps all read it. A sweep's polytope
-rows run the solvers' box loop as one stack. Its zonotope rows are
-solved first on a corral, as arrays through the hull's face tail: the
-corral a row had on the hints (the zonotope a step started from), or
-without hints the polytope face it projects onto; rows whose corral
-fails the solver's own optimality test run Wolfe's loop.
+rows run the solvers' box loop as one stack. A zonotope vertex inside
+the polytope is its own projection and is solved by nothing; the other
+zonotope rows are solved first on a corral, as arrays through the hull's
+face tail: the corral a row had on the hints (the zonotope a step started
+from), or without hints the polytope face it projects onto; rows whose
+corral fails the solver's own optimality test run Wolfe's loop.
 
 Also here: the coarse (vertex-set) distance, whose nearest-vertex rows
 fill the same table, Hausdorff stability of a point relative to a body,
@@ -131,6 +132,7 @@ def _require_same_dim(poly: Polytope, z: Zonotope):
 # point P, the zonotope-side point Q, the cube lift X of Q and |P - Q|; for
 # zonotope rows, P's weights W over poly's vertices and their corrals (Wolfe's
 # points of positive weight, in his order), which the coarse table leaves None.
+# A zonotope row inside poly has P = Q, a zero W row and the corral ().
 SweepRows = namedtuple("SweepRows", "P Q X distance W corrals", defaults=(None, None))
 
 
@@ -148,14 +150,16 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     which saves face solves and keeps the bits (``box_least_squares``);
     other rows start at 0: inside z the start would pick among many lifts.
 
-    The zonotope rows are solved first on a corral, in one pass through the
-    hull's face tail, and kept where it passes the solver's own optimality
-    test, which proves it the exact projection. ``hints``, a zonotope of
-    the same rank whose sweep against poly is cached (the one a step
-    started from), lends each zonotope row its corral there by cube-lift
-    bits; without usable hints each zonotope row of a general-position z
-    takes the polytope face it projects onto (``_polytope_face_rows``). The
-    rest run Wolfe's loop (``_wolfe``) as one stack in lockstep.
+    A zonotope vertex with every facet margin of poly below
+    -``FACE_ACTIVE_TOL`` x scale is its own projection, in every sweep, and
+    no solver sees it. The others are solved first on a corral, in one pass
+    through the hull's face tail, and kept where it passes the solver's own
+    optimality test, which proves it the exact projection. ``hints``, a
+    zonotope of the same rank whose sweep against poly is cached (the one a
+    step started from), lends each its corral there by cube-lift bits;
+    without usable hints each of a general-position z takes the polytope
+    face it projects onto (``_polytope_face_rows``). The rest run Wolfe's
+    loop (``_wolfe``) as one stack in lockstep.
     """
     cached = z._projections
     if cached is not None and cached[0] is poly:
@@ -163,29 +167,30 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     V, (bits, zpts) = poly.vertices, _vertex_arrays(z)
     G, mu, k, general = z.generators, z.translation, len(V), not _facet_directions(z)[2]
     P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
-    P[:k], Q[k:], X[k:], distance = V, zpts, bits, np.empty(len(P))
-    starts = np.zeros((k, z.rank))
+    P[:k], P[k:], Q[k:], X[k:] = V, zpts, zpts, bits  # a zonotope row inside poly keeps P = Q
+    distance, W, starts = np.zeros(len(P)), np.zeros((len(zpts), k)), np.zeros((k, z.rank))
     if general:  # rows violating a facet of z start at their nearest vertex
         normals, offsets = zonotope_facets(z)
         out = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1) > 0.0
         starts[out] = bits[np.square(V[out][:, None] - zpts).sum(axis=2).argmin(axis=1)]
     X[:k] = solvers._box_active_set(G, V - mu, starts)
     Q[:k], distance[:k], _ = solvers._box_rows(G, mu, V, X[:k])
-    corrals = [()] * len(zpts)
+    near = zpts @ poly.facet_normals.T - poly.facet_offsets > -FACE_ACTIVE_TOL * poly.scale()
+    live = np.flatnonzero(near.any(axis=1))  # the other rows are inside poly
     hinted = hints._projections if hints is not None and hints.rank == z.rank else None
     if hinted is not None and hinted[0] is poly:  # the corrals of the hints' zonotope rows
         lent = dict(zip(map(np.ndarray.tobytes, hinted[1].X[k:]), hinted[1].corrals))
-        corrals = [lent.get(b.tobytes(), ()) for b in bits]
-    elif general:  # the faces the zonotope rows project onto
-        corrals = _polytope_face_rows(poly, zpts)
-    W, P[k:], distance[k:], _, ok = solvers._hull_rows(V, zpts, corrals)
-    cold = np.flatnonzero(~ok)
+        picks = [lent.get(b.tobytes(), ()) for b in bits[live]]
+    else:  # the faces the zonotope rows project onto, none off general position
+        picks = _polytope_face_rows(poly, zpts[live], near[live]) if general else [()] * live.size
+    W[live], P[k + live], distance[k + live], _, ok = solvers._hull_rows(V, zpts[live], picks)
+    corrals, cold = dict(zip(live.tolist(), picks)), live[~ok]
     if cold.size:
         wolfe = solvers._wolfe(V - zpts[cold][:, None])  # corrals, weights
         W[cold], P[k + cold], distance[k + cold], _, _ = solvers._hull_rows(V, zpts[cold], *wolfe)
-        for j, corral in zip(cold.tolist(), wolfe[0]):
-            corrals[j] = tuple(corral)
-    table = SweepRows(*map(_readonly, (P, Q, X, distance, W)), tuple(corrals))
+        corrals.update(zip(cold.tolist(), map(tuple, wolfe[0])))
+    table = SweepRows(*map(_readonly, (P, Q, X, distance, W)),
+                      tuple(corrals.get(j, ()) for j in range(len(zpts))))
     object.__setattr__(z, "_projections", (poly, table))
     return table
 
@@ -199,30 +204,20 @@ def _nearest_faces(dist: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndar
     return np.where(tied & (sizes[:, None] == largest), dist, np.inf).argmin(axis=0)
 
 
-def _polytope_face_rows(poly: Polytope, targets: np.ndarray) -> list:
+def _polytope_face_rows(poly: Polytope, targets: np.ndarray, near: np.ndarray) -> list:
     """The simplicial face of poly (``_simplicial_faces``) each target
-    projects onto, as a ``solvers._hull_rows`` corral (vertex order). One
-    stacked affine min-norm solve per face size, only on the (face, target)
-    pairs that can hold the target's projection q. Outside poly, t - q is a
-    non-negative combination of the normals of the facets active at q (KKT),
-    and |t - q|^2 > 0, so t violates one of them, and that facet holds q's
-    face. So t tests the faces of the facets it violates by more than
-    -``FACE_ACTIVE_TOL`` x scale; unless outside by more than that, t is
-    its own q and also tests the fan simplices over the facets that the ray
-    from vertex 0 through t leaves by (exit parameters tie within a
-    relative ``FACE_ACTIVE_TOL``)."""
+    projects onto, as a ``solvers._hull_rows`` corral (vertex order), where
+    ``near`` (targets x facets) marks the facets each target violates by more
+    than -``FACE_ACTIVE_TOL`` x scale. One stacked affine min-norm solve per
+    face size, only on the (face, target) pairs that can hold the target's
+    projection q: outside poly, t - q is a non-negative combination of the
+    normals of the facets active at q (KKT), and |t - q|^2 > 0, so t
+    violates one of them, and that facet holds q's face."""
     faces, incidence = _simplicial_faces(poly)
-    V, N, b = poly.vertices, poly.facet_normals, poly.facet_offsets
-    band, margin, rise = FACE_ACTIVE_TOL * poly.scale(), targets @ N.T - b, (targets - V[0]) @ N.T
-    exits = (rise > 0.0) & ~incidence[:, 0] & (margin.max(axis=1) <= band)[:, None]
-    leave = np.divide(b - N @ V[0], rise, out=np.full(rise.shape, np.inf), where=exits)
-    leaves = exits & (leave <= leave.min(axis=1, keepdims=True) * (1.0 + FACE_ACTIVE_TOL))
-    groups = [f for f in faces.values() if len(f)]
+    V, groups = poly.vertices, [f for f in faces.values() if len(f)]
     dist = []
     for f in groups:
-        fan = f.shape[1] > poly.dim  # its simplices lie on the facet of their base
-        on = incidence[:, f[:, 1:] if fan else f].all(axis=2)
-        face, row = np.nonzero(((leaves if fan else margin > -band) @ on).T)
+        face, row = np.nonzero((near @ incidence[:, f].all(axis=2)).T)
         dist.append(np.full((len(f), len(targets)), np.inf))
         if len(face):
             S = V[f[face]] - targets[row][:, None]

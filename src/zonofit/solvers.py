@@ -25,9 +25,10 @@ as arrays: ``_box_rows`` takes the box loop's coefficients and
 marks ``ok`` where they pass Wolfe's stopping test. The Hausdorff sweeps
 run every polytope row through the box loop (``_box_active_set``) as one
 stack in lockstep, with stacked gradient products and one face solve per
-free set. They solve zonotope rows first on a lent corral or on the
-polytope face each projects onto, one solve per face size, and keep the
-ok ones; the rest run Wolfe's loop (``_wolfe``) as one stack in
+free set. A zonotope row inside the polytope is its own projection and
+reaches no solver; the sweeps solve the others first on a lent corral or
+on the polytope face each projects onto, one solve per face size, and
+keep the ok ones; the rest run Wolfe's loop (``_wolfe``) as one stack in
 lockstep, with one stacked affine solve per corral size.
 Each loop ends each row with the bits it has alone; ``box_least_squares``
 and ``project_to_hull`` are the loops on one row, and the extreme-point

@@ -391,7 +391,7 @@ NEAR_PARALLEL_ZONOTOPES = [
 def exhaustive_polytope_face_rows(poly, targets):
     """``hausdorff._polytope_face_rows`` as it was before it pruned its
     candidates: the affine min-norm solve of every target on every
-    simplicial face and fan simplex, then the same pick."""
+    simplicial face, then the same pick."""
     from zonofit import solvers
     from zonofit.geom import _simplicial_faces
     from zonofit.hausdorff import _nearest_faces
@@ -421,9 +421,46 @@ def simplicial_faces_reference(poly):
     simplices = np.nonzero(incidence[incidence.sum(axis=1) == d])[1].reshape(-1, d)
     faces = {m: np.unique(simplices[:, _subsets(d, m)].reshape(-1, m), axis=0)
              for m in range(2, d + 1)}
-    fan = simplices[(simplices != 0).all(axis=1)]
-    faces.update({1: np.arange(nv)[:, None], d + 1: np.insert(fan, 0, 0, axis=1)})
+    faces[1] = np.arange(nv)[:, None]
     return faces, incidence
+
+
+def facets_brute_force_reference(V):
+    """``geom._facets_brute_force`` as it was before its batched pass: one
+    SVD and one supporting-plane check per d-subset of V, in order."""
+    from zonofit.errors import DegenerateInput
+    from zonofit.geom import EXTREME_TOL
+
+    k, d = V.shape
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.array([float(V.max()), float(-V.min())])
+    scale = 1.0 + float(np.abs(V).max())
+    normals, offsets = [], []
+    for rows in itertools.combinations(range(k), d):
+        pts = V[list(rows)]
+        _, s, vt = np.linalg.svd(pts[1:] - pts[0])
+        if s.size < d - 1 or s[-1] <= 1e-10 * max(1.0, s[0]):
+            continue  # affinely dependent subset
+        eta = vt[-1]
+        c = float(eta @ pts[0])
+        margins = V @ eta - c
+        hi, lo = margins.max(), margins.min()
+        if hi <= EXTREME_TOL * scale:
+            pass  # eta already outward
+        elif lo >= -EXTREME_TOL * scale:
+            eta, c = -eta, -c
+        else:
+            continue  # not a supporting hyperplane
+        duplicate = any(
+            np.linalg.norm(en - eta) < 1e-8 and abs(ec - c) < 1e-8 * scale
+            for en, ec in zip(normals, offsets)
+        )
+        if not duplicate:
+            normals.append(eta)
+            offsets.append(c)
+    if not normals:
+        raise DegenerateInput("no facets found; input is degenerate")
+    return np.array(normals), np.array(offsets)
 
 
 @pytest.fixture
@@ -435,9 +472,10 @@ def rng():
 def measured_rows(monkeypatch):
     """The tail's name for each sweep row measured while the test runs. A row
     leaves the solvers through a face tail. Every polytope row runs the box
-    loop, so each ``_box_rows`` row is measured; a zonotope row is solved on
-    a lent or selected corral or by Wolfe's loop, and only a ``_hull_rows``
-    row that the tail accepts (its ``ok``, the last array) is measured."""
+    loop, so each ``_box_rows`` row is measured; a zonotope row inside the
+    polytope is measured by nothing, any other is solved on a lent or
+    selected corral or by Wolfe's loop, and only a ``_hull_rows`` row that
+    the tail accepts (its ``ok``, the last array) is measured."""
     from zonofit import solvers
 
     rows, box, hull = [], solvers._box_rows, solvers._hull_rows

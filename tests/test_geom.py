@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     SHORT_PARALLEL_GENERATORS,
     UNIT_TRIANGLE,
+    facets_brute_force_reference,
     hull_vertices_oracle,
     random_polytope,
     random_zonotope,
@@ -362,6 +363,18 @@ class TestLiftBoundaryPoint:
         with pytest.raises(NotOnBoundary):
             lift_boundary_point(z, [2.0, 0.5])
 
+    @pytest.mark.parametrize("q", [[0.0, 0.5, 0.0], [0.0], [[0.0, 0.5]], 0.5])
+    def test_point_of_another_shape_rejected(self, q):
+        with pytest.raises(DimensionMismatch):
+            lift_boundary_point(unit_square_zonotope(), q)
+
+    @pytest.mark.parametrize("q", [[np.nan, 0.5], [0.0, np.inf], [-np.inf, np.nan]])
+    def test_non_finite_point_rejected(self, q):
+        # NaN margins fail every boundary test, so without the check
+        # [nan, 0.5] came back as the corner lift (0, 0).
+        with pytest.raises(DegenerateInput):
+            lift_boundary_point(unit_square_zonotope(), q)
+
     def test_non_unique_lift_flags_stability_violation(self):
         from zonofit.errors import NonUniqueLift
 
@@ -621,7 +634,7 @@ class TestSimplicialFaces:
     def test_cube_has_no_simplicial_facet(self):
         poly = Polytope.from_vertices(list(itertools.product((0.0, 1.0), repeat=3)))
         faces = self.assert_matches_reference(poly)
-        assert [len(faces[m]) for m in (2, 3, 4)] == [0, 0, 0]
+        assert sorted(faces) == [1, 2, 3] and len(faces[2]) == len(faces[3]) == 0
 
     def test_a_few_hundred_vertices(self):
         # Qhull's triangulated hull of 300 points on the sphere.
@@ -641,6 +654,41 @@ class TestSimplicialFaces:
         a = np.random.default_rng(seed).integers(0, top, size=(rows, m))
         got, want = geom._unique_rows(a), np.unique(a, axis=0)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestFacetsBruteForce:
+    """The batched facet pass against the loop it replaced
+    (``conftest.facets_brute_force_reference``), bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), extra=st.integers(1, 8),
+           kind=st.sampled_from(["random", "lattice", "cube"]),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]), shift=st.sampled_from([0.0, 3.0, -1e3]))
+    def test_same_bits_as_the_loop(self, seed, d, extra, kind, scale, shift):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            V = rng.normal(size=(d + extra, d))
+        elif kind == "lattice":  # coplanar subsets: many duplicate planes
+            V = rng.integers(-2, 3, size=(d + extra, d)).astype(float)
+        else:
+            V = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+        V = scale * (V + shift)
+        try:
+            want = facets_brute_force_reference(V)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                geom._facets_brute_force(V)
+            return
+        got = geom._facets_brute_force(V)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_more_than_one_block_of_subsets(self, rng):
+        V = rng.normal(size=(32, 3))  # 4,960 subsets: two blocks
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        got, want = geom._facets_brute_force(V), facets_brute_force_reference(V)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMinimalFace:

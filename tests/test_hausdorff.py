@@ -666,10 +666,13 @@ class TestProjectionCache:
         for poly in (poly_a, poly_b, poly_a):
             before = len(measured_rows)
             warm = distance_key(poly, z)
-            # Every row of both sweeps is measured again.
+            # Every row of both sweeps is measured again, but for the
+            # zonotope vertices inside the polytope, which are measured by
+            # nothing.
+            zpts = np.array([pt for _, pt in enumerate_vertices(z)])
             assert sorted(measured_rows[before:]) == (
                 ["_box_rows"] * poly.vertices.shape[0]
-                + ["_hull_rows"] * len(enumerate_vertices(z)))
+                + ["_hull_rows"] * int(near_facets(poly, zpts).any(axis=1).sum()))
             assert warm == distance_key(poly, Zonotope(z.generators, z.translation))
         # The same polytope object reuses the sweep.
         before = len(measured_rows)
@@ -683,8 +686,9 @@ class TestProjectionCache:
             zk = fresh()
             before = len(measured_rows)
             value, pairs, coarse, report = zonofit.evaluate(poly, zk)
+            zpts = np.array([pt for _, pt in enumerate_vertices(zk)])
             assert len(measured_rows) - before == (poly.vertices.shape[0]
-                                                   + len(enumerate_vertices(zk)))
+                                                   + near_facets(poly, zpts).any(axis=1).sum())
             assert (value, [pair_key(p) for p in pairs]) == distance_key(poly, fresh())
             assert coarse == coarse_hausdorff_distance(poly, fresh())[0]
             assert report == check_locality(poly, fresh())
@@ -720,13 +724,14 @@ class TestProjectionCache:
     def test_hinted_sweep_matches_cold_sweep(self, seed, d):
         # Every polytope row runs the box loop, hints or not, so it is the
         # cold loop's row bit for bit, inside z too, where a vertex has many
-        # exact lifts. Hints lend zonotope rows only their corrals: a row
-        # agrees with the unhinted sweep's to roundoff (about 2e-15 x scale),
-        # and in its support unless an unrelated zonotope lent its corral
-        # inside P, where any simplex around the vertex will do. Hints near
-        # the swept zonotope lend most zonotope rows a corral that passes;
-        # some of an unrelated zonotope's fail (3 to 8 of 8 at d = 2), and
-        # Wolfe's loop solves those.
+        # exact lifts. A zonotope vertex inside P is its own projection on
+        # every path, bit for bit. Hints lend the other zonotope rows only
+        # their corrals: a row agrees with the unhinted sweep's to roundoff
+        # (about 2e-15 x scale), and in its support unless an unrelated
+        # zonotope lent its corral on a point of P within the face tolerance
+        # of its boundary. Hints near the swept zonotope lend most zonotope
+        # rows a corral that passes; some of an unrelated zonotope's fail (3
+        # to 8 of 8 at d = 2), and Wolfe's loop solves those.
         rng = np.random.default_rng(seed)
         poly, z = random_local_instance(rng, d=d)
         near = perturbed(z, rng, 1e-6)
@@ -744,7 +749,10 @@ class TestProjectionCache:
                 assert sweep_key(hinted, i) == sweep_key(cold, i)
             tol = 10.0 * 1e-15 * poly.scale()
             for j, (_, pt) in enumerate(enumerate_vertices(near)):
-                if hints is z or poly.interior_margin(pt) <= 0.0:  # inside P any simplex
+                if not near_facets(poly, pt[None]).any():  # inside P
+                    assert hull_row_key(hinted, m, j) == hull_row_key(unhinted, m, j)
+                    assert hinted.corrals[j] == unhinted.corrals[j] == ()
+                if hints is z or poly.interior_margin(pt) <= 0.0:
                     assert np.array_equal(np.flatnonzero(hinted.W[j]),
                                           np.flatnonzero(unhinted.W[j]))
                 assert np.abs(hinted.P[m + j] - unhinted.P[m + j]).max() <= tol
@@ -836,17 +844,21 @@ class TestProjectionCache:
                     rows = hausdorff._projections(poly, zk, **kwargs)
                 stacked = [S for call in wolfe.call_args_list for S in call.args[0]]
                 zpts = np.array([pt for _, pt in enumerate_vertices(zk)])
+                near = near_facets(poly, zpts)
+                live = np.flatnonzero(near.any(axis=1)).tolist()
                 cold = [j for j, pt in enumerate(zpts)
                         if any(np.array_equal(poly.vertices - pt, S) for S in stacked)]
                 assert len(wolfe.call_args_list) <= 1 and len(cold) == len(stacked)
+                assert set(cold) <= set(live)
                 if zk is z:
                     assert cold
                 elif _facet_directions(zk)[2]:
-                    assert cold == list(range(len(zpts)))
+                    assert cold == live
                 else:
-                    picks = hausdorff._polytope_face_rows(poly, zpts)
-                    for j in sorted(set(range(len(zpts))) - set(cold)):
-                        assert rows.corrals[j] == tuple(picks[j])
+                    picks = hausdorff._polytope_face_rows(poly, zpts[live], near[live])
+                    for j, pick in zip(live, picks):
+                        if j not in cold:
+                            assert rows.corrals[j] == tuple(pick)
                 for j in cold:
                     one = solvers.project_to_hull(poly.vertices, zpts[j])
                     assert rows.corrals[j] == one.corral
@@ -870,10 +882,52 @@ class TestProjectionCache:
                 del lent[:]
                 hausdorff._projections(poly, zk, hints=hints)
                 by_bits = {b.tobytes(): c for b, c in zip(table.X[m:], table.corrals)}
-                assert lent[0] == [by_bits.get(b.tobytes(), ())
-                                   for b, _ in enumerate_vertices(zk)]
-                matched |= {b.tobytes() in by_bits for b, _ in enumerate_vertices(zk)}
+                live = [b for b, pt in enumerate_vertices(zk)  # inside P no corral is solved
+                        if near_facets(poly, pt[None]).any()]
+                assert lent[0] == [by_bits.get(b.tobytes(), ()) for b in live]
+                matched |= {b.tobytes() in by_bits for b in live}
         assert matched == {True, False}
+
+
+class TestInsideRows:
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+    def test_a_vertex_inside_p_is_its_own_projection_on_every_path(self, seed, d):
+        # Unhinted, hinted by the zonotope a step starts from, hinted by an
+        # unrelated one, and off general position: each zonotope vertex
+        # with every facet margin below -FACE_ACTIVE_TOL x scale is its own
+        # row, distance 0.0, no weights and no corral, and no solve sees it.
+        def bits(a):
+            return np.asarray(a, dtype=float).tobytes()
+
+        rng = np.random.default_rng(seed)
+        poly = random_polytope(rng, d)
+        start = random_zonotope(rng, d + 2, d, scale=float(rng.uniform(0.05, 0.5)))
+        start = Zonotope(start.generators, start.translation + poly.vertices.mean(axis=0)
+                         - start.center)
+        unrelated = random_zonotope(rng, d + 2, d)
+        G = start.generators.copy()
+        G[1] = 2.0 * G[0]
+        m, seen = len(poly.vertices), 0
+        for hints in (start, unrelated):
+            hausdorff._projections(poly, hints)
+        z = perturbed(start, rng, 1e-3)
+        degenerate = Zonotope(G, z.translation)
+        for zk, hints in ((z, None), (z, start), (z, unrelated), (degenerate, None)):
+            zk = Zonotope(zk.generators, zk.translation)
+            solved, tail = [], solvers._hull_rows  # Wolfe's rows end in the tail too
+            with mock.patch.object(solvers, "_hull_rows", side_effect=lambda V, T, *a: (
+                    solved.extend(map(bits, T)) or tail(V, T, *a))):
+                rows = hausdorff._projections(poly, zk, hints=hints)
+            zpts = np.array([pt for _, pt in enumerate_vertices(zk)])
+            inside = ~near_facets(poly, zpts).any(axis=1)
+            seen += inside.sum()
+            for j in np.flatnonzero(inside):
+                assert bits(rows.P[m + j]) == bits(zpts[j])
+                assert bits(rows.distance[m + j]) == bits(0.0)
+                assert bits(rows.W[j]) == bits(np.zeros(m)) and rows.corrals[j] == ()
+                assert bits(zpts[j]) not in solved
+        assert seen
 
 
 def shifted_to_lower_face(z, x, i, c):
@@ -950,7 +1004,7 @@ class TestFaceSelection:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    @example(seed=224)  # a zonotope vertex inside P: 2.3e-15 selected, 7.1e-17 cold
+    @example(seed=224)  # a zonotope vertex inside P: 0.0 in the sweep, 7.1e-17 cold
     def test_unhinted_sweep_matches_the_cold_loops(self, seed, d, kind):
         rng = np.random.default_rng(seed)
         poly, z, tie = selection_instance(rng, d, kind)
@@ -968,14 +1022,14 @@ class TestFaceSelection:
             if tie is not None and tie[:2] == ("z", j):
                 assert rows.W[j, tie[2]] > 0.0
                 assert set(np.flatnonzero(rows.W[j])) >= set(np.flatnonzero(cold.W[j]))
-            elif poly.interior_margin(pt) <= 0.0:  # inside P any simplex around pt will do
+            elif poly.interior_margin(pt) <= 0.0:  # inside P the sweep's row has no weights
                 assert np.array_equal(np.flatnonzero(rows.W[j]), np.flatnonzero(cold.W[j]))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_general_position_sweep_runs_one_box_loop_and_no_wolfe(self, rng, monkeypatch, d):
-        # The zonotope sits inside the polytope: its vertices project into
-        # the fan, each on its selected face. Every polytope row runs the
-        # box loop, all in one stack.
+        # The zonotope sits inside the polytope: its vertices are their own
+        # projections. Every polytope row runs the box loop, all in one
+        # stack.
         def refuse(*args):
             raise AssertionError("Wolfe's loop called")
 
@@ -1026,6 +1080,14 @@ def hull_row_key(rows, m, j):
     return rows.P[m + j].tobytes(), rows.distance[m + j].tobytes(), rows.W[j].tobytes()
 
 
+def near_facets(poly, targets):
+    """The facets each target violates by more than -FACE_ACTIVE_TOL x scale
+    (targets x facets), as the sweep reads them; a target with none is
+    inside P."""
+    margin = targets @ poly.facet_normals.T - poly.facet_offsets
+    return margin > -FACE_ACTIVE_TOL * poly.scale()
+
+
 def candidate_targets(rng, poly):
     """Targets at the polytope's vertices; at a point of each facet, and
     1e-9 and 1e-3 inside and outside it; and 3 widths from the centroid."""
@@ -1064,33 +1126,20 @@ class TestPolytopeFaceCandidates:
             poly = Polytope.from_vertices(list(itertools.product([0.0, 1.0], repeat=d)))
         else:
             poly = random_polytope(rng, d, npoints=int(rng.integers(d + 2, 4 * d + 4)))
+        # The sweep selects faces only for targets near or outside P: a
+        # target inside P is its own projection.
         targets = candidate_targets(rng, poly)
-        picks = hausdorff._polytope_face_rows(poly, targets)
+        near = near_facets(poly, targets)
+        targets, near = targets[near.any(axis=1)], near[near.any(axis=1)]
+        picks = hausdorff._polytope_face_rows(poly, targets, near)
         exhaustive = exhaustive_polytope_face_rows(poly, targets)
-        # Strictly inside the cube no simplex holds a target: the exhaustive
-        # rule picks the nearest vertex, which cannot pass, and the pruned
-        # rule tests nothing.
-        inside = (poly.facet_offsets - targets @ poly.facet_normals.T).min(axis=1)
-        moot = (kind == "cube" and d == 3) & (inside >= FACE_ACTIVE_TOL * poly.scale())
-        assert [p for p, m in zip(picks, moot) if not m] == [
-            p for p, m in zip(exhaustive, moot) if not m]
+        assert picks == exhaustive
         assert hull_key(poly.vertices, targets, picks) == hull_key(
             poly.vertices, targets, exhaustive)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_rows_on_the_fan_boundaries_match(self, rng, d):
-        # A target on a segment from vertex 0 lies on the boundary of fan
-        # simplices, strictly inside none. No face then holds its projection
-        # strictly: the picks may differ, but no row passes on either.
-        for _ in range(10):
-            poly = random_polytope(rng, d)
-            V = poly.vertices
-            targets = V[0] + rng.uniform(0.05, 0.95, size=(len(V) - 1, 1)) * (V[1:] - V[0])
-            rows = [hull_key(V, targets, rule(poly, targets))
-                    for rule in (hausdorff._polytope_face_rows, exhaustive_polytope_face_rows)]
-            assert rows[0] == rows[1]
-
     def test_a_quarter_of_the_exhaustive_work(self, monkeypatch):
+        # The sweep skips the vertices inside P and prunes the pairs of the
+        # rest: under a quarter of the exhaustive rule's solves on all 32.
         rng = np.random.default_rng(4401)
         poly = random_polytope(rng, 3, npoints=10)
         while poly.vertices.shape[0] != 10:
@@ -1098,15 +1147,18 @@ class TestPolytopeFaceCandidates:
         z = random_zonotope(rng, 6, 3, scale=0.3)
         targets = np.array([pt for _, pt in enumerate_vertices(z)])
         assert targets.shape == (32, 3)
+        near = near_facets(poly, targets)
+        live = near.any(axis=1)
         count, solve = [0], solvers._affine_min_norm
 
         def counted(C):
             count[0] += C.shape[0]
             return solve(C)
         monkeypatch.setattr(solvers, "_affine_min_norm", counted)
-        picks = hausdorff._polytope_face_rows(poly, targets)
+        picks = hausdorff._polytope_face_rows(poly, targets[live], near[live])
         pruned, count[0] = count[0], 0
-        assert picks == exhaustive_polytope_face_rows(poly, targets)
+        exhaustive = exhaustive_polytope_face_rows(poly, targets)
+        assert picks == [pick for pick, keep in zip(exhaustive, live) if keep]
         assert 0 < 4 * pruned <= count[0]
 
 
