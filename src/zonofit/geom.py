@@ -147,7 +147,7 @@ def canonicalize(z: Zonotope) -> Zonotope:
 @functools.lru_cache(maxsize=None)
 def _subsets(n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n) as rows of a read-only index array, in
-    lexicographic order."""
+    lexicographic order; cached for life, so for generator counts n only."""
     rows = np.array(list(itertools.combinations(range(n), k)), dtype=int)
     rows.setflags(write=False)
     return rows
@@ -324,12 +324,13 @@ class Polytope:
         return 1.0 + float(np.abs(self.vertices).max(initial=0.0))
 
     def contains(self, x) -> bool:
-        margins = self.facet_normals @ np.asarray(x, dtype=float) - self.facet_offsets
-        return bool(margins.max(initial=-np.inf) <= BOUNDARY_TOL * self.scale())
+        """Whether x violates no facet by more than ``BOUNDARY_TOL`` x scale."""
+        return self.interior_margin(x) >= -BOUNDARY_TOL * self.scale()
 
     def interior_margin(self, x) -> float:
-        """Smallest slack over facets; positive strictly inside."""
-        margins = self.facet_offsets - self.facet_normals @ np.asarray(x, dtype=float)
+        """Smallest slack over facets; positive strictly inside. Raises
+        DimensionMismatch or DegenerateInput unless x is a finite point of R^d."""
+        margins = self.facet_offsets - self.facet_normals @ solvers._point(x, self.dim, "polytope")
         return float(margins.min(initial=np.inf))
 
     @staticmethod
@@ -413,17 +414,17 @@ def _require_full_dimensional(V: np.ndarray):
 def _facets_brute_force(V: np.ndarray):
     """Facets of conv(V), full-dimensional in R^d, by brute force over
     d-subsets with supporting-plane checks: one batched SVD per block of
-    subsets (a block bounds the margins array at 4096 x len(V)). The
-    products are stacked matmuls, so each plane has the bits of its own
-    product. In R^1 the facets are (+1, -1).
+    4096 subsets in lexicographic order, keeping only its supporting planes
+    (no C(len(V), d) array is built). The products are stacked matmuls, so
+    each plane has the bits of its own product. In R^1 the facets are (+1, -1).
     """
     k, d = V.shape
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([float(V.max()), float(-V.min())])
     scale = 1.0 + float(np.abs(V).max())
-    tol, subsets, planes = EXTREME_TOL * scale, _subsets(k, d), []
-    for start in range(0, len(subsets), 4096):
-        rows = subsets[start:start + 4096]
+    tol, subsets, planes = EXTREME_TOL * scale, itertools.combinations(range(k), d), []
+    for block in iter(lambda: list(itertools.islice(subsets, 4096)), []):
+        rows = np.array(block)
         base = V[rows[:, 0]]
         _, s, vt = np.linalg.svd(V[rows[:, 1:]] - base[:, None])
         eta = vt[:, -1]
@@ -432,11 +433,11 @@ def _facets_brute_force(V: np.ndarray):
         outward = margins.max(axis=1) <= tol  # else inward, if a supporting plane
         inward = ~outward & (margins.min(axis=1) >= -tol)
         flip = np.where(inward, -1.0, 1.0)
-        independent = s[:, -1] > 1e-10 * np.maximum(1.0, s[:, 0])
-        planes.append((flip[:, None] * eta, flip * c, independent & (outward | inward)))
-    eta, c, supporting = (np.concatenate(a) for a in zip(*planes))
+        supporting = (s[:, -1] > 1e-10 * np.maximum(1.0, s[:, 0])) & (outward | inward)
+        planes.append(((flip[:, None] * eta)[supporting], (flip * c)[supporting]))
+    eta, c = (np.concatenate(a) for a in zip(*planes))
     keep = []  # the supporting planes, in subset order, less duplicates
-    for i in np.flatnonzero(supporting):
+    for i in range(len(c)):
         if not ((np.linalg.norm(eta[keep] - eta[i], axis=1) < 1e-8)
                 & (np.abs(c[keep] - c[i]) < 1e-8 * scale)).any():
             keep.append(i)
@@ -496,11 +497,7 @@ def lift_boundary_point(z: Zonotope, q) -> LiftPoint:
     DimensionMismatch unless q is a point of the zonotope's space, and
     DegenerateInput unless it is finite.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (z.dim,):
-        raise DimensionMismatch(f"point has shape {q.shape}, zonotope is {z.dim}-D")
-    if not np.all(np.isfinite(q)):
-        raise DegenerateInput("point must be finite")
+    q = solvers._point(q, z.dim, "zonotope")
     scale = 1.0 + z.scale() + float(np.linalg.norm(z.translation))
     normals, offsets = zonotope_facets(z)
     margins = normals @ q - offsets
@@ -585,11 +582,7 @@ def minimal_face(poly: Polytope, x) -> FaceDescriptor:
     DimensionMismatch unless x is a point of the polytope's space, and
     DegenerateInput unless it is finite.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (poly.dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, polytope is {poly.dim}-D")
-    if not np.all(np.isfinite(x)):
-        raise DegenerateInput("point must be finite")
+    x = solvers._point(x, poly.dim, "polytope")
     scale = poly.scale()
     margins = poly.facet_normals @ x - poly.facet_offsets
     if margins.max(initial=-np.inf) > FACE_ACTIVE_TOL * scale:

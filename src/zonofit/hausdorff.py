@@ -144,11 +144,11 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     last polytope measured; it is reused only for the same polytope object.
 
     The polytope rows run the box loop (``_box_active_set``) as one stack
-    in lockstep and one face tail, each row with the bits it has alone. A
-    row outside a general-position z (some facet of ``zonotope_facets``
-    violated) starts at its nearest zonotope vertex, the first on ties,
-    which saves face solves and keeps the bits (``box_least_squares``);
-    other rows start at 0: inside z the start would pick among many lifts.
+    in lockstep and one face tail, each row with the bits it has alone,
+    from the bits of its nearest zonotope vertex (the first on ties), which
+    saves face solves. A row outside a general-position z has one optimal
+    face, whatever the start; inside z the start picks one of many exact
+    lifts, a function of (poly, z) alone, so every sweep gives it one lift.
 
     A zonotope vertex with every facet margin of poly below
     -``FACE_ACTIVE_TOL`` x scale is its own projection, in every sweep, and
@@ -168,11 +168,8 @@ def _projections(poly: Polytope, z: Zonotope, hints: Zonotope | None = None) -> 
     G, mu, k, general = z.generators, z.translation, len(V), not _facet_directions(z)[2]
     P, Q, X = (np.empty((k + len(zpts), n)) for n in (z.dim, z.dim, z.rank))
     P[:k], P[k:], Q[k:], X[k:] = V, zpts, zpts, bits  # a zonotope row inside poly keeps P = Q
-    distance, W, starts = np.zeros(len(P)), np.zeros((len(zpts), k)), np.zeros((k, z.rank))
-    if general:  # rows violating a facet of z start at their nearest vertex
-        normals, offsets = zonotope_facets(z)
-        out = (np.einsum("fd,rd->rf", normals, V) - offsets).max(axis=1) > 0.0
-        starts[out] = bits[np.square(V[out][:, None] - zpts).sum(axis=2).argmin(axis=1)]
+    distance, W = np.zeros(len(P)), np.zeros((len(zpts), k))
+    starts = bits[np.square(V[:, None] - zpts).sum(axis=2).argmin(axis=1)]
     X[:k] = solvers._box_active_set(G, V - mu, starts)
     Q[:k], distance[:k], _ = solvers._box_rows(G, mu, V, X[:k])
     near = zpts @ poly.facet_normals.T - poly.facet_offsets > -FACE_ACTIVE_TOL * poly.scale()
@@ -313,11 +310,7 @@ def is_hausdorff_stable(x, poly: Polytope) -> bool:
     relative interior of that face's normal cone, i.e. every vertex off the
     face lies strictly behind q along the offset (by ``STRICT_TOL``).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (poly.dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, polytope is {poly.dim}-D")
-    if not np.all(np.isfinite(x)):
-        raise DegenerateInput("point must be finite")
+    x = solvers._point(x, poly.dim, "polytope")
     row = solvers.project_to_hull(poly.vertices, x)
     return not _hull_unstable(x[None], row.point[None], row.weights[None], poly)[0]
 

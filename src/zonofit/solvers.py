@@ -22,17 +22,13 @@ a laxer 1e-7).
 The two projections end in a row-batched face tail that returns its rows
 as arrays: ``_box_rows`` takes the box loop's coefficients and
 ``_hull_rows`` Wolfe's corrals, or any corrals, which it solves and
-marks ``ok`` where they pass Wolfe's stopping test. The Hausdorff sweeps
-run every polytope row through the box loop (``_box_active_set``) as one
-stack in lockstep, with stacked gradient products and one face solve per
-free set. A zonotope row inside the polytope is its own projection and
-reaches no solver; the sweeps solve the others first on a lent corral or
-on the polytope face each projects onto, one solve per face size, and
-keep the ok ones; the rest run Wolfe's loop (``_wolfe``) as one stack in
-lockstep, with one stacked affine solve per corral size.
-Each loop ends each row with the bits it has alone; ``box_least_squares``
-and ``project_to_hull`` are the loops on one row, and the extreme-point
-test runs Wolfe's on one row per point.
+marks ``ok`` where they pass Wolfe's stopping test. The box loop
+(``_box_active_set``) and Wolfe's loop (``_wolfe``) each run a stack of
+rows in lockstep, with stacked products and one solve per free set or
+corral size, and end each row with the bits it has alone (the Hausdorff
+sweeps run them so); ``box_least_squares`` and ``project_to_hull`` are
+the loops on one row, and the extreme-point test runs Wolfe's on one row
+per point.
 
 Everything is deterministic: the simplex pivots with Bland's rule and the
 active-set loops break ties by lowest index, so identical inputs always
@@ -46,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleRegion, IterationLimit, UnboundedRegion
+from .errors import (DegenerateInput, DimensionMismatch, InfeasibleRegion, IterationLimit,
+                     UnboundedRegion)
 
 __all__ = [
     "LPResult",
@@ -185,6 +182,17 @@ def solve_lp(objective, lhs, rhs, feasibility_tol: float = FEASIBILITY_TOL) -> L
     return LPResult(status="optimal", x=x, value=float(c @ x))
 
 
+def _point(x, dim: int, body: str) -> np.ndarray:
+    """x as a float point of R^dim. Raises DimensionMismatch unless its
+    shape is (dim,), and DegenerateInput unless it is finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, {body} is {dim}-D")
+    if not np.all(np.isfinite(x)):
+        raise DegenerateInput("point must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class BoxProjection:
     """Result of projecting a point onto a zonotope (box-constrained LS)."""
@@ -212,10 +220,12 @@ def box_least_squares(generators: np.ndarray, translation: np.ndarray,
     loop ends on with the same face solve from any start, so a start there
     changes only the number of face solves, not the result's bits (unless
     a second face passes the stopping test, as near-parallel generators
-    allow).
+    allow). Inside the zonotope the start picks one of the exact lifts.
+    Raises DimensionMismatch or DegenerateInput unless the target is a
+    finite point of the zonotope's space.
     """
     G, mu = np.asarray(generators, dtype=float), np.asarray(translation, dtype=float)
-    T = np.asarray(target, dtype=float)[None]
+    T = _point(target, G.shape[1], "zonotope")[None]
     starts = np.zeros((1, len(G))) if start is None else np.asarray(start)[None]
     X = _box_active_set(G, T - mu, starts)
     points, dist, kkt = _box_rows(G, mu, T, X)
@@ -338,10 +348,12 @@ def project_to_hull(points: np.ndarray, target: np.ndarray) -> HullProjection:
 
     Maintains a corral of affinely independent points; major iterations add
     the most violating point (lowest index on ties), minor iterations
-    restore convex weights. Finite termination up to tolerances.
+    restore convex weights. Finite termination up to tolerances. Raises
+    DimensionMismatch or DegenerateInput unless the target is a finite
+    point of the points' space.
     """
     V = np.atleast_2d(np.asarray(points, dtype=float))
-    T = np.asarray(target, dtype=float)[None]
+    T = _point(target, V.shape[1], "hull")[None]
     corrals, weights = _wolfe(V - T[:, None])
     W, points, dist, kkt, _ = _hull_rows(V, T, corrals, weights)
     return HullProjection(weights=W[0], point=points[0], distance=float(dist[0]),

@@ -514,6 +514,17 @@ class TestPolytope:
         assert sq.contains([0.5, 0.5])
         assert not sq.contains([1.5, 0.5])
 
+    @pytest.mark.parametrize("x, error", [
+        ([1.0, 2.0, 3.0], DimensionMismatch), ([0.5], DimensionMismatch),
+        ([[0.5, 0.5]], DimensionMismatch), ([np.nan, 0.0], DegenerateInput),
+        ([0.5, np.inf], DegenerateInput)])
+    def test_contains_and_margin_reject_a_bad_point(self, x, error):
+        # A 3-vector ended in a numpy ValueError, and [nan, 0] read as outside.
+        sq = unit_square_polytope()
+        for query in (sq.contains, sq.interior_margin):
+            with pytest.raises(error):
+                query(x)
+
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 SQUARE_FACETS = [[0.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
@@ -689,6 +700,15 @@ class TestFacetsBruteForce:
         got, want = geom._facets_brute_force(V), facets_brute_force_reference(V)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_keeps_no_vertex_subsets(self, rng, monkeypatch):
+        # The cached subset index arrays are for generator subsets; a
+        # polytope's C(k, d) vertex subsets were kept for the process's life.
+        calls, subsets = [], geom._subsets
+        monkeypatch.setattr(geom, "_subsets", lambda *a: calls.append(a) or subsets(*a))
+        V = rng.normal(size=(60, 3))
+        Polytope.from_points(V / np.linalg.norm(V, axis=1)[:, None])
+        assert calls == []
 
 
 class TestMinimalFace:

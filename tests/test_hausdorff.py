@@ -788,10 +788,9 @@ class TestProjectionCache:
             rows = [[bits(t.Q[:m]), bits(t.X[:m]), bits(t.distance[:m])] for t in tables]
             assert rows[1:] == rows[:-1]
 
-    def test_cold_rows_outside_start_at_their_nearest_vertex(self, rng, monkeypatch):
-        # A row strictly outside z starts the box loop at the bits of its
-        # nearest vertex of z; a row inside starts at 0, as does every row
-        # of a degenerate z.
+    def test_every_row_starts_at_its_nearest_vertex(self, rng, monkeypatch):
+        # Every row starts the box loop at the bits of its nearest vertex of
+        # z, the first on ties: outside z, inside it, and for a degenerate z.
         calls, seen = [], set()  # (row, start) of each row handed to the box loop
         solve = solvers._box_active_set
         monkeypatch.setattr(solvers, "_box_active_set",
@@ -800,26 +799,19 @@ class TestProjectionCache:
             for _ in range(6):
                 poly = random_polytope(rng, d)
                 z = random_zonotope(rng, d + 2, d, scale=rng.choice([0.5, 1.5]))
-                del calls[:]
-                hausdorff._projections(poly, z)
+                G = z.generators.copy()
+                G[1] = 2.0 * G[0]
                 normals, offsets = zonotope_facets(z)
-                zverts = enumerate_vertices(z)
-                for y, start in calls:
-                    v = poly.vertices[((poly.vertices - z.translation) == y).all(axis=1)][0]
-                    if (normals @ v - offsets).max() > 0.0:
-                        near = np.argmin([np.linalg.norm(pt - v) for _, pt in zverts])
-                        assert np.array_equal(start, zverts[near][0])
-                        seen.add("outside")
-                    else:
-                        assert not start.any()
-                        seen.add("inside")
-        assert seen == {"outside", "inside"}
-        G = z.generators.copy()
-        G[1] = 2.0 * G[0]
-        del calls[:]
-        hausdorff._projections(poly, Zonotope(G, z.translation))
-        assert len(calls) == len(poly.vertices)
-        assert not any(start.any() for _, start in calls)
+                for zk in (z, Zonotope(G, z.translation)):
+                    del calls[:]
+                    hausdorff._projections(poly, zk)
+                    assert len(calls) == len(poly.vertices)
+                    for v, (y, start) in zip(poly.vertices, calls):
+                        assert np.array_equal(y, v - zk.translation)
+                        assert np.array_equal(start, nearest_vertex_bits(zk, v))
+                        if zk is z:
+                            seen.add((normals @ v - offsets).max() > 0.0)
+        assert seen == {True, False}  # rows outside z and inside it
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cold_zonotope_rows_are_project_to_hull(self, rng, d):
@@ -930,6 +922,41 @@ class TestInsideRows:
         assert seen
 
 
+class TestOneStart:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+           degenerate=st.booleans())
+    def test_every_row_is_the_box_loop_from_its_nearest_vertex(self, seed, d, degenerate):
+        # z is scaled about its centre to the gauge of the median polytope
+        # vertex: the vertices before it in gauge order are inside z, it is
+        # on z (to roundoff) and the rest are outside. Unhinted or hinted,
+        # each polytope row is the cold box loop from the bits of its
+        # nearest zonotope vertex, bit for bit, and an inside row's lift
+        # lies in the cube and reproduces its vertex.
+        rng = np.random.default_rng(seed)
+        poly, z = random_polytope(rng, d), random_zonotope(rng, d + 2, d)
+        G, V, m = z.generators.copy(), poly.vertices, len(poly.vertices)
+        if degenerate:
+            G[1] = 2.0 * G[0]
+        c = V.mean(axis=0)
+        normals, offsets = zonotope_facets(Zonotope(G, c - 0.5 * G.sum(axis=0)))
+        gauge = ((V - c) @ normals.T / (offsets - normals @ c)).max(axis=1)
+        order = np.argsort(gauge)
+        G *= gauge[order[m // 2]]
+        z = Zonotope(G, c - 0.5 * G.sum(axis=0))
+        hints = random_zonotope(rng, d + 2, d)
+        hausdorff._projections(poly, hints)
+        for kwargs in ({}, {"hints": hints}):
+            rows = hausdorff._projections(poly, Zonotope(G, z.translation), **kwargs)
+            for i, v in enumerate(V):
+                one = solvers.box_least_squares(G, z.translation, v, nearest_vertex_bits(z, v))
+                assert sweep_key(rows, i) == (one.point.tolist(), one.distance,
+                                              one.coefficients.tolist())
+            for i in order[:m // 2]:  # inside z
+                assert ((rows.X[i] >= 0.0) & (rows.X[i] <= 1.0)).all()
+                assert np.abs(z.map_point(rows.X[i]) - V[i]).max() <= 1e-14 * poly.scale()
+
+
 def shifted_to_lower_face(z, x, i, c):
     """z translated along generator i, so that a target whose box
     least-squares coefficients onto z are x (i free) lands at coefficient c
@@ -975,20 +1002,19 @@ def selection_instance(rng, d, kind):
     return poly, z, None
 
 
+def nearest_vertex_bits(z, v):
+    """The bits of the vertex of z nearest to v, the first on ties."""
+    bits, pts = geom._vertex_arrays(z)
+    return bits[np.square(v - pts).sum(axis=1).argmin()]
+
+
 def cold_sweep(poly, z):
     """Both sweeps of the pair by the solvers' cold loops, row by row, as a
-    ``SweepRows`` table. A polytope vertex outside a general-position z
-    starts the box loop at its nearest zonotope vertex, as in the sweep."""
+    ``SweepRows`` table. Each polytope vertex starts the box loop at its
+    nearest zonotope vertex, as in the sweep."""
     zverts = enumerate_vertices(z)
-    bits, pts = geom._vertex_arrays(z)
-    starts = [None] * len(poly.vertices)
-    if geom.is_general_position(z):
-        normals, offsets = zonotope_facets(z)
-        for i, v in enumerate(poly.vertices):
-            if (normals @ v - offsets).max() > 0.0:
-                starts[i] = bits[np.square(v - pts).sum(axis=1).argmin()]
-    p_rows = [solvers.box_least_squares(z.generators, z.translation, v, start)
-              for v, start in zip(poly.vertices, starts)]
+    p_rows = [solvers.box_least_squares(z.generators, z.translation, v, nearest_vertex_bits(z, v))
+              for v in poly.vertices]
     z_rows = [solvers.project_to_hull(poly.vertices, pt) for _, pt in zverts]
     return hausdorff.SweepRows(
         P=np.vstack([poly.vertices, [r.point for r in z_rows]]),

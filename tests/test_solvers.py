@@ -18,7 +18,7 @@ from conftest import (
     wolfe_reference,
 )
 from zonofit import solvers
-from zonofit.errors import InfeasibleRegion, UnboundedRegion
+from zonofit.errors import DegenerateInput, DimensionMismatch, InfeasibleRegion, UnboundedRegion
 from zonofit.solvers import (
     FEASIBILITY_TOL,
     box_least_squares,
@@ -177,6 +177,11 @@ class TestSolveLP:
         assert np.array_equal(r1.x, r2.x) and r1.value == r2.value
 
 
+# Targets that are not a finite point of the plane, and the error each raises.
+BAD_TARGETS = [([1.0, 2.0, 3.0], DimensionMismatch), ([[0.5, 0.5]], DimensionMismatch),
+               ([np.nan, 0.0], DegenerateInput), ([0.0, -np.inf], DegenerateInput)]
+
+
 class TestBoxLeastSquares:
     def test_outside_unit_square(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -184,6 +189,12 @@ class TestBoxLeastSquares:
         assert np.allclose(res.point, [1.0, 0.5], atol=1e-9)
         assert res.distance == pytest.approx(1.0, abs=1e-9)
         assert res.coefficients[0] == 1.0  # exactly at the bound
+
+    @pytest.mark.parametrize("target, error", BAD_TARGETS)
+    def test_bad_target_is_typed(self, target, error):
+        # [nan, 0] returned a NaN distance.
+        with pytest.raises(error):
+            box_least_squares(np.eye(2), np.zeros(2), target)
 
     def test_inside_point_distance_zero(self, rng):
         z = random_zonotope(rng, 4, 2)
@@ -306,6 +317,12 @@ class TestProjectToHull:
         res = project_to_hull(pts, np.array([1.0, 1.0]))
         assert np.allclose(res.point, [0.5, 0.5], atol=1e-9)
         assert res.distance == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("target, error", BAD_TARGETS)
+    def test_bad_target_is_typed(self, target, error):
+        # [nan, 0] returned a NaN distance.
+        with pytest.raises(error):
+            project_to_hull(np.eye(2), target)
 
     def test_vertex_projects_to_itself(self, rng):
         pts = rng.uniform(-1.0, 1.0, size=(5, 3))
